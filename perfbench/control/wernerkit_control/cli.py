@@ -1,0 +1,707 @@
+"""Command-line surface with machine-readable reports.
+
+Every command emits a RunReport: {command, parameters, results, checks[],
+seed?, tool_version}.  Each check carries name, pass, observed, expected and
+tolerance.  Exit codes: 0 all checks pass, 1 a check failed, 2 invalid
+argument, 3 domain error (an inseparable q was requested for a
+separable-only operation).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import sys
+from dataclasses import dataclass, field
+from pathlib import Path
+
+import numpy as np
+
+from . import __version__
+from .decomposition import (
+    DecompositionDomainError,
+    SEPARABLE_Q_MAX,
+    moment_check,
+    phase_constraint_residual,
+    reconstruct,
+    spherical_decomposition,
+    wootters_decomposition,
+)
+from .hiddenvar import estimate_correlation, estimate_local
+from .separability import ppt_test, werner_pt_eigenvalues_closed_form
+from .states import PositivityError, werner
+
+EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
+EXIT_USAGE = 2
+EXIT_DOMAIN = 3
+
+# Tolerances pinned by the library's contracts.
+EIGENVALUE_TOL = 1e-12
+RECONSTRUCTION_TOL = 1e-12
+MOMENT_TOL = 1e-13
+SCHMIDT_TOL = 1e-12
+PHASE_TOL = 1e-13
+CROSS_DECOMPOSITION_TOL = 1e-11
+WEIGHT_SUM_TOL = 1e-14
+SIGMA_BAND = 5.0
+
+
+@dataclass
+class Check:
+    name: str
+    passed: bool
+    observed: object
+    expected: object
+    tolerance: float
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "pass": self.passed,
+            "observed": self.observed,
+            "expected": self.expected,
+            "tolerance": self.tolerance,
+        }
+
+
+def check_abs(name: str, observed: float, tol: float) -> Check:
+    """Scalar deviation against 0 at an absolute tolerance."""
+    observed = float(observed)
+    return Check(name, abs(observed) <= tol, observed, 0.0, float(tol))
+
+
+def check_equal(name: str, observed, expected) -> Check:
+    return Check(name, observed == expected, observed, expected, 0.0)
+
+
+def check_value(name: str, observed: float, expected: float, tol: float) -> Check:
+    observed = float(observed)
+    expected = float(expected)
+    return Check(name, abs(observed - expected) <= tol, observed, expected, float(tol))
+
+
+@dataclass
+class RunReport:
+    command: str
+    parameters: dict
+    results: dict
+    checks: list[Check] = field(default_factory=list)
+    seed: int | None = None
+    csv_header: list[str] | None = None
+    csv_rows: list[list] | None = None
+
+    @property
+    def all_pass(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def to_dict(self) -> dict:
+        payload = {
+            "command": self.command,
+            "parameters": self.parameters,
+            "results": self.results,
+            "checks": [c.to_dict() for c in self.checks],
+        }
+        if self.seed is not None:
+            payload["seed"] = self.seed
+        payload["tool_version"] = __version__
+        return payload
+
+
+def _jsonable(obj):
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
+    if obj is None or isinstance(obj, str):
+        return obj
+    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+
+
+def matrix_payload(m: np.ndarray) -> list:
+    """Complex matrix as nested [re, im] pairs."""
+    return [[[float(c.real), float(c.imag)] for c in row] for row in np.asarray(m)]
+
+
+def _fmt_csv(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def emit_json(report: RunReport) -> str:
+    return json.dumps(_jsonable(report.to_dict()), indent=2) + "\n"
+
+
+def emit_csv(report: RunReport) -> str:
+    if report.csv_header is None or report.csv_rows is None:
+        raise ValueError(f"command {report.command!r} has no CSV projection")
+    lines = [",".join(report.csv_header)]
+    for row in report.csv_rows:
+        lines.append(",".join(_fmt_csv(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def emit_pretty(report: RunReport) -> str:
+    lines = [f"command: {report.command}"]
+    if report.seed is not None:
+        lines.append(f"seed: {report.seed}")
+    lines.append("parameters: " + json.dumps(_jsonable(report.parameters)))
+    lines.append("results:")
+    body = json.dumps(_jsonable(report.results), indent=2)
+    lines.extend("  " + ln for ln in body.splitlines())
+    if report.checks:
+        lines.append("checks:")
+        for c in report.checks:
+            tag = "PASS" if c.passed else "FAIL"
+            lines.append(
+                f"  [{tag}] {c.name}: observed={_fmt_csv(c.observed)} "
+                f"expected={_fmt_csv(c.expected)} tolerance={_fmt_csv(c.tolerance)}"
+            )
+    lines.append(f"tool_version: {__version__}")
+    return "\n".join(lines) + "\n"
+
+
+_RENDERERS = {"json": emit_json, "csv": emit_csv, "pretty": emit_pretty}
+
+
+def _normalized_axis(values, flag: str) -> np.ndarray:
+    v = np.asarray(values, dtype=float)
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        raise ValueError(f"axis {flag} must be nonzero")
+    if abs(norm - 1.0) > 1e-12:
+        normalized = v / norm
+        print(
+            f"warning: axis {flag} has norm {norm}; normalized to "
+            f"[{', '.join(repr(float(x)) for x in normalized)}]",
+            file=sys.stderr,
+        )
+        return normalized
+    return v
+
+
+def cmd_matrix(args) -> RunReport:
+    rho = werner(args.q)
+    trace_dev = abs(complex(np.trace(rho)) - 1.0)
+    herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
+    report = RunReport(
+        command="matrix",
+        parameters={"q": args.q},
+        results={"q": args.q, "matrix": matrix_payload(rho)},
+        checks=[
+            check_abs("trace_one", trace_dev, 1e-15),
+            check_abs("hermitian", herm_dev, 1e-12),
+        ],
+    )
+    report.csv_header = ["row", "col", "re", "im"]
+    report.csv_rows = [
+        [i, j, float(rho[i, j].real), float(rho[i, j].imag)]
+        for i in range(4)
+        for j in range(4)
+    ]
+    return report
+
+
+def _ppt_row(q: float) -> dict:
+    verdict = ppt_test(werner(q))
+    closed = werner_pt_eigenvalues_closed_form(q)
+    deviation = float(np.max(np.abs(np.asarray(verdict.eigenvalues) - closed)))
+    return {
+        "q": q,
+        "eigenvalues": list(verdict.eigenvalues),
+        "closed_form": closed.tolist(),
+        "min_eigenvalue": verdict.min_eigenvalue,
+        "separable": verdict.separable,
+        "closed_form_deviation": deviation,
+        "expected_separable": bool(closed[0] >= -verdict.tol),
+        "tol": verdict.tol,
+    }
+
+
+def cmd_ppt(args) -> RunReport:
+    if args.sweep is not None:
+        q_min, q_max, steps = args.sweep
+        steps = int(steps)
+        if steps < 1:
+            raise ValueError(f"sweep steps must be >= 1, got {steps}")
+        qs = [float(x) for x in np.linspace(q_min, q_max, steps)]
+        parameters = {"sweep": {"q_min": q_min, "q_max": q_max, "steps": steps}}
+    else:
+        qs = [args.q]
+        parameters = {"q": args.q}
+
+    rows = [_ppt_row(q) for q in qs]
+    max_dev = max(r["closed_form_deviation"] for r in rows)
+    verdicts_match = all(r["separable"] == r["expected_separable"] for r in rows)
+    report = RunReport(
+        command="ppt",
+        parameters=parameters,
+        results={"rows": rows} if args.sweep is not None else rows[0],
+        checks=[
+            check_abs("eigenvalues_match_closed_form", max_dev, EIGENVALUE_TOL),
+            check_equal("verdict_matches_closed_form", verdicts_match, True),
+        ],
+    )
+    report.csv_header = [
+        "q",
+        "lambda_1",
+        "lambda_2",
+        "lambda_3",
+        "lambda_4",
+        "separable",
+    ]
+    report.csv_rows = [[r["q"], *r["eigenvalues"], r["separable"]] for r in rows]
+    return report
+
+
+def _spherical_report(q: float, n_theta: int, n_phi: int) -> RunReport:
+    dec = spherical_decomposition(q, n_theta, n_phi)
+    recon = reconstruct(dec)
+    recon_err = float(np.max(np.abs(recon - werner(q))))
+    moments = moment_check(dec)
+    weight_dev = abs(sum(n.weight for n in dec.nodes) - 1.0)
+    anti_align = max(float(np.max(np.abs(n.a + n.b))) for n in dec.nodes)
+    first_dev_a = float(np.max(np.abs(moments.first_moment_a)))
+    first_dev_b = float(np.max(np.abs(moments.first_moment_b)))
+    second_dev = float(np.max(np.abs(moments.second_moment + q * np.eye(3))))
+
+    report = RunReport(
+        command="decompose",
+        parameters={"q": q, "method": "spherical", "n_theta": n_theta, "n_phi": n_phi},
+        results={
+            "q": q,
+            "bloch_norm": math.sqrt(3.0 * q),
+            "nodes": [
+                {
+                    "theta": n.theta,
+                    "phi": n.phi,
+                    "weight": n.weight,
+                    "a": n.a.tolist(),
+                    "b": n.b.tolist(),
+                }
+                for n in dec.nodes
+            ],
+            "reconstruction_max_error": recon_err,
+            "moments": {
+                "first_moment_a": moments.first_moment_a.tolist(),
+                "first_moment_b": moments.first_moment_b.tolist(),
+                "second_moment": moments.second_moment.tolist(),
+                "f_second_moment": moments.f_second_moment.tolist(),
+            },
+        },
+        checks=[
+            check_abs("reconstruction_error", recon_err, RECONSTRUCTION_TOL),
+            check_abs("weight_sum_deviation", weight_dev, WEIGHT_SUM_TOL),
+            check_abs("first_moment_a", first_dev_a, MOMENT_TOL),
+            check_abs("first_moment_b", first_dev_b, MOMENT_TOL),
+            check_abs("second_moment_deviation", second_dev, MOMENT_TOL),
+            check_abs("anti_alignment", anti_align, 0.0),
+        ],
+    )
+    report.csv_header = [
+        "theta",
+        "phi",
+        "weight",
+        "a_x",
+        "a_y",
+        "a_z",
+        "b_x",
+        "b_y",
+        "b_z",
+    ]
+    report.csv_rows = [
+        [n.theta, n.phi, n.weight, *n.a.tolist(), *n.b.tolist()] for n in dec.nodes
+    ]
+    return report
+
+
+def _wootters_report(q: float) -> RunReport:
+    dec = wootters_decomposition(q)
+    recon = reconstruct(dec)
+    recon_err = float(np.max(np.abs(recon - werner(q))))
+    dets = [abs(z[0] * z[3] - z[1] * z[2]) for z in dec.z]
+    residual = phase_constraint_residual(dec.thetas, q)
+    norm_sum = sum(float(np.real(np.vdot(z, z))) for z in dec.z)
+
+    report = RunReport(
+        command="decompose",
+        parameters={"q": q, "method": "wootters"},
+        results={
+            "q": q,
+            "thetas": list(dec.thetas),
+            "z_vectors": [
+                [[float(c.real), float(c.imag)] for c in z] for z in dec.z
+            ],
+            "reconstruction_max_error": recon_err,
+            "schmidt_abs_determinants": [float(d) for d in dets],
+            "phase_constraint_residual": residual,
+            "norm_squared_sum": norm_sum,
+        },
+        checks=[
+            check_abs("reconstruction_error", recon_err, RECONSTRUCTION_TOL),
+            check_abs("schmidt_determinant_max", max(dets), SCHMIDT_TOL),
+            check_abs("phase_constraint_residual", residual, PHASE_TOL),
+            check_value("norm_squared_sum", norm_sum, 1.0, 1e-12),
+        ],
+    )
+    report.csv_header = [
+        "vector",
+        "theta",
+        "c0_re",
+        "c0_im",
+        "c1_re",
+        "c1_im",
+        "c2_re",
+        "c2_im",
+        "c3_re",
+        "c3_im",
+    ]
+    report.csv_rows = [
+        [
+            i + 1,
+            dec.thetas[i],
+            *[part for c in dec.z[i] for part in (float(c.real), float(c.imag))],
+        ]
+        for i in range(4)
+    ]
+    return report
+
+
+def cmd_decompose(args) -> RunReport:
+    n_theta, n_phi = (int(x) for x in args.nodes)
+    if args.method == "spherical":
+        return _spherical_report(args.q, n_theta, n_phi)
+    return _wootters_report(args.q)
+
+
+def cmd_hvsim(args) -> RunReport:
+    axis_a = _normalized_axis(args.l, "--l")
+    axis_b = _normalized_axis(args.m, "--m")
+    corr = estimate_correlation(args.q, axis_a, axis_b, args.samples, args.seed)
+    marg_a = estimate_local(args.q, axis_a, "A", args.samples, args.seed)
+    marg_b = estimate_local(args.q, axis_b, "B", args.samples, args.seed)
+    analytic = -args.q * float(np.dot(axis_a, axis_b))
+
+    report = RunReport(
+        command="hvsim",
+        parameters={
+            "q": args.q,
+            "l": axis_a.tolist(),
+            "m": axis_b.tolist(),
+            "samples": args.samples,
+        },
+        results={
+            "correlation": {"mean": corr.mean, "std_error": corr.std_error},
+            "analytic": analytic,
+            "marginal_a": {"mean": marg_a.mean, "std_error": marg_a.std_error},
+            "marginal_b": {"mean": marg_b.mean, "std_error": marg_b.std_error},
+            "n_samples": args.samples,
+        },
+        checks=[
+            check_value(
+                "correlation_within_5_sigma",
+                corr.mean,
+                analytic,
+                SIGMA_BAND * corr.std_error,
+            ),
+            check_abs("marginal_a_within_5_sigma", marg_a.mean, SIGMA_BAND * marg_a.std_error),
+            check_abs("marginal_b_within_5_sigma", marg_b.mean, SIGMA_BAND * marg_b.std_error),
+        ],
+        seed=args.seed,
+    )
+    report.csv_header = [
+        "q",
+        "l_x",
+        "l_y",
+        "l_z",
+        "m_x",
+        "m_y",
+        "m_z",
+        "n_samples",
+        "seed",
+        "mean",
+        "std_error",
+        "analytic",
+    ]
+    report.csv_rows = [
+        [
+            args.q,
+            *axis_a.tolist(),
+            *axis_b.tolist(),
+            args.samples,
+            args.seed,
+            corr.mean,
+            corr.std_error,
+            analytic,
+        ]
+    ]
+    return report
+
+
+def _verify_row(q: float) -> dict:
+    row = _ppt_row(q)
+    entry = {
+        "q": q,
+        "ppt_deviation": row["closed_form_deviation"],
+        "separable": row["separable"],
+        "verdict_matches": row["separable"] == row["expected_separable"],
+    }
+    if q <= SEPARABLE_Q_MAX + 1e-15:
+        dec_s = spherical_decomposition(q)
+        dec_w = wootters_decomposition(q)
+        recon_s = reconstruct(dec_s)
+        recon_w = reconstruct(dec_w)
+        target = werner(q)
+        moments = moment_check(dec_s)
+        entry.update(
+            {
+                "spherical_error": float(np.max(np.abs(recon_s - target))),
+                "wootters_error": float(np.max(np.abs(recon_w - target))),
+                "cross_error": float(np.max(np.abs(recon_s - recon_w))),
+                "moment_deviation": max(
+                    float(np.max(np.abs(moments.first_moment_a))),
+                    float(np.max(np.abs(moments.first_moment_b))),
+                    float(np.max(np.abs(moments.second_moment + q * np.eye(3)))),
+                ),
+                "schmidt_max": max(
+                    abs(z[0] * z[3] - z[1] * z[2]) for z in dec_w.z
+                ),
+                "phase_residual": phase_constraint_residual(dec_w.thetas, q),
+                "skipped": None,
+            }
+        )
+    else:
+        entry.update(
+            {
+                "spherical_error": None,
+                "wootters_error": None,
+                "cross_error": None,
+                "moment_deviation": None,
+                "schmidt_max": None,
+                "phase_residual": None,
+                "skipped": (
+                    f"decomposition checks skipped: q = {q} > 1/3 "
+                    f"(|a| = sqrt(3q) = {math.sqrt(3.0 * q)} > 1)"
+                ),
+            }
+        )
+    return entry
+
+
+def cmd_verify(args) -> RunReport:
+    if args.grid is not None:
+        q_min, q_max, steps = args.grid
+        steps = int(steps)
+        default_grid = False
+    else:
+        q_min, q_max, steps = 0.0, SEPARABLE_Q_MAX, 21
+        default_grid = True
+    if steps < 1:
+        raise ValueError(f"grid steps must be >= 1, got {steps}")
+
+    qs = [float(x) for x in np.linspace(q_min, q_max, steps)]
+    rows = [_verify_row(q) for q in qs]
+    tested = [r for r in rows if r["skipped"] is None]
+    skipped = [
+        {"q": r["q"], "reason": r["skipped"]} for r in rows if r["skipped"] is not None
+    ]
+
+    checks = [
+        check_abs(
+            "ppt_eigenvalues_match_closed_form",
+            max(r["ppt_deviation"] for r in rows),
+            EIGENVALUE_TOL,
+        ),
+        check_equal(
+            "ppt_verdict_matches_closed_form",
+            all(r["verdict_matches"] for r in rows),
+            True,
+        ),
+    ]
+    if tested:
+        checks.extend(
+            [
+                check_abs(
+                    "spherical_reconstruction",
+                    max(r["spherical_error"] for r in tested),
+                    RECONSTRUCTION_TOL,
+                ),
+                check_abs(
+                    "wootters_reconstruction",
+                    max(r["wootters_error"] for r in tested),
+                    RECONSTRUCTION_TOL,
+                ),
+                check_abs(
+                    "cross_decomposition_agreement",
+                    max(r["cross_error"] for r in tested),
+                    CROSS_DECOMPOSITION_TOL,
+                ),
+                check_abs(
+                    "moment_conditions",
+                    max(r["moment_deviation"] for r in tested),
+                    MOMENT_TOL,
+                ),
+                check_abs(
+                    "schmidt_determinants",
+                    max(r["schmidt_max"] for r in tested),
+                    SCHMIDT_TOL,
+                ),
+                check_abs(
+                    "phase_constraint_residuals",
+                    max(r["phase_residual"] for r in tested),
+                    PHASE_TOL,
+                ),
+            ]
+        )
+
+    parameters = {
+        "grid": {"q_min": q_min, "q_max": q_max, "steps": steps},
+    }
+    if default_grid:
+        # default endpoint is the double nearest 1/3
+        parameters["grid"]["q_max_ratio"] = "1/3"
+
+    report = RunReport(
+        command="verify",
+        parameters=parameters,
+        results={"rows": rows, "skipped": skipped},
+        checks=checks,
+    )
+    report.csv_header = [
+        "q",
+        "ppt_deviation",
+        "separable",
+        "spherical_error",
+        "wootters_error",
+        "cross_error",
+        "moment_deviation",
+        "schmidt_max",
+        "phase_residual",
+        "skipped",
+    ]
+    report.csv_rows = [
+        [
+            r["q"],
+            r["ppt_deviation"],
+            r["separable"],
+            *["" if r[k] is None else r[k] for k in (
+                "spherical_error",
+                "wootters_error",
+                "cross_error",
+                "moment_deviation",
+                "schmidt_max",
+                "phase_residual",
+            )],
+            "" if r["skipped"] is None else r["skipped"].replace(",", ";"),
+        ]
+        for r in rows
+    ]
+    return report
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="wernerkit",
+        description=(
+            "Werner state toolkit: matrix construction, partial-transpose "
+            "separability, product-state decompositions, and a hidden "
+            "variable Monte Carlo simulation"
+        ),
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p):
+        p.add_argument(
+            "--format", choices=("json", "csv", "pretty"), default="json",
+            help="output format (default: json)",
+        )
+        p.add_argument("--out", default=None, help="write the report to FILE instead of stdout")
+
+    p_matrix = sub.add_parser("matrix", help="emit the 4x4 Werner matrix")
+    p_matrix.add_argument("--q", type=float, required=True, help="mixing parameter in [0, 1]")
+    add_common(p_matrix)
+    p_matrix.set_defaults(handler=cmd_matrix)
+
+    p_ppt = sub.add_parser("ppt", help="partial-transpose separability test")
+    group = p_ppt.add_mutually_exclusive_group(required=True)
+    group.add_argument("--q", type=float, help="single mixing parameter")
+    group.add_argument(
+        "--sweep", nargs=3, type=float, metavar=("Q_MIN", "Q_MAX", "STEPS"),
+        help="evaluate an inclusive linear grid of q values",
+    )
+    add_common(p_ppt)
+    p_ppt.set_defaults(handler=cmd_ppt)
+
+    p_dec = sub.add_parser("decompose", help="explicit product-state decomposition")
+    p_dec.add_argument("--q", type=float, required=True)
+    p_dec.add_argument(
+        "--method", choices=("spherical", "wootters"), default="spherical",
+    )
+    p_dec.add_argument(
+        "--nodes", nargs=2, type=int, default=(4, 8), metavar=("N_THETA", "N_PHI"),
+        help="quadrature node counts for the spherical method (default: 4 8)",
+    )
+    add_common(p_dec)
+    p_dec.set_defaults(handler=cmd_decompose)
+
+    p_hv = sub.add_parser("hvsim", help="hidden variable Monte Carlo simulation")
+    p_hv.add_argument("--q", type=float, required=True)
+    p_hv.add_argument("--l", nargs=3, type=float, default=(0.0, 0.0, 1.0), metavar=("X", "Y", "Z"))
+    p_hv.add_argument("--m", nargs=3, type=float, default=(0.0, 0.0, 1.0), metavar=("X", "Y", "Z"))
+    p_hv.add_argument("--samples", type=int, default=1_000_000)
+    p_hv.add_argument("--seed", type=int, default=0)
+    add_common(p_hv)
+    p_hv.set_defaults(handler=cmd_hvsim)
+
+    p_ver = sub.add_parser("verify", help="run the full invariant suite over a q grid")
+    p_ver.add_argument(
+        "--grid", nargs=3, type=float, metavar=("Q_MIN", "Q_MAX", "STEPS"),
+        help="grid specification (default: 0 to 1/3 in 21 steps)",
+    )
+    add_common(p_ver)
+    p_ver.set_defaults(handler=cmd_verify)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        report = args.handler(args)
+        text = _RENDERERS[args.format](report)
+    except DecompositionDomainError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except (PositivityError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+
+    if args.out is not None:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
+
+
+def entrypoint() -> None:
+    raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

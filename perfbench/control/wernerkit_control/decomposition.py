@@ -1,0 +1,284 @@
+"""Two explicit separable decompositions of the Werner state.
+
+The spherical decomposition realizes the continuous convex combination
+W(q) = integral over the sphere of (1/4pi) rho_A(theta,phi) (x) rho_B(theta,phi)
+with local Bloch vectors a = sqrt(3q) f(theta,phi) and b = -a, where
+f = (sin t cos p, sin t sin p, cos t).  A product quadrature that is exact for
+spherical polynomials of degree <= 2 (Gauss-Legendre in cos theta, uniform in
+phi) makes the discretization lossless: the reconstruction only ever
+integrates constants, f_i, and f_i f_j.
+
+The four-vector decomposition writes W(q) = sum_i |z_i><z_i| where the z_i mix
+four sub-normalized Bell vectors with phases chosen so that every z_i is a
+product state.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .states import bell_state, product_state, validate_mixing_parameter
+
+__all__ = [
+    "DecompositionDomainError",
+    "SEPARABLE_Q_MAX",
+    "QuadratureNode",
+    "SphericalDecomposition",
+    "WoottersDecomposition",
+    "MomentReport",
+    "sphere_direction",
+    "spherical_decomposition",
+    "wootters_decomposition",
+    "reconstruct",
+    "moment_check",
+    "schmidt_rank_one_check",
+    "phase_constraint_residual",
+]
+
+SEPARABLE_Q_MAX = 1.0 / 3.0
+
+# Accept the exact double nearest 1/3 plus rounding slack; anything beyond
+# puts the local Bloch vectors outside the unit ball.
+_Q_BOUNDARY_TOL = 1e-15
+
+MOMENT_TOL = 1e-13
+
+
+class DecompositionDomainError(ValueError):
+    """Requested mixing parameter admits no product-state decomposition: the
+    local Bloch vectors would need norm sqrt(3q) > 1."""
+
+    def __init__(self, q: float, detail: str):
+        self.q = float(q)
+        self.bloch_norm = math.sqrt(3.0 * float(q))
+        super().__init__(detail)
+
+
+def _require_separable_q(q: float) -> float:
+    q = validate_mixing_parameter(q)
+    if q > SEPARABLE_Q_MAX + _Q_BOUNDARY_TOL:
+        raise DecompositionDomainError(
+            q,
+            f"q = {q} is past the separability threshold 1/3: the local Bloch "
+            f"vectors would need norm |a| = |b| = sqrt(3q) = {math.sqrt(3.0 * q)}, "
+            "exceeding the unit ball allowed by positivity of the local states",
+        )
+    return q
+
+
+@dataclass(frozen=True)
+class QuadratureNode:
+    """One node of the spherical product quadrature.  The weight absorbs the
+    1/4pi distribution and the sin(theta) volume element."""
+
+    theta: float
+    phi: float
+    weight: float
+    a: np.ndarray
+    b: np.ndarray
+
+
+@dataclass(frozen=True)
+class SphericalDecomposition:
+    q: float
+    n_theta: int
+    n_phi: int
+    nodes: tuple[QuadratureNode, ...]
+
+
+@dataclass(frozen=True)
+class WoottersDecomposition:
+    """Four unnormalized product vectors z with sum_i |z_i><z_i| = W(q),
+    plus the phase angles used to build them."""
+
+    q: float
+    z: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    thetas: tuple[float, float, float, float]
+
+
+@dataclass(frozen=True)
+class MomentReport:
+    """First and second moments of the node ensemble against their targets:
+    sum w*a_i = sum w*b_i = 0 and sum w*a_i*b_j = -q delta_ij."""
+
+    q: float
+    first_moment_a: np.ndarray
+    first_moment_b: np.ndarray
+    second_moment: np.ndarray
+    f_second_moment: np.ndarray
+    tolerance: float
+    first_a_pass: bool
+    first_b_pass: bool
+    second_pass: bool
+
+    @property
+    def all_pass(self) -> bool:
+        return self.first_a_pass and self.first_b_pass and self.second_pass
+
+
+def sphere_direction(theta: float, phi: float) -> np.ndarray:
+    """Unit vector (sin t cos p, sin t sin p, cos t)."""
+    st = math.sin(theta)
+    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+
+
+def spherical_decomposition(
+    q: float, n_theta: int = 4, n_phi: int = 8
+) -> SphericalDecomposition:
+    """Quadrature realization of the continuous decomposition of W(q).
+
+    Gauss-Legendre in cos(theta) with n_theta >= 2 points times a uniform
+    n_phi >= 3 grid in phi integrates every spherical polynomial of degree
+    <= 2 exactly, which covers all moments the reconstruction needs.  Node
+    weights are w_gl / (2 n_phi) and sum to 1.
+
+    Raises DecompositionDomainError for q > 1/3, where |a| = sqrt(3q) > 1.
+    """
+    q = _require_separable_q(q)
+    if n_theta < 2:
+        raise ValueError(f"n_theta must be >= 2 for degree-2 exactness, got {n_theta}")
+    if n_phi < 3:
+        raise ValueError(f"n_phi must be >= 3 for degree-2 exactness, got {n_phi}")
+
+    radius = math.sqrt(3.0 * q)
+    cos_nodes, gl_weights = np.polynomial.legendre.leggauss(n_theta)
+    nodes = []
+    for cos_t, w_gl in zip(cos_nodes, gl_weights):
+        theta = math.acos(float(cos_t))
+        weight = float(w_gl) / (2.0 * n_phi)
+        for k in range(n_phi):
+            phi = 2.0 * math.pi * k / n_phi
+            a = radius * sphere_direction(theta, phi)
+            b = -a
+            a.setflags(write=False)
+            b.setflags(write=False)
+            nodes.append(QuadratureNode(theta=theta, phi=phi, weight=weight, a=a, b=b))
+    return SphericalDecomposition(q=q, n_theta=n_theta, n_phi=n_phi, nodes=tuple(nodes))
+
+
+def wootters_decomposition(q: float) -> WoottersDecomposition:
+    """Four-product-vector decomposition of W(q).
+
+    The building blocks are sub-normalized Bell vectors
+        x1 = -i sqrt(1+3q)/2 |psi_minus>,   x2 = sqrt(1-q)/2 |psi_plus>,
+        x3 =    sqrt(1-q)/2 |phi_minus>,    x4 = -i sqrt(1-q)/2 |phi_plus>,
+    combined as z_i = (1/2) sum_j S_ij e^{i theta_j} x_j with the four
+    orthogonal sign rows S = (++++, ++--, +-+-, +--+).  The phases are the
+    closed-form choice theta_1 = 0, theta_2 = pi/2,
+        cos theta_3 = sqrt((1-3q)/(2(1-q))),   sin theta_3 = sqrt((1+q)/(2(1-q))),
+    and theta_4 with the opposite cosine sign; this satisfies the constraint
+    e^{-2i theta_1}(1+3q) + (e^{-2i theta_2}+e^{-2i theta_3}+e^{-2i theta_4})(1-q) = 0
+    and makes every z_i a product state.  For q > 1/3 the cosine formula turns
+    imaginary, which is the same positivity obstruction as in the spherical
+    construction.
+    """
+    q = _require_separable_q(q)
+
+    x_vectors = (
+        -1j * (math.sqrt(1.0 + 3.0 * q) / 2.0) * bell_state("psi_minus"),
+        (math.sqrt(1.0 - q) / 2.0) * bell_state("psi_plus"),
+        (math.sqrt(1.0 - q) / 2.0) * bell_state("phi_minus"),
+        -1j * (math.sqrt(1.0 - q) / 2.0) * bell_state("phi_plus"),
+    )
+
+    # 1 - 3q can round to a tiny negative at the q = 1/3 boundary; clamp after
+    # the domain check so the square root stays real.
+    cos3 = math.sqrt(max(0.0, 1.0 - 3.0 * q) / (2.0 * (1.0 - q)))
+    sin3 = math.sqrt((1.0 + q) / (2.0 * (1.0 - q)))
+    thetas = (
+        0.0,
+        math.pi / 2.0,
+        math.atan2(sin3, cos3),
+        math.atan2(sin3, -cos3),
+    )
+
+    signs = (
+        (1, 1, 1, 1),
+        (1, 1, -1, -1),
+        (1, -1, 1, -1),
+        (1, -1, -1, 1),
+    )
+    phases = [np.exp(1j * t) for t in thetas]
+    z_vectors = []
+    for row in signs:
+        z = 0.5 * sum(s * ph * x for s, ph, x in zip(row, phases, x_vectors))
+        z.setflags(write=False)
+        z_vectors.append(z)
+    return WoottersDecomposition(q=q, z=tuple(z_vectors), thetas=thetas)
+
+
+def reconstruct(dec) -> np.ndarray:
+    """Resum a decomposition into its 4x4 density matrix."""
+    if isinstance(dec, SphericalDecomposition):
+        total = np.zeros((4, 4), dtype=complex)
+        for node in dec.nodes:
+            total += node.weight * product_state(node.a, node.b)
+        return total
+    if isinstance(dec, WoottersDecomposition):
+        total = np.zeros((4, 4), dtype=complex)
+        for z in dec.z:
+            total += np.outer(z, z.conj())
+        return total
+    raise TypeError(f"cannot reconstruct from {type(dec).__name__}")
+
+
+def moment_check(dec: SphericalDecomposition, tol: float = MOMENT_TOL) -> MomentReport:
+    """Verify the ensemble moments that force the reconstruction to equal W(q).
+
+    Reports sum w*a, sum w*b (targets 0), the 3x3 matrix sum w*a_i*b_j
+    (target -q delta_ij), and the direction second moment sum w*f_i*f_j
+    (target delta_ij / 3).  Never raises; pass/fail flags are in the report.
+    """
+    weights = np.array([n.weight for n in dec.nodes])
+    a = np.array([n.a for n in dec.nodes])
+    b = np.array([n.b for n in dec.nodes])
+    f = np.array([sphere_direction(n.theta, n.phi) for n in dec.nodes])
+
+    first_a = weights @ a
+    first_b = weights @ b
+    second = np.einsum("n,ni,nj->ij", weights, a, b)
+    f_second = np.einsum("n,ni,nj->ij", weights, f, f)
+
+    target = -dec.q * np.eye(3)
+    report = MomentReport(
+        q=dec.q,
+        first_moment_a=first_a,
+        first_moment_b=first_b,
+        second_moment=second,
+        f_second_moment=f_second,
+        tolerance=float(tol),
+        first_a_pass=bool(np.max(np.abs(first_a)) <= tol),
+        first_b_pass=bool(np.max(np.abs(first_b)) <= tol),
+        second_pass=bool(np.max(np.abs(second - target)) <= tol),
+    )
+    return report
+
+
+def schmidt_rank_one_check(v, tol: float = 1e-12) -> bool:
+    """True if a two-qubit vector is a product state: the determinant of its
+    2x2 amplitude matrix (row index qubit A, column index qubit B) vanishes."""
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    if v.shape != (4,):
+        raise ValueError(f"expected a 4-component vector, got shape {v.shape}")
+    det = v[0] * v[3] - v[1] * v[2]
+    norm_sq = float(np.real(np.vdot(v, v)))
+    return bool(abs(det) <= tol * max(1.0, norm_sq))
+
+
+def phase_constraint_residual(thetas, q: float) -> float:
+    """Magnitude of e^{-2i t1}(1+3q) + (e^{-2i t2}+e^{-2i t3}+e^{-2i t4})(1-q).
+
+    Zero residual is the condition for the four-vector decomposition's phases
+    to produce product states.
+    """
+    t = [float(x) for x in thetas]
+    if len(t) != 4:
+        raise ValueError(f"expected 4 phase angles, got {len(t)}")
+    q = float(q)
+    value = np.exp(-2j * t[0]) * (1.0 + 3.0 * q) + (
+        np.exp(-2j * t[1]) + np.exp(-2j * t[2]) + np.exp(-2j * t[3])
+    ) * (1.0 - q)
+    return float(abs(value))

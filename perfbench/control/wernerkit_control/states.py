@@ -1,0 +1,110 @@
+"""Constructors for the Werner state, Bell states, Bloch-parameterized
+single-qubit states, product states, and reduced (marginal) states."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .linalg import IDENTITY_2, IDENTITY_4, PAULI_X, PAULI_Y, PAULI_Z, kron
+
+__all__ = [
+    "PositivityError",
+    "BLOCH_NORM_TOL",
+    "bell_state",
+    "werner",
+    "bloch_state",
+    "product_state",
+    "marginal",
+]
+
+# Accepting a Bloch norm up to 1 + 1e-12 keeps the pure-state boundary
+# (norm sqrt(3q) = 1 at the critical mixing parameter 1/3) inside the domain.
+BLOCH_NORM_TOL = 1e-12
+
+_SQRT_HALF = 1.0 / np.sqrt(2.0)
+
+_BELL_VECTORS = {
+    "psi_minus": np.array([0.0, _SQRT_HALF, -_SQRT_HALF, 0.0], dtype=complex),
+    "psi_plus": np.array([0.0, _SQRT_HALF, _SQRT_HALF, 0.0], dtype=complex),
+    "phi_minus": np.array([_SQRT_HALF, 0.0, 0.0, -_SQRT_HALF], dtype=complex),
+    "phi_plus": np.array([_SQRT_HALF, 0.0, 0.0, _SQRT_HALF], dtype=complex),
+}
+
+
+class PositivityError(ValueError):
+    """A Bloch vector outside the unit ball would describe a non-positive
+    single-qubit operator."""
+
+
+def validate_mixing_parameter(q: float) -> float:
+    """Werner mixing parameter must lie in [0, 1]."""
+    q = float(q)
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"mixing parameter q must be in [0, 1], got {q}")
+    return q
+
+
+def bell_state(kind: str) -> np.ndarray:
+    """One of the four Bell vectors, unit norm, basis order |00>,|01>,|10>,|11>.
+
+    kind is one of "psi_minus", "psi_plus", "phi_minus", "phi_plus".
+    """
+    try:
+        return _BELL_VECTORS[kind].copy()
+    except KeyError:
+        raise ValueError(
+            f"unknown Bell state {kind!r}; expected one of {sorted(_BELL_VECTORS)}"
+        ) from None
+
+
+def werner(q: float) -> np.ndarray:
+    """Werner density matrix: q * |psi_minus><psi_minus| + (1-q)/4 * I."""
+    q = validate_mixing_parameter(q)
+    psi = _BELL_VECTORS["psi_minus"]
+    return q * np.outer(psi, psi.conj()) + ((1.0 - q) / 4.0) * IDENTITY_4
+
+
+def _as_bloch(v) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"Bloch vector must have exactly 3 real components, got shape {v.shape}")
+    return v
+
+
+def bloch_state(v) -> np.ndarray:
+    """Single-qubit density matrix (I + v . sigma) / 2.
+
+    Requires |v| <= 1 + 1e-12; beyond that the operator would have a negative
+    eigenvalue (1 - |v|)/2 and PositivityError is raised.  Eigenvalues are
+    (1 +- |v|)/2, so boundary vectors within the tolerance may carry an
+    eigenvalue as low as -5e-13.
+    """
+    v = _as_bloch(v)
+    norm = float(np.linalg.norm(v))
+    if norm > 1.0 + BLOCH_NORM_TOL:
+        raise PositivityError(
+            f"Bloch vector norm {norm} exceeds 1; the operator (I + v.sigma)/2 "
+            "would not be positive semidefinite"
+        )
+    return 0.5 * (IDENTITY_2 + v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z)
+
+
+def product_state(a, b) -> np.ndarray:
+    """Two-qubit product density matrix from two Bloch vectors."""
+    return kron(bloch_state(a), bloch_state(b))
+
+
+def marginal(rho, subsystem: str) -> np.ndarray:
+    """Reduced 2x2 state of subsystem "A" or "B" of a 4x4 density matrix."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError(f"marginal requires a 4x4 density matrix, got {rho.shape}")
+    tr = complex(np.trace(rho))
+    if abs(tr - 1.0) > 1e-12:
+        raise ValueError(f"marginal requires trace 1 within 1e-12, got {tr}")
+    t = rho.reshape(2, 2, 2, 2)
+    if subsystem == "A":
+        return np.einsum("ikjk->ij", t)
+    if subsystem == "B":
+        return np.einsum("ikil->kl", t)
+    raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
