@@ -9,13 +9,13 @@ the induced local hidden variable model by seeded Monte Carlo.
 from .decomposition import (
     DecompositionDomainError,
     MomentReport,
-    QuadratureNode,
     SEPARABLE_Q_MAX,
     SphericalDecomposition,
     WoottersDecomposition,
     moment_check,
     phase_constraint_residual,
     reconstruct,
+    schmidt_determinant,
     schmidt_rank_one_check,
     spherical_decomposition,
     sphere_direction,
@@ -37,7 +37,6 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    adjoint,
     hermitian_eigenvalues,
     is_hermitian,
     kron,
@@ -76,11 +75,9 @@ __all__ = [
     "PAULI_Z",
     "PositivityError",
     "PptVerdict",
-    "QuadratureNode",
     "SEPARABLE_Q_MAX",
     "SphericalDecomposition",
     "WoottersDecomposition",
-    "adjoint",
     "bell_state",
     "bloch_state",
     "correlation",
@@ -100,6 +97,7 @@ __all__ = [
     "product_state",
     "reconstruct",
     "sample_hidden",
+    "schmidt_determinant",
     "schmidt_rank_one_check",
     "sphere_direction",
     "spherical_decomposition",

@@ -20,11 +20,13 @@ import numpy as np
 
 from . import __version__
 from .decomposition import (
+    MOMENT_TOL,
     DecompositionDomainError,
     SEPARABLE_Q_MAX,
     moment_check,
     phase_constraint_residual,
     reconstruct,
+    schmidt_determinant,
     spherical_decomposition,
     wootters_decomposition,
 )
@@ -38,9 +40,9 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 # Tolerances pinned by the library's contracts.
+TRACE_TOL = 1e-15
 EIGENVALUE_TOL = 1e-12
 RECONSTRUCTION_TOL = 1e-12
-MOMENT_TOL = 1e-13
 SCHMIDT_TOL = 1e-12
 PHASE_TOL = 1e-13
 CROSS_DECOMPOSITION_TOL = 1e-11
@@ -80,6 +82,10 @@ def check_value(name: str, observed: float, expected: float, tol: float) -> Chec
     observed = float(observed)
     expected = float(expected)
     return Check(name, abs(observed - expected) <= tol, observed, expected, float(tol))
+
+
+def _max_abs(x) -> float:
+    return float(np.max(np.abs(x)))
 
 
 @dataclass
@@ -143,7 +149,7 @@ def _fmt_csv(value) -> str:
 
 
 def emit_json(report: RunReport) -> str:
-    return json.dumps(_jsonable(report.to_dict()), indent=2) + "\n"
+    return json.dumps(_jsonable(report.to_dict()), indent=2, allow_nan=False) + "\n"
 
 
 def emit_csv(report: RunReport) -> str:
@@ -180,6 +186,8 @@ _RENDERERS = {"json": emit_json, "csv": emit_csv, "pretty": emit_pretty}
 
 def _normalized_axis(values, flag: str) -> np.ndarray:
     v = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"axis {flag} must be finite, got {v.tolist()}")
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ValueError(f"axis {flag} must be nonzero")
@@ -197,13 +205,13 @@ def _normalized_axis(values, flag: str) -> np.ndarray:
 def cmd_matrix(args) -> RunReport:
     rho = werner(args.q)
     trace_dev = abs(complex(np.trace(rho)) - 1.0)
-    herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
+    herm_dev = _max_abs(rho - rho.conj().T)
     report = RunReport(
         command="matrix",
         parameters={"q": args.q},
         results={"q": args.q, "matrix": matrix_payload(rho)},
         checks=[
-            check_abs("trace_one", trace_dev, 1e-15),
+            check_abs("trace_one", trace_dev, TRACE_TOL),
             check_abs("hermitian", herm_dev, 1e-12),
         ],
     )
@@ -219,7 +227,7 @@ def cmd_matrix(args) -> RunReport:
 def _ppt_row(q: float) -> dict:
     verdict = ppt_test(werner(q))
     closed = werner_pt_eigenvalues_closed_form(q)
-    deviation = float(np.max(np.abs(np.asarray(verdict.eigenvalues) - closed)))
+    deviation = _max_abs(np.asarray(verdict.eigenvalues) - closed)
     return {
         "q": q,
         "eigenvalues": list(verdict.eigenvalues),
@@ -232,13 +240,21 @@ def _ppt_row(q: float) -> dict:
     }
 
 
+def _q_grid(q_min: float, q_max: float, steps: float, kind: str) -> tuple[list[float], int]:
+    """The inclusive linear q grid of --sweep or --grid, and its whole
+    number of steps."""
+    if not float(steps).is_integer():
+        raise ValueError(f"{kind} steps must be a whole number, got {steps}")
+    steps = int(steps)
+    if steps < 1:
+        raise ValueError(f"{kind} steps must be >= 1, got {steps}")
+    return [float(x) for x in np.linspace(q_min, q_max, steps)], steps
+
+
 def cmd_ppt(args) -> RunReport:
     if args.sweep is not None:
         q_min, q_max, steps = args.sweep
-        steps = int(steps)
-        if steps < 1:
-            raise ValueError(f"sweep steps must be >= 1, got {steps}")
-        qs = [float(x) for x in np.linspace(q_min, q_max, steps)]
+        qs, steps = _q_grid(q_min, q_max, steps, "sweep")
         parameters = {"sweep": {"q_min": q_min, "q_max": q_max, "steps": steps}}
     else:
         qs = [args.q]
@@ -268,17 +284,56 @@ def cmd_ppt(args) -> RunReport:
     return report
 
 
+def _spherical_checks(dec, target: np.ndarray) -> tuple[np.ndarray, dict, list[Check]]:
+    """The reconstruction of a spherical decomposition, the report fields
+    its checks rest on, and the checks."""
+    recon = reconstruct(dec)
+    recon_err = _max_abs(recon - target)
+    moments = moment_check(dec)
+    second_dev = _max_abs(moments.second_moment + dec.q * np.eye(3))
+    moment_fields = ("first_moment_a", "first_moment_b", "second_moment", "f_second_moment")
+    results = {
+        "reconstruction_max_error": recon_err,
+        "moments": {k: getattr(moments, k).tolist() for k in moment_fields},
+    }
+    checks = [
+        check_abs("reconstruction_error", recon_err, RECONSTRUCTION_TOL),
+        check_abs("weight_sum_deviation", abs(sum(dec.weights.tolist()) - 1.0), WEIGHT_SUM_TOL),
+        check_abs("first_moment_a", _max_abs(moments.first_moment_a), MOMENT_TOL),
+        check_abs("first_moment_b", _max_abs(moments.first_moment_b), MOMENT_TOL),
+        check_abs("second_moment_deviation", second_dev, MOMENT_TOL),
+        check_abs("anti_alignment", _max_abs(dec.a + dec.b), 0.0),
+    ]
+    return recon, results, checks
+
+
+def _wootters_checks(dec, target: np.ndarray) -> tuple[np.ndarray, dict, list[Check]]:
+    """The reconstruction of a four-vector decomposition, the report fields
+    its checks rest on, and the checks."""
+    recon = reconstruct(dec)
+    recon_err = _max_abs(recon - target)
+    dets = [float(abs(schmidt_determinant(z))) for z in dec.z]
+    residual = phase_constraint_residual(dec.thetas, dec.q)
+    norm_sum = sum(float(np.real(np.vdot(z, z))) for z in dec.z)
+    results = {
+        "reconstruction_max_error": recon_err,
+        "schmidt_abs_determinants": dets,
+        "phase_constraint_residual": residual,
+        "norm_squared_sum": norm_sum,
+    }
+    checks = [
+        check_abs("reconstruction_error", recon_err, RECONSTRUCTION_TOL),
+        check_abs("schmidt_determinant_max", max(dets), SCHMIDT_TOL),
+        check_abs("phase_constraint_residual", residual, PHASE_TOL),
+        check_value("norm_squared_sum", norm_sum, 1.0, 1e-12),
+    ]
+    return recon, results, checks
+
+
 def _spherical_report(q: float, n_theta: int, n_phi: int) -> RunReport:
     dec = spherical_decomposition(q, n_theta, n_phi)
-    recon = reconstruct(dec)
-    recon_err = float(np.max(np.abs(recon - werner(q))))
-    moments = moment_check(dec)
-    weight_dev = abs(sum(n.weight for n in dec.nodes) - 1.0)
-    anti_align = max(float(np.max(np.abs(n.a + n.b))) for n in dec.nodes)
-    first_dev_a = float(np.max(np.abs(moments.first_moment_a)))
-    first_dev_b = float(np.max(np.abs(moments.first_moment_b)))
-    second_dev = float(np.max(np.abs(moments.second_moment + q * np.eye(3))))
-
+    _, results, checks = _spherical_checks(dec, werner(q))
+    nodes = list(zip(dec.nodes.tolist(), dec.weights.tolist(), dec.a.tolist(), dec.b.tolist()))
     report = RunReport(
         command="decompose",
         parameters={"q": q, "method": "spherical", "n_theta": n_theta, "n_phi": n_phi},
@@ -286,31 +341,12 @@ def _spherical_report(q: float, n_theta: int, n_phi: int) -> RunReport:
             "q": q,
             "bloch_norm": math.sqrt(3.0 * q),
             "nodes": [
-                {
-                    "theta": n.theta,
-                    "phi": n.phi,
-                    "weight": n.weight,
-                    "a": n.a.tolist(),
-                    "b": n.b.tolist(),
-                }
-                for n in dec.nodes
+                {"theta": theta, "phi": phi, "weight": w, "a": a, "b": b}
+                for (theta, phi), w, a, b in nodes
             ],
-            "reconstruction_max_error": recon_err,
-            "moments": {
-                "first_moment_a": moments.first_moment_a.tolist(),
-                "first_moment_b": moments.first_moment_b.tolist(),
-                "second_moment": moments.second_moment.tolist(),
-                "f_second_moment": moments.f_second_moment.tolist(),
-            },
+            **results,
         },
-        checks=[
-            check_abs("reconstruction_error", recon_err, RECONSTRUCTION_TOL),
-            check_abs("weight_sum_deviation", weight_dev, WEIGHT_SUM_TOL),
-            check_abs("first_moment_a", first_dev_a, MOMENT_TOL),
-            check_abs("first_moment_b", first_dev_b, MOMENT_TOL),
-            check_abs("second_moment_deviation", second_dev, MOMENT_TOL),
-            check_abs("anti_alignment", anti_align, 0.0),
-        ],
+        checks=checks,
     )
     report.csv_header = [
         "theta",
@@ -323,20 +359,13 @@ def _spherical_report(q: float, n_theta: int, n_phi: int) -> RunReport:
         "b_y",
         "b_z",
     ]
-    report.csv_rows = [
-        [n.theta, n.phi, n.weight, *n.a.tolist(), *n.b.tolist()] for n in dec.nodes
-    ]
+    report.csv_rows = [[theta, phi, w, *a, *b] for (theta, phi), w, a, b in nodes]
     return report
 
 
 def _wootters_report(q: float) -> RunReport:
     dec = wootters_decomposition(q)
-    recon = reconstruct(dec)
-    recon_err = float(np.max(np.abs(recon - werner(q))))
-    dets = [abs(z[0] * z[3] - z[1] * z[2]) for z in dec.z]
-    residual = phase_constraint_residual(dec.thetas, q)
-    norm_sum = sum(float(np.real(np.vdot(z, z))) for z in dec.z)
-
+    _, results, checks = _wootters_checks(dec, werner(q))
     report = RunReport(
         command="decompose",
         parameters={"q": q, "method": "wootters"},
@@ -346,17 +375,9 @@ def _wootters_report(q: float) -> RunReport:
             "z_vectors": [
                 [[float(c.real), float(c.imag)] for c in z] for z in dec.z
             ],
-            "reconstruction_max_error": recon_err,
-            "schmidt_abs_determinants": [float(d) for d in dets],
-            "phase_constraint_residual": residual,
-            "norm_squared_sum": norm_sum,
+            **results,
         },
-        checks=[
-            check_abs("reconstruction_error", recon_err, RECONSTRUCTION_TOL),
-            check_abs("schmidt_determinant_max", max(dets), SCHMIDT_TOL),
-            check_abs("phase_constraint_residual", residual, PHASE_TOL),
-            check_value("norm_squared_sum", norm_sum, 1.0, 1e-12),
-        ],
+        checks=checks,
     )
     report.csv_header = [
         "vector",
@@ -452,6 +473,18 @@ def cmd_hvsim(args) -> RunReport:
     return report
 
 
+# Each verify row's decomposition deviations, and the check over the grid
+# that takes their maximum.
+_VERIFY_CHECKS = {
+    "spherical_error": ("spherical_reconstruction", RECONSTRUCTION_TOL),
+    "wootters_error": ("wootters_reconstruction", RECONSTRUCTION_TOL),
+    "cross_error": ("cross_decomposition_agreement", CROSS_DECOMPOSITION_TOL),
+    "moment_deviation": ("moment_conditions", MOMENT_TOL),
+    "schmidt_max": ("schmidt_determinants", SCHMIDT_TOL),
+    "phase_residual": ("phase_constraint_residuals", PHASE_TOL),
+}
+
+
 def _verify_row(q: float) -> dict:
     row = _ppt_row(q)
     entry = {
@@ -460,60 +493,45 @@ def _verify_row(q: float) -> dict:
         "separable": row["separable"],
         "verdict_matches": row["separable"] == row["expected_separable"],
     }
-    if q <= SEPARABLE_Q_MAX + 1e-15:
+    try:
         dec_s = spherical_decomposition(q)
         dec_w = wootters_decomposition(q)
-        recon_s = reconstruct(dec_s)
-        recon_w = reconstruct(dec_w)
-        target = werner(q)
-        moments = moment_check(dec_s)
-        entry.update(
-            {
-                "spherical_error": float(np.max(np.abs(recon_s - target))),
-                "wootters_error": float(np.max(np.abs(recon_w - target))),
-                "cross_error": float(np.max(np.abs(recon_s - recon_w))),
-                "moment_deviation": max(
-                    float(np.max(np.abs(moments.first_moment_a))),
-                    float(np.max(np.abs(moments.first_moment_b))),
-                    float(np.max(np.abs(moments.second_moment + q * np.eye(3)))),
-                ),
-                "schmidt_max": max(
-                    abs(z[0] * z[3] - z[1] * z[2]) for z in dec_w.z
-                ),
-                "phase_residual": phase_constraint_residual(dec_w.thetas, q),
-                "skipped": None,
-            }
+    except DecompositionDomainError as err:
+        entry.update(dict.fromkeys(_VERIFY_CHECKS))
+        entry["skipped"] = (
+            f"decomposition checks skipped: q = {q} > 1/3 "
+            f"(|a| = sqrt(3q) = {err.bloch_norm} > 1)"
         )
-    else:
-        entry.update(
-            {
-                "spherical_error": None,
-                "wootters_error": None,
-                "cross_error": None,
-                "moment_deviation": None,
-                "schmidt_max": None,
-                "phase_residual": None,
-                "skipped": (
-                    f"decomposition checks skipped: q = {q} > 1/3 "
-                    f"(|a| = sqrt(3q) = {math.sqrt(3.0 * q)} > 1)"
-                ),
-            }
-        )
+        return entry
+    target = werner(q)
+    recon_s, _, checks_s = _spherical_checks(dec_s, target)
+    recon_w, _, checks_w = _wootters_checks(dec_w, target)
+    s = {c.name: c.observed for c in checks_s}
+    w = {c.name: c.observed for c in checks_w}
+    entry.update(
+        {
+            "spherical_error": s["reconstruction_error"],
+            "wootters_error": w["reconstruction_error"],
+            "cross_error": _max_abs(recon_s - recon_w),
+            "moment_deviation": max(
+                s["first_moment_a"], s["first_moment_b"], s["second_moment_deviation"]
+            ),
+            "schmidt_max": w["schmidt_determinant_max"],
+            "phase_residual": w["phase_constraint_residual"],
+            "skipped": None,
+        }
+    )
     return entry
 
 
 def cmd_verify(args) -> RunReport:
     if args.grid is not None:
         q_min, q_max, steps = args.grid
-        steps = int(steps)
         default_grid = False
     else:
         q_min, q_max, steps = 0.0, SEPARABLE_Q_MAX, 21
         default_grid = True
-    if steps < 1:
-        raise ValueError(f"grid steps must be >= 1, got {steps}")
-
-    qs = [float(x) for x in np.linspace(q_min, q_max, steps)]
+    qs, steps = _q_grid(q_min, q_max, steps, "grid")
     rows = [_verify_row(q) for q in qs]
     tested = [r for r in rows if r["skipped"] is None]
     skipped = [
@@ -533,40 +551,10 @@ def cmd_verify(args) -> RunReport:
         ),
     ]
     if tested:
-        checks.extend(
-            [
-                check_abs(
-                    "spherical_reconstruction",
-                    max(r["spherical_error"] for r in tested),
-                    RECONSTRUCTION_TOL,
-                ),
-                check_abs(
-                    "wootters_reconstruction",
-                    max(r["wootters_error"] for r in tested),
-                    RECONSTRUCTION_TOL,
-                ),
-                check_abs(
-                    "cross_decomposition_agreement",
-                    max(r["cross_error"] for r in tested),
-                    CROSS_DECOMPOSITION_TOL,
-                ),
-                check_abs(
-                    "moment_conditions",
-                    max(r["moment_deviation"] for r in tested),
-                    MOMENT_TOL,
-                ),
-                check_abs(
-                    "schmidt_determinants",
-                    max(r["schmidt_max"] for r in tested),
-                    SCHMIDT_TOL,
-                ),
-                check_abs(
-                    "phase_constraint_residuals",
-                    max(r["phase_residual"] for r in tested),
-                    PHASE_TOL,
-                ),
-            ]
-        )
+        checks += [
+            check_abs(name, max(r[key] for r in tested), tol)
+            for key, (name, tol) in _VERIFY_CHECKS.items()
+        ]
 
     parameters = {
         "grid": {"q_min": q_min, "q_max": q_max, "steps": steps},
@@ -598,14 +586,7 @@ def cmd_verify(args) -> RunReport:
             r["q"],
             r["ppt_deviation"],
             r["separable"],
-            *["" if r[k] is None else r[k] for k in (
-                "spherical_error",
-                "wootters_error",
-                "cross_error",
-                "moment_deviation",
-                "schmidt_max",
-                "phase_residual",
-            )],
+            *["" if r[k] is None else r[k] for k in _VERIFY_CHECKS],
             "" if r["skipped"] is None else r["skipped"].replace(",", ";"),
         ]
         for r in rows
@@ -693,7 +674,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     if args.out is not None:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as err:
+            print(f"error: cannot write report to {args.out}: {err.strerror}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED

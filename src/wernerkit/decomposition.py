@@ -20,12 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import bell_state, product_state, validate_mixing_parameter
+from .states import bell_state, bloch_state, validate_mixing_parameter
 
 __all__ = [
     "DecompositionDomainError",
     "SEPARABLE_Q_MAX",
-    "QuadratureNode",
     "SphericalDecomposition",
     "WoottersDecomposition",
     "MomentReport",
@@ -34,6 +33,7 @@ __all__ = [
     "wootters_decomposition",
     "reconstruct",
     "moment_check",
+    "schmidt_determinant",
     "schmidt_rank_one_check",
     "phase_constraint_residual",
 ]
@@ -69,24 +69,30 @@ def _require_separable_q(q: float) -> float:
     return q
 
 
-@dataclass(frozen=True)
-class QuadratureNode:
-    """One node of the spherical product quadrature.  The weight absorbs the
-    1/4pi distribution and the sin(theta) volume element."""
-
-    theta: float
-    phi: float
-    weight: float
-    a: np.ndarray
-    b: np.ndarray
+def _frozen(x: np.ndarray) -> np.ndarray:
+    x.setflags(write=False)
+    return x
 
 
 @dataclass(frozen=True)
 class SphericalDecomposition:
+    """The spherical product quadrature as read-only, C-contiguous arrays with
+    one row per node, theta-major: nodes (n, 2) holds (theta, phi), weights
+    (n,) absorb the 1/4pi distribution and the sin(theta) volume element,
+    directions (n, 3) are the unit vectors f(theta, phi), and a = sqrt(3q) f
+    are party A's Bloch vectors.  Party B's, b = -a, are derived on access."""
+
     q: float
     n_theta: int
     n_phi: int
-    nodes: tuple[QuadratureNode, ...]
+    nodes: np.ndarray
+    weights: np.ndarray
+    directions: np.ndarray
+    a: np.ndarray
+
+    @property
+    def b(self) -> np.ndarray:
+        return _frozen(-self.a)
 
 
 @dataclass(frozen=True)
@@ -143,20 +149,26 @@ def spherical_decomposition(
     if n_phi < 3:
         raise ValueError(f"n_phi must be >= 3 for degree-2 exactness, got {n_phi}")
 
-    radius = math.sqrt(3.0 * q)
     cos_nodes, gl_weights = np.polynomial.legendre.leggauss(n_theta)
-    nodes = []
-    for cos_t, w_gl in zip(cos_nodes, gl_weights):
-        theta = math.acos(float(cos_t))
-        weight = float(w_gl) / (2.0 * n_phi)
-        for k in range(n_phi):
-            phi = 2.0 * math.pi * k / n_phi
-            a = radius * sphere_direction(theta, phi)
-            b = -a
-            a.setflags(write=False)
-            b.setflags(write=False)
-            nodes.append(QuadratureNode(theta=theta, phi=phi, weight=weight, a=a, b=b))
-    return SphericalDecomposition(q=q, n_theta=n_theta, n_phi=n_phi, nodes=tuple(nodes))
+    # Angles, sines and cosines come from math on the axis values, so each
+    # row of directions equals sphere_direction(theta, phi) bit for bit.
+    thetas = [math.acos(float(c)) for c in cos_nodes]
+    phis = [2.0 * math.pi * k / n_phi for k in range(n_phi)]
+    sin_t = [math.sin(t) for t in thetas]
+    directions = np.column_stack((
+        np.outer(sin_t, [math.cos(p) for p in phis]).ravel(),
+        np.outer(sin_t, [math.sin(p) for p in phis]).ravel(),
+        np.repeat([math.cos(t) for t in thetas], n_phi),
+    ))
+    return SphericalDecomposition(
+        q=q,
+        n_theta=n_theta,
+        n_phi=n_phi,
+        nodes=_frozen(np.column_stack((np.repeat(thetas, n_phi), np.tile(phis, n_theta)))),
+        weights=_frozen(np.repeat(gl_weights / (2.0 * n_phi), n_phi)),
+        directions=_frozen(directions),
+        a=_frozen(math.sqrt(3.0 * q) * directions),
+    )
 
 
 def wootters_decomposition(q: float) -> WoottersDecomposition:
@@ -213,10 +225,12 @@ def wootters_decomposition(q: float) -> WoottersDecomposition:
 def reconstruct(dec) -> np.ndarray:
     """Resum a decomposition into its 4x4 density matrix."""
     if isinstance(dec, SphericalDecomposition):
-        total = np.zeros((4, 4), dtype=complex)
-        for node in dec.nodes:
-            total += node.weight * product_state(node.a, node.b)
-        return total
+        ra, rb = bloch_state(dec.a), bloch_state(dec.b)
+        # kron(ra[n], rb[n]) for every node n, indexed (n, i, k, j, l), then
+        # weighted and summed over n in node order.
+        products = ra[:, :, None, :, None] * rb[:, None, :, None, :]
+        products *= dec.weights[:, None, None, None, None]
+        return products.sum(axis=0).reshape(4, 4)
     if isinstance(dec, WoottersDecomposition):
         total = np.zeros((4, 4), dtype=complex)
         for z in dec.z:
@@ -232,11 +246,7 @@ def moment_check(dec: SphericalDecomposition, tol: float = MOMENT_TOL) -> Moment
     (target -q delta_ij), and the direction second moment sum w*f_i*f_j
     (target delta_ij / 3).  Never raises; pass/fail flags are in the report.
     """
-    weights = np.array([n.weight for n in dec.nodes])
-    a = np.array([n.a for n in dec.nodes])
-    b = np.array([n.b for n in dec.nodes])
-    f = np.array([sphere_direction(n.theta, n.phi) for n in dec.nodes])
-
+    weights, a, b, f = dec.weights, dec.a, dec.b, dec.directions
     first_a = weights @ a
     first_b = weights @ b
     second = np.einsum("n,ni,nj->ij", weights, a, b)
@@ -257,13 +267,21 @@ def moment_check(dec: SphericalDecomposition, tol: float = MOMENT_TOL) -> Moment
     return report
 
 
-def schmidt_rank_one_check(v, tol: float = 1e-12) -> bool:
-    """True if a two-qubit vector is a product state: the determinant of its
-    2x2 amplitude matrix (row index qubit A, column index qubit B) vanishes."""
+def schmidt_determinant(v) -> complex:
+    """Determinant of a two-qubit vector's 2x2 amplitude matrix (row index
+    qubit A, column index qubit B); it vanishes iff the vector is a product
+    state."""
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.shape != (4,):
         raise ValueError(f"expected a 4-component vector, got shape {v.shape}")
-    det = v[0] * v[3] - v[1] * v[2]
+    return v[0] * v[3] - v[1] * v[2]
+
+
+def schmidt_rank_one_check(v, tol: float = 1e-12) -> bool:
+    """True if a two-qubit vector is a product state: its Schmidt determinant
+    vanishes within tol, scaled by the squared norm when that exceeds 1."""
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    det = schmidt_determinant(v)
     norm_sq = float(np.real(np.vdot(v, v)))
     return bool(abs(det) <= tol * max(1.0, norm_sq))
 

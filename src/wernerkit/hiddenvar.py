@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import _require_separable_q, sphere_direction
+from .states import _unit_axis
 
 __all__ = [
     "HvSample",
@@ -29,7 +30,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-_UNIT_AXIS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -51,16 +51,6 @@ class HvEstimate:
     std_error: float
     n_samples: int
     seed: int
-
-
-def _unit_axis(v, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"{name} must be a real 3-vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > _UNIT_AXIS_TOL:
-        raise ValueError(f"{name} must be a unit vector, got norm {norm}")
-    return v
 
 
 def sample_hidden(rng: np.random.Generator) -> HvSample:

@@ -22,11 +22,6 @@ __all__ = [
     "IDENTITY_4",
     "JacobiConvergenceError",
     "kron",
-    "matmul",
-    "add",
-    "sub",
-    "scale",
-    "adjoint",
     "trace",
     "is_hermitian",
     "partial_transpose_b",
@@ -70,39 +65,6 @@ def kron(a, b) -> np.ndarray:
     if a.size == 0 or b.size == 0:
         raise ValueError("kron requires nonempty matrices")
     return np.kron(a, b)
-
-
-def matmul(a, b) -> np.ndarray:
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def add(a, b) -> np.ndarray:
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"add dimension mismatch: {a.shape} vs {b.shape}")
-    return a + b
-
-
-def sub(a, b) -> np.ndarray:
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"sub dimension mismatch: {a.shape} vs {b.shape}")
-    return a - b
-
-
-def scale(alpha: complex, a) -> np.ndarray:
-    return complex(alpha) * _as_matrix(a)
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_matrix(a).conj().T.copy()
 
 
 def trace(a) -> complex:

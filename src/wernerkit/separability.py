@@ -17,7 +17,7 @@ from .linalg import (
     kron,
     partial_transpose_b,
 )
-from .states import validate_mixing_parameter
+from .states import _unit_axis, validate_mixing_parameter
 
 __all__ = [
     "PptVerdict",
@@ -31,7 +31,6 @@ __all__ = [
 # rounding at the critical point, where the smallest eigenvalue is exactly 0.
 DEFAULT_PPT_TOL = 1e-10
 
-_UNIT_AXIS_TOL = 1e-12
 _IMAG_TOL = 1e-12
 
 
@@ -87,16 +86,6 @@ def werner_pt_eigenvalues_closed_form(q: float) -> np.ndarray:
     return np.array(
         [(1.0 - 3.0 * q) / 4.0, (1.0 + q) / 4.0, (1.0 + q) / 4.0, (1.0 + q) / 4.0]
     )
-
-
-def _unit_axis(v, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"{name} must be a real 3-vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > _UNIT_AXIS_TOL:
-        raise ValueError(f"{name} must be a unit vector, got norm {norm}")
-    return v
 
 
 def axis_operator(v) -> np.ndarray:

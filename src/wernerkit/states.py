@@ -21,6 +21,8 @@ __all__ = [
 # (norm sqrt(3q) = 1 at the critical mixing parameter 1/3) inside the domain.
 BLOCH_NORM_TOL = 1e-12
 
+_UNIT_AXIS_TOL = 1e-12
+
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 _BELL_VECTORS = {
@@ -42,6 +44,18 @@ def validate_mixing_parameter(q: float) -> float:
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"mixing parameter q must be in [0, 1], got {q}")
     return q
+
+
+def _unit_axis(v, name: str) -> np.ndarray:
+    """A measurement axis: a finite real 3-vector of norm 1 within 1e-12."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"{name} must be a real 3-vector, got shape {v.shape}")
+    norm = float(np.linalg.norm(v))
+    # negated so that a NaN norm, from a non-finite entry, is rejected too
+    if not abs(norm - 1.0) <= _UNIT_AXIS_TOL:
+        raise ValueError(f"{name} must be a finite unit vector, got norm {norm}")
+    return v
 
 
 def bell_state(kind: str) -> np.ndarray:
@@ -66,27 +80,29 @@ def werner(q: float) -> np.ndarray:
 
 def _as_bloch(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
+    if v.shape[-1:] != (3,):
         raise ValueError(f"Bloch vector must have exactly 3 real components, got shape {v.shape}")
     return v
 
 
 def bloch_state(v) -> np.ndarray:
-    """Single-qubit density matrix (I + v . sigma) / 2.
+    """Single-qubit density matrix (I + v . sigma) / 2; a stack of Bloch
+    vectors of shape (..., 3) gives the stack of matrices, shape (..., 2, 2).
 
-    Requires |v| <= 1 + 1e-12; beyond that the operator would have a negative
-    eigenvalue (1 - |v|)/2 and PositivityError is raised.  Eigenvalues are
-    (1 +- |v|)/2, so boundary vectors within the tolerance may carry an
-    eigenvalue as low as -5e-13.
+    Requires |v| <= 1 + 1e-12 for every vector; beyond that the operator
+    would have a negative eigenvalue (1 - |v|)/2 and PositivityError is
+    raised.  Eigenvalues are (1 +- |v|)/2, so boundary vectors within the
+    tolerance may carry an eigenvalue as low as -5e-13.
     """
     v = _as_bloch(v)
-    norm = float(np.linalg.norm(v))
+    norm = float(np.max(np.linalg.norm(v, axis=-1)))
     if norm > 1.0 + BLOCH_NORM_TOL:
         raise PositivityError(
             f"Bloch vector norm {norm} exceeds 1; the operator (I + v.sigma)/2 "
             "would not be positive semidefinite"
         )
-    return 0.5 * (IDENTITY_2 + v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z)
+    x, y, z = (v[..., i, None, None] for i in range(3))
+    return 0.5 * (IDENTITY_2 + x * PAULI_X + y * PAULI_Y + z * PAULI_Z)
 
 
 def product_state(a, b) -> np.ndarray:

@@ -95,6 +95,20 @@ class TestPptCommand:
         assert verdicts[:4] == ["true"] * 4  # q = 0.0, 0.1, 0.2, 0.3
         assert verdicts[4:] == ["false"] * 7  # q = 0.4 ... 1.0
 
+    @pytest.mark.parametrize("steps", ["2.7", "nan", "inf"])
+    def test_non_integral_steps_exit_2(self, capsys, steps):
+        code, out, err = run(capsys, "ppt", "--sweep", "0", "1", steps)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: sweep steps must be a whole number, got {float(steps)}\n"
+
+    @pytest.mark.parametrize("steps", ["11", "11.0"])
+    def test_integral_steps_run_every_point(self, capsys, steps):
+        code, report, _ = run_json(capsys, "ppt", "--sweep", "0", "1", steps)
+        assert code == EXIT_OK
+        assert report["parameters"]["sweep"]["steps"] == 11
+        assert len(report["results"]["rows"]) == 11
+
     def test_requires_q_or_sweep(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["ppt"])
@@ -193,6 +207,17 @@ class TestHvsimCommand:
         code, _, _ = run(capsys, "hvsim", "--q", "0.4", "--samples", "10", "--seed", "0")
         assert code == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_axis_exits_2(self, capsys, bad):
+        code, out, err = run(
+            capsys, "hvsim", "--q", "0.1", "--l", bad, "0", "0",
+            "--samples", "1000", "--seed", "1",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: axis --l must be finite")
+        assert err.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_default_grid_passes(self, capsys):
@@ -217,6 +242,35 @@ class TestVerifyCommand:
         assert all("sqrt(3q)" in s["reason"] for s in skipped)
         ppt_checks = [c for c in report["checks"] if c["name"].startswith("ppt")]
         assert all(c["pass"] for c in ppt_checks)
+
+    def test_non_integral_steps_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--grid", "0", "1", "2.7")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: grid steps must be a whole number, got 2.7\n"
+
+    @pytest.mark.parametrize("steps", ["11", "11.0"])
+    def test_integral_steps_run_every_point(self, capsys, steps):
+        code, report, _ = run_json(capsys, "verify", "--grid", "0", "1", steps)
+        assert code == EXIT_OK
+        assert report["parameters"]["grid"]["steps"] == 11
+        assert len(report["results"]["rows"]) == 11
+
+    @pytest.mark.parametrize("q", ["0.0", "0.15", "0.3333333333333333"])
+    def test_same_deviations_as_decompose(self, capsys, q):
+        _, verify, _ = run_json(capsys, "verify", "--grid", q, q, "1")
+        row = verify["results"]["rows"][0]
+        _, spherical, _ = run_json(capsys, "decompose", "--q", q, "--nodes", "4", "8")
+        _, wootters, _ = run_json(capsys, "decompose", "--q", q, "--method", "wootters")
+        s = {c["name"]: c["observed"] for c in spherical["checks"]}
+        w = {c["name"]: c["observed"] for c in wootters["checks"]}
+        assert row["spherical_error"] == s["reconstruction_error"]
+        assert row["moment_deviation"] == max(
+            s["first_moment_a"], s["first_moment_b"], s["second_moment_deviation"]
+        )
+        assert row["wootters_error"] == w["reconstruction_error"]
+        assert row["schmidt_max"] == w["schmidt_determinant_max"]
+        assert row["phase_residual"] == w["phase_constraint_residual"]
 
     def test_csv_projection(self, capsys):
         code, out, _ = run(capsys, "verify", "--grid", "0", "1", "5", "--format", "csv")
@@ -286,6 +340,11 @@ class TestReportMachinery:
         assert parsed["parameters"] == {"v": 0.5, "n": 3, "b": True}
         assert parsed["results"]["arr"] == [0.0, 1.0, 2.0]
 
+    def test_emit_json_rejects_non_finite_values(self):
+        report = RunReport(command="x", parameters={}, results={"mean": float("nan")})
+        with pytest.raises(ValueError):
+            emit_json(report)
+
 
 class TestOutputFile:
     def test_out_writes_file(self, tmp_path, capsys):
@@ -295,3 +354,12 @@ class TestOutputFile:
         assert out == ""
         parsed = json.loads(target.read_text())
         assert parsed["command"] == "matrix"
+
+    @pytest.mark.parametrize("where", ["missing/report.json", "."])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, where):
+        target = tmp_path / where
+        code, out, err = run(capsys, "matrix", "--q", "0.2", "--out", str(target))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: cannot write report to {target}: ")
+        assert err.count("\n") == 1

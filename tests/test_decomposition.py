@@ -12,11 +12,13 @@ from wernerkit.decomposition import (
     moment_check,
     phase_constraint_residual,
     reconstruct,
+    schmidt_determinant,
     schmidt_rank_one_check,
+    sphere_direction,
     spherical_decomposition,
     wootters_decomposition,
 )
-from wernerkit.states import bell_state, werner
+from wernerkit.states import bell_state, product_state, werner
 
 Q_THIRD = 1.0 / 3.0
 SEPARABLE_QS = [0.0, 0.1, 0.2, Q_THIRD]
@@ -26,37 +28,74 @@ class TestSphericalConstruction:
     def test_weights_sum_to_one(self):
         for n_theta, n_phi in [(2, 3), (4, 8), (8, 16)]:
             dec = spherical_decomposition(0.25, n_theta, n_phi)
-            assert abs(sum(n.weight for n in dec.nodes) - 1.0) < 1e-14
-            assert all(n.weight >= 0.0 for n in dec.nodes)
+            assert abs(sum(dec.weights.tolist()) - 1.0) < 1e-14
+            assert np.all(dec.weights >= 0.0)
 
     def test_anti_alignment_exact(self):
         dec = spherical_decomposition(0.2)
-        for node in dec.nodes:
-            assert np.all(node.a + node.b == 0.0)
+        assert np.all(dec.a + dec.b == 0.0)
 
     def test_node_norms(self):
         for q in SEPARABLE_QS:
             dec = spherical_decomposition(q)
             target = math.sqrt(3.0 * q)
-            for node in dec.nodes:
-                assert abs(np.linalg.norm(node.a) - target) < 1e-14
+            assert np.all(np.abs(np.linalg.norm(dec.a, axis=1) - target) < 1e-14)
 
     def test_boundary_saturation(self):
         dec = spherical_decomposition(Q_THIRD)
-        for node in dec.nodes:
-            assert abs(np.linalg.norm(node.a) - 1.0) < 1e-14
+        assert np.all(np.abs(np.linalg.norm(dec.a, axis=1) - 1.0) < 1e-14)
         below = spherical_decomposition(0.2)
-        assert all(np.linalg.norm(n.a) < 1.0 for n in below.nodes)
+        assert np.all(np.linalg.norm(below.a, axis=1) < 1.0)
 
     def test_q_zero_nodes_are_origin(self):
         dec = spherical_decomposition(0.0)
-        assert all(np.all(n.a == 0.0) for n in dec.nodes)
+        assert np.all(dec.a == 0.0)
 
     def test_node_budget(self):
         dec = spherical_decomposition(0.1, n_theta=3, n_phi=5)
         assert len(dec.nodes) == 15
-        assert all(0.0 <= n.theta <= math.pi for n in dec.nodes)
-        assert all(0.0 <= n.phi < 2.0 * math.pi for n in dec.nodes)
+        theta, phi = dec.nodes.T
+        assert np.all((0.0 <= theta) & (theta <= math.pi))
+        assert np.all((0.0 <= phi) & (phi < 2.0 * math.pi))
+
+    def test_array_shapes(self):
+        dec = spherical_decomposition(0.1, n_theta=3, n_phi=5)
+        assert dec.nodes.shape == (15, 2)
+        assert dec.weights.shape == (15,)
+        assert dec.directions.shape == dec.a.shape == dec.b.shape == (15, 3)
+
+
+class TestSphericalArrayOracle:
+    """The arrays against the per-node construction they replace: one
+    sphere_direction, one product_state and one sequential add per node."""
+
+    @pytest.mark.parametrize("q", SEPARABLE_QS)
+    @pytest.mark.parametrize("nodes", [(2, 3), (4, 8), (7, 11)])
+    def test_reconstruct_equals_node_loop_bitwise(self, q, nodes):
+        dec = spherical_decomposition(q, *nodes)
+        total = np.zeros((4, 4), dtype=complex)
+        for w, a in zip(dec.weights.tolist(), dec.a):
+            total += w * product_state(a, -a)
+        assert np.array_equal(reconstruct(dec), total)
+
+    @pytest.mark.parametrize("q", SEPARABLE_QS)
+    @pytest.mark.parametrize("nodes", [(2, 3), (4, 8), (7, 11)])
+    def test_vectors_equal_sphere_direction_bitwise(self, q, nodes):
+        dec = spherical_decomposition(q, *nodes)
+        for (theta, phi), f, a in zip(dec.nodes.tolist(), dec.directions, dec.a):
+            assert np.array_equal(f, sphere_direction(theta, phi))
+            assert np.array_equal(a, math.sqrt(3.0 * q) * sphere_direction(theta, phi))
+        assert np.array_equal(dec.b, -dec.a)
+
+    @pytest.mark.parametrize("q", SEPARABLE_QS)
+    @pytest.mark.parametrize("nodes", [(2, 3), (4, 8), (7, 11)])
+    def test_arrays_are_read_only_and_contiguous(self, q, nodes):
+        dec = spherical_decomposition(q, *nodes)
+        for arr in (dec.nodes, dec.weights, dec.directions, dec.a, dec.b):
+            assert not arr.flags.writeable
+            assert arr.flags.c_contiguous
+        with pytest.raises(ValueError):
+            dec.a[0, 0] = 1.0
 
 
 class TestSphericalReconstruction:
@@ -202,6 +241,13 @@ class TestSchmidtCheck:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             schmidt_rank_one_check(np.ones(3))
+
+    def test_determinant_is_the_amplitude_determinant(self):
+        psi = bell_state("psi_minus")
+        assert schmidt_determinant(psi) == psi[0] * psi[3] - psi[1] * psi[2]
+        assert schmidt_determinant(np.array([1.0, 2.0, 3.0, 4.0])) == -2.0
+        with pytest.raises(ValueError):
+            schmidt_determinant(np.ones(3))
 
 
 class TestPhaseResidual:

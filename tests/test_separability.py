@@ -129,6 +129,13 @@ class TestCorrelation:
         with pytest.raises(ValueError, match="unit"):
             correlation(werner(0.2), 2 * Z_AXIS, Z_AXIS)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_axes(self, bad):
+        with pytest.raises(ValueError, match="finite unit"):
+            correlation(werner(0.2), [bad, 0.0, 0.0], Z_AXIS)
+        with pytest.raises(ValueError, match="finite unit"):
+            correlation(werner(0.2), Z_AXIS, [bad, 0.0, 0.0])
+
     def test_imaginary_part_guard(self):
         # non-Hermitian input makes the trace complex instead of silently real
         rho = 0.25 * np.eye(4, dtype=complex) + 0.25j * kron(PAULI_X, PAULI_X)
