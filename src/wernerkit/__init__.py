@@ -31,9 +31,9 @@ from .hiddenvar import (
     sample_hidden,
 )
 from .linalg import (
+    HERMITIAN_TOL,
     IDENTITY_2,
     IDENTITY_4,
-    JacobiConvergenceError,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -41,7 +41,6 @@ from .linalg import (
     is_hermitian,
     kron,
     partial_transpose_b,
-    trace,
 )
 from .separability import (
     PptVerdict,
@@ -64,11 +63,11 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "DecompositionDomainError",
+    "HERMITIAN_TOL",
     "HvEstimate",
     "HvSample",
     "IDENTITY_2",
     "IDENTITY_4",
-    "JacobiConvergenceError",
     "MomentReport",
     "PAULI_X",
     "PAULI_Y",
@@ -101,7 +100,6 @@ __all__ = [
     "schmidt_rank_one_check",
     "sphere_direction",
     "spherical_decomposition",
-    "trace",
     "werner",
     "werner_pt_eigenvalues_closed_form",
     "wootters_decomposition",

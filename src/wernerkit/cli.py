@@ -31,6 +31,7 @@ from .decomposition import (
     wootters_decomposition,
 )
 from .hiddenvar import estimate_correlation, estimate_local
+from .linalg import HERMITIAN_TOL
 from .separability import ppt_test, werner_pt_eigenvalues_closed_form
 from .states import PositivityError, werner
 
@@ -212,7 +213,7 @@ def cmd_matrix(args) -> RunReport:
         results={"q": args.q, "matrix": matrix_payload(rho)},
         checks=[
             check_abs("trace_one", trace_dev, TRACE_TOL),
-            check_abs("hermitian", herm_dev, 1e-12),
+            check_abs("hermitian", herm_dev, HERMITIAN_TOL),
         ],
     )
     report.csv_header = ["row", "col", "re", "im"]
@@ -410,6 +411,10 @@ def cmd_decompose(args) -> RunReport:
 
 
 def cmd_hvsim(args) -> RunReport:
+    # One draw has no sample standard deviation, so each 5-sigma band would
+    # have zero width and the checks would fail whatever was drawn.
+    if args.samples < 2:
+        raise ValueError(f"--samples must be >= 2, got {args.samples}")
     axis_a = _normalized_axis(args.l, "--l")
     axis_b = _normalized_axis(args.m, "--m")
     corr = estimate_correlation(args.q, axis_a, axis_b, args.samples, args.seed)

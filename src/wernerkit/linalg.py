@@ -10,8 +10,6 @@ sigma_z = ((1,0),(0,-1)).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
@@ -20,9 +18,8 @@ __all__ = [
     "PAULI_Z",
     "IDENTITY_2",
     "IDENTITY_4",
-    "JacobiConvergenceError",
+    "HERMITIAN_TOL",
     "kron",
-    "trace",
     "is_hermitian",
     "partial_transpose_b",
     "hermitian_eigenvalues",
@@ -37,18 +34,10 @@ IDENTITY_4 = np.eye(4, dtype=complex)
 for _const in (PAULI_X, PAULI_Y, PAULI_Z, IDENTITY_2, IDENTITY_4):
     _const.setflags(write=False)
 
-
-class JacobiConvergenceError(RuntimeError):
-    """Raised when the Jacobi sweep limit is hit before the off-diagonal
-    entries drop below tolerance.  Carries the remaining residual."""
-
-    def __init__(self, residual: float, sweeps: int):
-        self.residual = float(residual)
-        self.sweeps = int(sweeps)
-        super().__init__(
-            f"Jacobi eigensolver did not converge after {sweeps} sweeps "
-            f"(max off-diagonal magnitude {residual:.3e})"
-        )
+# Entrywise Hermiticity tolerance: absolute for unit-trace density matrices
+# (`is_hermitian` default), relative to the largest entry in the gate of
+# `hermitian_eigenvalues`.
+HERMITIAN_TOL = 1e-12
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -67,14 +56,7 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def trace(a) -> complex:
-    a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"trace requires a square matrix, got {a.shape}")
-    return complex(np.trace(a))
-
-
-def is_hermitian(a, tol: float = 1e-12) -> bool:
+def is_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
     """True if the matrix equals its conjugate transpose entrywise within tol."""
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -97,81 +79,21 @@ def partial_transpose_b(m) -> np.ndarray:
     return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4).copy()
 
 
-def _max_offdiag(a: np.ndarray) -> float:
-    n = a.shape[0]
-    iu = np.triu_indices(n, k=1)
-    if iu[0].size == 0:
-        return 0.0
-    return float(np.max(np.abs(a[iu])))
-
-
-def hermitian_eigenvalues(
-    m, tol: float = 1e-14, max_sweeps: int = 50
-) -> np.ndarray:
+def hermitian_eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, sorted ascending.
 
-    Cyclic Jacobi with complex plane rotations: each rotation annihilates one
-    off-diagonal pair; sweeps repeat until every off-diagonal magnitude is
-    below tol.  tol is absolute, so it should be chosen relative to the
-    matrix scale (the default suits unit-scale operators such as density
-    matrices).
-
-    Raises ValueError for non-Hermitian input (checked entrywise at 1e-12)
-    and JacobiConvergenceError, carrying the residual, if max_sweeps is
-    exhausted.
+    LAPACK's Hermitian solver (``np.linalg.eigvalsh``) reads only one
+    triangle of the matrix, so the input is first gated: it is rejected with
+    ValueError unless max|m - m^H| <= HERMITIAN_TOL * max|m|.  The gate is
+    relative, so it means the same thing at any matrix scale; the zero matrix
+    passes.
     """
     a = _as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"eigenvalues require a square matrix, got {a.shape}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_sweeps < 0:
-        raise ValueError(f"max_sweeps must be nonnegative, got {max_sweeps}")
-    if not is_hermitian(a, tol=1e-12):
-        raise ValueError("matrix is not Hermitian within 1e-12")
-
-    a = np.array(a, dtype=complex)  # working copy, mutated in place
-    n = a.shape[0]
-
-    for _ in range(max_sweeps):
-        if _max_offdiag(a) < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                beta = a[p, q]
-                abs_b = abs(beta)
-                if abs_b == 0.0:
-                    continue
-                phase = beta / abs_b  # e^{i phi} with a[p,q] = |a[p,q]| e^{i phi}
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * abs_b)
-                if abs(tau) > 1e15:
-                    # asymptotic small-angle branch; avoids tau**2 overflow
-                    t = 1.0 / (2.0 * tau)
-                else:
-                    t = math.copysign(1.0, tau) / (
-                        abs(tau) + math.sqrt(tau * tau + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-
-                a[p, p] = app - t * abs_b
-                a[q, q] = aqq + t * abs_b
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                for i in range(n):
-                    if i == p or i == q:
-                        continue
-                    aip = a[i, p]
-                    aiq = a[i, q]
-                    a[i, p] = c * aip - s * np.conj(phase) * aiq
-                    a[i, q] = s * aip + c * np.conj(phase) * aiq
-                    a[p, i] = np.conj(a[i, p])
-                    a[q, i] = np.conj(a[i, q])
-    else:
-        residual = _max_offdiag(a)
-        if residual >= tol:
-            raise JacobiConvergenceError(residual, max_sweeps)
-
-    return np.sort(a.diagonal().real)
+    scale = float(np.max(np.abs(a)))
+    if not is_hermitian(a, tol=HERMITIAN_TOL * scale):
+        raise ValueError(
+            f"matrix is not Hermitian within {HERMITIAN_TOL} of its largest entry"
+        )
+    return np.linalg.eigvalsh(a)

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    HERMITIAN_TOL,
     IDENTITY_2,
     PAULI_X,
     PAULI_Y,
@@ -48,8 +49,8 @@ def _validate_density_matrix(rho: np.ndarray, tol: float) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    if not is_hermitian(rho, tol=1e-12):
-        raise ValueError("not a density matrix: not Hermitian within 1e-12")
+    if not is_hermitian(rho, tol=HERMITIAN_TOL):
+        raise ValueError(f"not a density matrix: not Hermitian within {HERMITIAN_TOL}")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > 1e-12:
         raise ValueError(f"not a density matrix: trace is {tr}, expected 1")

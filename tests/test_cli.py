@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from wernerkit import cli
 from wernerkit.cli import (
     Check,
     EXIT_CHECK_FAILED,
@@ -16,6 +17,7 @@ from wernerkit.cli import (
     emit_json,
     main,
 )
+from wernerkit.separability import werner_pt_eigenvalues_closed_form
 
 
 def run(capsys, *argv):
@@ -207,6 +209,14 @@ class TestHvsimCommand:
         code, _, _ = run(capsys, "hvsim", "--q", "0.4", "--samples", "10", "--seed", "0")
         assert code == EXIT_DOMAIN
 
+    def test_single_sample_exits_2(self, capsys):
+        # one draw has no standard error, so the 5-sigma checks are undefined
+        code, out, err = run(capsys, "hvsim", "--q", "0.2", "--samples", "1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: --samples must be >= 2")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_axis_exits_2(self, capsys, bad):
         code, out, err = run(
@@ -297,12 +307,14 @@ class TestReportMachinery:
         for check in report["checks"]:
             assert set(check) == {"name", "pass", "observed", "expected", "tolerance"}
 
-    def test_failing_check_maps_to_exit_1(self, capsys):
-        # a single draw has zero standard error, so the +-1 outcome cannot
-        # meet the statistical band around -q: the report must say FAIL
-        code, report, _ = run_json(
-            capsys, "hvsim", "--q", "0.3", "--samples", "1", "--seed", "0"
-        )
+    def test_failing_check_maps_to_exit_1(self, capsys, monkeypatch):
+        # shift the closed form the ppt report compares against, so its
+        # eigenvalue check fails: the report must say FAIL and exit 1
+        def shifted(q):
+            return werner_pt_eigenvalues_closed_form(q) + 1e-6
+
+        monkeypatch.setattr(cli, "werner_pt_eigenvalues_closed_form", shifted)
+        code, report, _ = run_json(capsys, "ppt", "--q", "0.2")
         assert code == EXIT_CHECK_FAILED
         assert any(not c["pass"] for c in report["checks"])
 
