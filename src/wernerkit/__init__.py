@@ -23,7 +23,9 @@ from .decomposition import (
 )
 from .hiddenvar import (
     HvEstimate,
+    HvEstimates,
     HvSample,
+    estimate_all,
     estimate_correlation,
     estimate_local,
     outcome_a,
@@ -65,6 +67,7 @@ __all__ = [
     "DecompositionDomainError",
     "HERMITIAN_TOL",
     "HvEstimate",
+    "HvEstimates",
     "HvSample",
     "IDENTITY_2",
     "IDENTITY_4",
@@ -80,6 +83,7 @@ __all__ = [
     "bell_state",
     "bloch_state",
     "correlation",
+    "estimate_all",
     "estimate_correlation",
     "estimate_local",
     "hermitian_eigenvalues",

@@ -30,7 +30,7 @@ from .decomposition import (
     spherical_decomposition,
     wootters_decomposition,
 )
-from .hiddenvar import estimate_correlation, estimate_local
+from .hiddenvar import HvEstimate, estimate_all
 from .linalg import HERMITIAN_TOL
 from .separability import ppt_test, werner_pt_eigenvalues_closed_form
 from .states import PositivityError, werner
@@ -410,16 +410,29 @@ def cmd_decompose(args) -> RunReport:
     return _wootters_report(args.q)
 
 
+def _sigma_band(est: HvEstimate) -> float:
+    """The 5-sigma tolerance of a +/-1 estimate.  A run whose draws all gave
+    the same outcome has standard error 0; its band uses 1/sqrt(n - 1), the
+    largest standard error n +/-1 outcomes can show, so it never has zero
+    width."""
+    std_error = est.std_error or 1.0 / math.sqrt(est.n_samples - 1)
+    return SIGMA_BAND * std_error
+
+
 def cmd_hvsim(args) -> RunReport:
-    # One draw has no sample standard deviation, so each 5-sigma band would
-    # have zero width and the checks would fail whatever was drawn.
+    # One draw has no sample standard deviation (n - 1 = 0), so the 5-sigma
+    # checks are undefined.
     if args.samples < 2:
         raise ValueError(f"--samples must be >= 2, got {args.samples}")
     axis_a = _normalized_axis(args.l, "--l")
     axis_b = _normalized_axis(args.m, "--m")
-    corr = estimate_correlation(args.q, axis_a, axis_b, args.samples, args.seed)
-    marg_a = estimate_local(args.q, axis_a, "A", args.samples, args.seed)
-    marg_b = estimate_local(args.q, axis_b, "B", args.samples, args.seed)
+    try:
+        est = estimate_all(args.q, axis_a, axis_b, args.samples, args.seed)
+    except MemoryError:
+        raise ValueError(
+            f"--samples {args.samples} is too large: its draws cannot be allocated"
+        ) from None
+    corr, marg_a, marg_b = est.correlation, est.marginal_a, est.marginal_b
     analytic = -args.q * float(np.dot(axis_a, axis_b))
 
     report = RunReport(
@@ -438,14 +451,9 @@ def cmd_hvsim(args) -> RunReport:
             "n_samples": args.samples,
         },
         checks=[
-            check_value(
-                "correlation_within_5_sigma",
-                corr.mean,
-                analytic,
-                SIGMA_BAND * corr.std_error,
-            ),
-            check_abs("marginal_a_within_5_sigma", marg_a.mean, SIGMA_BAND * marg_a.std_error),
-            check_abs("marginal_b_within_5_sigma", marg_b.mean, SIGMA_BAND * marg_b.std_error),
+            check_value("correlation_within_5_sigma", corr.mean, analytic, _sigma_band(corr)),
+            check_abs("marginal_a_within_5_sigma", marg_a.mean, _sigma_band(marg_a)),
+            check_abs("marginal_b_within_5_sigma", marg_b.mean, _sigma_band(marg_b)),
         ],
         seed=args.seed,
     )

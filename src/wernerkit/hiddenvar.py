@@ -22,14 +22,20 @@ from .states import _unit_axis
 __all__ = [
     "HvSample",
     "HvEstimate",
+    "HvEstimates",
     "sample_hidden",
     "outcome_a",
     "outcome_b",
+    "estimate_all",
     "estimate_correlation",
     "estimate_local",
 ]
 
 _TWO_PI = 2.0 * math.pi
+# Draws per pass through the projection work arrays: a chunk's draws are held
+# whole (the stream order puts every cos(theta) before every phi), but the
+# arrays derived from them never exceed one block.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -51,6 +57,15 @@ class HvEstimate:
     std_error: float
     n_samples: int
     seed: int
+
+
+@dataclass(frozen=True)
+class HvEstimates:
+    """The three estimates one pass over the hidden draws gives."""
+
+    correlation: HvEstimate
+    marginal_a: HvEstimate
+    marginal_b: HvEstimate
 
 
 def sample_hidden(rng: np.random.Generator) -> HvSample:
@@ -99,25 +114,75 @@ def _draw_batch(rng: np.random.Generator, n: int):
     """Vectorized hidden draws, in the stream order (cos theta, phi,
     lambda_a, lambda_b)."""
     cos_t = rng.uniform(-1.0, 1.0, n)
-    phi = rng.uniform(0.0, _TWO_PI, n) % _TWO_PI
+    phi = rng.uniform(0.0, _TWO_PI, n)
+    # uniform may round up to 2pi itself: wrap it to 0, as phi % 2pi would,
+    # without a division per draw
+    phi[phi >= _TWO_PI] -= _TWO_PI
     lam_a = rng.random(n)
     lam_b = rng.random(n)
     return cos_t, phi, lam_a, lam_b
 
 
-def _directions(cos_t: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    sin_t = np.sqrt(np.clip(1.0 - cos_t * cos_t, 0.0, None))
-    return np.column_stack((sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t))
+def _plus_mask(
+    lam: np.ndarray,
+    signed_radius: float,
+    axis: np.ndarray,
+    sin_t: np.ndarray,
+    cos_t: np.ndarray,
+    cos_p: np.ndarray,
+    sin_p: np.ndarray,
+) -> np.ndarray:
+    """Where one party answers +1: lam <= (1 + signed_radius * axis.f)/2, with
+    the projection axis.f = sin(theta)(cos(phi) l_x + sin(phi) l_y) +
+    cos(theta) l_z built in place in two work arrays of the block's length."""
+    dot = np.multiply(cos_p, axis[0])
+    work = np.multiply(sin_p, axis[1])
+    dot += work
+    dot *= sin_t
+    np.multiply(cos_t, axis[2], out=work)
+    dot += work
+    dot *= signed_radius
+    dot += 1.0
+    dot *= 0.5
+    return lam <= dot
 
 
-def _signs(lam: np.ndarray, dot: np.ndarray) -> np.ndarray:
-    return np.where(lam <= 0.5 * (1.0 + dot), 1.0, -1.0)
+def _count_outcomes(
+    q: float, axis_a: np.ndarray, axis_b: np.ndarray, n_samples: int, seed: int, chunks: int
+) -> tuple[int, int, int]:
+    """One pass over the seeded draws, with A measured along axis_a and B along
+    axis_b.  Returns the number of draws with A = +1, with B = +1, and with
+    A == B; counts of +/-1 outcomes merge exactly across chunks and blocks."""
+    radius = math.sqrt(3.0 * q)
+    plus_a = plus_b = agree = 0
+    for index, size in enumerate(_chunk_sizes(n_samples, chunks)):
+        draws = _draw_batch(_chunk_rng(seed, index), size)
+        for start in range(0, size, _BLOCK):
+            cos_t, phi, lam_a, lam_b = (x[start:start + _BLOCK] for x in draws)
+            sin_t = np.multiply(cos_t, cos_t)
+            np.subtract(1.0, sin_t, out=sin_t)
+            np.clip(sin_t, 0.0, None, out=sin_t)
+            np.sqrt(sin_t, out=sin_t)
+            cos_p = np.cos(phi)
+            sin_p = np.sin(phi, out=phi)
+            out_a = _plus_mask(lam_a, radius, axis_a, sin_t, cos_t, cos_p, sin_p)
+            out_b = _plus_mask(lam_b, -radius, axis_b, sin_t, cos_t, cos_p, sin_p)
+            plus_a += int(np.count_nonzero(out_a))
+            plus_b += int(np.count_nonzero(out_b))
+            agree += out_a.size - int(np.count_nonzero(out_a ^ out_b))
+    return plus_a, plus_b, agree
 
 
-def _estimate(values: np.ndarray, n_samples: int, seed: int) -> HvEstimate:
-    mean = float(np.mean(values))
+def _estimate(plus: int, n_samples: int, seed: int) -> HvEstimate:
+    """Mean and standard error of n_samples +/-1 outcomes, plus of them +1.
+
+    The sample variance (1 - mean^2) n/(n - 1) is taken from the counts as
+    4 plus (n - plus) / (n (n - 1)), one rounding with no cancellation near
+    mean = +/-1."""
+    mean = (2 * plus - n_samples) / n_samples
     if n_samples > 1:
-        std_error = float(np.std(values, ddof=1)) / math.sqrt(n_samples)
+        variance = 4 * plus * (n_samples - plus) / (n_samples * (n_samples - 1))
+        std_error = math.sqrt(variance) / math.sqrt(n_samples)
     else:
         std_error = 0.0
     return HvEstimate(mean=mean, std_error=std_error, n_samples=n_samples, seed=seed)
@@ -130,6 +195,28 @@ def _validate_sampling(n_samples: int, chunks: int) -> None:
         raise ValueError(f"chunks must be in [1, n_samples], got {chunks}")
 
 
+def estimate_all(
+    q: float, axis_a, axis_b, n_samples: int, seed: int, chunks: int = 1
+) -> HvEstimates:
+    """The correlation of A along axis_a with B along axis_b, and both
+    marginals, from one pass over n_samples hidden draws.
+
+    Each estimate equals, bit for bit, the one estimate_correlation or
+    estimate_local gives for the same arguments.
+    """
+    q = _require_separable_q(q)
+    la = _unit_axis(axis_a, "axis_a")
+    mb = _unit_axis(axis_b, "axis_b")
+    _validate_sampling(n_samples, chunks)
+
+    plus_a, plus_b, agree = _count_outcomes(q, la, mb, n_samples, seed, chunks)
+    return HvEstimates(
+        correlation=_estimate(agree, n_samples, seed),
+        marginal_a=_estimate(plus_a, n_samples, seed),
+        marginal_b=_estimate(plus_b, n_samples, seed),
+    )
+
+
 def estimate_correlation(
     q: float, axis_a, axis_b, n_samples: int, seed: int, chunks: int = 1
 ) -> HvEstimate:
@@ -139,20 +226,7 @@ def estimate_correlation(
     chunks) give a bit-identical estimate; chunks > 1 partitions the draws
     into deterministic sub-streams so the work may be fanned out and merged.
     """
-    q = _require_separable_q(q)
-    la = _unit_axis(axis_a, "axis_a")
-    mb = _unit_axis(axis_b, "axis_b")
-    _validate_sampling(n_samples, chunks)
-
-    radius = math.sqrt(3.0 * q)
-    parts = []
-    for index, size in enumerate(_chunk_sizes(n_samples, chunks)):
-        cos_t, phi, lam_a, lam_b = _draw_batch(_chunk_rng(seed, index), size)
-        f = _directions(cos_t, phi)
-        out_a = _signs(lam_a, radius * (f @ la))
-        out_b = _signs(lam_b, -radius * (f @ mb))
-        parts.append(out_a * out_b)
-    return _estimate(np.concatenate(parts), n_samples, seed)
+    return estimate_all(q, axis_a, axis_b, n_samples, seed, chunks).correlation
 
 
 def estimate_local(
@@ -166,12 +240,5 @@ def estimate_local(
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
     _validate_sampling(n_samples, chunks)
 
-    sign = 1.0 if subsystem == "A" else -1.0
-    radius = math.sqrt(3.0 * q)
-    parts = []
-    for index, size in enumerate(_chunk_sizes(n_samples, chunks)):
-        cos_t, phi, lam_a, lam_b = _draw_batch(_chunk_rng(seed, index), size)
-        f = _directions(cos_t, phi)
-        lam = lam_a if subsystem == "A" else lam_b
-        parts.append(_signs(lam, sign * radius * (f @ v)))
-    return _estimate(np.concatenate(parts), n_samples, seed)
+    plus_a, plus_b, _ = _count_outcomes(q, v, v, n_samples, seed, chunks)
+    return _estimate(plus_a if subsystem == "A" else plus_b, n_samples, seed)

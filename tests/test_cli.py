@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from wernerkit import cli
+from wernerkit import cli, hiddenvar
 from wernerkit.cli import (
     Check,
     EXIT_CHECK_FAILED,
@@ -216,6 +216,51 @@ class TestHvsimCommand:
         assert out == ""
         assert err.startswith("error: --samples must be >= 2")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("samples", [2, 3])
+    def test_all_same_outcomes_keep_a_nonzero_band(self, capsys, samples):
+        # seed 0 draws the same outcome every time on at least one estimate;
+        # its standard error is 0, and the band falls back to 1/sqrt(n - 1)
+        code, report, _ = run_json(
+            capsys, "hvsim", "--q", "0.2", "--samples", str(samples), "--seed", "0"
+        )
+        assert code == EXIT_OK
+        results = report["results"]
+        bands = dict(zip(("correlation", "marginal_a", "marginal_b"), report["checks"]))
+        degenerate = [key for key in bands if results[key]["std_error"] == 0.0]
+        assert degenerate
+        for key in degenerate:
+            assert abs(results[key]["mean"]) == 1.0
+            assert bands[key]["tolerance"] == 5.0 / math.sqrt(samples - 1)
+
+    def test_four_samples_pass_at_the_boundary_for_every_seed(self, capsys):
+        # a 5/sqrt(n - 1) band covers any all-same run for n <= 15
+        for seed in range(200):
+            code = main(["hvsim", "--q", repr(1.0 / 3.0), "--samples", "4", "--seed", str(seed)])
+            assert code == EXIT_OK, seed
+        capsys.readouterr()
+
+    def test_unallocatable_sample_count_exits_2(self, capsys):
+        # 10^15 draws need petabytes: numpy refuses before touching memory
+        code, out, err = run(capsys, "hvsim", "--q", "0.2", "--samples", "1000000000000000")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: --samples 1000000000000000 is too large")
+        assert err.count("\n") == 1
+
+    def test_one_draw_per_chunk(self, capsys, monkeypatch):
+        # the correlation and both marginals come from a single pass
+        calls = []
+        draw_batch = hiddenvar._draw_batch
+
+        def counting(rng, n):
+            calls.append(n)
+            return draw_batch(rng, n)
+
+        monkeypatch.setattr(hiddenvar, "_draw_batch", counting)
+        code, _, _ = run(capsys, *self.ARGS)
+        assert code == EXIT_OK
+        assert calls == [200_000]
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_axis_exits_2(self, capsys, bad):

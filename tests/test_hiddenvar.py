@@ -1,13 +1,17 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from helpers import random_unit_axis
+from wernerkit import hiddenvar
 from wernerkit.decomposition import DecompositionDomainError, sphere_direction
 from wernerkit.hiddenvar import (
     HvSample,
     _draw_batch,
+    _estimate,
+    estimate_all,
     estimate_correlation,
     estimate_local,
     outcome_a,
@@ -203,3 +207,145 @@ class TestEstimateLocal:
             estimate_local(0.1, Z_AXIS, "C", 100, seed=0)
         with pytest.raises(DecompositionDomainError):
             estimate_local(0.4, Z_AXIS, "A", 100, seed=0)
+
+
+def _three_pass_reference(q, axis_a, axis_b, n_samples, seed, chunks):
+    """The float computation the counting kernel replaced, kept here as its
+    oracle: one pass over the seeded draws per estimate, each building the
+    (n, 3) directions and +/-1 outcome arrays.  Returns (mean, std_error) of
+    the correlation and of both marginals."""
+    radius = math.sqrt(3.0 * q)
+    base, extra = divmod(n_samples, chunks)
+    sizes = [base + 1] * extra + [base] * (chunks - extra)
+
+    def one_pass(combine):
+        parts = []
+        for index, size in enumerate(sizes):
+            rng = np.random.default_rng([seed % (1 << 64), index])
+            cos_t = rng.uniform(-1.0, 1.0, size)
+            phi = rng.uniform(0.0, 2.0 * math.pi, size) % (2.0 * math.pi)
+            lam_a = rng.random(size)
+            lam_b = rng.random(size)
+            sin_t = np.sqrt(np.clip(1.0 - cos_t * cos_t, 0.0, None))
+            f = np.column_stack((sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t))
+            out_a = np.where(lam_a <= 0.5 * (1.0 + radius * (f @ axis_a)), 1.0, -1.0)
+            out_b = np.where(lam_b <= 0.5 * (1.0 + -radius * (f @ axis_b)), 1.0, -1.0)
+            parts.append(combine(out_a, out_b))
+        values = np.concatenate(parts)
+        mean = float(np.mean(values))
+        return mean, float(np.std(values, ddof=1)) / math.sqrt(n_samples)
+
+    return (
+        one_pass(lambda a, b: a * b),
+        one_pass(lambda a, b: a),
+        one_pass(lambda a, b: b),
+    )
+
+
+def _assert_matches(est, reference):
+    mean, std_error = reference
+    assert est.mean == mean
+    assert abs(est.std_error - std_error) <= 4.5e-16 * std_error
+
+
+class TestCountingKernel:
+    @pytest.mark.parametrize(
+        "n_samples,chunks",
+        [(2, 1), (2, 2), (3, 1), (3, 3), (1000, 1), (1000, 4), (1000, 7),
+         (100_003, 1), (100_003, 4), (100_003, 7)],
+    )
+    def test_matches_three_pass_float_reference(self, n_samples, chunks):
+        rng = np.random.default_rng(20_000 + 10 * n_samples + chunks)
+        for q in (0.0, 1.0 / 3.0, float(rng.uniform(0.0, 1.0 / 3.0))):
+            l, m = random_unit_axis(rng), random_unit_axis(rng)
+            seed = int(rng.integers(0, 2**63))
+            corr, marg_a, marg_b = _three_pass_reference(q, l, m, n_samples, seed, chunks)
+            est = estimate_all(q, l, m, n_samples, seed, chunks)
+            _assert_matches(est.correlation, corr)
+            _assert_matches(est.marginal_a, marg_a)
+            _assert_matches(est.marginal_b, marg_b)
+            # the single-estimate views read the same counts
+            assert estimate_correlation(q, l, m, n_samples, seed, chunks) == est.correlation
+            assert estimate_local(q, l, "A", n_samples, seed, chunks) == est.marginal_a
+            assert estimate_local(q, m, "B", n_samples, seed, chunks) == est.marginal_b
+
+    def test_matches_scalar_outcome_functions(self):
+        # the scalar outcome functions, applied draw by draw to the same
+        # stream, give the counts the vectorized kernel gives
+        rng = np.random.default_rng(31)
+        n = 2000
+        for q in (0.0, 0.15, 1.0 / 3.0):
+            l, m = random_unit_axis(rng), random_unit_axis(rng)
+            draws = _draw_batch(np.random.default_rng([5, 0]), n)
+            samples = [
+                HvSample(math.acos(c), p, a, b) for c, p, a, b in zip(*draws)
+            ]
+            a = np.array([outcome_a(s, q, l) for s in samples])
+            b = np.array([outcome_b(s, q, m) for s in samples])
+            est = estimate_all(q, l, m, n, seed=5)
+            assert est.correlation.mean == float(np.mean(a * b))
+            assert est.marginal_a.mean == float(np.mean(a))
+            assert est.marginal_b.mean == float(np.mean(b))
+
+    def test_phi_wraps_like_the_remainder(self):
+        # the draw wraps phi = 2pi to 0 without dividing: same values as % 2pi
+        rng = np.random.default_rng([77, 0])
+        rng.uniform(-1.0, 1.0, 50_000)
+        raw = rng.uniform(0.0, 2.0 * math.pi, 50_000)
+        _, phi, _, _ = _draw_batch(np.random.default_rng([77, 0]), 50_000)
+        assert np.array_equal(phi, raw % (2.0 * math.pi))
+
+        class TopOfRange:
+            # a generator whose uniform draws all round up to the high end
+            def uniform(self, low, high, n):
+                return np.full(n, high)
+
+            def random(self, n):
+                return np.zeros(n)
+
+        _, phi, _, _ = _draw_batch(TopOfRange(), 3)
+        assert np.array_equal(phi, np.full(3, 2.0 * math.pi) % (2.0 * math.pi))
+        assert not np.signbit(phi).any()
+
+    @staticmethod
+    def _assert_count_estimate(k, n):
+        # mean (2k - n)/n and std_error sqrt(4k(n - k)/(n(n - 1)))/sqrt(n),
+        # against 50-digit arithmetic
+        est = _estimate(k, n, seed=0)
+        assert est.mean == (2 * k - n) / n
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = (Decimal(4 * k * (n - k)) / Decimal(n * n * (n - 1))).sqrt()
+            assert abs(Decimal(est.std_error) - exact) <= Decimal(4.5e-16) * exact
+
+    @pytest.mark.parametrize("n", [1000, 100_003, 10**6, 10**9])
+    def test_std_error_from_counts_next_to_the_extremes(self, n):
+        for k in (0, 1, 2, n // 3, n // 2, n - 2, n - 1, n):
+            self._assert_count_estimate(k, n)
+
+    def test_every_count_of_a_small_sample(self):
+        for n in range(2, 40):
+            for k in range(n + 1):
+                self._assert_count_estimate(k, n)
+                values = np.where(np.arange(n) < k, 1.0, -1.0)
+                assert _estimate(k, n, seed=0).mean == float(np.mean(values))
+
+    def test_one_draw_per_chunk(self, monkeypatch):
+        calls = []
+        draw_batch = hiddenvar._draw_batch
+
+        def counting(rng, n):
+            calls.append(n)
+            return draw_batch(rng, n)
+
+        monkeypatch.setattr(hiddenvar, "_draw_batch", counting)
+        estimate_all(0.2, Z_AXIS, X_AXIS, 1003, seed=1, chunks=4)
+        assert calls == [251, 251, 251, 250]
+
+    def test_blocks_do_not_change_the_counts(self, monkeypatch):
+        # the projection runs block by block inside a chunk; any block size
+        # gives the same counts
+        args = (0.3, Z_AXIS, random_unit_axis(np.random.default_rng(8)), 5000, 12, 3)
+        whole = estimate_all(*args)
+        monkeypatch.setattr(hiddenvar, "_BLOCK", 7)
+        assert estimate_all(*args) == whole
