@@ -225,23 +225,33 @@ def cmd_matrix(args) -> RunReport:
     return report
 
 
-def _ppt_row(q: float) -> dict:
-    verdict = ppt_test(werner(q))
+def _ppt_rows(q: np.ndarray, rho: np.ndarray) -> list[dict]:
+    """The ppt report row of every q of a grid, from the stack rho =
+    werner(q): one PT test and one closed form over the whole grid."""
+    verdict = ppt_test(rho)
     closed = werner_pt_eigenvalues_closed_form(q)
-    deviation = _max_abs(np.asarray(verdict.eigenvalues) - closed)
-    return {
-        "q": q,
-        "eigenvalues": list(verdict.eigenvalues),
-        "closed_form": closed.tolist(),
-        "min_eigenvalue": verdict.min_eigenvalue,
-        "separable": verdict.separable,
-        "closed_form_deviation": deviation,
-        "expected_separable": bool(closed[0] >= -verdict.tol),
-        "tol": verdict.tol,
-    }
+    deviation = np.max(np.abs(verdict.eigenvalues - closed), axis=-1)
+    expected = closed[:, 0] >= -verdict.tol
+    columns = (q, verdict.eigenvalues, closed, verdict.min_eigenvalue, verdict.separable,
+               deviation, expected)
+    return [
+        {
+            "q": q_i,
+            "eigenvalues": eigs,
+            "closed_form": closed_i,
+            "min_eigenvalue": min_eig,
+            "separable": separable,
+            "closed_form_deviation": dev,
+            "expected_separable": expected_i,
+            "tol": verdict.tol,
+        }
+        for q_i, eigs, closed_i, min_eig, separable, dev, expected_i in zip(
+            *(c.tolist() for c in columns)
+        )
+    ]
 
 
-def _q_grid(q_min: float, q_max: float, steps: float, kind: str) -> tuple[list[float], int]:
+def _q_grid(q_min: float, q_max: float, steps: float, kind: str) -> tuple[np.ndarray, int]:
     """The inclusive linear q grid of --sweep or --grid, and its whole
     number of steps."""
     if not float(steps).is_integer():
@@ -249,19 +259,22 @@ def _q_grid(q_min: float, q_max: float, steps: float, kind: str) -> tuple[list[f
     steps = int(steps)
     if steps < 1:
         raise ValueError(f"{kind} steps must be >= 1, got {steps}")
-    return [float(x) for x in np.linspace(q_min, q_max, steps)], steps
+    for name, value in (("Q_MIN", q_min), ("Q_MAX", q_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{kind} {name} must be finite, got {value}")
+    return np.linspace(q_min, q_max, steps), steps
 
 
 def cmd_ppt(args) -> RunReport:
     if args.sweep is not None:
         q_min, q_max, steps = args.sweep
-        qs, steps = _q_grid(q_min, q_max, steps, "sweep")
+        q, steps = _q_grid(q_min, q_max, steps, "sweep")
         parameters = {"sweep": {"q_min": q_min, "q_max": q_max, "steps": steps}}
     else:
-        qs = [args.q]
+        q = np.array([args.q])
         parameters = {"q": args.q}
 
-    rows = [_ppt_row(q) for q in qs]
+    rows = _ppt_rows(q, werner(q))
     max_dev = max(r["closed_form_deviation"] for r in rows)
     verdicts_match = all(r["separable"] == r["expected_separable"] for r in rows)
     report = RunReport(
@@ -498,13 +511,15 @@ _VERIFY_CHECKS = {
 }
 
 
-def _verify_row(q: float) -> dict:
-    row = _ppt_row(q)
+def _verify_row(ppt_row: dict, target: np.ndarray) -> dict:
+    """One verify row: the ppt row's PT fields, then both decompositions of
+    the Werner matrix target at the same q, or the reason they are skipped."""
+    q = ppt_row["q"]
     entry = {
         "q": q,
-        "ppt_deviation": row["closed_form_deviation"],
-        "separable": row["separable"],
-        "verdict_matches": row["separable"] == row["expected_separable"],
+        "ppt_deviation": ppt_row["closed_form_deviation"],
+        "separable": ppt_row["separable"],
+        "verdict_matches": ppt_row["separable"] == ppt_row["expected_separable"],
     }
     try:
         dec_s = spherical_decomposition(q)
@@ -516,7 +531,6 @@ def _verify_row(q: float) -> dict:
             f"(|a| = sqrt(3q) = {err.bloch_norm} > 1)"
         )
         return entry
-    target = werner(q)
     recon_s, _, checks_s = _spherical_checks(dec_s, target)
     recon_w, _, checks_w = _wootters_checks(dec_w, target)
     s = {c.name: c.observed for c in checks_s}
@@ -544,8 +558,9 @@ def cmd_verify(args) -> RunReport:
     else:
         q_min, q_max, steps = 0.0, SEPARABLE_Q_MAX, 21
         default_grid = True
-    qs, steps = _q_grid(q_min, q_max, steps, "grid")
-    rows = [_verify_row(q) for q in qs]
+    q, steps = _q_grid(q_min, q_max, steps, "grid")
+    rho = werner(q)
+    rows = [_verify_row(row, target) for row, target in zip(_ppt_rows(q, rho), rho)]
     tested = [r for r in rows if r["skipped"] is None]
     skipped = [
         {"q": r["q"], "reason": r["skipped"]} for r in rows if r["skipped"] is not None

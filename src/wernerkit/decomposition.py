@@ -15,6 +15,7 @@ product state.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -149,6 +150,24 @@ def spherical_decomposition(
     if n_phi < 3:
         raise ValueError(f"n_phi must be >= 3 for degree-2 exactness, got {n_phi}")
 
+    nodes, weights, directions = _quadrature(n_theta, n_phi)
+    return SphericalDecomposition(
+        q=q,
+        n_theta=n_theta,
+        n_phi=n_phi,
+        nodes=nodes,
+        weights=weights,
+        directions=directions,
+        a=_frozen(math.sqrt(3.0 * q) * directions),
+    )
+
+
+# Shared by every decomposition on the same grid; the arrays are read-only.
+# Bounded, since a 64x128 grid holds about 0.4 MB.
+@functools.lru_cache(maxsize=8)
+def _quadrature(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The q-independent node arrays of the spherical quadrature: nodes,
+    weights and directions."""
     cos_nodes, gl_weights = np.polynomial.legendre.leggauss(n_theta)
     # Angles, sines and cosines come from math on the axis values, so each
     # row of directions equals sphere_direction(theta, phi) bit for bit.
@@ -160,14 +179,10 @@ def spherical_decomposition(
         np.outer(sin_t, [math.sin(p) for p in phis]).ravel(),
         np.repeat([math.cos(t) for t in thetas], n_phi),
     ))
-    return SphericalDecomposition(
-        q=q,
-        n_theta=n_theta,
-        n_phi=n_phi,
-        nodes=_frozen(np.column_stack((np.repeat(thetas, n_phi), np.tile(phis, n_theta)))),
-        weights=_frozen(np.repeat(gl_weights / (2.0 * n_phi), n_phi)),
-        directions=_frozen(directions),
-        a=_frozen(math.sqrt(3.0 * q) * directions),
+    return (
+        _frozen(np.column_stack((np.repeat(thetas, n_phi), np.tile(phis, n_theta)))),
+        _frozen(np.repeat(gl_weights / (2.0 * n_phi), n_phi)),
+        _frozen(directions),
     )
 
 

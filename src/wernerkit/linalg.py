@@ -47,6 +47,28 @@ def _as_matrix(m) -> np.ndarray:
     return a
 
 
+def _as_stack(m) -> np.ndarray:
+    """A matrix, or a stack of matrices along leading axes: shape (..., r, c)."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2:
+        raise ValueError(f"expected a 2-d matrix or a stack of them, got shape {a.shape}")
+    return a
+
+
+def _first_failure(bad: np.ndarray) -> tuple[tuple[int, ...], str]:
+    """The index of the first True of a per-matrix flag array, and where that
+    matrix sits for an error message: "" for a single matrix (0-d flags),
+    " at stack index i" (i, j, ... with several leading axes) otherwise."""
+    index = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
+    where = " at stack index " + ", ".join(map(str, index)) if index else ""
+    return index, where
+
+
+def _hermitian_deviation(a: np.ndarray) -> np.ndarray:
+    """max|a - a^H| of each matrix of a stack (a 0-d array for one matrix)."""
+    return np.max(np.abs(a - np.swapaxes(a, -1, -2).conj()), axis=(-2, -1))
+
+
 def kron(a, b) -> np.ndarray:
     """Kronecker product; entry ((i*Br+k),(j*Bc+l)) = A[i,j]*B[k,l]."""
     a = _as_matrix(a)
@@ -61,39 +83,47 @@ def is_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
         return False
-    return float(np.max(np.abs(a - a.conj().T))) <= tol
+    return float(_hermitian_deviation(a)) <= tol
 
 
 def partial_transpose_b(m) -> np.ndarray:
-    """Transpose the second-qubit indices of a 4x4 two-qubit operator.
+    """Transpose the second-qubit indices of a 4x4 two-qubit operator, or of
+    each operator of a stack of shape (..., 4, 4).
 
     Indexing the input by (i,k;j,l) with A-indices i,j and B-indices k,l,
     the result satisfies result(i,l;j,k) = M(i,k;j,l).  Pure data movement:
     applying it twice returns the input exactly.
     """
-    m = _as_matrix(m)
-    if m.shape != (4, 4):
+    m = _as_stack(m)
+    if m.shape[-2:] != (4, 4):
         raise ValueError(
             f"partial transpose is defined here for two-qubit (4x4) operators, got {m.shape}"
         )
-    return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4).copy()
+    stack = m.shape[:-2]
+    # the reshape of the swapped view copies, so the result never aliases m
+    return m.reshape(*stack, 2, 2, 2, 2).swapaxes(-3, -1).reshape(*stack, 4, 4)
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, sorted ascending.
+    """All eigenvalues of a Hermitian matrix, sorted ascending; a stack of
+    shape (..., n, n) gives shape (..., n), in one LAPACK call.
 
     LAPACK's Hermitian solver (``np.linalg.eigvalsh``) reads only one
-    triangle of the matrix, so the input is first gated: it is rejected with
-    ValueError unless max|m - m^H| <= HERMITIAN_TOL * max|m|.  The gate is
-    relative, so it means the same thing at any matrix scale; the zero matrix
-    passes.
+    triangle of each matrix, so the input is first gated, matrix by matrix:
+    it is rejected with ValueError unless max|m - m^H| <= HERMITIAN_TOL *
+    max|m| and max|m| is finite.  The gate is relative to each matrix's own
+    largest entry, so it means the same thing at any matrix scale, whatever
+    the other matrices of a stack hold; the zero matrix passes.
     """
-    a = _as_matrix(m)
-    if a.shape[0] != a.shape[1]:
+    a = _as_stack(m)
+    if a.shape[-1] != a.shape[-2]:
         raise ValueError(f"eigenvalues require a square matrix, got {a.shape}")
-    scale = float(np.max(np.abs(a)))
-    if not is_hermitian(a, tol=HERMITIAN_TOL * scale):
+    scale = np.max(np.abs(a), axis=(-2, -1))
+    # negated so that NaN deviations are rejected too
+    bad = ~(_hermitian_deviation(a) <= HERMITIAN_TOL * scale) | ~np.isfinite(scale)
+    if bad.any():
         raise ValueError(
-            f"matrix is not Hermitian within {HERMITIAN_TOL} of its largest entry"
+            f"matrix{_first_failure(bad)[1]} is not Hermitian within {HERMITIAN_TOL} "
+            "of its largest entry"
         )
     return np.linalg.eigvalsh(a)

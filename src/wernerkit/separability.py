@@ -13,8 +13,9 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _first_failure,
+    _hermitian_deviation,
     hermitian_eigenvalues,
-    is_hermitian,
     kron,
     partial_transpose_b,
 )
@@ -37,33 +38,49 @@ _IMAG_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PptVerdict:
-    """Outcome of the partial-transpose test on a two-qubit state."""
+    """Outcome of the partial-transpose test on a two-qubit state.
 
-    min_eigenvalue: float
-    eigenvalues: tuple[float, float, float, float]
-    separable: bool
+    For a stack of states, shape (..., 4, 4), min_eigenvalue and separable
+    are arrays of shape (...) and eigenvalues has shape (..., 4)."""
+
+    min_eigenvalue: float | np.ndarray
+    eigenvalues: tuple[float, float, float, float] | np.ndarray
+    separable: bool | np.ndarray
     tol: float
 
 
-def _validate_density_matrix(rho: np.ndarray, tol: float) -> np.ndarray:
+def _validate_density_matrix(rho, tol: float) -> np.ndarray:
+    """A 4x4 density matrix, or a stack of them, checked matrix by matrix:
+    Hermitian, unit trace, no eigenvalue below -tol.  An error names the
+    first matrix that fails."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    if not is_hermitian(rho, tol=HERMITIAN_TOL):
-        raise ValueError(f"not a density matrix: not Hermitian within {HERMITIAN_TOL}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > 1e-12:
-        raise ValueError(f"not a density matrix: trace is {tr}, expected 1")
-    smallest = hermitian_eigenvalues(rho)[0]
-    if smallest < -tol:
+    bad = ~(_hermitian_deviation(rho) <= HERMITIAN_TOL)
+    if bad.any():
+        _, where = _first_failure(bad)
+        raise ValueError(f"not a density matrix{where}: not Hermitian within {HERMITIAN_TOL}")
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    bad = np.abs(tr - 1.0) > 1e-12
+    if bad.any():
+        index, where = _first_failure(bad)
         raise ValueError(
-            f"not a density matrix: smallest eigenvalue {smallest} is below -{tol}"
+            f"not a density matrix{where}: trace is {complex(tr[index])}, expected 1"
+        )
+    smallest = hermitian_eigenvalues(rho)[..., 0]
+    bad = smallest < -tol
+    if bad.any():
+        index, where = _first_failure(bad)
+        raise ValueError(
+            f"not a density matrix{where}: smallest eigenvalue "
+            f"{float(smallest[index])} is below -{tol}"
         )
     return rho
 
 
 def ppt_test(rho, tol: float = DEFAULT_PPT_TOL) -> PptVerdict:
-    """Partial-transpose criterion on a two-qubit density matrix.
+    """Partial-transpose criterion on a two-qubit density matrix, or on each
+    matrix of a stack of shape (..., 4, 4) at once.
 
     The state is reported separable iff all eigenvalues of the partially
     transposed matrix are >= -tol.  For two qubits this criterion is exact,
@@ -71,22 +88,26 @@ def ppt_test(rho, tol: float = DEFAULT_PPT_TOL) -> PptVerdict:
     """
     rho = _validate_density_matrix(rho, tol)
     eigs = hermitian_eigenvalues(partial_transpose_b(rho))
-    min_eig = float(eigs[0])
-    return PptVerdict(
-        min_eigenvalue=min_eig,
-        eigenvalues=tuple(float(x) for x in eigs),
-        separable=bool(min_eig >= -tol),
-        tol=float(tol),
-    )
+    min_eig = eigs[..., 0]
+    separable = min_eig >= -tol
+    if eigs.ndim == 1:
+        return PptVerdict(
+            min_eigenvalue=float(min_eig),
+            eigenvalues=tuple(eigs.tolist()),
+            separable=bool(separable),
+            tol=float(tol),
+        )
+    return PptVerdict(min_eig, eigs, separable, float(tol))
 
 
-def werner_pt_eigenvalues_closed_form(q: float) -> np.ndarray:
+def werner_pt_eigenvalues_closed_form(q) -> np.ndarray:
     """Eigenvalues of the partially transposed Werner matrix, sorted ascending:
-    (1-3q)/4 once and (1+q)/4 three times."""
+    (1-3q)/4 once and (1+q)/4 three times.  An array of q, shape (...), gives
+    shape (..., 4)."""
     q = validate_mixing_parameter(q)
-    return np.array(
-        [(1.0 - 3.0 * q) / 4.0, (1.0 + q) / 4.0, (1.0 + q) / 4.0, (1.0 + q) / 4.0]
-    )
+    low = (1.0 - 3.0 * q) / 4.0
+    high = (1.0 + q) / 4.0
+    return np.stack([low, high, high, high], axis=-1)
 
 
 def axis_operator(v) -> np.ndarray:

@@ -38,12 +38,17 @@ class PositivityError(ValueError):
     single-qubit operator."""
 
 
-def validate_mixing_parameter(q: float) -> float:
-    """Werner mixing parameter must lie in [0, 1]."""
-    q = float(q)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"mixing parameter q must be in [0, 1], got {q}")
-    return q
+def validate_mixing_parameter(q):
+    """Werner mixing parameter must lie in [0, 1].  A scalar comes back as a
+    float; an array of them comes back as a float array, and the first value
+    outside [0, 1] names the error."""
+    qs = np.asarray(q, dtype=float)
+    # negated so that NaN is rejected too
+    bad = ~((qs >= 0.0) & (qs <= 1.0))
+    if bad.any():
+        first = float(qs.flat[int(np.argmax(bad))])
+        raise ValueError(f"mixing parameter q must be in [0, 1], got {first}")
+    return float(qs) if qs.ndim == 0 else qs
 
 
 def _unit_axis(v, name: str) -> np.ndarray:
@@ -71,9 +76,13 @@ def bell_state(kind: str) -> np.ndarray:
         ) from None
 
 
-def werner(q: float) -> np.ndarray:
-    """Werner density matrix: q * |psi_minus><psi_minus| + (1-q)/4 * I."""
-    q = validate_mixing_parameter(q)
+def werner(q) -> np.ndarray:
+    """Werner density matrix: q * |psi_minus><psi_minus| + (1-q)/4 * I.
+
+    An array of mixing parameters, shape (...), gives the stack of matrices,
+    shape (..., 4, 4); each equals werner of its own q bit for bit.
+    """
+    q = np.asarray(validate_mixing_parameter(q))[..., None, None]
     psi = _BELL_VECTORS["psi_minus"]
     return q * np.outer(psi, psi.conj()) + ((1.0 - q) / 4.0) * IDENTITY_4
 

@@ -37,3 +37,17 @@ def random_unit_axis(rng: np.random.Generator) -> np.ndarray:
 def random_bloch_vector(rng: np.random.Generator) -> np.ndarray:
     """Uniform direction with radius scaled into the open unit ball."""
     return random_unit_axis(rng) * rng.uniform(0.0, 0.999)
+
+
+# A q grid for stack-versus-scalar oracles: the 1001-point sweep grid plus
+# the separability threshold 1/3 and its two neighbouring doubles.
+THRESHOLD_QS = np.array([np.nextafter(1.0 / 3.0, 0.0), 1.0 / 3.0, np.nextafter(1.0 / 3.0, 1.0)])
+STACK_QS = np.concatenate([np.linspace(0.0, 1.0, 1001), THRESHOLD_QS])
+
+
+def assert_bitwise_equal(actual, expected) -> None:
+    """Same shape, dtype and bytes: unlike ==, tells -0.0 from 0.0."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()

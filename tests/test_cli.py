@@ -1,10 +1,12 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from wernerkit import cli, hiddenvar
+from helpers import THRESHOLD_QS
+from wernerkit import cli, decomposition, hiddenvar
 from wernerkit.cli import (
     Check,
     EXIT_CHECK_FAILED,
@@ -17,7 +19,8 @@ from wernerkit.cli import (
     emit_json,
     main,
 )
-from wernerkit.separability import werner_pt_eigenvalues_closed_form
+from wernerkit.separability import ppt_test, werner_pt_eigenvalues_closed_form
+from wernerkit.states import werner
 
 
 def run(capsys, *argv):
@@ -29,6 +32,147 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out), err
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """Replace owner.name with a wrapper that appends one entry per call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def reference_ppt_row(q: float) -> dict:
+    """A ppt report row built from one-state calls for this q alone: the
+    per-q loop that the grid path replaces."""
+    verdict = ppt_test(werner(q))
+    closed = werner_pt_eigenvalues_closed_form(q)
+    return {
+        "q": q,
+        "eigenvalues": list(verdict.eigenvalues),
+        "closed_form": closed.tolist(),
+        "min_eigenvalue": verdict.min_eigenvalue,
+        "separable": verdict.separable,
+        "closed_form_deviation": float(np.max(np.abs(np.asarray(verdict.eigenvalues) - closed))),
+        "expected_separable": bool(closed[0] >= -verdict.tol),
+        "tol": verdict.tol,
+    }
+
+
+# Q_MIN Q_MAX STEPS of a three-point grid on the doubles around 1/3.
+THRESHOLD_GRID = (repr(float(THRESHOLD_QS[0])), repr(float(THRESHOLD_QS[-1])), "3")
+
+
+class TestGridOracle:
+    """Every row of a grid command against the per-q reference loop.  JSON
+    text is compared, so -0.0 and 0.0 differ."""
+
+    @pytest.mark.parametrize("grid", [("0", "1", "1001"), THRESHOLD_GRID])
+    def test_ppt_sweep_rows(self, capsys, grid):
+        code, report, _ = run_json(capsys, "ppt", "--sweep", *grid)
+        assert code == EXIT_OK
+        rows = report["results"]["rows"]
+        if grid == THRESHOLD_GRID:
+            assert [r["q"] for r in rows] == THRESHOLD_QS.tolist()
+        assert len(rows) == int(grid[2])
+        for row in rows:
+            assert json.dumps(row) == json.dumps(reference_ppt_row(row["q"]))
+
+    @pytest.mark.parametrize("q", [0.0, 0.2, *THRESHOLD_QS.tolist(), 0.5, 1.0])
+    def test_ppt_single_q(self, capsys, q):
+        _, report, _ = run_json(capsys, "ppt", "--q", repr(q))
+        assert json.dumps(report["results"]) == json.dumps(reference_ppt_row(q))
+
+    @pytest.mark.parametrize("grid", [("0", "1", "1001"), THRESHOLD_GRID])
+    def test_verify_grid_rows(self, capsys, grid):
+        code, report, _ = run_json(capsys, "verify", "--grid", *grid)
+        assert code == EXIT_OK
+        rows = report["results"]["rows"]
+        if grid == THRESHOLD_GRID:
+            assert [r["q"] for r in rows] == THRESHOLD_QS.tolist()
+        assert len(rows) == int(grid[2])
+        for row in rows:
+            q = row["q"]
+            expected = cli._verify_row(reference_ppt_row(q), werner(q))
+            assert json.dumps(row) == json.dumps(cli._jsonable(expected))
+
+
+class TestGridPassCount:
+    """A grid is evaluated in one pass: one Werner stack, one eigensolve for
+    positivity and one for the partial transpose, one quadrature build."""
+
+    def test_ppt_sweep(self, capsys, monkeypatch):
+        eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        werner_calls = count_calls(monkeypatch, cli, "werner")
+        code, _, _ = run(capsys, "ppt", "--sweep", "0", "1", "1001", "--format", "csv")
+        assert code == EXIT_OK
+        assert len(eigvalsh) == 2
+        assert len(werner_calls) == 1
+        assert [np.shape(args[0]) for args in eigvalsh] == [(1001, 4, 4)] * 2
+
+    def test_ppt_single_q_is_a_grid_of_one(self, capsys, monkeypatch):
+        eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        assert run(capsys, "ppt", "--q", "0.2")[0] == EXIT_OK
+        assert [np.shape(args[0]) for args in eigvalsh] == [(1, 4, 4)] * 2
+
+    def test_default_verify(self, capsys, monkeypatch):
+        decomposition._quadrature.cache_clear()
+        eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        leggauss = count_calls(monkeypatch, np.polynomial.legendre, "leggauss")
+        werner_calls = count_calls(monkeypatch, cli, "werner")
+        code, report, _ = run_json(capsys, "verify")
+        assert code == EXIT_OK
+        assert len(report["results"]["rows"]) == 21
+        # leggauss makes its own eigvalsh call, on a real companion matrix;
+        # the density matrices are complex
+        states = [args for args in eigvalsh if np.iscomplexobj(args[0])]
+        assert [np.shape(args[0]) for args in states] == [(21, 4, 4)] * 2
+        assert len(leggauss) == 1
+        assert len(werner_calls) == 1
+
+
+class TestGridErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("ppt", "--sweep", "-0.5", "1", "11"), "mixing parameter q must be in [0, 1], got -0.5"),
+            (("ppt", "--sweep", "0", "1.5", "11"), "mixing parameter q must be in [0, 1], got 1.05"),
+            (
+                ("verify", "--grid", "0.2", "1.5", "4"),
+                "mixing parameter q must be in [0, 1], got 1.0666666666666667",
+            ),
+            (("verify", "--grid", "-1", "1", "4"), "mixing parameter q must be in [0, 1], got -1.0"),
+        ],
+    )
+    def test_first_bad_grid_point_is_named(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("ppt", "--sweep", "inf", "1", "3"), "sweep Q_MIN must be finite, got inf"),
+            (("ppt", "--sweep", "0", "inf", "3"), "sweep Q_MAX must be finite, got inf"),
+            (("ppt", "--sweep", "nan", "1", "3"), "sweep Q_MIN must be finite, got nan"),
+            (("ppt", "--sweep", "0", "1e400", "3"), "sweep Q_MAX must be finite, got inf"),
+            (("verify", "--grid", "0", "inf", "3"), "grid Q_MAX must be finite, got inf"),
+            (("verify", "--grid", "nan", "1", "3"), "grid Q_MIN must be finite, got nan"),
+        ],
+    )
+    def test_non_finite_endpoints_exit_2(self, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestMatrixCommand:

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from helpers import werner_matrix_closed_form
 from wernerkit.decomposition import (
     DecompositionDomainError,
+    _quadrature,
     moment_check,
     phase_constraint_residual,
     reconstruct,
@@ -96,6 +97,27 @@ class TestSphericalArrayOracle:
             assert arr.flags.c_contiguous
         with pytest.raises(ValueError):
             dec.a[0, 0] = 1.0
+
+
+class TestSharedQuadrature:
+    """The q-independent arrays are built once per grid and shared."""
+
+    def test_quadrature_is_shared_and_read_only(self):
+        first = spherical_decomposition(0.1)
+        second = spherical_decomposition(0.3)
+        assert first.nodes is second.nodes
+        assert first.weights is second.weights
+        assert first.directions is second.directions
+        assert first.a is not second.a
+        _quadrature.cache_clear()
+        rebuilt = spherical_decomposition(0.1)
+        assert rebuilt.nodes is not first.nodes
+        for old, new in zip(
+            (first.nodes, first.weights, first.directions, first.a),
+            (rebuilt.nodes, rebuilt.weights, rebuilt.directions, rebuilt.a),
+        ):
+            assert old.tobytes() == new.tobytes()
+            assert not new.flags.writeable
 
 
 class TestSphericalReconstruction:

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import (
+    STACK_QS,
+    assert_bitwise_equal,
     random_hermitian,
     werner_matrix_closed_form,
     werner_pt_matrix_closed_form,
@@ -78,6 +80,28 @@ class TestPartialTranspose:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="4x4"):
             partial_transpose_b(IDENTITY_2)
+        with pytest.raises(ValueError, match="4x4"):
+            partial_transpose_b(np.zeros((3, 2, 2)))
+        with pytest.raises(ValueError, match="2-d"):
+            partial_transpose_b(np.zeros(16))
+
+    def test_stack_equals_scalar_calls_bitwise(self):
+        rng = np.random.default_rng(5)
+        stacks = (
+            werner(STACK_QS),
+            np.array([random_hermitian(rng) for _ in range(6)]).reshape(2, 3, 4, 4),
+        )
+        for stack in stacks:
+            pt = partial_transpose_b(stack)
+            assert pt.shape == stack.shape
+            for index in np.ndindex(stack.shape[:-2]):
+                assert_bitwise_equal(pt[index], partial_transpose_b(stack[index]))
+
+    def test_result_does_not_alias_the_input(self):
+        stack = werner(STACK_QS[:3])
+        pt = partial_transpose_b(stack)
+        assert not np.shares_memory(pt, stack)
+        assert not np.shares_memory(partial_transpose_b(stack[0]), stack)
 
 
 class TestHermitianEigenvalues:
@@ -135,6 +159,59 @@ class TestHermitianEigenvalues:
         m = 1e-20 * np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eigenvalues(m)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_rejects_non_finite_entries(self, bad):
+        # an infinite largest entry makes the relative tolerance infinite,
+        # which would let any matrix through
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_eigenvalues(np.array([[0.0, bad], [0.0, 0.0]], dtype=complex))
+
+    def test_stack_equals_scalar_calls_bitwise(self):
+        rng = np.random.default_rng(13)
+        stacks = (
+            werner(STACK_QS),
+            partial_transpose_b(werner(STACK_QS)),
+            np.array([random_hermitian(rng) for _ in range(6)]).reshape(3, 2, 4, 4),
+        )
+        for stack in stacks:
+            eigs = hermitian_eigenvalues(stack)
+            assert eigs.shape == stack.shape[:-1]
+            for index in np.ndindex(stack.shape[:-2]):
+                assert_bitwise_equal(eigs[index], hermitian_eigenvalues(stack[index]))
+
+
+class TestPerMatrixGate:
+    """The Hermitian gate of a stack holds each matrix to its own largest
+    entry, never to the largest entry of the whole stack."""
+
+    def test_rejects_a_tiny_non_hermitian_matrix_next_to_a_unit_one(self):
+        unit = random_hermitian(np.random.default_rng(21))
+        tiny_bad = 1e-20 * np.array(
+            [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=complex
+        )
+        # its deviation, 1e-20, is far inside 1e-12 of the stack's largest entry
+        for stack, position in (([unit, tiny_bad], "1"), ([tiny_bad, unit], "0")):
+            with pytest.raises(ValueError, match=f"matrix at stack index {position} is not"):
+                hermitian_eigenvalues(np.array(stack))
+
+    def test_names_the_first_failing_matrix_of_a_nested_stack(self):
+        stack = np.tile(np.eye(4, dtype=complex), (2, 3, 1, 1))
+        stack[1, 1, 0, 1] = stack[1, 2, 0, 1] = 0.5
+        with pytest.raises(ValueError, match="matrix at stack index 1, 1 is not Hermitian"):
+            hermitian_eigenvalues(stack)
+
+    def test_passes_hermitian_matrices_at_every_scale(self):
+        rng = np.random.default_rng(22)
+        singles = [scale * random_hermitian(rng) for scale in (1e-20, 1.0, 1e-20, 1e3)]
+        eigs = hermitian_eigenvalues(np.array(singles))
+        for row, m in zip(eigs, singles):
+            assert_bitwise_equal(row, hermitian_eigenvalues(m))
+
+    def test_single_matrix_message_is_unchanged(self):
+        with pytest.raises(ValueError) as err:
+            hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
+        assert str(err.value) == "matrix is not Hermitian within 1e-12 of its largest entry"
 
 
 class TestPlumbing:

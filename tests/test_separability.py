@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import random_unit_axis
+from helpers import STACK_QS, THRESHOLD_QS, assert_bitwise_equal, random_unit_axis
 from wernerkit.linalg import PAULI_X, hermitian_eigenvalues, kron, partial_transpose_b
 from wernerkit.separability import (
     correlation,
@@ -26,6 +26,14 @@ class TestClosedForm:
             [0.0, 1 / 3, 1 / 3, 1 / 3],
             atol=1e-15,
         )
+
+    def test_stack_equals_scalar_calls_bitwise(self):
+        closed = werner_pt_eigenvalues_closed_form(STACK_QS)
+        assert closed.shape == (len(STACK_QS), 4)
+        for q, row in zip(STACK_QS.tolist(), closed):
+            assert_bitwise_equal(row, werner_pt_eigenvalues_closed_form(q))
+        with pytest.raises(ValueError, match=r"got -0\.5$"):
+            werner_pt_eigenvalues_closed_form(np.array([0.2, -0.5, 2.0]))
 
     def test_maximally_mixed(self):
         assert_allclose(werner_pt_eigenvalues_closed_form(0.0), [0.25] * 4, atol=0)
@@ -88,6 +96,64 @@ class TestPptTest:
         bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="eigenvalue"):
             ppt_test(bad)
+
+
+class TestPptStack:
+    """ppt_test on a stack of states against one call per state."""
+
+    def test_stack_equals_scalar_calls_bitwise(self):
+        for tol in (1e-10, 1e-3):
+            verdict = ppt_test(werner(STACK_QS), tol=tol)
+            assert verdict.eigenvalues.shape == (len(STACK_QS), 4)
+            assert verdict.tol == tol
+            for i, q in enumerate(STACK_QS.tolist()):
+                single = ppt_test(werner(q), tol=tol)
+                assert_bitwise_equal(verdict.eigenvalues[i], np.array(single.eigenvalues))
+                assert_bitwise_equal(verdict.min_eigenvalue[i], np.float64(single.min_eigenvalue))
+                assert verdict.separable[i] == single.separable
+
+    def test_verdict_flips_after_the_threshold(self):
+        verdict = ppt_test(werner(THRESHOLD_QS))
+        assert verdict.separable.tolist() == [True, True, True]
+        assert ppt_test(werner(np.array([1.0 / 3.0 + 1e-9]))).separable.tolist() == [False]
+
+    def test_single_state_gives_plain_values(self):
+        verdict = ppt_test(werner(0.2))
+        assert isinstance(verdict.min_eigenvalue, float)
+        assert isinstance(verdict.separable, bool)
+        assert isinstance(verdict.eigenvalues, tuple)
+        assert all(isinstance(x, float) for x in verdict.eigenvalues)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda m: m.__setitem__((0, 1), 1e-3), "not Hermitian within 1e-12"),
+            (lambda m: m.__imul__(2.0), "trace is (2+0j), expected 1"),
+            (
+                lambda m: m.__setitem__(Ellipsis, np.diag([1.5, -0.5, 0.0, 0.0])),
+                "smallest eigenvalue -0.5 is below -1e-10",
+            ),
+        ],
+        ids=["hermitian", "trace", "positivity"],
+    )
+    def test_errors_name_the_first_failing_matrix(self, corrupt, message):
+        single = werner(0.2)
+        corrupt(single)
+        with pytest.raises(ValueError) as err:
+            ppt_test(single)
+        assert str(err.value) == f"not a density matrix: {message}"
+
+        stack = werner(np.linspace(0.0, 1.0, 5))
+        for i in (3, 1):
+            corrupt(stack[i])
+        with pytest.raises(ValueError) as err:
+            ppt_test(stack)
+        assert str(err.value) == f"not a density matrix at stack index 1: {message}"
+
+    def test_rejects_wrong_shapes(self):
+        for bad in (np.zeros(16), np.zeros((3, 2, 2))):
+            with pytest.raises(ValueError, match="4x4 density matrix"):
+                ppt_test(bad)
 
 
 class TestCorrelation:

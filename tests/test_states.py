@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from helpers import random_bloch_vector, werner_matrix_closed_form
+from helpers import (
+    STACK_QS,
+    assert_bitwise_equal,
+    random_bloch_vector,
+    werner_matrix_closed_form,
+)
 from wernerkit.linalg import hermitian_eigenvalues, kron
 from wernerkit.states import (
     PositivityError,
@@ -32,6 +37,20 @@ class TestWerner:
     def test_rejects_out_of_range(self, q):
         with pytest.raises(ValueError, match="mixing parameter"):
             werner(q)
+
+    def test_stack_equals_scalar_calls_bitwise(self):
+        stack = werner(STACK_QS)
+        assert stack.shape == (len(STACK_QS), 4, 4)
+        for q, rho in zip(STACK_QS.tolist(), stack):
+            assert_bitwise_equal(rho, werner(q))
+        grid = STACK_QS[:6].reshape(2, 3)
+        assert_bitwise_equal(werner(grid)[1, 2], werner(float(grid[1, 2])))
+
+    def test_stack_names_the_first_bad_q(self):
+        with pytest.raises(ValueError, match=r"got 1\.5$"):
+            werner(np.array([0.2, 1.5, -0.5, float("nan")]))
+        with pytest.raises(ValueError, match=r"got nan$"):
+            werner(np.array([0.2, float("nan"), -0.5]))
 
     def test_family_is_hermitian_unit_trace_psd(self):
         for q in Q_GRID:
