@@ -89,6 +89,23 @@ def _max_abs(x) -> float:
     return float(np.max(np.abs(x)))
 
 
+class Table:
+    """Report rows held as named columns: each column an array with one
+    entry, shape (n,), or one vector, shape (n, k), per row.  JSON writes a
+    table as a list of row objects, each vector as a list."""
+
+    def __init__(self, **columns: np.ndarray):
+        self.columns = columns
+
+    def rows(self) -> list[dict]:
+        """The rows as dicts of Python values."""
+        names = list(self.columns)
+        return [
+            dict(zip(names, row))
+            for row in zip(*(c.tolist() for c in self.columns.values()))
+        ]
+
+
 @dataclass
 class RunReport:
     command: str
@@ -96,8 +113,11 @@ class RunReport:
     results: dict
     checks: list[Check] = field(default_factory=list)
     seed: int | None = None
+    # The CSV projection: a header name per CSV field, and the columns the
+    # fields come from, each an array (an (n, k) array gives k fields) or a
+    # list of scalars.
     csv_header: list[str] | None = None
-    csv_rows: list[list] | None = None
+    csv_columns: list | None = None
 
     @property
     def all_pass(self) -> bool:
@@ -116,49 +136,117 @@ class RunReport:
         return payload
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if obj is None or isinstance(obj, str):
-        return obj
-    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+def matrix_payload(m: np.ndarray) -> np.ndarray:
+    """Complex entries as [re, im] pairs along a new last axis."""
+    return np.stack((m.real, m.imag), axis=-1)
 
 
-def matrix_payload(m: np.ndarray) -> list:
-    """Complex matrix as nested [re, im] pairs."""
-    return [[[float(c.real), float(c.imag)] for c in row] for row in np.asarray(m)]
+# A string as JSON writes it, ASCII with escapes (json.dumps's default).
+_json_str = json.encoder.encode_basestring_ascii
+
+# Every renderer writes each float through one of two finite checks: one
+# np.isfinite per array column of a table or CSV projection, or one
+# math.isfinite per scalar.  A report never shows a NaN or an infinity; it
+# fails with ValueError (exit 2) instead.
+
+def _not_finite(value) -> ValueError:
+    return ValueError(f"report value {value} is not finite")
 
 
-def _fmt_csv(value) -> str:
+def _fmt_scalar(value) -> str:
+    """A scalar as JSON writes it, except that a string stays unquoted."""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise _not_finite(value)
         return repr(float(value))
-    return str(value)
+    if isinstance(value, str):
+        return value
+    if value is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(value).__name__} into a report")
+
+
+def _enclose(open_: str, parts: list[str], close: str, nl: str | None) -> str:
+    """Members joined as json.dumps(indent=2) writes a container whose own
+    line break and indentation is nl: one member per line, one level
+    deeper.  With nl None, on one line as json.dumps writes it unindented."""
+    if not parts:
+        return open_ + close
+    if nl is None:
+        return open_ + ", ".join(parts) + close
+    inner = nl + "  "
+    return f"{open_}{inner}{(',' + inner).join(parts)}{nl}{close}"
+
+
+def _column_values(column) -> tuple[str, list[list]]:
+    """A column as the printf format of one value and its scalar columns of
+    Python values: an (n, k) array gives k.  With %r a float or int is
+    written as JSON writes it, one float.__repr__ per value."""
+    if not isinstance(column, np.ndarray):
+        return "%s", [[_fmt_scalar(v) for v in column]]
+    if column.ndim > 2 or column.dtype.kind not in "biuf":
+        raise TypeError(f"cannot serialize a {column.dtype} column into a report")
+    finite = np.isfinite(column)
+    if not finite.all():
+        raise _not_finite(column[~finite][0])
+    subs = column.T.tolist() if column.ndim == 2 else [column.tolist()]
+    if column.dtype == bool:
+        return "%s", [["true" if v else "false" for v in sub] for sub in subs]
+    return "%r", subs
+
+
+def _json_table(table: Table, nl: str | None) -> str:
+    """A table as a JSON list of row objects: every row from one template
+    built for its depth, filled from the columns' .tolist() values."""
+    row_nl = None if nl is None else nl + "  "
+    field_nl = None if nl is None else row_nl + "  "
+    fields, values = [], []
+    for name, column in table.columns.items():
+        fmt, subs = _column_values(column)
+        values += subs
+        if column.ndim == 2:
+            fmt = _enclose("[", [fmt] * len(subs), "]", field_nl)
+        fields.append(_json_str(name).replace("%", "%%") + ": " + fmt)
+    template = _enclose("{", fields, "}", row_nl)
+    return _enclose("[", [template % row for row in zip(*values)], "]", nl)
+
+
+def _json(value, nl: str | None) -> str:
+    """value as json.dumps(value, indent=2) writes it, placed on a line
+    whose line break and indentation is nl (None: unindented)."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if not isinstance(value, (dict, list, tuple, np.ndarray, Table)):
+        return _fmt_scalar(value)
+    if isinstance(value, Table):
+        return _json_table(value, nl)
+    if isinstance(value, np.ndarray):
+        return _json(value.tolist(), nl)
+    inner = None if nl is None else nl + "  "
+    if isinstance(value, dict):
+        parts = [f"{_json_str(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return _enclose("{", parts, "}", nl)
+    return _enclose("[", [_json(v, inner) for v in value], "]", nl)
 
 
 def emit_json(report: RunReport) -> str:
-    return json.dumps(_jsonable(report.to_dict()), indent=2, allow_nan=False) + "\n"
+    return _json(report.to_dict(), "\n") + "\n"
 
 
 def emit_csv(report: RunReport) -> str:
-    if report.csv_header is None or report.csv_rows is None:
+    if report.csv_header is None or report.csv_columns is None:
         raise ValueError(f"command {report.command!r} has no CSV projection")
-    lines = [",".join(report.csv_header)]
-    for row in report.csv_rows:
-        lines.append(",".join(_fmt_csv(v) for v in row))
+    formats, values = [], []
+    for column in report.csv_columns:
+        fmt, subs = _column_values(column)
+        formats += [fmt] * len(subs)
+        values += subs
+    template = ",".join(formats)
+    lines = [",".join(report.csv_header), *(template % row for row in zip(*values))]
     return "\n".join(lines) + "\n"
 
 
@@ -166,17 +254,16 @@ def emit_pretty(report: RunReport) -> str:
     lines = [f"command: {report.command}"]
     if report.seed is not None:
         lines.append(f"seed: {report.seed}")
-    lines.append("parameters: " + json.dumps(_jsonable(report.parameters)))
+    lines.append("parameters: " + _json(report.parameters, None))
     lines.append("results:")
-    body = json.dumps(_jsonable(report.results), indent=2)
-    lines.extend("  " + ln for ln in body.splitlines())
+    lines.append("  " + _json(report.results, "\n  "))
     if report.checks:
         lines.append("checks:")
         for c in report.checks:
             tag = "PASS" if c.passed else "FAIL"
             lines.append(
-                f"  [{tag}] {c.name}: observed={_fmt_csv(c.observed)} "
-                f"expected={_fmt_csv(c.expected)} tolerance={_fmt_csv(c.tolerance)}"
+                f"  [{tag}] {c.name}: observed={_fmt_scalar(c.observed)} "
+                f"expected={_fmt_scalar(c.expected)} tolerance={_fmt_scalar(c.tolerance)}"
             )
     lines.append(f"tool_version: {__version__}")
     return "\n".join(lines) + "\n"
@@ -189,13 +276,21 @@ def _normalized_axis(values, flag: str) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError(f"axis {flag} must be finite, got {v.tolist()}")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
+    if not v.any():
         raise ValueError(f"axis {flag} must be nonzero")
-    if abs(norm - 1.0) > 1e-12:
+    scale = 1.0
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if not 1e-150 < norm < 1e150:
+        # the squared norm of this nonzero vector overflowed, underflowed or
+        # lost digits as a subnormal: divide by its largest entry first
+        scale = float(np.max(np.abs(v)))
+        v = v / scale
+        norm = float(np.linalg.norm(v))
+    if abs(norm * scale - 1.0) > 1e-12:
         normalized = v / norm
         print(
-            f"warning: axis {flag} has norm {norm}; normalized to "
+            f"warning: axis {flag} has norm {norm * scale}; normalized to "
             f"[{', '.join(repr(float(x)) for x in normalized)}]",
             file=sys.stderr,
         )
@@ -207,48 +302,36 @@ def cmd_matrix(args) -> RunReport:
     rho = werner(args.q)
     trace_dev = abs(complex(np.trace(rho)) - 1.0)
     herm_dev = _max_abs(rho - rho.conj().T)
-    report = RunReport(
+    entries = matrix_payload(rho)
+    index = np.arange(4)
+    return RunReport(
         command="matrix",
         parameters={"q": args.q},
-        results={"q": args.q, "matrix": matrix_payload(rho)},
+        results={"q": args.q, "matrix": entries},
         checks=[
             check_abs("trace_one", trace_dev, TRACE_TOL),
             check_abs("hermitian", herm_dev, HERMITIAN_TOL),
         ],
+        csv_header=["row", "col", "re", "im"],
+        csv_columns=[np.repeat(index, 4), np.tile(index, 4), entries.reshape(16, 2)],
     )
-    report.csv_header = ["row", "col", "re", "im"]
-    report.csv_rows = [
-        [i, j, float(rho[i, j].real), float(rho[i, j].imag)]
-        for i in range(4)
-        for j in range(4)
-    ]
-    return report
 
 
-def _ppt_rows(q: np.ndarray, rho: np.ndarray) -> list[dict]:
-    """The ppt report row of every q of a grid, from the stack rho =
-    werner(q): one PT test and one closed form over the whole grid."""
+def _ppt_table(q: np.ndarray, rho: np.ndarray) -> Table:
+    """The ppt report rows of a q grid, from the stack rho = werner(q): one
+    PT test and one closed form over the whole grid."""
     verdict = ppt_test(rho)
     closed = werner_pt_eigenvalues_closed_form(q)
-    deviation = np.max(np.abs(verdict.eigenvalues - closed), axis=-1)
-    expected = closed[:, 0] >= -verdict.tol
-    columns = (q, verdict.eigenvalues, closed, verdict.min_eigenvalue, verdict.separable,
-               deviation, expected)
-    return [
-        {
-            "q": q_i,
-            "eigenvalues": eigs,
-            "closed_form": closed_i,
-            "min_eigenvalue": min_eig,
-            "separable": separable,
-            "closed_form_deviation": dev,
-            "expected_separable": expected_i,
-            "tol": verdict.tol,
-        }
-        for q_i, eigs, closed_i, min_eig, separable, dev, expected_i in zip(
-            *(c.tolist() for c in columns)
-        )
-    ]
+    return Table(
+        q=q,
+        eigenvalues=verdict.eigenvalues,
+        closed_form=closed,
+        min_eigenvalue=verdict.min_eigenvalue,
+        separable=verdict.separable,
+        closed_form_deviation=np.max(np.abs(verdict.eigenvalues - closed), axis=-1),
+        expected_separable=closed[:, 0] >= -verdict.tol,
+        tol=np.full(q.shape, verdict.tol),
+    )
 
 
 def _q_grid(q_min: float, q_max: float, steps: float, kind: str) -> tuple[np.ndarray, int]:
@@ -274,28 +357,21 @@ def cmd_ppt(args) -> RunReport:
         q = np.array([args.q])
         parameters = {"q": args.q}
 
-    rows = _ppt_rows(q, werner(q))
-    max_dev = max(r["closed_form_deviation"] for r in rows)
-    verdicts_match = all(r["separable"] == r["expected_separable"] for r in rows)
-    report = RunReport(
+    table = _ppt_table(q, werner(q))
+    c = table.columns
+    max_dev = np.max(c["closed_form_deviation"])
+    verdicts_match = bool(np.all(c["separable"] == c["expected_separable"]))
+    return RunReport(
         command="ppt",
         parameters=parameters,
-        results={"rows": rows} if args.sweep is not None else rows[0],
+        results={"rows": table} if args.sweep is not None else table.rows()[0],
         checks=[
             check_abs("eigenvalues_match_closed_form", max_dev, EIGENVALUE_TOL),
             check_equal("verdict_matches_closed_form", verdicts_match, True),
         ],
+        csv_header=["q", "lambda_1", "lambda_2", "lambda_3", "lambda_4", "separable"],
+        csv_columns=[q, c["eigenvalues"], c["separable"]],
     )
-    report.csv_header = [
-        "q",
-        "lambda_1",
-        "lambda_2",
-        "lambda_3",
-        "lambda_4",
-        "separable",
-    ]
-    report.csv_rows = [[r["q"], *r["eigenvalues"], r["separable"]] for r in rows]
-    return report
 
 
 def _spherical_checks(dec, target: np.ndarray) -> tuple[np.ndarray, dict, list[Check]]:
@@ -347,73 +423,32 @@ def _wootters_checks(dec, target: np.ndarray) -> tuple[np.ndarray, dict, list[Ch
 def _spherical_report(q: float, n_theta: int, n_phi: int) -> RunReport:
     dec = spherical_decomposition(q, n_theta, n_phi)
     _, results, checks = _spherical_checks(dec, werner(q))
-    nodes = list(zip(dec.nodes.tolist(), dec.weights.tolist(), dec.a.tolist(), dec.b.tolist()))
-    report = RunReport(
+    nodes = Table(
+        theta=dec.nodes[:, 0], phi=dec.nodes[:, 1], weight=dec.weights, a=dec.a, b=dec.b
+    )
+    return RunReport(
         command="decompose",
         parameters={"q": q, "method": "spherical", "n_theta": n_theta, "n_phi": n_phi},
-        results={
-            "q": q,
-            "bloch_norm": math.sqrt(3.0 * q),
-            "nodes": [
-                {"theta": theta, "phi": phi, "weight": w, "a": a, "b": b}
-                for (theta, phi), w, a, b in nodes
-            ],
-            **results,
-        },
+        results={"q": q, "bloch_norm": math.sqrt(3.0 * q), "nodes": nodes, **results},
         checks=checks,
+        csv_header=["theta", "phi", "weight", "a_x", "a_y", "a_z", "b_x", "b_y", "b_z"],
+        csv_columns=list(nodes.columns.values()),
     )
-    report.csv_header = [
-        "theta",
-        "phi",
-        "weight",
-        "a_x",
-        "a_y",
-        "a_z",
-        "b_x",
-        "b_y",
-        "b_z",
-    ]
-    report.csv_rows = [[theta, phi, w, *a, *b] for (theta, phi), w, a, b in nodes]
-    return report
 
 
 def _wootters_report(q: float) -> RunReport:
     dec = wootters_decomposition(q)
     _, results, checks = _wootters_checks(dec, werner(q))
-    report = RunReport(
+    z = matrix_payload(np.stack(dec.z))
+    return RunReport(
         command="decompose",
         parameters={"q": q, "method": "wootters"},
-        results={
-            "q": q,
-            "thetas": list(dec.thetas),
-            "z_vectors": [
-                [[float(c.real), float(c.imag)] for c in z] for z in dec.z
-            ],
-            **results,
-        },
+        results={"q": q, "thetas": list(dec.thetas), "z_vectors": z, **results},
         checks=checks,
+        csv_header=["vector", "theta"]
+        + [f"c{i}_{part}" for i in range(4) for part in ("re", "im")],
+        csv_columns=[np.arange(1, 5), list(dec.thetas), z.reshape(4, 8)],
     )
-    report.csv_header = [
-        "vector",
-        "theta",
-        "c0_re",
-        "c0_im",
-        "c1_re",
-        "c1_im",
-        "c2_re",
-        "c2_im",
-        "c3_re",
-        "c3_im",
-    ]
-    report.csv_rows = [
-        [
-            i + 1,
-            dec.thetas[i],
-            *[part for c in dec.z[i] for part in (float(c.real), float(c.imag))],
-        ]
-        for i in range(4)
-    ]
-    return report
 
 
 def cmd_decompose(args) -> RunReport:
@@ -448,7 +483,7 @@ def cmd_hvsim(args) -> RunReport:
     corr, marg_a, marg_b = est.correlation, est.marginal_a, est.marginal_b
     analytic = -args.q * float(np.dot(axis_a, axis_b))
 
-    report = RunReport(
+    return RunReport(
         command="hvsim",
         parameters={
             "q": args.q,
@@ -469,34 +504,14 @@ def cmd_hvsim(args) -> RunReport:
             check_abs("marginal_b_within_5_sigma", marg_b.mean, _sigma_band(marg_b)),
         ],
         seed=args.seed,
+        csv_header=["q", "l_x", "l_y", "l_z", "m_x", "m_y", "m_z", "n_samples", "seed",
+                    "mean", "std_error", "analytic"],
+        csv_columns=[
+            [value]
+            for value in (args.q, *axis_a.tolist(), *axis_b.tolist(), args.samples,
+                          args.seed, corr.mean, corr.std_error, analytic)
+        ],
     )
-    report.csv_header = [
-        "q",
-        "l_x",
-        "l_y",
-        "l_z",
-        "m_x",
-        "m_y",
-        "m_z",
-        "n_samples",
-        "seed",
-        "mean",
-        "std_error",
-        "analytic",
-    ]
-    report.csv_rows = [
-        [
-            args.q,
-            *axis_a.tolist(),
-            *axis_b.tolist(),
-            args.samples,
-            args.seed,
-            corr.mean,
-            corr.std_error,
-            analytic,
-        ]
-    ]
-    return report
 
 
 # Each verify row's decomposition deviations, and the check over the grid
@@ -560,7 +575,7 @@ def cmd_verify(args) -> RunReport:
         default_grid = True
     q, steps = _q_grid(q_min, q_max, steps, "grid")
     rho = werner(q)
-    rows = [_verify_row(row, target) for row, target in zip(_ppt_rows(q, rho), rho)]
+    rows = [_verify_row(row, target) for row, target in zip(_ppt_table(q, rho).rows(), rho)]
     tested = [r for r in rows if r["skipped"] is None]
     skipped = [
         {"q": r["q"], "reason": r["skipped"]} for r in rows if r["skipped"] is not None
@@ -591,35 +606,18 @@ def cmd_verify(args) -> RunReport:
         # default endpoint is the double nearest 1/3
         parameters["grid"]["q_max_ratio"] = "1/3"
 
-    report = RunReport(
+    return RunReport(
         command="verify",
         parameters=parameters,
         results={"rows": rows, "skipped": skipped},
         checks=checks,
+        csv_header=["q", "ppt_deviation", "separable", *_VERIFY_CHECKS, "skipped"],
+        csv_columns=[
+            *([r[k] for r in rows] for k in ("q", "ppt_deviation", "separable")),
+            *(["" if r[k] is None else r[k] for r in rows] for k in _VERIFY_CHECKS),
+            ["" if r["skipped"] is None else r["skipped"].replace(",", ";") for r in rows],
+        ],
     )
-    report.csv_header = [
-        "q",
-        "ppt_deviation",
-        "separable",
-        "spherical_error",
-        "wootters_error",
-        "cross_error",
-        "moment_deviation",
-        "schmidt_max",
-        "phase_residual",
-        "skipped",
-    ]
-    report.csv_rows = [
-        [
-            r["q"],
-            r["ppt_deviation"],
-            r["separable"],
-            *["" if r[k] is None else r[k] for k in _VERIFY_CHECKS],
-            "" if r["skipped"] is None else r["skipped"].replace(",", ";"),
-        ]
-        for r in rows
-    ]
-    return report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -699,6 +697,12 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except (PositivityError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print(
+            f"error: the {args.command} report needs more memory than can be allocated",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
 
     if args.out is not None:

@@ -1,9 +1,16 @@
+import dataclasses
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import THRESHOLD_QS
 from wernerkit import cli, decomposition, hiddenvar
@@ -64,6 +71,12 @@ def reference_ppt_row(q: float) -> dict:
     }
 
 
+def as_json(value) -> str:
+    """JSON text of value, numpy scalars and arrays written as the Python
+    values they hold."""
+    return json.dumps(value, default=lambda v: v.tolist())
+
+
 # Q_MIN Q_MAX STEPS of a three-point grid on the doubles around 1/3.
 THRESHOLD_GRID = (repr(float(THRESHOLD_QS[0])), repr(float(THRESHOLD_QS[-1])), "3")
 
@@ -99,7 +112,7 @@ class TestGridOracle:
         for row in rows:
             q = row["q"]
             expected = cli._verify_row(reference_ppt_row(q), werner(q))
-            assert json.dumps(row) == json.dumps(cli._jsonable(expected))
+            assert json.dumps(row) == as_json(expected)
 
 
 class TestGridPassCount:
@@ -276,6 +289,14 @@ class TestDecomposeCommand:
         )
         assert len(report["results"]["nodes"]) == 6
 
+    def test_spherical_nodes_are_a_column_table(self):
+        args = cli.build_parser().parse_args(["decompose", "--q", "0.2", "--nodes", "2", "3"])
+        nodes = cli.cmd_decompose(args).results["nodes"]
+        assert isinstance(nodes, cli.Table)
+        assert {name: column.shape for name, column in nodes.columns.items()} == {
+            "theta": (6,), "phi": (6,), "weight": (6,), "a": (6, 3), "b": (6, 3),
+        }
+
     def test_domain_error_exits_3(self, capsys):
         code, out, err = run(capsys, "decompose", "--q", "0.34", "--method", "spherical")
         assert code == EXIT_DOMAIN
@@ -340,6 +361,28 @@ class TestHvsimCommand:
         assert "normalized" in err
         report = json.loads(out)
         assert report["parameters"]["l"] == [0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "axis, unit",
+        [
+            (("1e308", "1e308", "1e308"), [1 / math.sqrt(3.0)] * 3),
+            (("1e-320", "0", "0"), [1.0, 0.0, 0.0]),
+            (("3e-162", "4e-162", "0"), [0.6, 0.8, 0.0]),
+        ],
+    )
+    def test_axis_whose_squared_norm_leaves_the_normal_range(self, capsys, axis, unit):
+        # the squared norm overflows, underflows to 0 or is a subnormal with
+        # few digits; the axis is still a finite nonzero direction
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "hvsim", "--q", "0.1", "--l", *axis,
+                "--samples", "1000", "--seed", "1",
+            )
+        assert code == EXIT_OK
+        assert err.startswith("warning: axis --l has norm ")
+        assert err.count("\n") == 1
+        np.testing.assert_allclose(json.loads(out)["parameters"]["l"], unit, rtol=0, atol=1e-15)
 
     def test_zero_axis_exits_2(self, capsys):
         code, _, err = run(
@@ -545,6 +588,144 @@ class TestReportMachinery:
         report = RunReport(command="x", parameters={}, results={"mean": float("nan")})
         with pytest.raises(ValueError):
             emit_json(report)
+
+
+def _finite_report() -> RunReport:
+    values, column = [0.5, 1.5], np.array([0.5, 2.0])
+    return RunReport(
+        command="x",
+        parameters={"q": 0.5},
+        results={"mean": 0.25, "values": values, "rows": cli.Table(v=column)},
+        checks=[check_abs("c", 0.0, 1.0)],
+        csv_header=["v", "w"],
+        csv_columns=[column, values],
+    )
+
+
+class TestNonFiniteGate:
+    """No format writes a NaN or an infinity: rendering fails with
+    ValueError, and the CLI exits 2 with one line, whatever the format."""
+
+    def test_finite_report_renders(self):
+        for emit in cli._RENDERERS.values():
+            assert emit(_finite_report())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "fmt, where",
+        [(fmt, where) for fmt in ("json", "pretty")
+         for where in ("parameter", "scalar", "list", "table", "check")]
+        # the CSV projection: a list column, and an array shared with a table
+        + [("csv", "list"), ("csv", "table")],
+    )
+    def test_every_format_refuses_a_non_finite_value(self, fmt, where, bad):
+        report = _finite_report()
+        if where == "parameter":
+            report.parameters["q"] = np.float64(bad)
+        elif where == "scalar":
+            report.results["mean"] = bad
+        elif where == "list":
+            report.results["values"][1] = bad
+        elif where == "table":
+            report.results["rows"].columns["v"][1] = bad
+        else:
+            report.checks[0].observed = bad
+        with pytest.raises(ValueError, match="is not finite"):
+            cli._RENDERERS[fmt](report)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_non_finite_report_exits_2(self, capsys, monkeypatch, fmt):
+        ppt_test = cli.ppt_test
+
+        def nan_eigenvalues(rho):
+            verdict = ppt_test(rho)
+            return dataclasses.replace(verdict, eigenvalues=verdict.eigenvalues * np.nan)
+
+        monkeypatch.setattr(cli, "ppt_test", nan_eigenvalues)
+        code, out, err = run(capsys, "ppt", "--sweep", "0", "1", "3", "--format", fmt)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: report value nan is not finite\n"
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(0, 4))
+    columns = {}
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["float", "vector", "bool", "int"]))
+        if kind == "bool":
+            columns[f"c{i}"] = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        elif kind == "int":
+            columns[f"c{i}"] = np.array(draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
+        else:
+            k = 3 if kind == "vector" else None
+            values = draw(st.lists(_FLOATS, min_size=n * (k or 1), max_size=n * (k or 1)))
+            columns[f"c{i}"] = np.array(values, dtype=float).reshape((n, k) if k else (n,))
+    return cli.Table(**columns)
+
+
+class TestRendererOracle:
+    """The array renderer writes what json.dumps writes for the same values."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=_tables(), scalar=_FLOATS, text=st.text(max_size=8))
+    def test_json_and_pretty_match_json_dumps(self, table, scalar, text):
+        results = {"x": scalar, "s": text, "empty": [], "none": None, "rows": table}
+        plain = {**results, "rows": table.rows()}
+        report = RunReport(command="t", parameters={"p": [scalar, text]}, results=results)
+        expected = {**report.to_dict(), "results": plain}
+        assert cli.emit_json(report) == json.dumps(expected, indent=2) + "\n"
+        pretty = cli.emit_pretty(report).splitlines()
+        assert pretty[1] == "parameters: " + json.dumps(report.parameters)
+        body = json.dumps(plain, indent=2).splitlines()
+        assert pretty[3 : 3 + len(body)] == ["  " + line for line in body]
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=_tables())
+    def test_csv_matches_the_rows(self, table):
+        n_fields = sum(c.shape[1] if c.ndim == 2 else 1 for c in table.columns.values())
+        header = [f"f{i}" for i in range(n_fields)]
+        report = RunReport(command="t", parameters={}, results={}, csv_header=header,
+                           csv_columns=list(table.columns.values()))
+        expected = [",".join(header)]
+        for row in table.rows():
+            flat = [x for v in row.values() for x in (v if isinstance(v, list) else [v])]
+            expected.append(",".join(json.dumps(x) for x in flat))
+        assert cli.emit_csv(report) == "\n".join(expected) + "\n"
+
+
+class TestOutOfMemory:
+    """An argument whose arrays cannot be allocated exits 2 with one line.
+    Each run is a child process with a 1 GiB address-space limit that the
+    test sets on the child alone."""
+
+    @staticmethod
+    def _limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ppt", "--sweep", "0", "1", "1e12"],
+            ["verify", "--grid", "0", "1", "1e12"],
+            ["decompose", "--q", "0.2", "--nodes", "100000", "100000"],
+        ],
+    )
+    def test_unallocatable_report_exits_2(self, argv):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "wernerkit.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=self._limit_address_space,
+        )
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: the {argv[0]} report needs more memory than can be allocated\n"
 
 
 class TestOutputFile:

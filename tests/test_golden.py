@@ -1,0 +1,18 @@
+"""Every report of the golden argv set is byte-identical to its recorded
+digest: exit code, stdout, stderr and the --out file, in all three formats.
+See golden.py for the argv set and how to regenerate the digests."""
+
+import pytest
+
+import golden
+
+DIGESTS = golden.load()
+
+
+def test_digest_file_covers_the_argv_set():
+    assert sorted(DIGESTS) == sorted(golden.case_id(argv) for argv in golden.CASES)
+
+
+@pytest.mark.parametrize("argv", golden.CASES, ids=golden.case_id)
+def test_report_bytes_match_the_recorded_digest(argv):
+    assert golden.digest(argv) == DIGESTS[golden.case_id(argv)]
