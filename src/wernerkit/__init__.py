@@ -9,7 +9,6 @@ the induced local hidden variable model by seeded Monte Carlo.
 from .decomposition import (
     DecompositionDomainError,
     MomentReport,
-    SEPARABLE_Q_MAX,
     SphericalDecomposition,
     WoottersDecomposition,
     moment_check,
@@ -53,6 +52,7 @@ from .separability import (
 )
 from .states import (
     PositivityError,
+    SEPARABLE_Q_MAX,
     bell_state,
     bloch_state,
     marginal,

@@ -21,8 +21,9 @@ import numpy as np
 from . import __version__
 from .decomposition import (
     MOMENT_TOL,
+    SCHMIDT_TOL,
     DecompositionDomainError,
-    SEPARABLE_Q_MAX,
+    local_bloch_norm,
     moment_check,
     phase_constraint_residual,
     reconstruct,
@@ -33,7 +34,7 @@ from .decomposition import (
 from .hiddenvar import HvEstimate, estimate_all
 from .linalg import HERMITIAN_TOL
 from .separability import ppt_test, werner_pt_eigenvalues_closed_form
-from .states import PositivityError, werner
+from .states import PositivityError, SEPARABLE_Q_EDGE, SEPARABLE_Q_MAX, UNIT_AXIS_TOL, werner
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -44,7 +45,7 @@ EXIT_DOMAIN = 3
 TRACE_TOL = 1e-15
 EIGENVALUE_TOL = 1e-12
 RECONSTRUCTION_TOL = 1e-12
-SCHMIDT_TOL = 1e-12
+NORM_SUM_TOL = 1e-12
 PHASE_TOL = 1e-13
 CROSS_DECOMPOSITION_TOL = 1e-11
 WEIGHT_SUM_TOL = 1e-14
@@ -287,7 +288,7 @@ def _normalized_axis(values, flag: str) -> np.ndarray:
         scale = float(np.max(np.abs(v)))
         v = v / scale
         norm = float(np.linalg.norm(v))
-    if abs(norm * scale - 1.0) > 1e-12:
+    if abs(norm * scale - 1.0) > UNIT_AXIS_TOL:
         normalized = v / norm
         print(
             f"warning: axis {flag} has norm {norm * scale}; normalized to "
@@ -329,7 +330,7 @@ def _ppt_table(q: np.ndarray, rho: np.ndarray) -> Table:
         min_eigenvalue=verdict.min_eigenvalue,
         separable=verdict.separable,
         closed_form_deviation=np.max(np.abs(verdict.eigenvalues - closed), axis=-1),
-        expected_separable=closed[:, 0] >= -verdict.tol,
+        expected_separable=q <= SEPARABLE_Q_EDGE,
         tol=np.full(q.shape, verdict.tol),
     )
 
@@ -415,7 +416,7 @@ def _wootters_checks(dec, target: np.ndarray) -> tuple[np.ndarray, dict, list[Ch
         check_abs("reconstruction_error", recon_err, RECONSTRUCTION_TOL),
         check_abs("schmidt_determinant_max", max(dets), SCHMIDT_TOL),
         check_abs("phase_constraint_residual", residual, PHASE_TOL),
-        check_value("norm_squared_sum", norm_sum, 1.0, 1e-12),
+        check_value("norm_squared_sum", norm_sum, 1.0, NORM_SUM_TOL),
     ]
     return recon, results, checks
 
@@ -429,7 +430,7 @@ def _spherical_report(q: float, n_theta: int, n_phi: int) -> RunReport:
     return RunReport(
         command="decompose",
         parameters={"q": q, "method": "spherical", "n_theta": n_theta, "n_phi": n_phi},
-        results={"q": q, "bloch_norm": math.sqrt(3.0 * q), "nodes": nodes, **results},
+        results={"q": q, "bloch_norm": local_bloch_norm(q), "nodes": nodes, **results},
         checks=checks,
         csv_header=["theta", "phi", "weight", "a_x", "a_y", "a_z", "b_x", "b_y", "b_z"],
         csv_columns=list(nodes.columns.values()),

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import bell_state, bloch_state, validate_mixing_parameter
+from .states import SEPARABLE_Q_EDGE, bell_state, bloch_state, validate_mixing_parameter
 
 __all__ = [
     "DecompositionDomainError",
-    "SEPARABLE_Q_MAX",
     "SphericalDecomposition",
     "WoottersDecomposition",
     "MomentReport",
@@ -37,15 +36,11 @@ __all__ = [
     "schmidt_determinant",
     "schmidt_rank_one_check",
     "phase_constraint_residual",
+    "local_bloch_norm",
 ]
 
-SEPARABLE_Q_MAX = 1.0 / 3.0
-
-# Accept the exact double nearest 1/3 plus rounding slack; anything beyond
-# puts the local Bloch vectors outside the unit ball.
-_Q_BOUNDARY_TOL = 1e-15
-
 MOMENT_TOL = 1e-13
+SCHMIDT_TOL = 1e-12
 
 
 class DecompositionDomainError(ValueError):
@@ -60,7 +55,7 @@ class DecompositionDomainError(ValueError):
 
 def _require_separable_q(q: float) -> float:
     q = validate_mixing_parameter(q)
-    if q > SEPARABLE_Q_MAX + _Q_BOUNDARY_TOL:
+    if q > SEPARABLE_Q_EDGE:
         raise DecompositionDomainError(
             q,
             f"q = {q} is past the separability threshold 1/3: the local Bloch "
@@ -68,6 +63,12 @@ def _require_separable_q(q: float) -> float:
             "exceeding the unit ball allowed by positivity of the local states",
         )
     return q
+
+
+def local_bloch_norm(q: float) -> float:
+    """|a| = |b| = sqrt(3q), held at 1 for q in (1/3, SEPARABLE_Q_EDGE], where
+    3q passes 1 by rounding only, so that every local vector is a state."""
+    return math.sqrt(min(3.0 * q, 1.0))
 
 
 def _frozen(x: np.ndarray) -> np.ndarray:
@@ -80,8 +81,9 @@ class SphericalDecomposition:
     """The spherical product quadrature as read-only, C-contiguous arrays with
     one row per node, theta-major: nodes (n, 2) holds (theta, phi), weights
     (n,) absorb the 1/4pi distribution and the sin(theta) volume element,
-    directions (n, 3) are the unit vectors f(theta, phi), and a = sqrt(3q) f
-    are party A's Bloch vectors.  Party B's, b = -a, are derived on access."""
+    directions (n, 3) are the unit vectors f(theta, phi), and
+    a = local_bloch_norm(q) f are party A's Bloch vectors.  Party B's,
+    b = -a, are derived on access."""
 
     q: float
     n_theta: int
@@ -158,7 +160,7 @@ def spherical_decomposition(
         nodes=nodes,
         weights=weights,
         directions=directions,
-        a=_frozen(math.sqrt(3.0 * q) * directions),
+        a=_frozen(local_bloch_norm(q) * directions),
     )
 
 
@@ -211,8 +213,7 @@ def wootters_decomposition(q: float) -> WoottersDecomposition:
         -1j * (math.sqrt(1.0 - q) / 2.0) * bell_state("phi_plus"),
     )
 
-    # 1 - 3q can round to a tiny negative at the q = 1/3 boundary; clamp after
-    # the domain check so the square root stays real.
+    # 1 - 3q < 0 for q in (1/3, SEPARABLE_Q_EDGE]: clamp so the root stays real
     cos3 = math.sqrt(max(0.0, 1.0 - 3.0 * q) / (2.0 * (1.0 - q)))
     sin3 = math.sqrt((1.0 + q) / (2.0 * (1.0 - q)))
     thetas = (
@@ -292,7 +293,7 @@ def schmidt_determinant(v) -> complex:
     return v[0] * v[3] - v[1] * v[2]
 
 
-def schmidt_rank_one_check(v, tol: float = 1e-12) -> bool:
+def schmidt_rank_one_check(v, tol: float = SCHMIDT_TOL) -> bool:
     """True if a two-qubit vector is a product state: its Schmidt determinant
     vanishes within tol, scaled by the squared norm when that exceeds 1."""
     v = np.asarray(v, dtype=complex).reshape(-1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import _require_separable_q, sphere_direction
+from .decomposition import _require_separable_q, local_bloch_norm, sphere_direction
 from .states import _unit_axis
 
 __all__ = [
@@ -85,7 +85,7 @@ def outcome_a(sample: HvSample, q: float, axis) -> int:
     """Party A's deterministic outcome: +1 iff lambda_a <= (1 + l.a)/2."""
     q = _require_separable_q(q)
     axis = _unit_axis(axis, "axis")
-    a = math.sqrt(3.0 * q) * sphere_direction(sample.theta, sample.phi)
+    a = local_bloch_norm(q) * sphere_direction(sample.theta, sample.phi)
     threshold = 0.5 * (1.0 + float(np.dot(axis, a)))
     return 1 if sample.lambda_a <= threshold else -1
 
@@ -94,7 +94,7 @@ def outcome_b(sample: HvSample, q: float, axis) -> int:
     """Party B's deterministic outcome; B's local vector is b = -a."""
     q = _require_separable_q(q)
     axis = _unit_axis(axis, "axis")
-    b = -math.sqrt(3.0 * q) * sphere_direction(sample.theta, sample.phi)
+    b = -local_bloch_norm(q) * sphere_direction(sample.theta, sample.phi)
     threshold = 0.5 * (1.0 + float(np.dot(axis, b)))
     return 1 if sample.lambda_b <= threshold else -1
 
@@ -107,7 +107,7 @@ def _chunk_sizes(n_samples: int, chunks: int) -> list[int]:
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     # Sub-stream per chunk derived from (seed, chunk index); merging chunk
     # results in index order is therefore independent of who computed them.
-    return np.random.default_rng([seed % (1 << 64), index])
+    return np.random.default_rng([seed, index])
 
 
 def _draw_batch(rng: np.random.Generator, n: int):
@@ -153,7 +153,7 @@ def _count_outcomes(
     """One pass over the seeded draws, with A measured along axis_a and B along
     axis_b.  Returns the number of draws with A = +1, with B = +1, and with
     A == B; counts of +/-1 outcomes merge exactly across chunks and blocks."""
-    radius = math.sqrt(3.0 * q)
+    radius = local_bloch_norm(q)
     plus_a = plus_b = agree = 0
     for index, size in enumerate(_chunk_sizes(n_samples, chunks)):
         draws = _draw_batch(_chunk_rng(seed, index), size)
@@ -188,7 +188,9 @@ def _estimate(plus: int, n_samples: int, seed: int) -> HvEstimate:
     return HvEstimate(mean=mean, std_error=std_error, n_samples=n_samples, seed=seed)
 
 
-def _validate_sampling(n_samples: int, chunks: int) -> None:
+def _validate_sampling(n_samples: int, chunks: int, seed: int) -> None:
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if not 1 <= chunks <= n_samples:
@@ -207,7 +209,7 @@ def estimate_all(
     q = _require_separable_q(q)
     la = _unit_axis(axis_a, "axis_a")
     mb = _unit_axis(axis_b, "axis_b")
-    _validate_sampling(n_samples, chunks)
+    _validate_sampling(n_samples, chunks, seed)
 
     plus_a, plus_b, agree = _count_outcomes(q, la, mb, n_samples, seed, chunks)
     return HvEstimates(
@@ -238,7 +240,7 @@ def estimate_local(
     v = _unit_axis(axis, "axis")
     if subsystem not in ("A", "B"):
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    _validate_sampling(n_samples, chunks)
+    _validate_sampling(n_samples, chunks, seed)
 
     plus_a, plus_b, _ = _count_outcomes(q, v, v, n_samples, seed, chunks)
     return _estimate(plus_a if subsystem == "A" else plus_b, n_samples, seed)

@@ -19,7 +19,7 @@ from .linalg import (
     kron,
     partial_transpose_b,
 )
-from .states import _unit_axis, validate_mixing_parameter
+from .states import PPT_TOL, UNIT_TRACE_TOL, _unit_axis, validate_mixing_parameter
 
 __all__ = [
     "PptVerdict",
@@ -29,10 +29,7 @@ __all__ = [
     "local_expectation",
 ]
 
-# A slightly negative threshold keeps the verdict stable against eigensolver
-# rounding at the critical point, where the smallest eigenvalue is exactly 0.
-DEFAULT_PPT_TOL = 1e-10
-
+_POSITIVITY_TOL = 1e-10  # input rounding, not the separability boundary
 _IMAG_TOL = 1e-12
 
 
@@ -49,10 +46,10 @@ class PptVerdict:
     tol: float
 
 
-def _validate_density_matrix(rho, tol: float) -> np.ndarray:
+def _validate_density_matrix(rho) -> np.ndarray:
     """A 4x4 density matrix, or a stack of them, checked matrix by matrix:
-    Hermitian, unit trace, no eigenvalue below -tol.  An error names the
-    first matrix that fails."""
+    Hermitian, unit trace, no eigenvalue below -_POSITIVITY_TOL.  An error
+    names the first matrix that fails."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
@@ -61,43 +58,46 @@ def _validate_density_matrix(rho, tol: float) -> np.ndarray:
         _, where = _first_failure(bad)
         raise ValueError(f"not a density matrix{where}: not Hermitian within {HERMITIAN_TOL}")
     tr = np.trace(rho, axis1=-2, axis2=-1)
-    bad = np.abs(tr - 1.0) > 1e-12
+    bad = np.abs(tr - 1.0) > UNIT_TRACE_TOL
     if bad.any():
         index, where = _first_failure(bad)
         raise ValueError(
             f"not a density matrix{where}: trace is {complex(tr[index])}, expected 1"
         )
     smallest = hermitian_eigenvalues(rho)[..., 0]
-    bad = smallest < -tol
+    bad = smallest < -_POSITIVITY_TOL
     if bad.any():
         index, where = _first_failure(bad)
         raise ValueError(
             f"not a density matrix{where}: smallest eigenvalue "
-            f"{float(smallest[index])} is below -{tol}"
+            f"{float(smallest[index])} is below -{_POSITIVITY_TOL}"
         )
     return rho
 
 
-def ppt_test(rho, tol: float = DEFAULT_PPT_TOL) -> PptVerdict:
+def ppt_test(rho) -> PptVerdict:
     """Partial-transpose criterion on a two-qubit density matrix, or on each
     matrix of a stack of shape (..., 4, 4) at once.
 
     The state is reported separable iff all eigenvalues of the partially
-    transposed matrix are >= -tol.  For two qubits this criterion is exact,
-    so on the Werner family the verdict equals q <= 1/3.
+    transposed matrix are >= -PPT_TOL.  For two qubits this criterion is
+    exact, so on the Werner family the verdict equals q <= SEPARABLE_Q_EDGE,
+    and product states of Bloch norm <= BLOCH_NORM_MAX are separable.  An
+    input is accepted with eigenvalues down to -_POSITIVITY_TOL; where its own
+    spectrum dips below -PPT_TOL, the verdict reads that rounding.
     """
-    rho = _validate_density_matrix(rho, tol)
+    rho = _validate_density_matrix(rho)
     eigs = hermitian_eigenvalues(partial_transpose_b(rho))
     min_eig = eigs[..., 0]
-    separable = min_eig >= -tol
+    separable = min_eig >= -PPT_TOL
     if eigs.ndim == 1:
         return PptVerdict(
             min_eigenvalue=float(min_eig),
             eigenvalues=tuple(eigs.tolist()),
             separable=bool(separable),
-            tol=float(tol),
+            tol=PPT_TOL,
         )
-    return PptVerdict(min_eig, eigs, separable, float(tol))
+    return PptVerdict(min_eig, eigs, separable, PPT_TOL)
 
 
 def werner_pt_eigenvalues_closed_form(q) -> np.ndarray:

@@ -3,13 +3,18 @@ single-qubit states, product states, and reduced (marginal) states."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .linalg import IDENTITY_2, IDENTITY_4, PAULI_X, PAULI_Y, PAULI_Z, kron
 
 __all__ = [
     "PositivityError",
-    "BLOCH_NORM_TOL",
+    "SEPARABLE_Q_MAX",
+    "SEPARABLE_Q_EDGE",
+    "PPT_TOL",
+    "BLOCH_NORM_MAX",
     "bell_state",
     "werner",
     "bloch_state",
@@ -17,11 +22,20 @@ __all__ = [
     "marginal",
 ]
 
-# Accepting a Bloch norm up to 1 + 1e-12 keeps the pure-state boundary
-# (norm sqrt(3q) = 1 at the critical mixing parameter 1/3) inside the domain.
-BLOCH_NORM_TOL = 1e-12
+# The paper's separability threshold, where |a| = |b| = sqrt(3q) reaches 1,
+# and the one accepted edge, 64 doubles above it.  PPT_TOL, the low PT
+# eigenvalue |1 - 3q|/4 at the edge, makes eigvalsh's verdict agree with
+# q <= SEPARABLE_Q_EDGE on every double within 2^-40 of 1/3 (an edge at 1/3
+# would not).  A product state with |a|, |b| <= BLOCH_NORM_MAX has a PT
+# eigenvalue no lower than about -PPT_TOL/4, which leaves eigvalsh three
+# quarters of PPT_TOL (9 eps) of rounding on such unit-scale spectra.
+SEPARABLE_Q_MAX = 1.0 / 3.0
+SEPARABLE_Q_EDGE = SEPARABLE_Q_MAX + 64 * math.ulp(SEPARABLE_Q_MAX)
+PPT_TOL = abs(1.0 - 3.0 * SEPARABLE_Q_EDGE) / 4.0
+BLOCH_NORM_MAX = 1.0 + PPT_TOL / 2.0
 
-_UNIT_AXIS_TOL = 1e-12
+UNIT_AXIS_TOL = 1e-12
+UNIT_TRACE_TOL = 1e-12
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -58,7 +72,7 @@ def _unit_axis(v, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a real 3-vector, got shape {v.shape}")
     norm = float(np.linalg.norm(v))
     # negated so that a NaN norm, from a non-finite entry, is rejected too
-    if not abs(norm - 1.0) <= _UNIT_AXIS_TOL:
+    if not abs(norm - 1.0) <= UNIT_AXIS_TOL:
         raise ValueError(f"{name} must be a finite unit vector, got norm {norm}")
     return v
 
@@ -98,14 +112,14 @@ def bloch_state(v) -> np.ndarray:
     """Single-qubit density matrix (I + v . sigma) / 2; a stack of Bloch
     vectors of shape (..., 3) gives the stack of matrices, shape (..., 2, 2).
 
-    Requires |v| <= 1 + 1e-12 for every vector; beyond that the operator
-    would have a negative eigenvalue (1 - |v|)/2 and PositivityError is
-    raised.  Eigenvalues are (1 +- |v|)/2, so boundary vectors within the
-    tolerance may carry an eigenvalue as low as -5e-13.
+    Requires |v| <= BLOCH_NORM_MAX = 1 + 6 ulps for every vector; beyond that
+    the operator would have a negative eigenvalue (1 - |v|)/2 and
+    PositivityError is raised.  Eigenvalues are (1 +- |v|)/2, so boundary
+    vectors may carry an eigenvalue as low as -6.7e-16.
     """
     v = _as_bloch(v)
     norm = float(np.max(np.linalg.norm(v, axis=-1)))
-    if norm > 1.0 + BLOCH_NORM_TOL:
+    if norm > BLOCH_NORM_MAX:
         raise PositivityError(
             f"Bloch vector norm {norm} exceeds 1; the operator (I + v.sigma)/2 "
             "would not be positive semidefinite"
@@ -125,8 +139,8 @@ def marginal(rho, subsystem: str) -> np.ndarray:
     if rho.shape != (4, 4):
         raise ValueError(f"marginal requires a 4x4 density matrix, got {rho.shape}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > 1e-12:
-        raise ValueError(f"marginal requires trace 1 within 1e-12, got {tr}")
+    if abs(tr - 1.0) > UNIT_TRACE_TOL:
+        raise ValueError(f"marginal requires trace 1 within {UNIT_TRACE_TOL}, got {tr}")
     t = rho.reshape(2, 2, 2, 2)
     if subsystem == "A":
         return np.einsum("ikjk->ij", t)

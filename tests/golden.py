@@ -2,11 +2,14 @@
 argv set in every output format, plus the written file of `--out` runs.
 
 `test_golden.py` compares the program against `golden_digests.json`.  A
-change that alters a report on purpose regenerates the file with
+change that alters a report on purpose lists the cases whose digest differs,
+without writing, with
+
+    PYTHONPATH=src python tests/golden.py --changed
+
+names them in CHANGES.md, and regenerates the file with
 
     PYTHONPATH=src python tests/golden.py
-
-and names the changed argv in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -75,6 +78,18 @@ ARGVS = [
     ["hvsim", "--q", "0.4", "--samples", "10"],
 ]
 
+# The separability boundary: a q past 1/3 by 6.7e-11, the accepted edge
+# SEPARABLE_Q_EDGE and the first double past it, each through every command
+# that decides on q.
+for _q in ("0.3333333334", "0.33333333333333687", "0.3333333333333369"):
+    ARGVS += [
+        ["ppt", "--q", _q],
+        ["decompose", "--q", _q],
+        ["decompose", "--q", _q, "--method", "wootters"],
+        ["hvsim", "--q", _q, "--samples", "10"],
+        ["verify", "--grid", _q, _q, "1"],
+    ]
+
 CASES = [argv + ["--format", fmt] for argv in ARGVS for fmt in FORMATS]
 
 
@@ -107,6 +122,13 @@ def load() -> dict[str, str]:
     return json.loads(DIGESTS.read_text())
 
 
+def changed() -> list[str]:
+    """The ids of the cases whose digest differs from, or is missing in,
+    the recorded file."""
+    recorded = load()
+    return [case_id(argv) for argv in CASES if recorded.get(case_id(argv)) != digest(argv)]
+
+
 def write() -> None:
     digests = {case_id(argv): digest(argv) for argv in CASES}
     DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")
@@ -114,4 +136,10 @@ def write() -> None:
 
 
 if __name__ == "__main__":
-    write()
+    if sys.argv[1:] == ["--changed"]:
+        for cid in changed():
+            print(cid)
+    elif sys.argv[1:]:
+        sys.exit(f"usage: {sys.argv[0]} [--changed]")
+    else:
+        write()

@@ -27,7 +27,7 @@ from wernerkit.cli import (
     main,
 )
 from wernerkit.separability import ppt_test, werner_pt_eigenvalues_closed_form
-from wernerkit.states import werner
+from wernerkit.states import SEPARABLE_Q_EDGE, werner
 
 
 def run(capsys, *argv):
@@ -66,7 +66,7 @@ def reference_ppt_row(q: float) -> dict:
         "min_eigenvalue": verdict.min_eigenvalue,
         "separable": verdict.separable,
         "closed_form_deviation": float(np.max(np.abs(np.asarray(verdict.eigenvalues) - closed))),
-        "expected_separable": bool(closed[0] >= -verdict.tol),
+        "expected_separable": q <= SEPARABLE_Q_EDGE,
         "tol": verdict.tol,
     }
 
@@ -343,6 +343,21 @@ class TestHvsimCommand:
         _, out1, _ = run(capsys, *self.ARGS)
         _, out2, _ = run(capsys, *self.ARGS)
         assert out1 == out2
+
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+    def test_seed_outside_64_bits_exits_2(self, capsys, seed):
+        code, out, err = run(
+            capsys, "hvsim", "--q", "0.2", "--samples", "1000", "--seed", seed, "--format", "csv"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: seed must be in [0, 2**64), got {seed}\n"
+
+    @pytest.mark.parametrize("seed", ["0", "18446744073709551615"])
+    def test_seeds_at_the_64_bit_range_ends_run(self, capsys, seed):
+        code, report, _ = run_json(capsys, "hvsim", "--q", "0.2", "--samples", "1000", "--seed", seed)
+        assert code == EXIT_OK
+        assert report["seed"] == int(seed)
 
     def test_q_zero(self, capsys):
         code, report, _ = run_json(

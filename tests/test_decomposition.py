@@ -10,6 +10,7 @@ from helpers import werner_matrix_closed_form
 from wernerkit.decomposition import (
     DecompositionDomainError,
     _quadrature,
+    local_bloch_norm,
     moment_check,
     phase_constraint_residual,
     reconstruct,
@@ -19,10 +20,11 @@ from wernerkit.decomposition import (
     spherical_decomposition,
     wootters_decomposition,
 )
-from wernerkit.states import bell_state, product_state, werner
+from wernerkit.states import SEPARABLE_Q_EDGE, bell_state, product_state, werner
 
 Q_THIRD = 1.0 / 3.0
-SEPARABLE_QS = [0.0, 0.1, 0.2, Q_THIRD]
+SEPARABLE_QS = [0.0, 0.1, 0.2, Q_THIRD, SEPARABLE_Q_EDGE]
+PAST_EDGE = math.nextafter(SEPARABLE_Q_EDGE, 1.0)
 
 
 class TestSphericalConstruction:
@@ -47,6 +49,12 @@ class TestSphericalConstruction:
         assert np.all(np.abs(np.linalg.norm(dec.a, axis=1) - 1.0) < 1e-14)
         below = spherical_decomposition(0.2)
         assert np.all(np.linalg.norm(below.a, axis=1) < 1.0)
+
+    def test_edge_nodes_are_the_one_third_nodes(self):
+        # past 1/3 by rounding only, |a| stays 1, so every node is a state
+        assert local_bloch_norm(SEPARABLE_Q_EDGE) == 1.0
+        edge = spherical_decomposition(SEPARABLE_Q_EDGE, 7, 11)
+        assert np.array_equal(edge.a, spherical_decomposition(Q_THIRD, 7, 11).a)
 
     def test_q_zero_nodes_are_origin(self):
         dec = spherical_decomposition(0.0)
@@ -85,7 +93,8 @@ class TestSphericalArrayOracle:
         dec = spherical_decomposition(q, *nodes)
         for (theta, phi), f, a in zip(dec.nodes.tolist(), dec.directions, dec.a):
             assert np.array_equal(f, sphere_direction(theta, phi))
-            assert np.array_equal(a, math.sqrt(3.0 * q) * sphere_direction(theta, phi))
+            radius = math.sqrt(min(3.0 * q, 1.0))
+            assert np.array_equal(a, radius * sphere_direction(theta, phi))
         assert np.array_equal(dec.b, -dec.a)
 
     @pytest.mark.parametrize("q", SEPARABLE_QS)
@@ -172,19 +181,19 @@ class TestMoments:
 
 
 class TestDomainBoundary:
-    @pytest.mark.parametrize("q", [Q_THIRD + 1e-6, 0.34, 0.5, 1.0])
+    @pytest.mark.parametrize("q", [PAST_EDGE, Q_THIRD + 1e-6, 0.34, 0.5, 1.0])
     def test_spherical_rejects_inseparable(self, q):
         with pytest.raises(DecompositionDomainError) as exc:
             spherical_decomposition(q)
         assert exc.value.bloch_norm == pytest.approx(math.sqrt(3 * q))
         assert "sqrt(3q)" in str(exc.value)
 
-    @pytest.mark.parametrize("q", [Q_THIRD + 1e-6, 0.34, 0.5, 1.0])
+    @pytest.mark.parametrize("q", [PAST_EDGE, Q_THIRD + 1e-6, 0.34, 0.5, 1.0])
     def test_wootters_rejects_inseparable(self, q):
         with pytest.raises(DecompositionDomainError):
             wootters_decomposition(q)
 
-    @pytest.mark.parametrize("q", [0.0, Q_THIRD])
+    @pytest.mark.parametrize("q", [0.0, Q_THIRD, SEPARABLE_Q_EDGE])
     def test_constructors_accept_boundary(self, q):
         assert spherical_decomposition(q).q == q
         assert wootters_decomposition(q).q == q
@@ -294,7 +303,7 @@ class TestCrossDecomposition:
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.floats(min_value=0.0, max_value=Q_THIRD, allow_nan=False))
+@given(st.floats(min_value=0.0, max_value=SEPARABLE_Q_EDGE, allow_nan=False))
 def test_decompositions_reconstruct_for_any_separable_q(q):
     target = werner(q)
     assert np.max(np.abs(reconstruct(spherical_decomposition(q)) - target)) < 1e-12

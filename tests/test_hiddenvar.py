@@ -177,6 +177,19 @@ class TestEstimateCorrelation:
         with pytest.raises(ValueError, match="unit"):
             estimate_correlation(0.1, 2 * Z_AXIS, Z_AXIS, 10, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_64_bits_is_rejected(self, seed):
+        # a wider seed would otherwise alias the stream of another seed
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            estimate_correlation(0.1, Z_AXIS, Z_AXIS, 10, seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            estimate_local(0.1, Z_AXIS, "A", 10, seed=seed)
+
+    def test_64_bit_seed_range_ends_are_distinct_streams(self):
+        low = estimate_correlation(0.1, Z_AXIS, X_AXIS, 1000, seed=0)
+        high = estimate_correlation(0.1, Z_AXIS, X_AXIS, 1000, seed=2**64 - 1)
+        assert low.mean != high.mean
+
 
 class TestEstimateLocal:
     @pytest.mark.parametrize(
@@ -221,7 +234,7 @@ def _three_pass_reference(q, axis_a, axis_b, n_samples, seed, chunks):
     def one_pass(combine):
         parts = []
         for index, size in enumerate(sizes):
-            rng = np.random.default_rng([seed % (1 << 64), index])
+            rng = np.random.default_rng([seed, index])
             cos_t = rng.uniform(-1.0, 1.0, size)
             phi = rng.uniform(0.0, 2.0 * math.pi, size) % (2.0 * math.pi)
             lam_a = rng.random(size)

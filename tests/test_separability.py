@@ -10,7 +10,7 @@ from wernerkit.separability import (
     ppt_test,
     werner_pt_eigenvalues_closed_form,
 )
-from wernerkit.states import bloch_state, product_state, werner
+from wernerkit.states import SEPARABLE_Q_EDGE, bloch_state, product_state, werner
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -52,13 +52,8 @@ class TestPptTest:
             assert np.max(np.abs(np.array(verdict.eigenvalues) - closed)) < 1e-12
 
     def test_verdict_boundary_on_grid(self):
-        tol = 1e-10
         for q in Q_GRID:
-            verdict = ppt_test(werner(q), tol=tol)
-            if q <= 1.0 / 3.0:
-                assert verdict.separable, q
-            elif q >= 1.0 / 3.0 + 10 * tol:
-                assert not verdict.separable, q
+            assert ppt_test(werner(q)).separable == (q <= 1.0 / 3.0), q
 
     def test_maximally_mixed_all_quarters(self):
         verdict = ppt_test(werner(0.0))
@@ -80,7 +75,8 @@ class TestPptTest:
         assert verdict.min_eigenvalue == pytest.approx(-0.5, abs=1e-12)
 
     def test_verdict_records_tol(self):
-        assert ppt_test(werner(0.1), tol=1e-9).tol == 1e-9
+        # the low PT eigenvalue (1 - 3q)/4 at the accepted edge, in magnitude
+        assert ppt_test(werner(0.1)).tol == abs(1.0 - 3.0 * SEPARABLE_Q_EDGE) / 4.0
 
     def test_rejects_non_hermitian(self):
         bad = werner(0.2).astype(complex)
@@ -102,15 +98,14 @@ class TestPptStack:
     """ppt_test on a stack of states against one call per state."""
 
     def test_stack_equals_scalar_calls_bitwise(self):
-        for tol in (1e-10, 1e-3):
-            verdict = ppt_test(werner(STACK_QS), tol=tol)
-            assert verdict.eigenvalues.shape == (len(STACK_QS), 4)
-            assert verdict.tol == tol
-            for i, q in enumerate(STACK_QS.tolist()):
-                single = ppt_test(werner(q), tol=tol)
-                assert_bitwise_equal(verdict.eigenvalues[i], np.array(single.eigenvalues))
-                assert_bitwise_equal(verdict.min_eigenvalue[i], np.float64(single.min_eigenvalue))
-                assert verdict.separable[i] == single.separable
+        verdict = ppt_test(werner(STACK_QS))
+        assert verdict.eigenvalues.shape == (len(STACK_QS), 4)
+        for i, q in enumerate(STACK_QS.tolist()):
+            single = ppt_test(werner(q))
+            assert_bitwise_equal(verdict.eigenvalues[i], np.array(single.eigenvalues))
+            assert_bitwise_equal(verdict.min_eigenvalue[i], np.float64(single.min_eigenvalue))
+            assert verdict.separable[i] == single.separable
+            assert verdict.tol == single.tol
 
     def test_verdict_flips_after_the_threshold(self):
         verdict = ppt_test(werner(THRESHOLD_QS))

@@ -10,6 +10,7 @@ from helpers import (
 )
 from wernerkit.linalg import hermitian_eigenvalues, kron
 from wernerkit.states import (
+    BLOCH_NORM_MAX,
     PositivityError,
     bell_state,
     bloch_state,
@@ -104,6 +105,14 @@ class TestBlochState:
     def test_boundary_accepted(self):
         rho = bloch_state((1.0, 0.0, 0.0))
         assert abs(np.trace(rho) - 1.0) < 1e-15
+
+    def test_norm_bound_is_exact(self):
+        # 6 ulps above 1: half of PPT_TOL, 12 ulps at the accepted edge; the
+        # next double up is refused
+        assert BLOCH_NORM_MAX == 1.0 + 6 * np.finfo(float).eps
+        bloch_state((0.0, BLOCH_NORM_MAX, 0.0))
+        with pytest.raises(PositivityError):
+            bloch_state((0.0, np.nextafter(BLOCH_NORM_MAX, 2.0), 0.0))
 
     def test_eigenvalues_from_norm(self):
         rng = np.random.default_rng(21)
