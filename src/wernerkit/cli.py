@@ -86,25 +86,25 @@ def check_value(name: str, observed: float, expected: float, tol: float) -> Chec
     return Check(name, abs(observed - expected) <= tol, observed, expected, float(tol))
 
 
-def _max_abs(x) -> float:
-    return float(np.max(np.abs(x)))
+def _max_abs(x, axis=None):
+    """The largest magnitude in x, or along the given axes of a stack."""
+    return np.max(np.abs(x), axis=axis)
 
 
 class Table:
     """Report rows held as named columns: each column an array with one
-    entry, shape (n,), or one vector, shape (n, k), per row.  JSON writes a
-    table as a list of row objects, each vector as a list."""
+    entry, shape (n,), or one vector, shape (n, k), per row, or a list of
+    Python scalars, such as strings, with None for null.  JSON writes a table
+    as a list of row objects, each vector as a list."""
 
-    def __init__(self, **columns: np.ndarray):
+    def __init__(self, **columns):
         self.columns = columns
 
     def rows(self) -> list[dict]:
         """The rows as dicts of Python values."""
         names = list(self.columns)
-        return [
-            dict(zip(names, row))
-            for row in zip(*(c.tolist() for c in self.columns.values()))
-        ]
+        values = (c.tolist() if isinstance(c, np.ndarray) else c for c in self.columns.values())
+        return [dict(zip(names, row)) for row in zip(*values)]
 
 
 @dataclass
@@ -183,12 +183,28 @@ def _enclose(open_: str, parts: list[str], close: str, nl: str | None) -> str:
     return f"{open_}{inner}{(',' + inner).join(parts)}{nl}{close}"
 
 
-def _column_values(column) -> tuple[str, list[list]]:
+def _json_scalar(value) -> str:
+    """A scalar as JSON writes it."""
+    return _json_str(value) if isinstance(value, str) else _fmt_scalar(value)
+
+
+def _csv_scalar(value) -> str:
+    """A scalar as one CSV field: text unquoted, with its commas written as
+    semicolons, and None as an empty field."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value.replace(",", ";")
+    return _fmt_scalar(value)
+
+
+def _column_values(column, text) -> tuple[str, list[list]]:
     """A column as the printf format of one value and its scalar columns of
     Python values: an (n, k) array gives k.  With %r a float or int is
-    written as JSON writes it, one float.__repr__ per value."""
+    written as JSON writes it, one float.__repr__ per value.  The entries
+    of a list column are written by the format's scalar writer text."""
     if not isinstance(column, np.ndarray):
-        return "%s", [[_fmt_scalar(v) for v in column]]
+        return "%s", [[text(v) for v in column]]
     if column.ndim > 2 or column.dtype.kind not in "biuf":
         raise TypeError(f"cannot serialize a {column.dtype} column into a report")
     finite = np.isfinite(column)
@@ -207,9 +223,9 @@ def _json_table(table: Table, nl: str | None) -> str:
     field_nl = None if nl is None else row_nl + "  "
     fields, values = [], []
     for name, column in table.columns.items():
-        fmt, subs = _column_values(column)
+        fmt, subs = _column_values(column, _json_scalar)
         values += subs
-        if column.ndim == 2:
+        if isinstance(column, np.ndarray) and column.ndim == 2:
             fmt = _enclose("[", [fmt] * len(subs), "]", field_nl)
         fields.append(_json_str(name).replace("%", "%%") + ": " + fmt)
     template = _enclose("{", fields, "}", row_nl)
@@ -243,7 +259,7 @@ def emit_csv(report: RunReport) -> str:
         raise ValueError(f"command {report.command!r} has no CSV projection")
     formats, values = [], []
     for column in report.csv_columns:
-        fmt, subs = _column_values(column)
+        fmt, subs = _column_values(column, _csv_scalar)
         formats += [fmt] * len(subs)
         values += subs
     template = ",".join(formats)
@@ -375,80 +391,116 @@ def cmd_ppt(args) -> RunReport:
     )
 
 
-def _spherical_checks(dec, target: np.ndarray) -> tuple[np.ndarray, dict, list[Check]]:
-    """The reconstruction of a spherical decomposition, the report fields
-    its checks rest on, and the checks."""
+# Each decomposition's checks, name -> (expected, tolerance).  A check
+# builder gives each one's observed value per q.
+_SPHERICAL_CHECKS = {
+    "reconstruction_error": (0.0, RECONSTRUCTION_TOL),
+    "weight_sum_deviation": (0.0, WEIGHT_SUM_TOL),
+    "first_moment_a": (0.0, MOMENT_TOL),
+    "first_moment_b": (0.0, MOMENT_TOL),
+    "second_moment_deviation": (0.0, MOMENT_TOL),
+    "anti_alignment": (0.0, 0.0),
+}
+_WOOTTERS_CHECKS = {
+    "reconstruction_error": (0.0, RECONSTRUCTION_TOL),
+    "schmidt_determinant_max": (0.0, SCHMIDT_TOL),
+    "phase_constraint_residual": (0.0, PHASE_TOL),
+    "norm_squared_sum": (1.0, NORM_SUM_TOL),
+}
+
+
+def _spherical_checks(dec, target: np.ndarray) -> tuple[np.ndarray, dict, dict]:
+    """The reconstructions of a spherical decomposition of a stack of q, the
+    report fields its checks rest on, and each check's observed value, each
+    with one entry per q.  target is the stack of Werner matrices."""
     recon = reconstruct(dec)
-    recon_err = _max_abs(recon - target)
     moments = moment_check(dec)
-    second_dev = _max_abs(moments.second_moment + dec.q * np.eye(3))
+    second_dev = moments.second_moment + dec.q[:, None, None] * np.eye(3)
+    observed = {
+        "reconstruction_error": _max_abs(recon - target, (-2, -1)),
+        "weight_sum_deviation": np.full(dec.q.shape, abs(sum(dec.weights.tolist()) - 1.0)),
+        "first_moment_a": _max_abs(moments.first_moment_a, -1),
+        "first_moment_b": _max_abs(moments.first_moment_b, -1),
+        "second_moment_deviation": _max_abs(second_dev, (-2, -1)),
+        "anti_alignment": _max_abs(dec.a + dec.b, (-2, -1)),
+    }
     moment_fields = ("first_moment_a", "first_moment_b", "second_moment", "f_second_moment")
     results = {
-        "reconstruction_max_error": recon_err,
-        "moments": {k: getattr(moments, k).tolist() for k in moment_fields},
+        "reconstruction_max_error": observed["reconstruction_error"],
+        "moments": {k: getattr(moments, k) for k in moment_fields},
     }
-    checks = [
-        check_abs("reconstruction_error", recon_err, RECONSTRUCTION_TOL),
-        check_abs("weight_sum_deviation", abs(sum(dec.weights.tolist()) - 1.0), WEIGHT_SUM_TOL),
-        check_abs("first_moment_a", _max_abs(moments.first_moment_a), MOMENT_TOL),
-        check_abs("first_moment_b", _max_abs(moments.first_moment_b), MOMENT_TOL),
-        check_abs("second_moment_deviation", second_dev, MOMENT_TOL),
-        check_abs("anti_alignment", _max_abs(dec.a + dec.b), 0.0),
-    ]
-    return recon, results, checks
+    return recon, results, observed
 
 
-def _wootters_checks(dec, target: np.ndarray) -> tuple[np.ndarray, dict, list[Check]]:
-    """The reconstruction of a four-vector decomposition, the report fields
-    its checks rest on, and the checks."""
+def _wootters_checks(dec, target: np.ndarray) -> tuple[np.ndarray, dict, dict]:
+    """The reconstructions of a four-vector decomposition of a stack of q,
+    the report fields its checks rest on, and each check's observed value,
+    each with one entry per q.  target is the stack of Werner matrices."""
     recon = reconstruct(dec)
-    recon_err = _max_abs(recon - target)
-    dets = [float(abs(schmidt_determinant(z))) for z in dec.z]
+    z = np.stack(dec.z, axis=-2)
+    det = schmidt_determinant(z)
+    # np.hypot and the batched dot round as abs() of a complex scalar and
+    # np.vdot of each vector do
+    dets = np.hypot(det.real, det.imag)
+    norms = np.matmul(z.conj()[..., None, :], z[..., :, None])[..., 0, 0].real
     residual = phase_constraint_residual(dec.thetas, dec.q)
-    norm_sum = sum(float(np.real(np.vdot(z, z))) for z in dec.z)
+    observed = {
+        "reconstruction_error": _max_abs(recon - target, (-2, -1)),
+        "schmidt_determinant_max": np.max(dets, axis=-1),
+        "phase_constraint_residual": residual,
+        "norm_squared_sum": sum(norms.T),  # added in vector order
+    }
     results = {
-        "reconstruction_max_error": recon_err,
+        "reconstruction_max_error": observed["reconstruction_error"],
         "schmidt_abs_determinants": dets,
         "phase_constraint_residual": residual,
-        "norm_squared_sum": norm_sum,
+        "norm_squared_sum": observed["norm_squared_sum"],
     }
-    checks = [
-        check_abs("reconstruction_error", recon_err, RECONSTRUCTION_TOL),
-        check_abs("schmidt_determinant_max", max(dets), SCHMIDT_TOL),
-        check_abs("phase_constraint_residual", residual, PHASE_TOL),
-        check_value("norm_squared_sum", norm_sum, 1.0, NORM_SUM_TOL),
+    return recon, results, observed
+
+
+def _entry(fields: dict, k: int) -> dict:
+    """Entry k of every stacked field, in nested dicts too."""
+    return {name: _entry(v, k) if isinstance(v, dict) else v[k] for name, v in fields.items()}
+
+
+def _checks(observed: dict, specs: dict, k: int) -> list[Check]:
+    """The checks of entry k of a stack."""
+    return [
+        check_value(name, observed[name][k], expected, tol)
+        for name, (expected, tol) in specs.items()
     ]
-    return recon, results, checks
 
 
 def _spherical_report(q: float, n_theta: int, n_phi: int) -> RunReport:
-    dec = spherical_decomposition(q, n_theta, n_phi)
-    _, results, checks = _spherical_checks(dec, werner(q))
+    dec = spherical_decomposition(np.array([q]), n_theta, n_phi)
+    _, results, observed = _spherical_checks(dec, werner(dec.q))
     nodes = Table(
-        theta=dec.nodes[:, 0], phi=dec.nodes[:, 1], weight=dec.weights, a=dec.a, b=dec.b
+        theta=dec.nodes[:, 0], phi=dec.nodes[:, 1], weight=dec.weights, a=dec.a[0], b=dec.b[0]
     )
     return RunReport(
         command="decompose",
         parameters={"q": q, "method": "spherical", "n_theta": n_theta, "n_phi": n_phi},
-        results={"q": q, "bloch_norm": local_bloch_norm(q), "nodes": nodes, **results},
-        checks=checks,
+        results={"q": q, "bloch_norm": local_bloch_norm(q), "nodes": nodes, **_entry(results, 0)},
+        checks=_checks(observed, _SPHERICAL_CHECKS, 0),
         csv_header=["theta", "phi", "weight", "a_x", "a_y", "a_z", "b_x", "b_y", "b_z"],
         csv_columns=list(nodes.columns.values()),
     )
 
 
 def _wootters_report(q: float) -> RunReport:
-    dec = wootters_decomposition(q)
-    _, results, checks = _wootters_checks(dec, werner(q))
-    z = matrix_payload(np.stack(dec.z))
+    dec = wootters_decomposition(np.array([q]))
+    _, results, observed = _wootters_checks(dec, werner(dec.q))
+    thetas = [float(t[0]) for t in dec.thetas]
+    z = matrix_payload(np.stack([v[0] for v in dec.z]))
     return RunReport(
         command="decompose",
         parameters={"q": q, "method": "wootters"},
-        results={"q": q, "thetas": list(dec.thetas), "z_vectors": z, **results},
-        checks=checks,
+        results={"q": q, "thetas": thetas, "z_vectors": z, **_entry(results, 0)},
+        checks=_checks(observed, _WOOTTERS_CHECKS, 0),
         csv_header=["vector", "theta"]
         + [f"c{i}_{part}" for i in range(4) for part in ("re", "im")],
-        csv_columns=[np.arange(1, 5), list(dec.thetas), z.reshape(4, 8)],
+        csv_columns=[np.arange(1, 5), thetas, z.reshape(4, 8)],
     )
 
 
@@ -527,44 +579,53 @@ _VERIFY_CHECKS = {
 }
 
 
-def _verify_row(ppt_row: dict, target: np.ndarray) -> dict:
-    """One verify row: the ppt row's PT fields, then both decompositions of
-    the Werner matrix target at the same q, or the reason they are skipped."""
-    q = ppt_row["q"]
-    entry = {
-        "q": q,
-        "ppt_deviation": ppt_row["closed_form_deviation"],
-        "separable": ppt_row["separable"],
-        "verdict_matches": ppt_row["separable"] == ppt_row["expected_separable"],
-    }
-    try:
-        dec_s = spherical_decomposition(q)
-        dec_w = wootters_decomposition(q)
-    except DecompositionDomainError as err:
-        entry.update(dict.fromkeys(_VERIFY_CHECKS))
-        entry["skipped"] = (
-            f"decomposition checks skipped: q = {q} > 1/3 "
-            f"(|a| = sqrt(3q) = {err.bloch_norm} > 1)"
-        )
-        return entry
-    recon_s, _, checks_s = _spherical_checks(dec_s, target)
-    recon_w, _, checks_w = _wootters_checks(dec_w, target)
-    s = {c.name: c.observed for c in checks_s}
-    w = {c.name: c.observed for c in checks_w}
-    entry.update(
-        {
+def _on_rows(rows: np.ndarray, values) -> list:
+    """A list column: values on the rows where rows is set, None on the
+    others."""
+    column = np.full(rows.shape, None, dtype=object)
+    column[rows] = values
+    return column.tolist()
+
+
+def _verify_rows(q: np.ndarray, rho: np.ndarray) -> tuple[Table, Table, dict]:
+    """The verify report rows of a q grid, from the stack rho = werner(q),
+    the skipped rows' q and reasons, and the decomposition deviations of the
+    tested rows.
+
+    Each row holds its ppt row's PT fields, then the deviations of both
+    decompositions of W(q).  The tested q, those <= SEPARABLE_Q_EDGE, are
+    decomposed and checked in one pass; on the other rows the deviations are
+    null and skipped gives the reason.  No row tested gives no deviations."""
+    ppt = _ppt_table(q, rho).columns
+    tested = ppt["expected_separable"]
+    deviations = {}
+    if tested.any():
+        recon_s, _, s = _spherical_checks(spherical_decomposition(q[tested]), rho[tested])
+        recon_w, _, w = _wootters_checks(wootters_decomposition(q[tested]), rho[tested])
+        deviations = {
             "spherical_error": s["reconstruction_error"],
             "wootters_error": w["reconstruction_error"],
-            "cross_error": _max_abs(recon_s - recon_w),
-            "moment_deviation": max(
-                s["first_moment_a"], s["first_moment_b"], s["second_moment_deviation"]
+            "cross_error": _max_abs(recon_s - recon_w, (-2, -1)),
+            "moment_deviation": np.maximum(
+                np.maximum(s["first_moment_a"], s["first_moment_b"]),
+                s["second_moment_deviation"],
             ),
             "schmidt_max": w["schmidt_determinant_max"],
             "phase_residual": w["phase_constraint_residual"],
-            "skipped": None,
         }
+    reasons = [
+        f"decomposition checks skipped: q = {x} > 1/3 (|a| = sqrt(3q) = {math.sqrt(3.0 * x)} > 1)"
+        for x in q[~tested].tolist()
+    ]
+    rows = Table(
+        q=q,
+        ppt_deviation=ppt["closed_form_deviation"],
+        separable=ppt["separable"],
+        verdict_matches=ppt["separable"] == ppt["expected_separable"],
+        **{key: _on_rows(tested, deviations.get(key, ())) for key in _VERIFY_CHECKS},
+        skipped=_on_rows(~tested, reasons),
     )
-    return entry
+    return rows, Table(q=q[~tested], reason=reasons), deviations
 
 
 def cmd_verify(args) -> RunReport:
@@ -575,30 +636,18 @@ def cmd_verify(args) -> RunReport:
         q_min, q_max, steps = 0.0, SEPARABLE_Q_MAX, 21
         default_grid = True
     q, steps = _q_grid(q_min, q_max, steps, "grid")
-    rho = werner(q)
-    rows = [_verify_row(row, target) for row, target in zip(_ppt_table(q, rho).rows(), rho)]
-    tested = [r for r in rows if r["skipped"] is None]
-    skipped = [
-        {"q": r["q"], "reason": r["skipped"]} for r in rows if r["skipped"] is not None
-    ]
+    rows, skipped, deviations = _verify_rows(q, werner(q))
+    c = rows.columns
 
     checks = [
-        check_abs(
-            "ppt_eigenvalues_match_closed_form",
-            max(r["ppt_deviation"] for r in rows),
-            EIGENVALUE_TOL,
-        ),
-        check_equal(
-            "ppt_verdict_matches_closed_form",
-            all(r["verdict_matches"] for r in rows),
-            True,
-        ),
+        check_abs("ppt_eigenvalues_match_closed_form", np.max(c["ppt_deviation"]), EIGENVALUE_TOL),
+        check_equal("ppt_verdict_matches_closed_form", bool(np.all(c["verdict_matches"])), True),
     ]
-    if tested:
-        checks += [
-            check_abs(name, max(r[key] for r in tested), tol)
-            for key, (name, tol) in _VERIFY_CHECKS.items()
-        ]
+    checks += [
+        check_abs(name, np.max(deviations[key]), tol)
+        for key, (name, tol) in _VERIFY_CHECKS.items()
+        if deviations
+    ]
 
     parameters = {
         "grid": {"q_min": q_min, "q_max": q_max, "steps": steps},
@@ -607,17 +656,14 @@ def cmd_verify(args) -> RunReport:
         # default endpoint is the double nearest 1/3
         parameters["grid"]["q_max_ratio"] = "1/3"
 
+    csv_header = ["q", "ppt_deviation", "separable", *_VERIFY_CHECKS, "skipped"]
     return RunReport(
         command="verify",
         parameters=parameters,
         results={"rows": rows, "skipped": skipped},
         checks=checks,
-        csv_header=["q", "ppt_deviation", "separable", *_VERIFY_CHECKS, "skipped"],
-        csv_columns=[
-            *([r[k] for r in rows] for k in ("q", "ppt_deviation", "separable")),
-            *(["" if r[k] is None else r[k] for r in rows] for k in _VERIFY_CHECKS),
-            ["" if r["skipped"] is None else r["skipped"].replace(",", ";") for r in rows],
-        ],
+        csv_header=csv_header,
+        csv_columns=[c[name] for name in csv_header],
     )
 
 

@@ -11,6 +11,11 @@ integrates constants, f_i, and f_i f_j.
 The four-vector decomposition writes W(q) = sum_i |z_i><z_i| where the z_i mix
 four sub-normalized Bell vectors with phases chosen so that every z_i is a
 product state.
+
+Both constructors, reconstruct, moment_check, schmidt_determinant and
+phase_constraint_residual also take a stack of q, shape (m,), and evaluate it
+in one call; each entry of a stacked result equals the result for its own q
+bit for bit.  A scalar q gives the one-state types.
 """
 
 from __future__ import annotations
@@ -53,22 +58,31 @@ class DecompositionDomainError(ValueError):
         super().__init__(detail)
 
 
-def _require_separable_q(q: float) -> float:
+def _require_separable_q(q):
+    """q, or a stack of q, validated as a mixing parameter and checked against
+    the separability edge; the first q past the edge names the error."""
     q = validate_mixing_parameter(q)
-    if q > SEPARABLE_Q_EDGE:
+    qs = np.asarray(q)
+    past = qs > SEPARABLE_Q_EDGE
+    if past.any():
+        first = float(qs.flat[int(np.argmax(past))])
         raise DecompositionDomainError(
-            q,
-            f"q = {q} is past the separability threshold 1/3: the local Bloch "
-            f"vectors would need norm |a| = |b| = sqrt(3q) = {math.sqrt(3.0 * q)}, "
+            first,
+            f"q = {first} is past the separability threshold 1/3: the local Bloch "
+            f"vectors would need norm |a| = |b| = sqrt(3q) = {math.sqrt(3.0 * first)}, "
             "exceeding the unit ball allowed by positivity of the local states",
         )
     return q
 
 
-def local_bloch_norm(q: float) -> float:
+def _scalar_or_array(x: np.ndarray):
+    return float(x) if x.ndim == 0 else x
+
+
+def local_bloch_norm(q):
     """|a| = |b| = sqrt(3q), held at 1 for q in (1/3, SEPARABLE_Q_EDGE], where
     3q passes 1 by rounding only, so that every local vector is a state."""
-    return math.sqrt(min(3.0 * q, 1.0))
+    return _scalar_or_array(np.sqrt(np.minimum(3.0 * np.asarray(q, dtype=float), 1.0)))
 
 
 def _frozen(x: np.ndarray) -> np.ndarray:
@@ -83,9 +97,10 @@ class SphericalDecomposition:
     (n,) absorb the 1/4pi distribution and the sin(theta) volume element,
     directions (n, 3) are the unit vectors f(theta, phi), and
     a = local_bloch_norm(q) f are party A's Bloch vectors.  Party B's,
-    b = -a, are derived on access."""
+    b = -a, are derived on access.  For a stack of q, shape (m,), a has shape
+    (m, n, 3); the node arrays are shared by every q."""
 
-    q: float
+    q: float | np.ndarray
     n_theta: int
     n_phi: int
     nodes: np.ndarray
@@ -101,31 +116,34 @@ class SphericalDecomposition:
 @dataclass(frozen=True)
 class WoottersDecomposition:
     """Four unnormalized product vectors z with sum_i |z_i><z_i| = W(q),
-    plus the phase angles used to build them."""
+    plus the phase angles used to build them.  For a stack of q, shape (m,),
+    each z_i has shape (m, 4) and each angle shape (m,)."""
 
-    q: float
+    q: float | np.ndarray
     z: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    thetas: tuple[float, float, float, float]
+    thetas: tuple[float, float, float, float] | tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
 class MomentReport:
     """First and second moments of the node ensemble against their targets:
-    sum w*a_i = sum w*b_i = 0 and sum w*a_i*b_j = -q delta_ij."""
+    sum w*a_i = sum w*b_i = 0 and sum w*a_i*b_j = -q delta_ij.  For a stack
+    of q, shape (m,), every field gains a leading axis of length m and the
+    pass flags are boolean arrays."""
 
-    q: float
+    q: float | np.ndarray
     first_moment_a: np.ndarray
     first_moment_b: np.ndarray
     second_moment: np.ndarray
     f_second_moment: np.ndarray
     tolerance: float
-    first_a_pass: bool
-    first_b_pass: bool
-    second_pass: bool
+    first_a_pass: bool | np.ndarray
+    first_b_pass: bool | np.ndarray
+    second_pass: bool | np.ndarray
 
     @property
-    def all_pass(self) -> bool:
-        return self.first_a_pass and self.first_b_pass and self.second_pass
+    def all_pass(self) -> bool | np.ndarray:
+        return self.first_a_pass & self.first_b_pass & self.second_pass
 
 
 def sphere_direction(theta: float, phi: float) -> np.ndarray:
@@ -134,17 +152,17 @@ def sphere_direction(theta: float, phi: float) -> np.ndarray:
     return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
 
 
-def spherical_decomposition(
-    q: float, n_theta: int = 4, n_phi: int = 8
-) -> SphericalDecomposition:
-    """Quadrature realization of the continuous decomposition of W(q).
+def spherical_decomposition(q, n_theta: int = 4, n_phi: int = 8) -> SphericalDecomposition:
+    """Quadrature realization of the continuous decomposition of W(q), or of
+    every W(q) of a stack of q.
 
     Gauss-Legendre in cos(theta) with n_theta >= 2 points times a uniform
     n_phi >= 3 grid in phi integrates every spherical polynomial of degree
     <= 2 exactly, which covers all moments the reconstruction needs.  Node
     weights are w_gl / (2 n_phi) and sum to 1.
 
-    Raises DecompositionDomainError for q > 1/3, where |a| = sqrt(3q) > 1.
+    Raises DecompositionDomainError for q > 1/3, where |a| = sqrt(3q) > 1;
+    in a stack, the first such q names the error.
     """
     q = _require_separable_q(q)
     if n_theta < 2:
@@ -160,7 +178,7 @@ def spherical_decomposition(
         nodes=nodes,
         weights=weights,
         directions=directions,
-        a=_frozen(local_bloch_norm(q) * directions),
+        a=_frozen(np.asarray(local_bloch_norm(q))[..., None, None] * directions),
     )
 
 
@@ -188,8 +206,9 @@ def _quadrature(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.nd
     )
 
 
-def wootters_decomposition(q: float) -> WoottersDecomposition:
-    """Four-product-vector decomposition of W(q).
+def wootters_decomposition(q) -> WoottersDecomposition:
+    """Four-product-vector decomposition of W(q), or of every W(q) of a stack
+    of q.
 
     The building blocks are sub-normalized Bell vectors
         x1 = -i sqrt(1+3q)/2 |psi_minus>,   x2 = sqrt(1-q)/2 |psi_plus>,
@@ -205,52 +224,81 @@ def wootters_decomposition(q: float) -> WoottersDecomposition:
     construction.
     """
     q = _require_separable_q(q)
+    qs = np.asarray(q)
 
-    x_vectors = (
-        -1j * (math.sqrt(1.0 + 3.0 * q) / 2.0) * bell_state("psi_minus"),
-        (math.sqrt(1.0 - q) / 2.0) * bell_state("psi_plus"),
-        (math.sqrt(1.0 - q) / 2.0) * bell_state("phi_minus"),
-        -1j * (math.sqrt(1.0 - q) / 2.0) * bell_state("phi_plus"),
-    )
+    def column(x) -> np.ndarray:
+        return np.asarray(x)[..., None]
+
+    root_psi = np.sqrt(1.0 + 3.0 * qs) / 2.0
+    root = np.sqrt(1.0 - qs) / 2.0
+    x = np.stack([
+        column(-1j * root_psi) * bell_state("psi_minus"),
+        column(root) * bell_state("psi_plus"),
+        column(root) * bell_state("phi_minus"),
+        column(-1j * root) * bell_state("phi_plus"),
+    ])
+
+    def atan2(sin, cos) -> np.ndarray:
+        # math.atan2 per q: numpy's arctan2 rounds differently in the last ulp
+        pairs = zip(np.ravel(sin).tolist(), np.ravel(cos).tolist())
+        return np.array([math.atan2(a, b) for a, b in pairs]).reshape(qs.shape)
 
     # 1 - 3q < 0 for q in (1/3, SEPARABLE_Q_EDGE]: clamp so the root stays real
-    cos3 = math.sqrt(max(0.0, 1.0 - 3.0 * q) / (2.0 * (1.0 - q)))
-    sin3 = math.sqrt((1.0 + q) / (2.0 * (1.0 - q)))
-    thetas = (
-        0.0,
-        math.pi / 2.0,
-        math.atan2(sin3, cos3),
-        math.atan2(sin3, -cos3),
-    )
+    cos3 = np.sqrt(np.maximum(0.0, 1.0 - 3.0 * qs) / (2.0 * (1.0 - qs)))
+    sin3 = np.sqrt((1.0 + qs) / (2.0 * (1.0 - qs)))
+    thetas = np.stack([
+        np.zeros(qs.shape),
+        np.full(qs.shape, math.pi / 2.0),
+        atan2(sin3, cos3),
+        atan2(sin3, -cos3),
+    ])
 
-    signs = (
-        (1, 1, 1, 1),
-        (1, 1, -1, -1),
-        (1, -1, 1, -1),
-        (1, -1, -1, 1),
-    )
-    phases = [np.exp(1j * t) for t in thetas]
-    z_vectors = []
-    for row in signs:
-        z = 0.5 * sum(s * ph * x for s, ph, x in zip(row, phases, x_vectors))
-        z.setflags(write=False)
-        z_vectors.append(z)
-    return WoottersDecomposition(q=q, z=tuple(z_vectors), thetas=thetas)
+    signs = np.array([
+        [1, 1, 1, 1],
+        [1, 1, -1, -1],
+        [1, -1, 1, -1],
+        [1, -1, -1, 1],
+    ]).reshape((4, 4) + (1,) * qs.ndim)
+    # S_ij e^{i theta_j} x_j, indexed (i, j, ..., component), summed over j
+    terms = column(signs * np.exp(1j * thetas)) * x
+    z_vectors = tuple(_frozen(0.5 * terms.sum(axis=1)))
+    thetas = tuple(thetas.tolist() if qs.ndim == 0 else _frozen(thetas))
+    return WoottersDecomposition(q=q, z=z_vectors, thetas=thetas)
+
+
+# Node products per block of a stacked spherical reconstruction.  Each
+# block's complex intermediates stay near 0.3 MB, so a long stack needs no
+# more peak memory than one q; a grid of more nodes, such as 64 x 128, is
+# evaluated one q at a time.
+_NODE_PRODUCTS = 1024
+
+
+def _node_sum(weights: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum_n w_n kron(rho(a_n), rho(-a_n)) for each q of a block, a of shape
+    (k, n, 3), with the n products added in node order."""
+    ra, rb = bloch_state(a), bloch_state(-a)
+    # kron(ra[n], rb[n]) for every q and node n, indexed (q, n, i, k, j, l),
+    # then weighted and summed over n in node order.
+    products = ra[:, :, :, None, :, None] * rb[:, :, None, :, None, :]
+    products *= weights[:, None, None, None, None]
+    return products.sum(axis=1).reshape(-1, 4, 4)
 
 
 def reconstruct(dec) -> np.ndarray:
-    """Resum a decomposition into its 4x4 density matrix."""
+    """Resum a decomposition into its 4x4 density matrix; a stacked
+    decomposition gives the stack of matrices, shape (m, 4, 4)."""
     if isinstance(dec, SphericalDecomposition):
-        ra, rb = bloch_state(dec.a), bloch_state(dec.b)
-        # kron(ra[n], rb[n]) for every node n, indexed (n, i, k, j, l), then
-        # weighted and summed over n in node order.
-        products = ra[:, :, None, :, None] * rb[:, None, :, None, :]
-        products *= dec.weights[:, None, None, None, None]
-        return products.sum(axis=0).reshape(4, 4)
+        n = len(dec.weights)
+        a = dec.a.reshape(-1, n, 3)
+        total = np.empty((len(a), 4, 4), dtype=complex)
+        step = max(1, _NODE_PRODUCTS // n)
+        for start in range(0, len(a), step):
+            total[start:start + step] = _node_sum(dec.weights, a[start:start + step])
+        return total.reshape(dec.a.shape[:-2] + (4, 4))
     if isinstance(dec, WoottersDecomposition):
-        total = np.zeros((4, 4), dtype=complex)
+        total = np.zeros(dec.z[0].shape[:-1] + (4, 4), dtype=complex)
         for z in dec.z:
-            total += np.outer(z, z.conj())
+            total += z[..., :, None] * z.conj()[..., None, :]
         return total
     raise TypeError(f"cannot reconstruct from {type(dec).__name__}")
 
@@ -265,32 +313,44 @@ def moment_check(dec: SphericalDecomposition, tol: float = MOMENT_TOL) -> Moment
     weights, a, b, f = dec.weights, dec.a, dec.b, dec.directions
     first_a = weights @ a
     first_b = weights @ b
-    second = np.einsum("n,ni,nj->ij", weights, a, b)
-    f_second = np.einsum("n,ni,nj->ij", weights, f, f)
+    second = np.einsum("n,...ni,...nj->...ij", weights, a, b)
+    f_second = np.broadcast_to(np.einsum("n,ni,nj->ij", weights, f, f), second.shape)
 
-    target = -dec.q * np.eye(3)
-    report = MomentReport(
+    target = -np.asarray(dec.q)[..., None, None] * np.eye(3)
+
+    def passes(deviation: np.ndarray, axes: tuple[int, ...]):
+        passed = np.max(np.abs(deviation), axis=axes) <= tol
+        return bool(passed) if passed.ndim == 0 else passed
+
+    return MomentReport(
         q=dec.q,
         first_moment_a=first_a,
         first_moment_b=first_b,
         second_moment=second,
         f_second_moment=f_second,
         tolerance=float(tol),
-        first_a_pass=bool(np.max(np.abs(first_a)) <= tol),
-        first_b_pass=bool(np.max(np.abs(first_b)) <= tol),
-        second_pass=bool(np.max(np.abs(second - target)) <= tol),
+        first_a_pass=passes(first_a, (-1,)),
+        first_b_pass=passes(first_b, (-1,)),
+        second_pass=passes(second - target, (-2, -1)),
     )
-    return report
 
 
-def schmidt_determinant(v) -> complex:
+def schmidt_determinant(v) -> complex | np.ndarray:
     """Determinant of a two-qubit vector's 2x2 amplitude matrix (row index
     qubit A, column index qubit B); it vanishes iff the vector is a product
-    state."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.shape != (4,):
+    state.  A stack of vectors, shape (..., 4), gives a complex array of
+    shape (...)."""
+    v = np.asarray(v, dtype=complex)
+    if v.shape[-1:] != (4,):
         raise ValueError(f"expected a 4-component vector, got shape {v.shape}")
-    return v[0] * v[3] - v[1] * v[2]
+    # v0 v3 - v1 v2 multiplied out in real arithmetic, one rounding per
+    # product and per sum as complex scalars make them; an array complex
+    # product may fuse them
+    r, i = np.moveaxis(v.real, -1, 0), np.moveaxis(v.imag, -1, 0)
+    det = np.empty(v.shape[:-1], dtype=complex)
+    det.real = (r[0] * r[3] - i[0] * i[3]) - (r[1] * r[2] - i[1] * i[2])
+    det.imag = (r[0] * i[3] + i[0] * r[3]) - (r[1] * i[2] + i[1] * r[2])
+    return det[()]
 
 
 def schmidt_rank_one_check(v, tol: float = SCHMIDT_TOL) -> bool:
@@ -302,17 +362,20 @@ def schmidt_rank_one_check(v, tol: float = SCHMIDT_TOL) -> bool:
     return bool(abs(det) <= tol * max(1.0, norm_sq))
 
 
-def phase_constraint_residual(thetas, q: float) -> float:
+def phase_constraint_residual(thetas, q):
     """Magnitude of e^{-2i t1}(1+3q) + (e^{-2i t2}+e^{-2i t3}+e^{-2i t4})(1-q).
 
     Zero residual is the condition for the four-vector decomposition's phases
-    to produce product states.
+    to produce product states.  Four angle arrays of shape (m,) and a stack
+    of q of that shape give the residuals, shape (m,).
     """
-    t = [float(x) for x in thetas]
+    t = [np.asarray(x, dtype=float) for x in thetas]
     if len(t) != 4:
         raise ValueError(f"expected 4 phase angles, got {len(t)}")
-    q = float(q)
-    value = np.exp(-2j * t[0]) * (1.0 + 3.0 * q) + (
-        np.exp(-2j * t[1]) + np.exp(-2j * t[2]) + np.exp(-2j * t[3])
-    ) * (1.0 - q)
-    return float(abs(value))
+    q = np.asarray(q, dtype=float)
+    e = [np.exp(-2j * x) for x in t]
+    # the complex sum in real arithmetic, rounded as complex scalars round
+    # it, and its magnitude by np.hypot, as abs() of a complex scalar
+    re = e[0].real * (1.0 + 3.0 * q) + (e[1].real + e[2].real + e[3].real) * (1.0 - q)
+    im = e[0].imag * (1.0 + 3.0 * q) + (e[1].imag + e[2].imag + e[3].imag) * (1.0 - q)
+    return _scalar_or_array(np.hypot(re, im))

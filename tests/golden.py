@@ -48,6 +48,12 @@ ARGVS = [
     ["verify"],
     ["verify", "--grid", "0", "1", "7"],
     ["verify", "--grid", "0", "1", "1001"],
+    # verify: a grid whose every row is skipped, a descending grid, a grid
+    # of 4167 tested rows, and the seed-1 argv of the verify_grid benchmark
+    ["verify", "--grid", "0.5", "1", "3"],
+    ["verify", "--grid", "1", "0", "1001"],
+    ["verify", "--grid", "0.3", "0.34", "5001"],
+    ["verify", "--grid", "0.0026872848822480245", "0.9969486747387446", "1001"],
     ["matrix", "--q", "0.2"],
     ["matrix", "--q", "1"],
     # hvsim: seeded runs, one with the axis-normalization warning on stderr

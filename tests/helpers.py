@@ -1,5 +1,7 @@
 """Shared test oracles, independent of the library code paths they check."""
 
+import math
+
 import numpy as np
 
 
@@ -51,3 +53,73 @@ def assert_bitwise_equal(actual, expected) -> None:
     assert actual.shape == expected.shape
     assert actual.dtype == expected.dtype
     assert actual.tobytes() == expected.tobytes()
+
+
+# Per-q oracles of the decompositions: the one-q scalar arithmetic that the
+# stacked library code replaces, kept as the reference it must equal.
+
+_SIGN_ROWS = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
+
+
+def reference_wootters(q: float) -> tuple[tuple, tuple]:
+    """The four vectors z and phase angles of one q, built with Python
+    scalar roots, math.atan2 and one array product per term."""
+    from wernerkit.states import bell_state
+
+    x_vectors = (
+        -1j * (math.sqrt(1.0 + 3.0 * q) / 2.0) * bell_state("psi_minus"),
+        (math.sqrt(1.0 - q) / 2.0) * bell_state("psi_plus"),
+        (math.sqrt(1.0 - q) / 2.0) * bell_state("phi_minus"),
+        -1j * (math.sqrt(1.0 - q) / 2.0) * bell_state("phi_plus"),
+    )
+    cos3 = math.sqrt(max(0.0, 1.0 - 3.0 * q) / (2.0 * (1.0 - q)))
+    sin3 = math.sqrt((1.0 + q) / (2.0 * (1.0 - q)))
+    thetas = (0.0, math.pi / 2.0, math.atan2(sin3, cos3), math.atan2(sin3, -cos3))
+    phases = [np.exp(1j * t) for t in thetas]
+    z = tuple(
+        0.5 * sum(s * ph * x for s, ph, x in zip(row, phases, x_vectors)) for row in _SIGN_ROWS
+    )
+    return z, thetas
+
+
+def reference_wootters_sum(z) -> np.ndarray:
+    """sum_i |z_i><z_i|, one outer product per vector."""
+    total = np.zeros((4, 4), dtype=complex)
+    for v in z:
+        total += np.outer(v, v.conj())
+    return total
+
+
+def reference_schmidt_determinant(v) -> complex:
+    """v0 v3 - v1 v2 in complex scalar arithmetic."""
+    v = np.asarray(v, dtype=complex)
+    return v[0] * v[3] - v[1] * v[2]
+
+
+def reference_phase_residual(thetas, q: float) -> float:
+    """|e^{-2i t1}(1+3q) + (e^{-2i t2}+e^{-2i t3}+e^{-2i t4})(1-q)| in complex
+    scalar arithmetic."""
+    e = [np.exp(-2j * float(t)) for t in thetas]
+    return float(abs(e[0] * (1.0 + 3.0 * q) + (e[1] + e[2] + e[3]) * (1.0 - q)))
+
+
+def reference_norm_squared_sum(z) -> float:
+    """sum_i <z_i|z_i>, one np.vdot per vector."""
+    return sum(float(np.real(np.vdot(v, v))) for v in z)
+
+
+def reference_node_sum(weights, a) -> np.ndarray:
+    """sum_n w_n rho(a_n) (x) rho(-a_n), one product state and one add per
+    node, in node order."""
+    from wernerkit.states import product_state
+
+    total = np.zeros((4, 4), dtype=complex)
+    for w, v in zip(np.asarray(weights).tolist(), a):
+        total += w * product_state(v, -v)
+    return total
+
+
+def reference_moments(weights, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sum w a, sum w b and sum w a_i b_j of one q's nodes, b = -a."""
+    b = -a
+    return weights @ a, weights @ b, np.einsum("n,ni,nj->ij", weights, a, b)

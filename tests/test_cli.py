@@ -12,7 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import THRESHOLD_QS
+from helpers import (
+    THRESHOLD_QS,
+    reference_moments,
+    reference_node_sum,
+    reference_norm_squared_sum,
+    reference_phase_residual,
+    reference_schmidt_determinant,
+    reference_wootters,
+    reference_wootters_sum,
+)
 from wernerkit import cli, decomposition, hiddenvar
 from wernerkit.cli import (
     Check,
@@ -25,6 +34,13 @@ from wernerkit.cli import (
     emit_csv,
     emit_json,
     main,
+)
+from wernerkit.decomposition import (
+    DecompositionDomainError,
+    SphericalDecomposition,
+    WoottersDecomposition,
+    spherical_decomposition,
+    wootters_decomposition,
 )
 from wernerkit.separability import ppt_test, werner_pt_eigenvalues_closed_form
 from wernerkit.states import SEPARABLE_Q_EDGE, werner
@@ -71,6 +87,50 @@ def reference_ppt_row(q: float) -> dict:
     }
 
 
+def max_abs(x) -> float:
+    return float(np.max(np.abs(x)))
+
+
+def reference_verify_row(q: float) -> dict:
+    """A verify report row built from one-q calls for this q alone, with the
+    decompositions resummed and checked by the per-q oracles: the loop that
+    the grid path replaces."""
+    ppt = reference_ppt_row(q)
+    row = {
+        "q": q,
+        "ppt_deviation": ppt["closed_form_deviation"],
+        "separable": ppt["separable"],
+        "verdict_matches": ppt["separable"] == ppt["expected_separable"],
+    }
+    try:
+        dec = spherical_decomposition(q)
+        wootters_decomposition(q)
+    except DecompositionDomainError as err:
+        row.update(dict.fromkeys(cli._VERIFY_CHECKS))
+        row["skipped"] = (
+            f"decomposition checks skipped: q = {q} > 1/3 "
+            f"(|a| = sqrt(3q) = {err.bloch_norm} > 1)"
+        )
+        return row
+    target = werner(q)
+    z, thetas = reference_wootters(q)
+    recon_s = reference_node_sum(dec.weights, dec.a)
+    recon_w = reference_wootters_sum(z)
+    first_a, first_b, second = reference_moments(dec.weights, dec.a)
+    row.update(
+        spherical_error=max_abs(recon_s - target),
+        wootters_error=max_abs(recon_w - target),
+        cross_error=max_abs(recon_s - recon_w),
+        moment_deviation=max(
+            max_abs(first_a), max_abs(first_b), max_abs(second + q * np.eye(3))
+        ),
+        schmidt_max=max(float(abs(reference_schmidt_determinant(v))) for v in z),
+        phase_residual=reference_phase_residual(thetas, q),
+        skipped=None,
+    )
+    return row
+
+
 def as_json(value) -> str:
     """JSON text of value, numpy scalars and arrays written as the Python
     values they hold."""
@@ -111,8 +171,7 @@ class TestGridOracle:
         assert len(rows) == int(grid[2])
         for row in rows:
             q = row["q"]
-            expected = cli._verify_row(reference_ppt_row(q), werner(q))
-            assert json.dumps(row) == as_json(expected)
+            assert json.dumps(row) == as_json(reference_verify_row(q))
 
 
 class TestGridPassCount:
@@ -147,6 +206,85 @@ class TestGridPassCount:
         assert [np.shape(args[0]) for args in states] == [(21, 4, 4)] * 2
         assert len(leggauss) == 1
         assert len(werner_calls) == 1
+
+
+class TestDecompositionPassCount:
+    """verify decomposes its tested q in one pass: one call of each
+    constructor, each reconstruction and the moment check for the grid, and
+    none when no q is tested.  decompose is that pass on a stack of one."""
+
+    @staticmethod
+    def count_decomposition_calls(monkeypatch) -> dict:
+        names = ("spherical_decomposition", "wootters_decomposition", "reconstruct", "moment_check")
+        return {name: count_calls(monkeypatch, cli, name) for name in names}
+
+    def test_verify_grid(self, capsys, monkeypatch):
+        calls = self.count_decomposition_calls(monkeypatch)
+        code, report, _ = run_json(capsys, "verify", "--grid", "0", "1", "1001")
+        assert code == EXIT_OK
+        assert [type(args[0]) for args in calls["reconstruct"]] == [
+            SphericalDecomposition, WoottersDecomposition,
+        ]
+        assert len(calls["moment_check"]) == 1
+        (spherical,), (wootters,) = calls["spherical_decomposition"], calls["wootters_decomposition"]
+        assert len(report["results"]["skipped"]) == 1001 - 334
+        assert spherical[0].shape == wootters[0].shape == (334,)
+
+    def test_verify_without_tested_q(self, capsys, monkeypatch):
+        calls = self.count_decomposition_calls(monkeypatch)
+        code, report, _ = run_json(capsys, "verify", "--grid", "0.5", "1", "3")
+        assert code == EXIT_OK
+        assert all(not c for c in calls.values())
+        assert [c["name"] for c in report["checks"]] == [
+            "ppt_eigenvalues_match_closed_form", "ppt_verdict_matches_closed_form",
+        ]
+        rows = report["results"]["rows"]
+        assert all(row[key] is None for row in rows for key in cli._VERIFY_CHECKS)
+        assert [s["q"] for s in report["results"]["skipped"]] == [0.5, 0.75, 1.0]
+
+    @pytest.mark.parametrize("method", ["spherical", "wootters"])
+    def test_decompose_is_a_stack_of_one(self, capsys, monkeypatch, method):
+        builder = count_calls(monkeypatch, cli, f"_{method}_checks")
+        calls = self.count_decomposition_calls(monkeypatch)
+        assert run(capsys, "decompose", "--q", "0.2", "--method", method)[0] == EXIT_OK
+        (args,) = builder
+        assert args[0].q.shape == (1,)
+        assert len(calls["reconstruct"]) == 1
+
+
+class TestCheckBuilderOracle:
+    """The stacked check builders' fields against the per-q oracles, bit for
+    bit, on stacks that span several reconstruction blocks."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.floats(0.0, SEPARABLE_Q_EDGE), min_size=1, max_size=70).map(np.array))
+    def test_wootters_fields(self, qs):
+        _, results, observed = cli._wootters_checks(wootters_decomposition(qs), werner(qs))
+        for k, q in enumerate(qs.tolist()):
+            z, thetas = reference_wootters(q)
+            dets = [float(abs(reference_schmidt_determinant(v))) for v in z]
+            assert results["schmidt_abs_determinants"][k].tolist() == dets
+            assert observed["schmidt_determinant_max"][k] == max(dets)
+            assert observed["phase_constraint_residual"][k] == reference_phase_residual(thetas, q)
+            assert observed["norm_squared_sum"][k] == reference_norm_squared_sum(z)
+            target = werner(q)
+            assert observed["reconstruction_error"][k] == max_abs(reference_wootters_sum(z) - target)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(st.floats(0.0, SEPARABLE_Q_EDGE), min_size=1, max_size=70).map(np.array))
+    def test_spherical_fields(self, qs):
+        dec = spherical_decomposition(qs)
+        _, results, observed = cli._spherical_checks(dec, werner(qs))
+        for k, q in enumerate(qs.tolist()):
+            one = spherical_decomposition(q)
+            first_a, first_b, second = reference_moments(one.weights, one.a)
+            recon = reference_node_sum(one.weights, one.a)
+            assert observed["reconstruction_error"][k] == max_abs(recon - werner(q))
+            assert results["moments"]["second_moment"][k].tolist() == second.tolist()
+            assert observed["first_moment_a"][k] == max_abs(first_a)
+            assert observed["first_moment_b"][k] == max_abs(first_b)
+            assert observed["second_moment_deviation"][k] == max_abs(second + q * np.eye(3))
+            assert observed["anti_alignment"][k] == 0.0
 
 
 class TestGridErrors:
@@ -671,8 +809,12 @@ def _tables(draw):
     n = draw(st.integers(0, 4))
     columns = {}
     for i in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["float", "vector", "bool", "int"]))
-        if kind == "bool":
+        kind = draw(st.sampled_from(["float", "vector", "bool", "int", "nullable", "text"]))
+        if kind == "nullable":
+            columns[f"c{i}"] = draw(st.lists(st.none() | _FLOATS, min_size=n, max_size=n))
+        elif kind == "text":
+            columns[f"c{i}"] = draw(st.lists(st.none() | st.text(max_size=6), min_size=n, max_size=n))
+        elif kind == "bool":
             columns[f"c{i}"] = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
         elif kind == "int":
             columns[f"c{i}"] = np.array(draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
@@ -699,17 +841,25 @@ class TestRendererOracle:
         body = json.dumps(plain, indent=2).splitlines()
         assert pretty[3 : 3 + len(body)] == ["  " + line for line in body]
 
+    @staticmethod
+    def csv_field(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, str):
+            return value.replace(",", ";")
+        return json.dumps(value)
+
     @settings(max_examples=60, deadline=None)
     @given(table=_tables())
     def test_csv_matches_the_rows(self, table):
-        n_fields = sum(c.shape[1] if c.ndim == 2 else 1 for c in table.columns.values())
+        n_fields = sum(np.shape(c)[1] if np.ndim(c) == 2 else 1 for c in table.columns.values())
         header = [f"f{i}" for i in range(n_fields)]
         report = RunReport(command="t", parameters={}, results={}, csv_header=header,
                            csv_columns=list(table.columns.values()))
         expected = [",".join(header)]
         for row in table.rows():
             flat = [x for v in row.values() for x in (v if isinstance(v, list) else [v])]
-            expected.append(",".join(json.dumps(x) for x in flat))
+            expected.append(",".join(self.csv_field(x) for x in flat))
         assert cli.emit_csv(report) == "\n".join(expected) + "\n"
 
 

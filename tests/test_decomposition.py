@@ -6,9 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import werner_matrix_closed_form
+from helpers import (
+    assert_bitwise_equal,
+    reference_moments,
+    reference_node_sum,
+    reference_phase_residual,
+    reference_schmidt_determinant,
+    reference_wootters,
+    reference_wootters_sum,
+    werner_matrix_closed_form,
+)
+from wernerkit import decomposition
 from wernerkit.decomposition import (
     DecompositionDomainError,
+    SphericalDecomposition,
+    WoottersDecomposition,
     _quadrature,
     local_bloch_norm,
     moment_check,
@@ -308,3 +320,140 @@ def test_decompositions_reconstruct_for_any_separable_q(q):
     target = werner(q)
     assert np.max(np.abs(reconstruct(spherical_decomposition(q)) - target)) < 1e-12
     assert np.max(np.abs(reconstruct(wootters_decomposition(q)) - target)) < 1e-12
+
+
+# The accepted range's ends and the doubles beside them.
+STACK_EDGE_QS = [
+    0.0,
+    math.nextafter(0.0, 1.0),
+    math.nextafter(Q_THIRD, 0.0),
+    Q_THIRD,
+    math.nextafter(Q_THIRD, 1.0),
+    math.nextafter(SEPARABLE_Q_EDGE, 0.0),
+    SEPARABLE_Q_EDGE,
+]
+q_stacks = st.lists(
+    st.one_of(
+        st.floats(min_value=0.0, max_value=SEPARABLE_Q_EDGE), st.sampled_from(STACK_EDGE_QS)
+    ),
+    min_size=1,
+    max_size=80,
+).map(np.array)
+
+
+def block_lengths(nodes: tuple[int, int]) -> list[int]:
+    """Stack lengths around the q blocks of a stacked spherical
+    reconstruction on this grid: one short of a block, one block, one
+    more, and two blocks and one more."""
+    block = max(1, decomposition._NODE_PRODUCTS // (nodes[0] * nodes[1]))
+    return [block - 1, block, block + 1, 2 * block + 1]
+
+
+def edge_stack(length: int) -> np.ndarray:
+    return np.concatenate([STACK_EDGE_QS, np.linspace(0.0, SEPARABLE_Q_EDGE, length)])[:length]
+
+
+class TestStackOracle:
+    """Every output of a stack of q against the per-q scalar loop it
+    replaces, bit for bit, signed zeros included."""
+
+    @staticmethod
+    def check_spherical(qs: np.ndarray, nodes: tuple[int, int]) -> None:
+        dec = spherical_decomposition(qs, *nodes)
+        recon = reconstruct(dec)
+        moments = moment_check(dec)
+        assert dec.a.shape == (len(qs), nodes[0] * nodes[1], 3)
+        for k, q in enumerate(qs.tolist()):
+            one = spherical_decomposition(q, *nodes)
+            assert_bitwise_equal(dec.a[k], one.a)
+            assert_bitwise_equal(recon[k], reference_node_sum(one.weights, one.a))
+            assert_bitwise_equal(recon[k], reconstruct(one))
+            first_a, first_b, second = reference_moments(one.weights, one.a)
+            assert_bitwise_equal(moments.first_moment_a[k], first_a)
+            assert_bitwise_equal(moments.first_moment_b[k], first_b)
+            assert_bitwise_equal(moments.second_moment[k], second)
+            assert_bitwise_equal(moments.f_second_moment[k], moment_check(one).f_second_moment)
+            assert moments.all_pass[k] == moment_check(one).all_pass
+
+    @staticmethod
+    def check_wootters(qs: np.ndarray) -> None:
+        dec = wootters_decomposition(qs)
+        recon = reconstruct(dec)
+        dets = schmidt_determinant(np.stack(dec.z, axis=-2))
+        residuals = phase_constraint_residual(dec.thetas, dec.q)
+        for k, q in enumerate(qs.tolist()):
+            z, thetas = reference_wootters(q)
+            assert [t[k] for t in dec.thetas] == list(thetas)
+            for i in range(4):
+                assert_bitwise_equal(dec.z[i][k], z[i])
+                assert_bitwise_equal(dets[k, i], reference_schmidt_determinant(z[i]))
+            assert_bitwise_equal(recon[k], reference_wootters_sum(z))
+            assert residuals[k] == reference_phase_residual(thetas, q)
+
+    @settings(max_examples=25, deadline=None)
+    @given(q_stacks)
+    def test_spherical_stack(self, qs):
+        self.check_spherical(qs, (4, 8))
+
+    @settings(max_examples=30, deadline=None)
+    @given(q_stacks)
+    def test_wootters_stack(self, qs):
+        self.check_wootters(qs)
+
+    @pytest.mark.parametrize("nodes", [(4, 8), (7, 11)])
+    def test_spherical_stacks_across_blocks(self, nodes):
+        for length in block_lengths(nodes):
+            self.check_spherical(edge_stack(length), nodes)
+
+    @pytest.mark.parametrize("length", block_lengths((4, 8)))
+    def test_wootters_stacks_of_block_lengths(self, length):
+        self.check_wootters(edge_stack(length))
+
+    def test_grids_past_the_budget_are_one_q_per_block(self):
+        # decompose's 64 x 128 grid is one block of one q, as is 16 x 65
+        assert block_lengths((64, 128))[1] == block_lengths((16, 65))[1] == 1
+        self.check_spherical(np.array([0.0, 0.2, Q_THIRD]), (16, 65))
+
+    @settings(max_examples=30, deadline=None)
+    @given(q_stacks)
+    def test_scalar_q_keeps_scalar_types(self, qs):
+        q = float(qs[0])
+        spherical = spherical_decomposition(q)
+        assert type(spherical.q) is float and spherical.a.shape == (32, 3)
+        assert reconstruct(spherical).shape == (4, 4)
+        report = moment_check(spherical)
+        assert type(report.all_pass) is bool and report.second_moment.shape == (3, 3)
+        wootters = wootters_decomposition(q)
+        assert type(wootters.q) is float
+        assert all(type(t) is float for t in wootters.thetas)
+        assert all(v.shape == (4,) for v in wootters.z)
+        assert isinstance(schmidt_determinant(wootters.z[0]), np.complex128)
+        assert type(phase_constraint_residual(wootters.thetas, q)) is float
+        assert type(local_bloch_norm(q)) is float
+
+
+class TestStackDomain:
+    """A stack is refused as a whole, and the first bad q names the error."""
+
+    @pytest.mark.parametrize("build", [spherical_decomposition, wootters_decomposition])
+    def test_first_inseparable_q_names_the_error(self, build):
+        with pytest.raises(DecompositionDomainError) as exc:
+            build(np.array([0.1, 0.5, 0.7]))
+        assert exc.value.q == 0.5
+        assert exc.value.bloch_norm == math.sqrt(1.5)
+        assert str(exc.value).startswith("q = 0.5 is past the separability threshold")
+        with pytest.raises(DecompositionDomainError) as scalar:
+            build(0.5)
+        assert str(exc.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("build", [spherical_decomposition, wootters_decomposition])
+    def test_first_invalid_q_is_a_parameter_error(self, build):
+        with pytest.raises(ValueError, match=r"got -0\.1$"):
+            build(np.array([0.1, -0.1, 0.5, np.nan]))
+
+    def test_stacked_types(self):
+        qs = np.array([0.0, 0.2])
+        assert isinstance(spherical_decomposition(qs), SphericalDecomposition)
+        assert isinstance(wootters_decomposition(qs), WoottersDecomposition)
+        assert reconstruct(wootters_decomposition(qs)).shape == (2, 4, 4)
+        assert moment_check(spherical_decomposition(qs)).all_pass.tolist() == [True, True]
