@@ -23,6 +23,7 @@ from .decomposition import (
     MOMENT_TOL,
     SCHMIDT_TOL,
     DecompositionDomainError,
+    MomentReport,
     local_bloch_norm,
     moment_check,
     phase_constraint_residual,
@@ -32,7 +33,7 @@ from .decomposition import (
     wootters_decomposition,
 )
 from .hiddenvar import HvEstimate, estimate_all
-from .linalg import HERMITIAN_TOL
+from .linalg import HERMITIAN_TOL, _hermitian_deviation
 from .separability import ppt_test, werner_pt_eigenvalues_closed_form
 from .states import PositivityError, SEPARABLE_Q_EDGE, SEPARABLE_Q_MAX, UNIT_AXIS_TOL, werner
 
@@ -70,20 +71,18 @@ class Check:
         }
 
 
-def check_abs(name: str, observed: float, tol: float) -> Check:
-    """Scalar deviation against 0 at an absolute tolerance."""
-    observed = float(observed)
-    return Check(name, abs(observed) <= tol, observed, 0.0, float(tol))
-
-
 def check_equal(name: str, observed, expected) -> Check:
     return Check(name, observed == expected, observed, expected, 0.0)
 
 
-def check_value(name: str, observed: float, expected: float, tol: float) -> Check:
-    observed = float(observed)
+def check_value(name: str, observed, expected: float, tol: float) -> Check:
+    """The one rule of a numeric check: observed within tol of expected.
+    observed is a value or a stack with one entry per q or row; a stack
+    reports its entry farthest from expected, and a NaN entry first."""
+    stack = np.asarray(observed, dtype=float)
+    worst = float(stack.flat[np.argmax(np.abs(stack - expected))])
     expected = float(expected)
-    return Check(name, abs(observed - expected) <= tol, observed, expected, float(tol))
+    return Check(name, abs(worst - expected) <= tol, worst, expected, float(tol))
 
 
 def _max_abs(x, axis=None):
@@ -119,6 +118,8 @@ class RunReport:
     # list of scalars.
     csv_header: list[str] | None = None
     csv_columns: list | None = None
+    # Lines for stderr, written only once the report is.
+    warnings: list[str] = field(default_factory=list)
 
     @property
     def all_pass(self) -> bool:
@@ -289,7 +290,8 @@ def emit_pretty(report: RunReport) -> str:
 _RENDERERS = {"json": emit_json, "csv": emit_csv, "pretty": emit_pretty}
 
 
-def _normalized_axis(values, flag: str) -> np.ndarray:
+def _normalized_axis(values, flag: str) -> tuple[np.ndarray, list[str]]:
+    """The unit axis of a --l or --m value, and its warning if it was not one."""
     v = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError(f"axis {flag} must be finite, got {v.tolist()}")
@@ -306,19 +308,15 @@ def _normalized_axis(values, flag: str) -> np.ndarray:
         norm = float(np.linalg.norm(v))
     if abs(norm * scale - 1.0) > UNIT_AXIS_TOL:
         normalized = v / norm
-        print(
+        return normalized, [
             f"warning: axis {flag} has norm {norm * scale}; normalized to "
-            f"[{', '.join(repr(float(x)) for x in normalized)}]",
-            file=sys.stderr,
-        )
-        return normalized
-    return v
+            f"[{', '.join(repr(float(x)) for x in normalized)}]"
+        ]
+    return v, []
 
 
 def cmd_matrix(args) -> RunReport:
     rho = werner(args.q)
-    trace_dev = abs(complex(np.trace(rho)) - 1.0)
-    herm_dev = _max_abs(rho - rho.conj().T)
     entries = matrix_payload(rho)
     index = np.arange(4)
     return RunReport(
@@ -326,8 +324,8 @@ def cmd_matrix(args) -> RunReport:
         parameters={"q": args.q},
         results={"q": args.q, "matrix": entries},
         checks=[
-            check_abs("trace_one", trace_dev, TRACE_TOL),
-            check_abs("hermitian", herm_dev, HERMITIAN_TOL),
+            check_value("trace_one", abs(complex(np.trace(rho)) - 1.0), 0.0, TRACE_TOL),
+            check_value("hermitian", _hermitian_deviation(rho), 0.0, HERMITIAN_TOL),
         ],
         csv_header=["row", "col", "re", "im"],
         csv_columns=[np.repeat(index, 4), np.tile(index, 4), entries.reshape(16, 2)],
@@ -349,6 +347,15 @@ def _ppt_table(q: np.ndarray, rho: np.ndarray) -> Table:
         expected_separable=q <= SEPARABLE_Q_EDGE,
         tol=np.full(q.shape, verdict.tol),
     )
+
+
+def _ppt_checks(ppt: dict, prefix: str = "") -> list[Check]:
+    """The checks of a ppt table's columns over its whole grid."""
+    deviation, match = ppt["closed_form_deviation"], ppt["separable"] == ppt["expected_separable"]
+    return [
+        check_value(prefix + "eigenvalues_match_closed_form", deviation, 0.0, EIGENVALUE_TOL),
+        check_equal(prefix + "verdict_matches_closed_form", bool(np.all(match)), True),
+    ]
 
 
 def _q_grid(q_min: float, q_max: float, steps: float, kind: str) -> tuple[np.ndarray, int]:
@@ -376,16 +383,11 @@ def cmd_ppt(args) -> RunReport:
 
     table = _ppt_table(q, werner(q))
     c = table.columns
-    max_dev = np.max(c["closed_form_deviation"])
-    verdicts_match = bool(np.all(c["separable"] == c["expected_separable"]))
     return RunReport(
         command="ppt",
         parameters=parameters,
         results={"rows": table} if args.sweep is not None else table.rows()[0],
-        checks=[
-            check_abs("eigenvalues_match_closed_form", max_dev, EIGENVALUE_TOL),
-            check_equal("verdict_matches_closed_form", verdicts_match, True),
-        ],
+        checks=_ppt_checks(c),
         csv_header=["q", "lambda_1", "lambda_2", "lambda_3", "lambda_4", "separable"],
         csv_columns=[q, c["eigenvalues"], c["separable"]],
     )
@@ -409,33 +411,28 @@ _WOOTTERS_CHECKS = {
 }
 
 
-def _spherical_checks(dec, target: np.ndarray) -> tuple[np.ndarray, dict, dict]:
-    """The reconstructions of a spherical decomposition of a stack of q, the
-    report fields its checks rest on, and each check's observed value, each
-    with one entry per q.  target is the stack of Werner matrices."""
+def _spherical_checks(dec, target: np.ndarray) -> tuple[np.ndarray, MomentReport, dict]:
+    """The reconstructions of a spherical decomposition of a stack of q, its
+    moment report, and each check's observed value, each with one entry per
+    q.  target is the stack of Werner matrices."""
     recon = reconstruct(dec)
     moments = moment_check(dec)
     second_dev = moments.second_moment + dec.q[:, None, None] * np.eye(3)
     observed = {
         "reconstruction_error": _max_abs(recon - target, (-2, -1)),
-        "weight_sum_deviation": np.full(dec.q.shape, abs(sum(dec.weights.tolist()) - 1.0)),
+        "weight_sum_deviation": np.full(dec.q.shape, abs(math.fsum(dec.weights.tolist()) - 1.0)),
         "first_moment_a": _max_abs(moments.first_moment_a, -1),
         "first_moment_b": _max_abs(moments.first_moment_b, -1),
         "second_moment_deviation": _max_abs(second_dev, (-2, -1)),
         "anti_alignment": _max_abs(dec.a + dec.b, (-2, -1)),
     }
-    moment_fields = ("first_moment_a", "first_moment_b", "second_moment", "f_second_moment")
-    results = {
-        "reconstruction_max_error": observed["reconstruction_error"],
-        "moments": {k: getattr(moments, k) for k in moment_fields},
-    }
-    return recon, results, observed
+    return recon, moments, observed
 
 
-def _wootters_checks(dec, target: np.ndarray) -> tuple[np.ndarray, dict, dict]:
-    """The reconstructions of a four-vector decomposition of a stack of q,
-    the report fields its checks rest on, and each check's observed value,
-    each with one entry per q.  target is the stack of Werner matrices."""
+def _wootters_checks(dec, target: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The reconstructions of a four-vector decomposition of a stack of q, its
+    Schmidt determinants' magnitudes, and each check's observed value, each
+    with one entry per q.  target is the stack of Werner matrices."""
     recon = reconstruct(dec)
     z = np.stack(dec.z, axis=-2)
     det = schmidt_determinant(z)
@@ -450,39 +447,30 @@ def _wootters_checks(dec, target: np.ndarray) -> tuple[np.ndarray, dict, dict]:
         "phase_constraint_residual": residual,
         "norm_squared_sum": sum(norms.T),  # added in vector order
     }
-    results = {
-        "reconstruction_max_error": observed["reconstruction_error"],
-        "schmidt_abs_determinants": dets,
-        "phase_constraint_residual": residual,
-        "norm_squared_sum": observed["norm_squared_sum"],
-    }
-    return recon, results, observed
+    return recon, dets, observed
 
 
-def _entry(fields: dict, k: int) -> dict:
-    """Entry k of every stacked field, in nested dicts too."""
-    return {name: _entry(v, k) if isinstance(v, dict) else v[k] for name, v in fields.items()}
-
-
-def _checks(observed: dict, specs: dict, k: int) -> list[Check]:
-    """The checks of entry k of a stack."""
-    return [
-        check_value(name, observed[name][k], expected, tol)
-        for name, (expected, tol) in specs.items()
-    ]
+def _checks(observed: dict, specs: dict) -> list[Check]:
+    """A decomposition's checks over its whole stack of q."""
+    return [check_value(name, observed[name], *spec) for name, spec in specs.items()]
 
 
 def _spherical_report(q: float, n_theta: int, n_phi: int) -> RunReport:
     dec = spherical_decomposition(np.array([q]), n_theta, n_phi)
-    _, results, observed = _spherical_checks(dec, werner(dec.q))
+    _, moments, observed = _spherical_checks(dec, werner(dec.q))
     nodes = Table(
         theta=dec.nodes[:, 0], phi=dec.nodes[:, 1], weight=dec.weights, a=dec.a[0], b=dec.b[0]
     )
+    fields = ("first_moment_a", "first_moment_b", "second_moment", "f_second_moment")
     return RunReport(
         command="decompose",
         parameters={"q": q, "method": "spherical", "n_theta": n_theta, "n_phi": n_phi},
-        results={"q": q, "bloch_norm": local_bloch_norm(q), "nodes": nodes, **_entry(results, 0)},
-        checks=_checks(observed, _SPHERICAL_CHECKS, 0),
+        results={
+            "q": q, "bloch_norm": local_bloch_norm(q), "nodes": nodes,
+            "reconstruction_max_error": observed["reconstruction_error"][0],
+            "moments": {k: getattr(moments, k)[0] for k in fields},
+        },
+        checks=_checks(observed, _SPHERICAL_CHECKS),
         csv_header=["theta", "phi", "weight", "a_x", "a_y", "a_z", "b_x", "b_y", "b_z"],
         csv_columns=list(nodes.columns.values()),
     )
@@ -490,14 +478,20 @@ def _spherical_report(q: float, n_theta: int, n_phi: int) -> RunReport:
 
 def _wootters_report(q: float) -> RunReport:
     dec = wootters_decomposition(np.array([q]))
-    _, results, observed = _wootters_checks(dec, werner(dec.q))
+    _, dets, observed = _wootters_checks(dec, werner(dec.q))
     thetas = [float(t[0]) for t in dec.thetas]
     z = matrix_payload(np.stack([v[0] for v in dec.z]))
     return RunReport(
         command="decompose",
         parameters={"q": q, "method": "wootters"},
-        results={"q": q, "thetas": thetas, "z_vectors": z, **_entry(results, 0)},
-        checks=_checks(observed, _WOOTTERS_CHECKS, 0),
+        results={
+            "q": q, "thetas": thetas, "z_vectors": z,
+            "reconstruction_max_error": observed["reconstruction_error"][0],
+            "schmidt_abs_determinants": dets[0],
+            "phase_constraint_residual": observed["phase_constraint_residual"][0],
+            "norm_squared_sum": observed["norm_squared_sum"][0],
+        },
+        checks=_checks(observed, _WOOTTERS_CHECKS),
         csv_header=["vector", "theta"]
         + [f"c{i}_{part}" for i in range(4) for part in ("re", "im")],
         csv_columns=[np.arange(1, 5), thetas, z.reshape(4, 8)],
@@ -525,8 +519,8 @@ def cmd_hvsim(args) -> RunReport:
     # checks are undefined.
     if args.samples < 2:
         raise ValueError(f"--samples must be >= 2, got {args.samples}")
-    axis_a = _normalized_axis(args.l, "--l")
-    axis_b = _normalized_axis(args.m, "--m")
+    axis_a, warnings_a = _normalized_axis(args.l, "--l")
+    axis_b, warnings_b = _normalized_axis(args.m, "--m")
     try:
         est = estimate_all(args.q, axis_a, axis_b, args.samples, args.seed)
     except MemoryError:
@@ -553,10 +547,11 @@ def cmd_hvsim(args) -> RunReport:
         },
         checks=[
             check_value("correlation_within_5_sigma", corr.mean, analytic, _sigma_band(corr)),
-            check_abs("marginal_a_within_5_sigma", marg_a.mean, _sigma_band(marg_a)),
-            check_abs("marginal_b_within_5_sigma", marg_b.mean, _sigma_band(marg_b)),
+            check_value("marginal_a_within_5_sigma", marg_a.mean, 0.0, _sigma_band(marg_a)),
+            check_value("marginal_b_within_5_sigma", marg_b.mean, 0.0, _sigma_band(marg_b)),
         ],
         seed=args.seed,
+        warnings=warnings_a + warnings_b,
         csv_header=["q", "l_x", "l_y", "l_z", "m_x", "m_y", "m_z", "n_samples", "seed",
                     "mean", "std_error", "analytic"],
         csv_columns=[
@@ -587,15 +582,14 @@ def _on_rows(rows: np.ndarray, values) -> list:
     return column.tolist()
 
 
-def _verify_rows(q: np.ndarray, rho: np.ndarray) -> tuple[Table, Table, dict]:
+def _verify_rows(q: np.ndarray, rho: np.ndarray) -> tuple[Table, Table, list[Check]]:
     """The verify report rows of a q grid, from the stack rho = werner(q),
-    the skipped rows' q and reasons, and the decomposition deviations of the
-    tested rows.
+    the skipped rows' q and reasons, and the checks over the grid.
 
     Each row holds its ppt row's PT fields, then the deviations of both
     decompositions of W(q).  The tested q, those <= SEPARABLE_Q_EDGE, are
     decomposed and checked in one pass; on the other rows the deviations are
-    null and skipped gives the reason.  No row tested gives no deviations."""
+    null and skipped gives the reason.  No q tested gives only PT checks."""
     ppt = _ppt_table(q, rho).columns
     tested = ppt["expected_separable"]
     deviations = {}
@@ -625,7 +619,12 @@ def _verify_rows(q: np.ndarray, rho: np.ndarray) -> tuple[Table, Table, dict]:
         **{key: _on_rows(tested, deviations.get(key, ())) for key in _VERIFY_CHECKS},
         skipped=_on_rows(~tested, reasons),
     )
-    return rows, Table(q=q[~tested], reason=reasons), deviations
+    checks = _ppt_checks(ppt, "ppt_") + [
+        check_value(name, deviations[key], 0.0, tol)
+        for key, (name, tol) in _VERIFY_CHECKS.items()
+        if deviations
+    ]
+    return rows, Table(q=q[~tested], reason=reasons), checks
 
 
 def cmd_verify(args) -> RunReport:
@@ -636,18 +635,7 @@ def cmd_verify(args) -> RunReport:
         q_min, q_max, steps = 0.0, SEPARABLE_Q_MAX, 21
         default_grid = True
     q, steps = _q_grid(q_min, q_max, steps, "grid")
-    rows, skipped, deviations = _verify_rows(q, werner(q))
-    c = rows.columns
-
-    checks = [
-        check_abs("ppt_eigenvalues_match_closed_form", np.max(c["ppt_deviation"]), EIGENVALUE_TOL),
-        check_equal("ppt_verdict_matches_closed_form", bool(np.all(c["verdict_matches"])), True),
-    ]
-    checks += [
-        check_abs(name, np.max(deviations[key]), tol)
-        for key, (name, tol) in _VERIFY_CHECKS.items()
-        if deviations
-    ]
+    rows, skipped, checks = _verify_rows(q, werner(q))
 
     parameters = {
         "grid": {"q_min": q_min, "q_max": q_max, "steps": steps},
@@ -663,12 +651,33 @@ def cmd_verify(args) -> RunReport:
         results={"rows": rows, "skipped": skipped},
         checks=checks,
         csv_header=csv_header,
-        csv_columns=[c[name] for name in csv_header],
+        csv_columns=[rows.columns[name] for name in csv_header],
     )
 
 
+def _error(message) -> None:
+    """Write the one stderr line of a run that exits 2 or 3."""
+    print("error: " + " ".join(str(message).splitlines()), file=sys.stderr)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A number in any float() syntax, such as -1e-5 or -inf, is a value,
+    never an option; an error is one line and exit 2."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+    def error(self, message):
+        _error(message)
+        self.exit(EXIT_USAGE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wernerkit",
         description=(
             "Werner state toolkit: matrix construction, partial-transpose "
@@ -740,25 +749,24 @@ def main(argv=None) -> int:
         report = args.handler(args)
         text = _RENDERERS[args.format](report)
     except DecompositionDomainError as err:
-        print(f"error: {err}", file=sys.stderr)
+        _error(err)
         return EXIT_DOMAIN
     except (PositivityError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        _error(err)
         return EXIT_USAGE
     except MemoryError:
-        print(
-            f"error: the {args.command} report needs more memory than can be allocated",
-            file=sys.stderr,
-        )
+        _error(f"the {args.command} report needs more memory than can be allocated")
         return EXIT_USAGE
 
     if args.out is not None:
         try:
             Path(args.out).write_text(text)
         except OSError as err:
-            print(f"error: cannot write report to {args.out}: {err.strerror}", file=sys.stderr)
+            _error(f"cannot write report to {args.out}: {err.strerror}")
             return EXIT_USAGE
-    else:
+    for line in report.warnings:
+        print(line, file=sys.stderr)
+    if args.out is None:
         sys.stdout.write(text)
     return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
 

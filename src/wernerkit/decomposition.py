@@ -303,12 +303,12 @@ def reconstruct(dec) -> np.ndarray:
     raise TypeError(f"cannot reconstruct from {type(dec).__name__}")
 
 
-def moment_check(dec: SphericalDecomposition, tol: float = MOMENT_TOL) -> MomentReport:
+def moment_check(dec: SphericalDecomposition) -> MomentReport:
     """Verify the ensemble moments that force the reconstruction to equal W(q).
 
     Reports sum w*a, sum w*b (targets 0), the 3x3 matrix sum w*a_i*b_j
     (target -q delta_ij), and the direction second moment sum w*f_i*f_j
-    (target delta_ij / 3).  Never raises; pass/fail flags are in the report.
+    (target delta_ij / 3).  Never raises; MOMENT_TOL pass flags are in the report.
     """
     weights, a, b, f = dec.weights, dec.a, dec.b, dec.directions
     first_a = weights @ a
@@ -319,7 +319,7 @@ def moment_check(dec: SphericalDecomposition, tol: float = MOMENT_TOL) -> Moment
     target = -np.asarray(dec.q)[..., None, None] * np.eye(3)
 
     def passes(deviation: np.ndarray, axes: tuple[int, ...]):
-        passed = np.max(np.abs(deviation), axis=axes) <= tol
+        passed = np.max(np.abs(deviation), axis=axes) <= MOMENT_TOL
         return bool(passed) if passed.ndim == 0 else passed
 
     return MomentReport(
@@ -328,7 +328,7 @@ def moment_check(dec: SphericalDecomposition, tol: float = MOMENT_TOL) -> Moment
         first_moment_b=first_b,
         second_moment=second,
         f_second_moment=f_second,
-        tolerance=float(tol),
+        tolerance=MOMENT_TOL,
         first_a_pass=passes(first_a, (-1,)),
         first_b_pass=passes(first_b, (-1,)),
         second_pass=passes(second - target, (-2, -1)),
@@ -353,13 +353,13 @@ def schmidt_determinant(v) -> complex | np.ndarray:
     return det[()]
 
 
-def schmidt_rank_one_check(v, tol: float = SCHMIDT_TOL) -> bool:
+def schmidt_rank_one_check(v) -> bool:
     """True if a two-qubit vector is a product state: its Schmidt determinant
-    vanishes within tol, scaled by the squared norm when that exceeds 1."""
+    vanishes within SCHMIDT_TOL, times the squared norm when that exceeds 1."""
     v = np.asarray(v, dtype=complex).reshape(-1)
     det = schmidt_determinant(v)
     norm_sq = float(np.real(np.vdot(v, v)))
-    return bool(abs(det) <= tol * max(1.0, norm_sq))
+    return bool(abs(det) <= SCHMIDT_TOL * max(1.0, norm_sq))
 
 
 def phase_constraint_residual(thetas, q):

@@ -35,7 +35,7 @@ for _const in (PAULI_X, PAULI_Y, PAULI_Z, IDENTITY_2, IDENTITY_4):
     _const.setflags(write=False)
 
 # Entrywise Hermiticity tolerance: absolute for unit-trace density matrices
-# (`is_hermitian` default), relative to the largest entry in the gate of
+# (`is_hermitian`), relative to the largest entry in the gate of
 # `hermitian_eigenvalues`.
 HERMITIAN_TOL = 1e-12
 
@@ -78,12 +78,12 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def is_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
-    """True if the matrix equals its conjugate transpose entrywise within tol."""
+def is_hermitian(a) -> bool:
+    """True if the matrix equals its conjugate transpose entrywise within HERMITIAN_TOL."""
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
         return False
-    return float(_hermitian_deviation(a)) <= tol
+    return float(_hermitian_deviation(a)) <= HERMITIAN_TOL
 
 
 def partial_transpose_b(m) -> np.ndarray:

@@ -62,6 +62,8 @@ ARGVS = [
     ["hvsim", "--q", "0.1", "--l", "0", "0", "2", "--m", "1", "1", "0",
      "--samples", "5000", "--seed", "11"],
     ["hvsim", "--q", "0.2", "--samples", "2", "--seed", "0"],
+    # a negative axis component in exponent form is a value, not an option
+    ["hvsim", "--q", "0.2", "--samples", "100", "--l", "1", "0", "-1e-5"],
     # reports written with --out
     ["decompose", "--q", "0.1", "--nodes", "7", "11", "--out", OUT_FILE],
     ["ppt", "--sweep", "0", "1", "11", "--out", OUT_FILE],

@@ -32,7 +32,8 @@ OFFSET_QS = [SEPARABLE_Q_MAX + s * d for d in (1e-13, 1e-12, 1e-11, 1e-10, 1.4e-
 NEAR_QS = SEPARABLE_Q_MAX + np.arange(-(2**14), 2**14 + 1) * math.ulp(SEPARABLE_Q_MAX)
 
 
-def accepts(decomposition, q: float) -> bool:
+def accepts(decomposition, q) -> bool:
+    """Whether the constructor accepts q, or every q of a stack of q."""
     try:
         decomposition(q)
     except DecompositionDomainError:
@@ -52,9 +53,14 @@ def test_verdict_and_decompositions_agree_with_the_edge_at_every_q():
     separable = ppt_test(werner(qs)).separable
     mismatched = qs[separable != inside]
     assert mismatched.size == 0, mismatched[:5].tolist()
-    for q, ok in zip(qs.tolist(), inside.tolist()):
-        assert accepts(spherical_decomposition, q) == ok, q
-        assert accepts(wootters_decomposition, q) == ok, q
+    # a stack is accepted only if every q in it is, and its entries equal the
+    # one-q results (TestStackOracle), so the accepted q take one call each;
+    # a stack stops at its first refused q, so those are run one by one
+    assert accepts(spherical_decomposition, qs[inside])
+    assert accepts(wootters_decomposition, qs[inside])
+    for q in qs[~inside].tolist():
+        assert not accepts(spherical_decomposition, q), q
+        assert not accepts(wootters_decomposition, q), q
 
 
 def ppt_separable(pairs) -> np.ndarray:

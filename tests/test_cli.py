@@ -30,7 +30,7 @@ from wernerkit.cli import (
     EXIT_OK,
     EXIT_USAGE,
     RunReport,
-    check_abs,
+    check_value,
     emit_csv,
     emit_json,
     main,
@@ -259,12 +259,12 @@ class TestCheckBuilderOracle:
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.floats(0.0, SEPARABLE_Q_EDGE), min_size=1, max_size=70).map(np.array))
     def test_wootters_fields(self, qs):
-        _, results, observed = cli._wootters_checks(wootters_decomposition(qs), werner(qs))
+        _, dets, observed = cli._wootters_checks(wootters_decomposition(qs), werner(qs))
         for k, q in enumerate(qs.tolist()):
             z, thetas = reference_wootters(q)
-            dets = [float(abs(reference_schmidt_determinant(v))) for v in z]
-            assert results["schmidt_abs_determinants"][k].tolist() == dets
-            assert observed["schmidt_determinant_max"][k] == max(dets)
+            reference_dets = [float(abs(reference_schmidt_determinant(v))) for v in z]
+            assert dets[k].tolist() == reference_dets
+            assert observed["schmidt_determinant_max"][k] == max(reference_dets)
             assert observed["phase_constraint_residual"][k] == reference_phase_residual(thetas, q)
             assert observed["norm_squared_sum"][k] == reference_norm_squared_sum(z)
             target = werner(q)
@@ -274,13 +274,13 @@ class TestCheckBuilderOracle:
     @given(st.lists(st.floats(0.0, SEPARABLE_Q_EDGE), min_size=1, max_size=70).map(np.array))
     def test_spherical_fields(self, qs):
         dec = spherical_decomposition(qs)
-        _, results, observed = cli._spherical_checks(dec, werner(qs))
+        _, moments, observed = cli._spherical_checks(dec, werner(qs))
         for k, q in enumerate(qs.tolist()):
             one = spherical_decomposition(q)
             first_a, first_b, second = reference_moments(one.weights, one.a)
             recon = reference_node_sum(one.weights, one.a)
             assert observed["reconstruction_error"][k] == max_abs(recon - werner(q))
-            assert results["moments"]["second_moment"][k].tolist() == second.tolist()
+            assert moments.second_moment[k].tolist() == second.tolist()
             assert observed["first_moment_a"][k] == max_abs(first_a)
             assert observed["first_moment_b"][k] == max_abs(first_b)
             assert observed["second_moment_deviation"][k] == max_abs(second + q * np.eye(3))
@@ -449,6 +449,16 @@ class TestDecomposeCommand:
         assert names["schmidt_determinant_max"]
         assert names["phase_constraint_residual"]
 
+    @pytest.mark.parametrize("nodes", [("2", "200"), ("8", "300"), ("32", "128")])
+    def test_weight_sum_check_holds_on_large_grids(self, capsys, nodes):
+        # the deviation is of the weights' exact sum, so it does not grow
+        # with the node count as a left-to-right sum's rounding does
+        code, report, _ = run_json(capsys, "decompose", "--q", "0.2", "--nodes", *nodes)
+        assert code == EXIT_OK
+        check = {c["name"]: c for c in report["checks"]}["weight_sum_deviation"]
+        assert check["pass"]
+        assert check["observed"] <= 3.3e-16
+
     def test_wootters_domain_error(self, capsys):
         code, _, _ = run(capsys, "decompose", "--q", "0.5", "--method", "wootters")
         assert code == EXIT_DOMAIN
@@ -602,6 +612,23 @@ class TestHvsimCommand:
         assert code == EXIT_OK
         assert calls == [200_000]
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("--q", "0.5"), EXIT_DOMAIN),
+            (("--q", "0.2", "--seed", "-1"), EXIT_USAGE),
+            (("--q", "0.2", "--out", "missing/x.json"), EXIT_USAGE),
+        ],
+    )
+    def test_failing_run_writes_only_its_error(self, capsys, tmp_path, monkeypatch, argv, code):
+        # the --l axis needs normalizing, but the run fails after it is read
+        monkeypatch.chdir(tmp_path)
+        got, out, err = run(capsys, "hvsim", "--l", "0", "0", "2", "--samples", "10", *argv)
+        assert got == code
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_axis_exits_2(self, capsys, bad):
         code, out, err = run(
@@ -612,6 +639,51 @@ class TestHvsimCommand:
         assert out == ""
         assert err.startswith("error: axis --l must be finite")
         assert err.count("\n") == 1
+
+
+class TestArgumentParsing:
+    def test_negative_number_in_exponent_form_is_a_value(self, capsys):
+        axis = ("hvsim", "--q", "0.2", "--samples", "100", "--l", "1", "0")
+        code, out, err = run(capsys, *axis, "-1e-5")
+        assert code == EXIT_OK
+        assert (code, out, err) == run(capsys, *axis, "-0.00001")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("matrix", "--q", "-1e-300"), "mixing parameter q must be in [0, 1], got -1e-300"),
+            (("matrix", "--q", "-inf"), "mixing parameter q must be in [0, 1], got -inf"),
+            (("ppt", "--sweep", "-1e-3", "1", "3"), "mixing parameter q must be in [0, 1], got -0.001"),
+        ],
+    )
+    def test_negative_exponent_form_reaches_the_range_check(self, capsys, argv, message):
+        assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("decompose", "--q", "0.2", "--nodes", "1e3", "8"),
+             "argument --nodes: invalid int value: '1e3'"),
+            (("hvsim", "--q", "0.2", "--l", "1", "0"), "argument --l: expected 3 arguments"),
+            (("ppt",), "one of the arguments --q --sweep is required"),
+            (("matrix", "--q", "0.2", "x"), "unrecognized arguments: x"),
+            (("matrix", "--q", "0.2", "a\nb"), "unrecognized arguments: a b"),
+        ],
+    )
+    def test_argparse_error_is_one_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_help_and_version_are_unchanged(self, capsys):
+        for flag, text in (("--version", "0.1.0\n"), ("--help", "usage: wernerkit [-h]")):
+            with pytest.raises(SystemExit) as exc:
+                main([flag])
+            assert exc.value.code == 0
+            out, err = capsys.readouterr()
+            assert out.startswith(text)
+            assert err == ""
 
 
 class TestVerifyCommand:
@@ -712,9 +784,45 @@ class TestReportMachinery:
         )
         assert not report.all_pass
 
-    def test_check_abs_boundary(self):
-        assert check_abs("edge", 1e-13, 1e-13).passed
-        assert not check_abs("edge", 1.1e-13, 1e-13).passed
+    def test_check_value_boundary(self):
+        assert check_value("edge", 1e-13, 0.0, 1e-13).passed
+        assert not check_value("edge", 1.1e-13, 0.0, 1e-13).passed
+
+    @pytest.mark.parametrize("stack, worst", [([1.0, 0.7, 1.2, 1.25], 0.7), ([1.0, 1.5, 0.6], 1.5)])
+    def test_check_value_reports_the_stack_entry_farthest_from_expected(self, stack, worst):
+        for tol, passed in ((0.6, True), (0.2, False)):
+            check = check_value("c", np.array(stack), 1.0, tol)
+            assert (check.observed, check.expected, check.tolerance) == (worst, 1.0, tol)
+            assert check.passed is passed
+
+    def test_check_value_reports_a_nan_entry(self):
+        check = check_value("c", np.array([1.0, 9.0, math.nan, 1.0]), 1.0, 0.5)
+        assert math.isnan(check.observed)
+        assert check.passed is False
+
+    @pytest.mark.parametrize("value", [0.25, -0.0, 3e-17, -2.5, math.inf])
+    def test_check_value_on_a_0d_stack_equals_the_scalar_call(self, value):
+        scalar = check_value("c", value, 0.0, 1e-16)
+        for stacked in (np.array(value), np.float64(value)):
+            check = check_value("c", stacked, 0.0, 1e-16)
+            assert repr(dataclasses.astuple(check)) == repr(dataclasses.astuple(scalar))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_nan_entry_of_a_stacked_check_exits_2(self, capsys, monkeypatch, fmt):
+        residual = cli.phase_constraint_residual
+
+        def nan_at_one_q(thetas, q):
+            values = np.array(residual(thetas, q))
+            values[1] = math.nan
+            return values
+
+        monkeypatch.setattr(cli, "phase_constraint_residual", nan_at_one_q)
+        args = cli.build_parser().parse_args(["verify", "--grid", "0", "0.3", "4"])
+        checks = {c.name: c for c in cli.cmd_verify(args).checks}
+        assert math.isnan(checks["phase_constraint_residuals"].observed)
+        assert not checks["phase_constraint_residuals"].passed
+        code, out, err = run(capsys, "verify", "--grid", "0", "0.3", "4", "--format", fmt)
+        assert (code, out, err) == (EXIT_USAGE, "", "error: report value nan is not finite\n")
 
     def test_csv_requires_projection(self):
         report = RunReport(command="demo", parameters={}, results={})
@@ -749,7 +857,7 @@ def _finite_report() -> RunReport:
         command="x",
         parameters={"q": 0.5},
         results={"mean": 0.25, "values": values, "rows": cli.Table(v=column)},
-        checks=[check_abs("c", 0.0, 1.0)],
+        checks=[check_value("c", 0.0, 0.0, 1.0)],
         csv_header=["v", "w"],
         csv_columns=[column, values],
     )
@@ -891,6 +999,24 @@ class TestOutOfMemory:
         assert proc.returncode == EXIT_USAGE, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr == f"error: the {argv[0]} report needs more memory than can be allocated\n"
+
+
+class TestArgvFuzz:
+    """The hypothesis fuzz of main(argv) in argv_fuzz.py, run in one child
+    process with one BLAS thread and a 1 GiB address-space limit that the
+    test sets on the child alone."""
+
+    def test_every_argv_gives_a_report_or_one_error_line(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        script = os.path.join(os.path.dirname(__file__), "argv_fuzz.py")
+        threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+        proc = subprocess.run(
+            [sys.executable, script], capture_output=True, text=True, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=src, **threads), timeout=300,
+            preexec_fn=TestOutOfMemory._limit_address_space,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.endswith(" argv checked\n")
 
 
 class TestOutputFile:

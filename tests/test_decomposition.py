@@ -188,8 +188,9 @@ class TestMoments:
             assert_allclose(report.f_second_moment, np.eye(3) / 3, atol=1e-13)
 
     def test_report_never_raises(self):
-        report = moment_check(spherical_decomposition(0.0), tol=1e-30)
+        report = moment_check(spherical_decomposition(0.0))
         assert isinstance(report.all_pass, bool)
+        assert report.tolerance == decomposition.MOMENT_TOL
 
 
 class TestDomainBoundary:

@@ -228,7 +228,7 @@ class TestPlumbing:
             kron(np.zeros(2), IDENTITY_2)
 
     def test_is_hermitian_tolerance(self):
-        m = np.array([[1.0, 1e-13j], [0.0, 1.0]], dtype=complex)
-        assert is_hermitian(m, tol=1e-12)
-        assert not is_hermitian(m, tol=1e-14)
+        # the entrywise deviation of [[1, t i], [0, 1]] is t; HERMITIAN_TOL is 1e-12
+        assert is_hermitian(np.array([[1.0, 1e-13j], [0.0, 1.0]], dtype=complex))
+        assert not is_hermitian(np.array([[1.0, 1e-11j], [0.0, 1.0]], dtype=complex))
         assert not is_hermitian(np.zeros((2, 3)))
