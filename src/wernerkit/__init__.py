@@ -29,7 +29,6 @@ from .hiddenvar import (
     estimate_local,
     outcome_a,
     outcome_b,
-    sample_hidden,
 )
 from .linalg import (
     HERMITIAN_TOL,
@@ -99,7 +98,6 @@ __all__ = [
     "ppt_test",
     "product_state",
     "reconstruct",
-    "sample_hidden",
     "schmidt_determinant",
     "schmidt_rank_one_check",
     "sphere_direction",

@@ -23,7 +23,6 @@ __all__ = [
     "HvSample",
     "HvEstimate",
     "HvEstimates",
-    "sample_hidden",
     "outcome_a",
     "outcome_b",
     "estimate_all",
@@ -32,8 +31,8 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-# Draws per pass through the projection work arrays: a chunk's draws are held
-# whole (the stream order puts every cos(theta) before every phi), but the
+# Draws per pass through the projection work arrays: an estimate's draws are
+# held whole (the stream order puts every cos(theta) before every phi), but the
 # arrays derived from them never exceed one block.
 _BLOCK = 1 << 16
 
@@ -68,19 +67,6 @@ class HvEstimates:
     marginal_b: HvEstimate
 
 
-def sample_hidden(rng: np.random.Generator) -> HvSample:
-    """Draw one hidden sample: cos(theta) uniform on [-1, 1] (so the direction
-    is uniform on the sphere), phi uniform on [0, 2pi), lambdas uniform on
-    [0, 1].  Deterministic given the generator state."""
-    cos_t = rng.uniform(-1.0, 1.0)
-    phi = rng.uniform(0.0, _TWO_PI) % _TWO_PI
-    lam_a = rng.random()
-    lam_b = rng.random()
-    return HvSample(
-        theta=math.acos(cos_t), phi=phi, lambda_a=lam_a, lambda_b=lam_b
-    )
-
-
 def outcome_a(sample: HvSample, q: float, axis) -> int:
     """Party A's deterministic outcome: +1 iff lambda_a <= (1 + l.a)/2."""
     q = _require_separable_q(q)
@@ -97,17 +83,6 @@ def outcome_b(sample: HvSample, q: float, axis) -> int:
     b = -local_bloch_norm(q) * sphere_direction(sample.theta, sample.phi)
     threshold = 0.5 * (1.0 + float(np.dot(axis, b)))
     return 1 if sample.lambda_b <= threshold else -1
-
-
-def _chunk_sizes(n_samples: int, chunks: int) -> list[int]:
-    base, extra = divmod(n_samples, chunks)
-    return [base + 1] * extra + [base] * (chunks - extra)
-
-
-def _chunk_rng(seed: int, index: int) -> np.random.Generator:
-    # Sub-stream per chunk derived from (seed, chunk index); merging chunk
-    # results in index order is therefore independent of who computed them.
-    return np.random.default_rng([seed, index])
 
 
 def _draw_batch(rng: np.random.Generator, n: int):
@@ -148,28 +123,26 @@ def _plus_mask(
 
 
 def _count_outcomes(
-    q: float, axis_a: np.ndarray, axis_b: np.ndarray, n_samples: int, seed: int, chunks: int
+    q: float, axis_a: np.ndarray, axis_b: np.ndarray, draws: tuple[np.ndarray, ...]
 ) -> tuple[int, int, int]:
-    """One pass over the seeded draws, with A measured along axis_a and B along
+    """One pass over the hidden draws, with A measured along axis_a and B along
     axis_b.  Returns the number of draws with A = +1, with B = +1, and with
-    A == B; counts of +/-1 outcomes merge exactly across chunks and blocks."""
+    A == B; counts of +/-1 outcomes merge exactly across blocks."""
     radius = local_bloch_norm(q)
     plus_a = plus_b = agree = 0
-    for index, size in enumerate(_chunk_sizes(n_samples, chunks)):
-        draws = _draw_batch(_chunk_rng(seed, index), size)
-        for start in range(0, size, _BLOCK):
-            cos_t, phi, lam_a, lam_b = (x[start:start + _BLOCK] for x in draws)
-            sin_t = np.multiply(cos_t, cos_t)
-            np.subtract(1.0, sin_t, out=sin_t)
-            np.clip(sin_t, 0.0, None, out=sin_t)
-            np.sqrt(sin_t, out=sin_t)
-            cos_p = np.cos(phi)
-            sin_p = np.sin(phi, out=phi)
-            out_a = _plus_mask(lam_a, radius, axis_a, sin_t, cos_t, cos_p, sin_p)
-            out_b = _plus_mask(lam_b, -radius, axis_b, sin_t, cos_t, cos_p, sin_p)
-            plus_a += int(np.count_nonzero(out_a))
-            plus_b += int(np.count_nonzero(out_b))
-            agree += out_a.size - int(np.count_nonzero(out_a ^ out_b))
+    for start in range(0, len(draws[0]), _BLOCK):
+        cos_t, phi, lam_a, lam_b = (x[start:start + _BLOCK] for x in draws)
+        sin_t = np.multiply(cos_t, cos_t)
+        np.subtract(1.0, sin_t, out=sin_t)
+        np.clip(sin_t, 0.0, None, out=sin_t)
+        np.sqrt(sin_t, out=sin_t)
+        cos_p = np.cos(phi)
+        sin_p = np.sin(phi, out=phi)
+        out_a = _plus_mask(lam_a, radius, axis_a, sin_t, cos_t, cos_p, sin_p)
+        out_b = _plus_mask(lam_b, -radius, axis_b, sin_t, cos_t, cos_p, sin_p)
+        plus_a += int(np.count_nonzero(out_a))
+        plus_b += int(np.count_nonzero(out_b))
+        agree += out_a.size - int(np.count_nonzero(out_a ^ out_b))
     return plus_a, plus_b, agree
 
 
@@ -188,30 +161,25 @@ def _estimate(plus: int, n_samples: int, seed: int) -> HvEstimate:
     return HvEstimate(mean=mean, std_error=std_error, n_samples=n_samples, seed=seed)
 
 
-def _validate_sampling(n_samples: int, chunks: int, seed: int) -> None:
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if not 1 <= chunks <= n_samples:
-        raise ValueError(f"chunks must be in [1, n_samples], got {chunks}")
-
-
-def estimate_all(
-    q: float, axis_a, axis_b, n_samples: int, seed: int, chunks: int = 1
-) -> HvEstimates:
+def estimate_all(q: float, axis_a, axis_b, n_samples: int, seed: int) -> HvEstimates:
     """The correlation of A along axis_a with B along axis_b, and both
     marginals, from one pass over n_samples hidden draws.
 
-    Each estimate equals, bit for bit, the one estimate_correlation or
-    estimate_local gives for the same arguments.
+    The draws come from one seeded stream, numpy's PCG64 default_rng([seed,
+    0]), so identical arguments give bit-identical estimates; the seeded
+    reports pin that key.  Each estimate equals, bit for bit, the one
+    estimate_correlation or estimate_local gives for the same arguments.
     """
     q = _require_separable_q(q)
     la = _unit_axis(axis_a, "axis_a")
     mb = _unit_axis(axis_b, "axis_b")
-    _validate_sampling(n_samples, chunks, seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
 
-    plus_a, plus_b, agree = _count_outcomes(q, la, mb, n_samples, seed, chunks)
+    draws = _draw_batch(np.random.default_rng([seed, 0]), n_samples)
+    plus_a, plus_b, agree = _count_outcomes(q, la, mb, draws)
     return HvEstimates(
         correlation=_estimate(agree, n_samples, seed),
         marginal_a=_estimate(plus_a, n_samples, seed),
@@ -219,28 +187,22 @@ def estimate_all(
     )
 
 
-def estimate_correlation(
-    q: float, axis_a, axis_b, n_samples: int, seed: int, chunks: int = 1
-) -> HvEstimate:
+def estimate_correlation(q: float, axis_a, axis_b, n_samples: int, seed: int) -> HvEstimate:
     """Mean of outcome_a * outcome_b over n_samples hidden draws.
 
-    Converges to -q (axis_a . axis_b).  Identical (seed, q, axes, n_samples,
-    chunks) give a bit-identical estimate; chunks > 1 partitions the draws
-    into deterministic sub-streams so the work may be fanned out and merged.
+    Converges to -q (axis_a . axis_b).  Identical (seed, q, axes, n_samples)
+    give a bit-identical estimate.
     """
-    return estimate_all(q, axis_a, axis_b, n_samples, seed, chunks).correlation
+    return estimate_all(q, axis_a, axis_b, n_samples, seed).correlation
 
 
-def estimate_local(
-    q: float, axis, subsystem: str, n_samples: int, seed: int, chunks: int = 1
-) -> HvEstimate:
+def estimate_local(q: float, axis, subsystem: str, n_samples: int, seed: int) -> HvEstimate:
     """Mean of a single party's outcome; converges to 0 for every q <= 1/3
     and every unit axis."""
     q = _require_separable_q(q)
     v = _unit_axis(axis, "axis")
     if subsystem not in ("A", "B"):
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    _validate_sampling(n_samples, chunks, seed)
 
-    plus_a, plus_b, _ = _count_outcomes(q, v, v, n_samples, seed, chunks)
-    return _estimate(plus_a if subsystem == "A" else plus_b, n_samples, seed)
+    est = estimate_all(q, v, v, n_samples, seed)
+    return est.marginal_a if subsystem == "A" else est.marginal_b

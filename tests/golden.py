@@ -79,6 +79,8 @@ ARGVS = [
     ["hvsim", "--q", "0.1", "--l", "0", "0", "0"],
     ["hvsim", "--q", "0.1", "--l", "nan", "0", "0"],
     ["hvsim", "--q", "0.2", "--samples", "1000000000000000"],
+    ["hvsim", "--q", "0.2", "--samples", "1152921504606846976"],
+    ["hvsim", "--q", "0.2", "--samples", "18446744073709551616"],
     ["matrix", "--q", "0.2", "--out", "missing/report.json"],
     # exit 3: an inseparable q for a separable-only operation
     ["decompose", "--q", "0.4"],

@@ -590,13 +590,23 @@ class TestHvsimCommand:
             assert code == EXIT_OK, seed
         capsys.readouterr()
 
-    def test_unallocatable_sample_count_exits_2(self, capsys):
-        # 10^15 draws need petabytes: numpy refuses before touching memory
-        code, out, err = run(capsys, "hvsim", "--q", "0.2", "--samples", "1000000000000000")
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            # 10^15 draws need petabytes: numpy refuses before touching memory
+            "1000000000000000",
+            # 2^60, 2^63 - 1 and 2^64 draws need more than intp-max bytes:
+            # numpy cannot size them at all
+            "1152921504606846976",
+            "9223372036854775807",
+            "18446744073709551616",
+        ],
+    )
+    def test_unallocatable_sample_count_exits_2(self, capsys, samples):
+        code, out, err = run(capsys, "hvsim", "--q", "0.2", "--samples", samples)
         assert code == EXIT_USAGE
         assert out == ""
-        assert err.startswith("error: --samples 1000000000000000 is too large")
-        assert err.count("\n") == 1
+        assert err == f"error: --samples {samples} is too large: its draws cannot be allocated\n"
 
     def test_one_draw_per_chunk(self, capsys, monkeypatch):
         # the correlation and both marginals come from a single pass

@@ -16,7 +16,6 @@ from wernerkit.hiddenvar import (
     estimate_local,
     outcome_a,
     outcome_b,
-    sample_hidden,
 )
 from wernerkit.separability import correlation
 from wernerkit.states import werner
@@ -26,21 +25,23 @@ Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
+def _stream(seed, n):
+    """The hidden draws estimate_all makes for (seed, n)."""
+    return _draw_batch(np.random.default_rng([seed, 0]), n)
+
+
 class TestSampling:
     def test_fixed_seed_reproduces_stream(self):
-        rng1, rng2 = np.random.default_rng(42), np.random.default_rng(42)
-        assert [sample_hidden(rng1) for _ in range(50)] == [
-            sample_hidden(rng2) for _ in range(50)
-        ]
+        for first, second in zip(_stream(42, 50), _stream(42, 50)):
+            assert np.array_equal(first, second)
 
     def test_sample_ranges(self):
-        rng = np.random.default_rng(0)
-        for _ in range(1000):
-            s = sample_hidden(rng)
-            assert 0.0 <= s.theta <= math.pi
-            assert 0.0 <= s.phi < 2.0 * math.pi
-            assert 0.0 <= s.lambda_a <= 1.0
-            assert 0.0 <= s.lambda_b <= 1.0
+        cos_t, phi, lam_a, lam_b = _stream(0, 1000)
+        theta = np.arccos(cos_t)
+        assert np.all((0.0 <= theta) & (theta <= math.pi))
+        assert np.all((0.0 <= phi) & (phi < 2.0 * math.pi))
+        assert np.all((0.0 <= lam_a) & (lam_a <= 1.0))
+        assert np.all((0.0 <= lam_b) & (lam_b <= 1.0))
 
     def test_sphere_moments(self):
         # direction statistics of 10^6 draws: first moment 0, second moment 1/3
@@ -61,11 +62,10 @@ class TestOutcomes:
 
     def test_aligned_axis_at_boundary_always_plus_one(self):
         # q = 1/3 and l = f(theta, phi): threshold is (1 + 1)/2 = 1
-        rng = np.random.default_rng(9)
-        for _ in range(25):
-            s = sample_hidden(rng)
-            axis = sphere_direction(s.theta, s.phi)
-            forced = HvSample(s.theta, s.phi, lambda_a=0.999999, lambda_b=s.lambda_b)
+        for cos_t, phi, _, lam_b in zip(*_stream(9, 25)):
+            theta = math.acos(cos_t)
+            axis = sphere_direction(theta, phi)
+            forced = HvSample(theta, phi, lambda_a=0.999999, lambda_b=lam_b)
             assert outcome_a(forced, 1.0 / 3.0, axis) == 1
 
     def test_b_threshold_uses_opposite_vector(self):
@@ -150,14 +150,6 @@ class TestEstimateCorrelation:
             ratio = ses[n_small] / ses[n_big]
             assert math.sqrt(10) / 2 < ratio < 2 * math.sqrt(10)
 
-    def test_chunked_runs_are_deterministic(self):
-        a = estimate_correlation(0.25, Z_AXIS, X_AXIS, 50_000, seed=9, chunks=4)
-        b = estimate_correlation(0.25, Z_AXIS, X_AXIS, 50_000, seed=9, chunks=4)
-        assert a == b
-        # a different partition plan is a different (still valid) estimate
-        c = estimate_correlation(0.25, Z_AXIS, X_AXIS, 50_000, seed=9, chunks=5)
-        assert abs(c.mean - a.mean) <= 5 * (a.std_error + c.std_error)
-
     def test_mean_bounded_by_one(self):
         est = estimate_correlation(1.0 / 3.0, Z_AXIS, Z_AXIS, 1000, seed=1)
         assert abs(est.mean) <= 1.0
@@ -172,8 +164,6 @@ class TestEstimateCorrelation:
             estimate_correlation(0.5, Z_AXIS, Z_AXIS, 100, seed=0)
         with pytest.raises(ValueError, match="n_samples"):
             estimate_correlation(0.1, Z_AXIS, Z_AXIS, 0, seed=0)
-        with pytest.raises(ValueError, match="chunks"):
-            estimate_correlation(0.1, Z_AXIS, Z_AXIS, 10, seed=0, chunks=11)
         with pytest.raises(ValueError, match="unit"):
             estimate_correlation(0.1, 2 * Z_AXIS, Z_AXIS, 10, seed=0)
 
@@ -221,30 +211,54 @@ class TestEstimateLocal:
         with pytest.raises(DecompositionDomainError):
             estimate_local(0.4, Z_AXIS, "A", 100, seed=0)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(lambda: estimate_local(0.1, 2 * Z_AXIS, "A", 10, 0),
+                         "axis must be a finite unit vector, got norm 2.0", id="local-axis"),
+            pytest.param(lambda: estimate_correlation(0.1, 2 * Z_AXIS, Z_AXIS, 10, 0),
+                         "axis_a must be a finite unit vector, got norm 2.0",
+                         id="correlation-axis_a"),
+            pytest.param(lambda: estimate_correlation(0.1, Z_AXIS, (0, 0), 10, 0),
+                         "axis_b must be a real 3-vector, got shape (2,)",
+                         id="correlation-axis_b"),
+            pytest.param(lambda: estimate_local(0.1, Z_AXIS, "AB", 10, 0),
+                         "subsystem must be 'A' or 'B', got 'AB'", id="local-subsystem"),
+            pytest.param(lambda: estimate_local(0.1, Z_AXIS, "B", 10, -1),
+                         "seed must be in [0, 2**64), got -1", id="local-seed"),
+            pytest.param(lambda: estimate_correlation(0.1, Z_AXIS, Z_AXIS, 10, 2**64),
+                         f"seed must be in [0, 2**64), got {2**64}", id="correlation-seed"),
+            pytest.param(lambda: estimate_local(0.1, Z_AXIS, "A", 0, 0),
+                         "n_samples must be >= 1, got 0", id="local-count"),
+            pytest.param(lambda: estimate_correlation(0.1, Z_AXIS, Z_AXIS, -3, 0),
+                         "n_samples must be >= 1, got -3", id="correlation-count"),
+        ],
+    )
+    def test_error_text(self, call, message):
+        # the single-estimate views name their own arguments in every error
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
-def _three_pass_reference(q, axis_a, axis_b, n_samples, seed, chunks):
+
+def _three_pass_reference(q, axis_a, axis_b, n_samples, seed):
     """The float computation the counting kernel replaced, kept here as its
     oracle: one pass over the seeded draws per estimate, each building the
     (n, 3) directions and +/-1 outcome arrays.  Returns (mean, std_error) of
     the correlation and of both marginals."""
     radius = math.sqrt(3.0 * q)
-    base, extra = divmod(n_samples, chunks)
-    sizes = [base + 1] * extra + [base] * (chunks - extra)
 
     def one_pass(combine):
-        parts = []
-        for index, size in enumerate(sizes):
-            rng = np.random.default_rng([seed, index])
-            cos_t = rng.uniform(-1.0, 1.0, size)
-            phi = rng.uniform(0.0, 2.0 * math.pi, size) % (2.0 * math.pi)
-            lam_a = rng.random(size)
-            lam_b = rng.random(size)
-            sin_t = np.sqrt(np.clip(1.0 - cos_t * cos_t, 0.0, None))
-            f = np.column_stack((sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t))
-            out_a = np.where(lam_a <= 0.5 * (1.0 + radius * (f @ axis_a)), 1.0, -1.0)
-            out_b = np.where(lam_b <= 0.5 * (1.0 + -radius * (f @ axis_b)), 1.0, -1.0)
-            parts.append(combine(out_a, out_b))
-        values = np.concatenate(parts)
+        rng = np.random.default_rng([seed, 0])
+        cos_t = rng.uniform(-1.0, 1.0, n_samples)
+        phi = rng.uniform(0.0, 2.0 * math.pi, n_samples) % (2.0 * math.pi)
+        lam_a = rng.random(n_samples)
+        lam_b = rng.random(n_samples)
+        sin_t = np.sqrt(np.clip(1.0 - cos_t * cos_t, 0.0, None))
+        f = np.column_stack((sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t))
+        out_a = np.where(lam_a <= 0.5 * (1.0 + radius * (f @ axis_a)), 1.0, -1.0)
+        out_b = np.where(lam_b <= 0.5 * (1.0 + -radius * (f @ axis_b)), 1.0, -1.0)
+        values = combine(out_a, out_b)
         mean = float(np.mean(values))
         return mean, float(np.std(values, ddof=1)) / math.sqrt(n_samples)
 
@@ -262,25 +276,21 @@ def _assert_matches(est, reference):
 
 
 class TestCountingKernel:
-    @pytest.mark.parametrize(
-        "n_samples,chunks",
-        [(2, 1), (2, 2), (3, 1), (3, 3), (1000, 1), (1000, 4), (1000, 7),
-         (100_003, 1), (100_003, 4), (100_003, 7)],
-    )
-    def test_matches_three_pass_float_reference(self, n_samples, chunks):
-        rng = np.random.default_rng(20_000 + 10 * n_samples + chunks)
+    @pytest.mark.parametrize("n_samples", [2, 3, 1000, 100_003])
+    def test_matches_three_pass_float_reference(self, n_samples):
+        rng = np.random.default_rng(20_001 + 10 * n_samples)
         for q in (0.0, 1.0 / 3.0, float(rng.uniform(0.0, 1.0 / 3.0))):
             l, m = random_unit_axis(rng), random_unit_axis(rng)
             seed = int(rng.integers(0, 2**63))
-            corr, marg_a, marg_b = _three_pass_reference(q, l, m, n_samples, seed, chunks)
-            est = estimate_all(q, l, m, n_samples, seed, chunks)
+            corr, marg_a, marg_b = _three_pass_reference(q, l, m, n_samples, seed)
+            est = estimate_all(q, l, m, n_samples, seed)
             _assert_matches(est.correlation, corr)
             _assert_matches(est.marginal_a, marg_a)
             _assert_matches(est.marginal_b, marg_b)
             # the single-estimate views read the same counts
-            assert estimate_correlation(q, l, m, n_samples, seed, chunks) == est.correlation
-            assert estimate_local(q, l, "A", n_samples, seed, chunks) == est.marginal_a
-            assert estimate_local(q, m, "B", n_samples, seed, chunks) == est.marginal_b
+            assert estimate_correlation(q, l, m, n_samples, seed) == est.correlation
+            assert estimate_local(q, l, "A", n_samples, seed) == est.marginal_a
+            assert estimate_local(q, m, "B", n_samples, seed) == est.marginal_b
 
     def test_matches_scalar_outcome_functions(self):
         # the scalar outcome functions, applied draw by draw to the same
@@ -289,7 +299,7 @@ class TestCountingKernel:
         n = 2000
         for q in (0.0, 0.15, 1.0 / 3.0):
             l, m = random_unit_axis(rng), random_unit_axis(rng)
-            draws = _draw_batch(np.random.default_rng([5, 0]), n)
+            draws = _stream(5, n)
             samples = [
                 HvSample(math.acos(c), p, a, b) for c, p, a, b in zip(*draws)
             ]
@@ -343,7 +353,7 @@ class TestCountingKernel:
                 values = np.where(np.arange(n) < k, 1.0, -1.0)
                 assert _estimate(k, n, seed=0).mean == float(np.mean(values))
 
-    def test_one_draw_per_chunk(self, monkeypatch):
+    def test_one_draw_per_estimate(self, monkeypatch):
         calls = []
         draw_batch = hiddenvar._draw_batch
 
@@ -352,13 +362,15 @@ class TestCountingKernel:
             return draw_batch(rng, n)
 
         monkeypatch.setattr(hiddenvar, "_draw_batch", counting)
-        estimate_all(0.2, Z_AXIS, X_AXIS, 1003, seed=1, chunks=4)
-        assert calls == [251, 251, 251, 250]
+        estimate_all(0.2, Z_AXIS, X_AXIS, 1003, seed=1)
+        estimate_correlation(0.2, Z_AXIS, X_AXIS, 1003, seed=1)
+        estimate_local(0.2, Z_AXIS, "B", 1003, seed=1)
+        assert calls == [1003, 1003, 1003]
 
     def test_blocks_do_not_change_the_counts(self, monkeypatch):
-        # the projection runs block by block inside a chunk; any block size
+        # the projection runs block by block over the draws; any block size
         # gives the same counts
-        args = (0.3, Z_AXIS, random_unit_axis(np.random.default_rng(8)), 5000, 12, 3)
+        args = (0.3, Z_AXIS, random_unit_axis(np.random.default_rng(8)), 5000, 12)
         whole = estimate_all(*args)
         monkeypatch.setattr(hiddenvar, "_BLOCK", 7)
         assert estimate_all(*args) == whole
