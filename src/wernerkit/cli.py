@@ -369,6 +369,8 @@ def _q_grid(q_min: float, q_max: float, steps: float, kind: str) -> tuple[np.nda
     for name, value in (("Q_MIN", q_min), ("Q_MAX", q_max)):
         if not math.isfinite(value):
             raise ValueError(f"{kind} {name} must be finite, got {value}")
+    if steps == 1 and q_min != q_max:  # linspace's one point is Q_MIN
+        raise ValueError(f"{kind} of 1 step needs Q_MIN = Q_MAX, got {q_min} and {q_max}")
     return np.linspace(q_min, q_max, steps), steps
 
 

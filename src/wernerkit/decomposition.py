@@ -8,6 +8,12 @@ spherical polynomials of degree <= 2 (Gauss-Legendre in cos theta, uniform in
 phi) makes the discretization lossless: the reconstruction only ever
 integrates constants, f_i, and f_i f_j.
 
+As rho(a) (x) rho(b) is linear in 1, a, b and a (x) b, the reconstruction is
+assembled from the moments M = sum_n w_n (1, a_n)(1, b_n)^T, which
+moment_check reports, once each node's local vectors are checked to be states
+(|a_n| <= 1).  Every node sum is numpy's pairwise sum along a contiguous node
+axis, so its rounding grows with log n, not n.
+
 The four-vector decomposition writes W(q) = sum_i |z_i><z_i| where the z_i mix
 four sub-normalized Bell vectors with phases chosen so that every z_i is a
 product state.
@@ -26,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import SEPARABLE_Q_EDGE, bell_state, bloch_state, validate_mixing_parameter
+from .linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
+from .states import SEPARABLE_Q_EDGE, bell_state, validate_bloch_vector, validate_mixing_parameter
 
 __all__ = [
     "DecompositionDomainError",
@@ -126,24 +133,16 @@ class WoottersDecomposition:
 
 @dataclass(frozen=True)
 class MomentReport:
-    """First and second moments of the node ensemble against their targets:
-    sum w*a_i = sum w*b_i = 0 and sum w*a_i*b_j = -q delta_ij.  For a stack
-    of q, shape (m,), every field gains a leading axis of length m and the
-    pass flags are boolean arrays."""
+    """First and second moments of the node ensemble, whose targets are
+    sum w*a_i = sum w*b_i = 0, sum w*a_i*b_j = -q delta_ij and
+    sum w*f_i*f_j = delta_ij / 3.  For a stack of q, shape (m,), every field
+    gains a leading axis of length m."""
 
     q: float | np.ndarray
     first_moment_a: np.ndarray
     first_moment_b: np.ndarray
     second_moment: np.ndarray
     f_second_moment: np.ndarray
-    tolerance: float
-    first_a_pass: bool | np.ndarray
-    first_b_pass: bool | np.ndarray
-    second_pass: bool | np.ndarray
-
-    @property
-    def all_pass(self) -> bool | np.ndarray:
-        return self.first_a_pass & self.first_b_pass & self.second_pass
 
 
 def sphere_direction(theta: float, phi: float) -> np.ndarray:
@@ -266,35 +265,43 @@ def wootters_decomposition(q) -> WoottersDecomposition:
     return WoottersDecomposition(q=q, z=z_vectors, thetas=thetas)
 
 
-# Node products per block of a stacked spherical reconstruction.  Each
-# block's complex intermediates stay near 0.3 MB, so a long stack needs no
-# more peak memory than one q; a grid of more nodes, such as 64 x 128, is
-# evaluated one q at a time.
-_NODE_PRODUCTS = 1024
+def _node_sum(weights: np.ndarray, *factors: np.ndarray) -> np.ndarray:
+    """sum_n w_n x_n y_n ... over the last axis of each factor, the node
+    axis.  The products form one C-contiguous array, so numpy adds each row
+    pairwise, and a row of a stack exactly as the same row alone."""
+    product = weights
+    for x in factors:
+        product = product * x
+    return product.sum(axis=-1)
 
 
-def _node_sum(weights: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """sum_n w_n kron(rho(a_n), rho(-a_n)) for each q of a block, a of shape
-    (k, n, 3), with the n products added in node order."""
-    ra, rb = bloch_state(a), bloch_state(-a)
-    # kron(ra[n], rb[n]) for every q and node n, indexed (q, n, i, k, j, l),
-    # then weighted and summed over n in node order.
-    products = ra[:, :, :, None, :, None] * rb[:, :, None, :, None, :]
-    products *= weights[:, None, None, None, None]
-    return products.sum(axis=1).reshape(-1, 4, 4)
+def _moment_matrix(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """M = sum_n w_n (1, x_n)(1, y_n)^T for node vectors x and y of shape
+    (..., n, 3), shape (..., 4, 4): the weight sum, the first moments of x
+    (column 0) and y (row 0), and the second moment sum w x_i y_j."""
+    u = [()] + [(x[..., i],) for i in range(3)]
+    v = [()] + [(y[..., j],) for j in range(3)]
+    m = np.empty(x.shape[:-2] + (4, 4))
+    for i in range(4):
+        for j in range(4):
+            m[..., i, j] = _node_sum(weights, *u[i], *v[j])
+    return m
+
+
+# kron(sigma_mu, sigma_nu) / 4, indexed (mu, nu, i, j), with sigma_0 = I
+_PAULIS = (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z)
+_PAULI_PRODUCTS = np.array([[np.kron(s, t) / 4.0 for t in _PAULIS] for s in _PAULIS])
 
 
 def reconstruct(dec) -> np.ndarray:
     """Resum a decomposition into its 4x4 density matrix; a stacked
-    decomposition gives the stack of matrices, shape (m, 4, 4)."""
+    decomposition gives the stack of matrices, shape (m, 4, 4).  A spherical
+    node whose local vectors are not states raises PositivityError."""
     if isinstance(dec, SphericalDecomposition):
-        n = len(dec.weights)
-        a = dec.a.reshape(-1, n, 3)
-        total = np.empty((len(a), 4, 4), dtype=complex)
-        step = max(1, _NODE_PRODUCTS // n)
-        for start in range(0, len(a), step):
-            total[start:start + step] = _node_sum(dec.weights, a[start:start + step])
-        return total.reshape(dec.a.shape[:-2] + (4, 4))
+        validate_bloch_vector(dec.a)  # b = -a has the same norms
+        m = _moment_matrix(dec.weights, dec.a, dec.b)[..., None, None]
+        # each entry adds four nonzero terms, +-M_mu,nu / 4 times 1 or i
+        return sum(m[..., mu, nu, :, :] * _PAULI_PRODUCTS[mu, nu] for mu, nu in np.ndindex(4, 4))
     if isinstance(dec, WoottersDecomposition):
         total = np.zeros(dec.z[0].shape[:-1] + (4, 4), dtype=complex)
         for z in dec.z:
@@ -304,34 +311,21 @@ def reconstruct(dec) -> np.ndarray:
 
 
 def moment_check(dec: SphericalDecomposition) -> MomentReport:
-    """Verify the ensemble moments that force the reconstruction to equal W(q).
+    """The ensemble moments that force the reconstruction to equal W(q).
 
     Reports sum w*a, sum w*b (targets 0), the 3x3 matrix sum w*a_i*b_j
     (target -q delta_ij), and the direction second moment sum w*f_i*f_j
-    (target delta_ij / 3).  Never raises; MOMENT_TOL pass flags are in the report.
+    (target delta_ij / 3).  Never raises and judges nothing; the checks
+    compare these with their targets.
     """
-    weights, a, b, f = dec.weights, dec.a, dec.b, dec.directions
-    first_a = weights @ a
-    first_b = weights @ b
-    second = np.einsum("n,...ni,...nj->...ij", weights, a, b)
-    f_second = np.broadcast_to(np.einsum("n,ni,nj->ij", weights, f, f), second.shape)
-
-    target = -np.asarray(dec.q)[..., None, None] * np.eye(3)
-
-    def passes(deviation: np.ndarray, axes: tuple[int, ...]):
-        passed = np.max(np.abs(deviation), axis=axes) <= MOMENT_TOL
-        return bool(passed) if passed.ndim == 0 else passed
-
+    m = _moment_matrix(dec.weights, dec.a, dec.b)
+    f = _moment_matrix(dec.weights, dec.directions, dec.directions)
     return MomentReport(
         q=dec.q,
-        first_moment_a=first_a,
-        first_moment_b=first_b,
-        second_moment=second,
-        f_second_moment=f_second,
-        tolerance=MOMENT_TOL,
-        first_a_pass=passes(first_a, (-1,)),
-        first_b_pass=passes(first_b, (-1,)),
-        second_pass=passes(second - target, (-2, -1)),
+        first_moment_a=m[..., 1:, 0],
+        first_moment_b=m[..., 0, 1:],
+        second_moment=m[..., 1:, 1:],
+        f_second_moment=np.broadcast_to(f[1:, 1:], m.shape[:-2] + (3, 3)),
     )
 
 

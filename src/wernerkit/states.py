@@ -101,10 +101,19 @@ def werner(q) -> np.ndarray:
     return q * np.outer(psi, psi.conj()) + ((1.0 - q) / 4.0) * IDENTITY_4
 
 
-def _as_bloch(v) -> np.ndarray:
+def validate_bloch_vector(v) -> np.ndarray:
+    """Bloch vectors, shape (..., 3), as a float array, if every |v| <=
+    BLOCH_NORM_MAX = 1 + 6 ulps; beyond that (I + v . sigma) / 2 would have a
+    negative eigenvalue (1 - |v|)/2 and PositivityError names the largest."""
     v = np.asarray(v, dtype=float)
     if v.shape[-1:] != (3,):
         raise ValueError(f"Bloch vector must have exactly 3 real components, got shape {v.shape}")
+    norm = float(np.max(np.linalg.norm(v, axis=-1), initial=0.0))
+    if norm > BLOCH_NORM_MAX:
+        raise PositivityError(
+            f"Bloch vector norm {norm} exceeds 1; the operator (I + v.sigma)/2 "
+            "would not be positive semidefinite"
+        )
     return v
 
 
@@ -112,18 +121,10 @@ def bloch_state(v) -> np.ndarray:
     """Single-qubit density matrix (I + v . sigma) / 2; a stack of Bloch
     vectors of shape (..., 3) gives the stack of matrices, shape (..., 2, 2).
 
-    Requires |v| <= BLOCH_NORM_MAX = 1 + 6 ulps for every vector; beyond that
-    the operator would have a negative eigenvalue (1 - |v|)/2 and
-    PositivityError is raised.  Eigenvalues are (1 +- |v|)/2, so boundary
-    vectors may carry an eigenvalue as low as -6.7e-16.
+    Every vector must pass validate_bloch_vector.  Eigenvalues are (1 +- |v|)/2,
+    so boundary vectors may carry an eigenvalue as low as -6.7e-16.
     """
-    v = _as_bloch(v)
-    norm = float(np.max(np.linalg.norm(v, axis=-1)))
-    if norm > BLOCH_NORM_MAX:
-        raise PositivityError(
-            f"Bloch vector norm {norm} exceeds 1; the operator (I + v.sigma)/2 "
-            "would not be positive semidefinite"
-        )
+    v = validate_bloch_vector(v)
     x, y, z = (v[..., i, None, None] for i in range(3))
     return 0.5 * (IDENTITY_2 + x * PAULI_X + y * PAULI_Y + z * PAULI_Z)
 

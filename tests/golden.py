@@ -74,6 +74,9 @@ ARGVS = [
     ["ppt", "--sweep", "0", "1", "2.5"],
     ["ppt", "--sweep", "0", "nan", "3"],
     ["verify", "--grid", "0", "inf", "3"],
+    # a grid of one step whose ends differ
+    ["verify", "--grid", "0", "5", "1"],
+    ["ppt", "--sweep", "0.1", "-3", "1"],
     ["decompose", "--q", "0.2", "--nodes", "1", "3"],
     ["hvsim", "--q", "0.2", "--samples", "1"],
     ["hvsim", "--q", "0.1", "--l", "0", "0", "0"],

@@ -108,18 +108,32 @@ def reference_norm_squared_sum(z) -> float:
     return sum(float(np.real(np.vdot(v, v))) for v in z)
 
 
+# The bound on a node sum against its exact-sum oracle: a few ulps of 1, the
+# scale of every node sum (the weights sum to 1 and |a| = |b| <= 1), at any
+# node count.
+EXACT_SUM_TOL = 2 * math.ulp(1.0)
+
+
+def exact_sums(terms) -> np.ndarray:
+    """Each column of terms, shape (n, k), added exactly by math.fsum."""
+    return np.array([math.fsum(column) for column in np.asarray(terms).T.tolist()])
+
+
 def reference_node_sum(weights, a) -> np.ndarray:
-    """sum_n w_n rho(a_n) (x) rho(-a_n), one product state and one add per
-    node, in node order."""
+    """sum_n w_n rho(a_n) (x) rho(-a_n): one product state per node, and each
+    entry's real and imaginary parts added exactly."""
     from wernerkit.states import product_state
 
-    total = np.zeros((4, 4), dtype=complex)
-    for w, v in zip(np.asarray(weights).tolist(), a):
-        total += w * product_state(v, -v)
-    return total
+    terms = np.array([w * product_state(v, -v) for w, v in zip(np.asarray(weights).tolist(), a)])
+    terms = terms.reshape(len(terms), 16)
+    total = np.empty(16, dtype=complex)
+    total.real, total.imag = exact_sums(terms.real), exact_sums(terms.imag)
+    return total.reshape(4, 4)
 
 
 def reference_moments(weights, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sum w a, sum w b and sum w a_i b_j of one q's nodes, b = -a."""
-    b = -a
-    return weights @ a, weights @ b, np.einsum("n,ni,nj->ij", weights, a, b)
+    """sum w a, sum w b and sum w a_i b_j of one q's nodes, b = -a, each
+    entry added exactly."""
+    w, b = np.asarray(weights)[:, None], -a
+    second = (w[:, :, None] * a[:, :, None] * b[:, None, :]).reshape(len(a), 9)
+    return exact_sums(w * a), exact_sums(w * b), exact_sums(second).reshape(3, 3)

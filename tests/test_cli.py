@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    EXACT_SUM_TOL,
     THRESHOLD_QS,
     reference_moments,
     reference_node_sum,
@@ -131,6 +132,11 @@ def reference_verify_row(q: float) -> dict:
     return row
 
 
+# verify row fields taken from spherical node sums, which the per-q
+# reference adds exactly
+NODE_SUM_FIELDS = ("spherical_error", "cross_error", "moment_deviation")
+
+
 def as_json(value) -> str:
     """JSON text of value, numpy scalars and arrays written as the Python
     values they hold."""
@@ -170,8 +176,12 @@ class TestGridOracle:
             assert [r["q"] for r in rows] == THRESHOLD_QS.tolist()
         assert len(rows) == int(grid[2])
         for row in rows:
-            q = row["q"]
-            assert json.dumps(row) == as_json(reference_verify_row(q))
+            reference = reference_verify_row(row["q"])
+            for key in NODE_SUM_FIELDS:
+                if reference[key] is not None:
+                    assert abs(row[key] - reference[key]) <= EXACT_SUM_TOL
+                    reference[key] = row[key]
+            assert json.dumps(row) == as_json(reference)
 
 
 class TestGridPassCount:
@@ -253,8 +263,8 @@ class TestDecompositionPassCount:
 
 
 class TestCheckBuilderOracle:
-    """The stacked check builders' fields against the per-q oracles, bit for
-    bit, on stacks that span several reconstruction blocks."""
+    """The stacked check builders' fields against the per-q oracles: bit for
+    bit, or for spherical node sums within EXACT_SUM_TOL of the exact sum."""
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.floats(0.0, SEPARABLE_Q_EDGE), min_size=1, max_size=70).map(np.array))
@@ -279,12 +289,30 @@ class TestCheckBuilderOracle:
             one = spherical_decomposition(q)
             first_a, first_b, second = reference_moments(one.weights, one.a)
             recon = reference_node_sum(one.weights, one.a)
-            assert observed["reconstruction_error"][k] == max_abs(recon - werner(q))
-            assert moments.second_moment[k].tolist() == second.tolist()
-            assert observed["first_moment_a"][k] == max_abs(first_a)
-            assert observed["first_moment_b"][k] == max_abs(first_b)
-            assert observed["second_moment_deviation"][k] == max_abs(second + q * np.eye(3))
+            for name, exact in (
+                ("reconstruction_error", max_abs(recon - werner(q))),
+                ("first_moment_a", max_abs(first_a)),
+                ("first_moment_b", max_abs(first_b)),
+                ("second_moment_deviation", max_abs(second + q * np.eye(3))),
+            ):
+                assert abs(observed[name][k] - exact) <= EXACT_SUM_TOL
+            assert max_abs(moments.second_moment[k] - second) <= EXACT_SUM_TOL
             assert observed["anti_alignment"][k] == 0.0
+
+
+class TestFineGrids:
+    """Node sums whose rounding does not grow with the node count: a correct
+    decomposition on a fine grid passes its own checks."""
+
+    @pytest.mark.parametrize("nodes", [("1000", "1000"), ("2", "100000")], ids="x".join)
+    def test_fine_grid_passes_every_check(self, nodes):
+        args = cli.build_parser().parse_args(["decompose", "--q", "0.2", "--nodes", *nodes])
+        report = cli.cmd_decompose(args)
+        assert report.all_pass, [c for c in report.checks if not c.passed]
+        if nodes == ("2", "100000"):
+            # a node-order (strided) sum is 1.8e-13 off here
+            second = report.results["moments"]["second_moment"]
+            assert max_abs(second + 0.2 * np.eye(3)) <= 1e-15
 
 
 class TestGridErrors:
@@ -324,6 +352,35 @@ class TestGridErrors:
         assert code == EXIT_USAGE
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("verify", "--grid", "0", "5", "1"),
+                "grid of 1 step needs Q_MIN = Q_MAX, got 0.0 and 5.0",
+            ),
+            (
+                ("ppt", "--sweep", "0.1", "-3", "1"),
+                "sweep of 1 step needs Q_MIN = Q_MAX, got 0.1 and -3.0",
+            ),
+            (
+                ("ppt", "--sweep", "0.2", "0.3", "1"),
+                "sweep of 1 step needs Q_MIN = Q_MAX, got 0.2 and 0.3",
+            ),
+        ],
+    )
+    def test_one_step_grid_needs_equal_ends(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", [("verify", "--grid"), ("ppt", "--sweep")])
+    def test_one_step_grid_of_one_q(self, capsys, command):
+        code, report, _ = run_json(capsys, *command, "0.2", "0.2", "1")
+        assert code == EXIT_OK
+        assert [row["q"] for row in report["results"]["rows"]] == [0.2]
 
 
 class TestMatrixCommand:
