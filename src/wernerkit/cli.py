@@ -32,7 +32,7 @@ from .decomposition import (
     spherical_decomposition,
     wootters_decomposition,
 )
-from .hiddenvar import HvEstimate, estimate_all
+from .hiddenvar import MAX_SAMPLES, HvEstimate, estimate_all
 from .linalg import HERMITIAN_TOL, _hermitian_deviation
 from .separability import ppt_test, werner_pt_eigenvalues_closed_form
 from .states import PositivityError, SEPARABLE_Q_EDGE, SEPARABLE_Q_MAX, UNIT_AXIS_TOL, werner
@@ -521,17 +521,11 @@ def cmd_hvsim(args) -> RunReport:
     # checks are undefined.
     if args.samples < 2:
         raise ValueError(f"--samples must be >= 2, got {args.samples}")
-    too_large = f"--samples {args.samples} is too large: its draws cannot be allocated"
-    # numpy refuses, with its own text, an array of more than intp-max bytes;
-    # each draw array holds 8 bytes per sample
-    if args.samples > np.iinfo(np.intp).max // 8:
-        raise ValueError(too_large)
+    if args.samples > MAX_SAMPLES:
+        raise ValueError(f"--samples must be <= {MAX_SAMPLES}, got {args.samples}")
     axis_a, warnings_a = _normalized_axis(args.l, "--l")
     axis_b, warnings_b = _normalized_axis(args.m, "--m")
-    try:
-        est = estimate_all(args.q, axis_a, axis_b, args.samples, args.seed)
-    except MemoryError:
-        raise ValueError(too_large) from None
+    est = estimate_all(args.q, axis_a, axis_b, args.samples, args.seed)
     corr, marg_a, marg_b = est.correlation, est.marginal_a, est.marginal_b
     analytic = -args.q * float(np.dot(axis_a, axis_b))
 

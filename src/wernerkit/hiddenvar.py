@@ -7,11 +7,20 @@ is a deterministic sign function of the draw: party A returns +1 iff
 lambda_a <= (1 + l.a)/2 with a = sqrt(3q) f(theta,phi), and party B uses
 b = -a.  Averaging the outcome product over draws converges to the quantum
 correlation -q (l.m).
+
+The model is local: each party's outcome reads only its own draw and its own
+vector.  So an estimate splits into blocks of draws whose +/-1 counts add
+exactly; each block draws its own slice of the seeded stream, and the blocks
+are counted on one thread per usable CPU, in memory that does not grow with
+the sample count.  The counts, and so every estimate, are the same whatever
+the number of threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +32,7 @@ __all__ = [
     "HvSample",
     "HvEstimate",
     "HvEstimates",
+    "MAX_SAMPLES",
     "outcome_a",
     "outcome_b",
     "estimate_all",
@@ -31,10 +41,14 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-# Draws per pass through the projection work arrays: an estimate's draws are
-# held whole (the stream order puts every cos(theta) before every phi), but the
-# arrays derived from them never exceed one block.
-_BLOCK = 1 << 16
+# Samples per block.  A block draws its own slice of each of the four stream
+# variables and counts it, so an estimate holds about 8 block-length arrays
+# (2 MB) per thread, whatever its sample count.
+_BLOCK = 1 << 15
+# The most draws one estimate takes.  Streaming bounds an estimate's memory
+# but not its time: 2^32 draws take about 4 min on 2 CPUs, and every count
+# stays exact in a float64.
+MAX_SAMPLES = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -85,16 +99,31 @@ def outcome_b(sample: HvSample, q: float, axis) -> int:
     return 1 if sample.lambda_b <= threshold else -1
 
 
-def _draw_batch(rng: np.random.Generator, n: int):
-    """Vectorized hidden draws, in the stream order (cos theta, phi,
-    lambda_a, lambda_b)."""
-    cos_t = rng.uniform(-1.0, 1.0, n)
-    phi = rng.uniform(0.0, _TWO_PI, n)
-    # uniform may round up to 2pi itself: wrap it to 0, as phi % 2pi would,
-    # without a division per draw
+def _wrap_phi(phi: np.ndarray) -> np.ndarray:
+    """phi % 2pi, in place, for uniform draws on [0, 2pi]: uniform may round
+    up to 2pi itself, which wraps to 0, with no division per draw."""
     phi[phi >= _TWO_PI] -= _TWO_PI
-    lam_a = rng.random(n)
-    lam_b = rng.random(n)
+    return phi
+
+
+def _draw_block(seed: int, start: int, m: int, n_samples: int):
+    """Draws start to start + m of the seed's n_samples-draw stream, in the
+    stream order (cos theta, phi, lambda_a, lambda_b).
+
+    The stream, default_rng([seed, 0]), draws every cos theta, then every phi,
+    lambda_a and lambda_b.  Each double takes one 64-bit PCG64 output, so
+    advancing the bit generator by n_samples - m moves from one variable's
+    slice of the block to the next one's."""
+    bits = np.random.PCG64([seed, 0]).advance(start)
+    rng = np.random.Generator(bits)
+    gap = n_samples - m
+    cos_t = rng.uniform(-1.0, 1.0, m)
+    bits.advance(gap)
+    phi = _wrap_phi(rng.uniform(0.0, _TWO_PI, m))
+    bits.advance(gap)
+    lam_a = rng.random(m)
+    bits.advance(gap)
+    lam_b = rng.random(m)
     return cos_t, phi, lam_a, lam_b
 
 
@@ -123,15 +152,25 @@ def _plus_mask(
 
 
 def _count_outcomes(
-    q: float, axis_a: np.ndarray, axis_b: np.ndarray, draws: tuple[np.ndarray, ...]
+    q: float,
+    axis_a: np.ndarray,
+    axis_b: np.ndarray,
+    seed: int,
+    n_samples: int,
+    starts: range,
+    stop: threading.Event,
 ) -> tuple[int, int, int]:
-    """One pass over the hidden draws, with A measured along axis_a and B along
-    axis_b.  Returns the number of draws with A = +1, with B = +1, and with
-    A == B; counts of +/-1 outcomes merge exactly across blocks."""
+    """Draws and counts the blocks of the seed's n_samples-draw stream that
+    begin at starts, with A measured along axis_a and B along axis_b, until
+    stop is set.  Returns the number of draws with A = +1, with B = +1, and
+    with A == B; counts of +/-1 outcomes merge exactly across blocks."""
     radius = local_bloch_norm(q)
     plus_a = plus_b = agree = 0
-    for start in range(0, len(draws[0]), _BLOCK):
-        cos_t, phi, lam_a, lam_b = (x[start:start + _BLOCK] for x in draws)
+    for start in starts:
+        if stop.is_set():
+            break
+        m = min(_BLOCK, n_samples - start)
+        cos_t, phi, lam_a, lam_b = _draw_block(seed, start, m, n_samples)
         sin_t = np.multiply(cos_t, cos_t)
         np.subtract(1.0, sin_t, out=sin_t)
         np.clip(sin_t, 0.0, None, out=sin_t)
@@ -144,6 +183,13 @@ def _count_outcomes(
         plus_b += int(np.count_nonzero(out_b))
         agree += out_a.size - int(np.count_nonzero(out_a ^ out_b))
     return plus_a, plus_b, agree
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _estimate(plus: int, n_samples: int, seed: int) -> HvEstimate:
@@ -166,9 +212,10 @@ def estimate_all(q: float, axis_a, axis_b, n_samples: int, seed: int) -> HvEstim
     marginals, from one pass over n_samples hidden draws.
 
     The draws come from one seeded stream, numpy's PCG64 default_rng([seed,
-    0]), so identical arguments give bit-identical estimates; the seeded
-    reports pin that key.  Each estimate equals, bit for bit, the one
-    estimate_correlation or estimate_local gives for the same arguments.
+    0]), so identical arguments give bit-identical estimates on any number
+    of threads; the seeded reports pin that key.  Each estimate equals, bit
+    for bit, the one estimate_correlation or estimate_local gives for the same
+    arguments.  More than MAX_SAMPLES draws raise ValueError.
     """
     q = _require_separable_q(q)
     la = _unit_axis(axis_a, "axis_a")
@@ -177,9 +224,31 @@ def estimate_all(q: float, axis_a, axis_b, n_samples: int, seed: int) -> HvEstim
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if n_samples > MAX_SAMPLES:
+        raise ValueError(f"n_samples must be at most {MAX_SAMPLES}, got {n_samples}")
 
-    draws = _draw_batch(np.random.default_rng([seed, 0]), n_samples)
-    plus_a, plus_b, agree = _count_outcomes(q, la, mb, draws)
+    blocks = range(0, n_samples, _BLOCK)
+    workers = min(_usable_cpus(), len(blocks))
+    stop = threading.Event()
+
+    def count(first: int) -> tuple[int, int, int]:
+        return _count_outcomes(q, la, mb, seed, n_samples, blocks[first::workers], stop)
+
+    if workers == 1:
+        counts = [count(0)]
+    else:
+        # imported here so that CLI start-up does not load it; numpy releases
+        # the GIL in the draws and ufuncs, so the threads run in parallel
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            try:
+                counts = list(pool.map(count, range(workers)))
+            finally:
+                # a failed worker or an interrupt ends the others' shares
+                # at their next block
+                stop.set()
+    plus_a, plus_b, agree = (sum(c) for c in zip(*counts))
     return HvEstimates(
         correlation=_estimate(agree, n_samples, seed),
         marginal_a=_estimate(plus_a, n_samples, seed),

@@ -102,13 +102,17 @@ def werner(q) -> np.ndarray:
 
 
 def validate_bloch_vector(v) -> np.ndarray:
-    """Bloch vectors, shape (..., 3), as a float array, if every |v| <=
-    BLOCH_NORM_MAX = 1 + 6 ulps; beyond that (I + v . sigma) / 2 would have a
-    negative eigenvalue (1 - |v|)/2 and PositivityError names the largest."""
+    """Bloch vectors, shape (..., 3), as a float array, if every |v| is finite
+    (else ValueError) and at most BLOCH_NORM_MAX = 1 + 6 ulps; beyond that
+    (I + v . sigma) / 2 would have a negative eigenvalue (1 - |v|)/2 and
+    PositivityError names the largest."""
     v = np.asarray(v, dtype=float)
     if v.shape[-1:] != (3,):
         raise ValueError(f"Bloch vector must have exactly 3 real components, got shape {v.shape}")
     norm = float(np.max(np.linalg.norm(v, axis=-1), initial=0.0))
+    # negated so that a NaN norm is rejected along with an infinite one
+    if not norm < math.inf:
+        raise ValueError(f"Bloch vector must be finite, got norm {norm}")
     if norm > BLOCH_NORM_MAX:
         raise PositivityError(
             f"Bloch vector norm {norm} exceeds 1; the operator (I + v.sigma)/2 "

@@ -43,6 +43,7 @@ from wernerkit.decomposition import (
     spherical_decomposition,
     wootters_decomposition,
 )
+from wernerkit.hiddenvar import MAX_SAMPLES
 from wernerkit.separability import ppt_test, werner_pt_eigenvalues_closed_form
 from wernerkit.states import SEPARABLE_Q_EDGE, werner
 
@@ -650,34 +651,57 @@ class TestHvsimCommand:
     @pytest.mark.parametrize(
         "samples",
         [
-            # 10^15 draws need petabytes: numpy refuses before touching memory
+            # one draw above the cap, 10^15 draws (days of sampling), and
+            # counts beyond any integer type numpy has
+            str(MAX_SAMPLES + 1),
             "1000000000000000",
-            # 2^60, 2^63 - 1 and 2^64 draws need more than intp-max bytes:
-            # numpy cannot size them at all
             "1152921504606846976",
             "9223372036854775807",
             "18446744073709551616",
         ],
     )
     def test_unallocatable_sample_count_exits_2(self, capsys, samples):
-        code, out, err = run(capsys, "hvsim", "--q", "0.2", "--samples", samples)
+        # refused before the q, the axes and the seed are read
+        code, out, err = run(capsys, "hvsim", "--q", "0.5", "--samples", samples)
         assert code == EXIT_USAGE
         assert out == ""
-        assert err == f"error: --samples {samples} is too large: its draws cannot be allocated\n"
+        assert err == f"error: --samples must be <= {MAX_SAMPLES}, got {samples}\n"
 
-    def test_one_draw_per_chunk(self, capsys, monkeypatch):
-        # the correlation and both marginals come from a single pass
+    def test_one_draw_per_block(self, capsys, monkeypatch):
+        # the correlation and both marginals come from a single pass, which
+        # draws each block of the stream once
         calls = []
-        draw_batch = hiddenvar._draw_batch
+        draw_block = hiddenvar._draw_block
 
-        def counting(rng, n):
-            calls.append(n)
-            return draw_batch(rng, n)
+        def counting(seed, start, m, n_samples):
+            calls.append((start, m, n_samples))
+            return draw_block(seed, start, m, n_samples)
 
-        monkeypatch.setattr(hiddenvar, "_draw_batch", counting)
+        monkeypatch.setattr(hiddenvar, "_draw_block", counting)
         code, _, _ = run(capsys, *self.ARGS)
         assert code == EXIT_OK
-        assert calls == [200_000]
+        n, block = 200_000, hiddenvar._BLOCK
+        assert sorted(calls) == [
+            (start, min(block, n - start), n) for start in range(0, n, block)
+        ]
+
+    def test_one_block_run_loads_no_thread_pool(self):
+        # a one-block estimate runs inline; the thread pool module stays out
+        # of start-up and of every command that does not sample
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = (
+            "import sys, contextlib, io\n"
+            "import wernerkit.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert wernerkit.cli.main(['hvsim', '--q', '0.2', '--samples', '1000']) == 0\n"
+            "print('concurrent.futures' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     @pytest.mark.parametrize(
         "argv, code",

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -8,9 +11,11 @@ from helpers import random_unit_axis
 from wernerkit import hiddenvar
 from wernerkit.decomposition import DecompositionDomainError, sphere_direction
 from wernerkit.hiddenvar import (
+    _BLOCK,
     HvSample,
-    _draw_batch,
+    _draw_block,
     _estimate,
+    _wrap_phi,
     estimate_all,
     estimate_correlation,
     estimate_local,
@@ -27,7 +32,7 @@ Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 def _stream(seed, n):
     """The hidden draws estimate_all makes for (seed, n)."""
-    return _draw_batch(np.random.default_rng([seed, 0]), n)
+    return _draw_block(seed, 0, n, n)
 
 
 class TestSampling:
@@ -45,7 +50,7 @@ class TestSampling:
 
     def test_sphere_moments(self):
         # direction statistics of 10^6 draws: first moment 0, second moment 1/3
-        cos_t, phi, _, _ = _draw_batch(np.random.default_rng(2024), 1_000_000)
+        cos_t, phi, _, _ = _stream(2024, 1_000_000)
         f_z = cos_t
         f_x = np.sqrt(1.0 - cos_t**2) * np.cos(phi)
         assert abs(np.mean(f_z)) < 5e-3
@@ -276,7 +281,9 @@ def _assert_matches(est, reference):
 
 
 class TestCountingKernel:
-    @pytest.mark.parametrize("n_samples", [2, 3, 1000, 100_003])
+    @pytest.mark.parametrize(
+        "n_samples", [2, 3, 1000, 100_003, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
+    )
     def test_matches_three_pass_float_reference(self, n_samples):
         rng = np.random.default_rng(20_001 + 10 * n_samples)
         for q in (0.0, 1.0 / 3.0, float(rng.uniform(0.0, 1.0 / 3.0))):
@@ -315,18 +322,11 @@ class TestCountingKernel:
         rng = np.random.default_rng([77, 0])
         rng.uniform(-1.0, 1.0, 50_000)
         raw = rng.uniform(0.0, 2.0 * math.pi, 50_000)
-        _, phi, _, _ = _draw_batch(np.random.default_rng([77, 0]), 50_000)
+        _, phi, _, _ = _stream(77, 50_000)
         assert np.array_equal(phi, raw % (2.0 * math.pi))
 
-        class TopOfRange:
-            # a generator whose uniform draws all round up to the high end
-            def uniform(self, low, high, n):
-                return np.full(n, high)
-
-            def random(self, n):
-                return np.zeros(n)
-
-        _, phi, _, _ = _draw_batch(TopOfRange(), 3)
+        # uniform draws that all round up to the high end
+        phi = _wrap_phi(np.full(3, 2.0 * math.pi))
         assert np.array_equal(phi, np.full(3, 2.0 * math.pi) % (2.0 * math.pi))
         assert not np.signbit(phi).any()
 
@@ -354,23 +354,106 @@ class TestCountingKernel:
                 assert _estimate(k, n, seed=0).mean == float(np.mean(values))
 
     def test_one_draw_per_estimate(self, monkeypatch):
+        # each estimate draws every block of its stream once
         calls = []
-        draw_batch = hiddenvar._draw_batch
+        draw_block = hiddenvar._draw_block
 
-        def counting(rng, n):
-            calls.append(n)
-            return draw_batch(rng, n)
+        def counting(seed, start, m, n_samples):
+            calls.append((start, m, n_samples))
+            return draw_block(seed, start, m, n_samples)
 
-        monkeypatch.setattr(hiddenvar, "_draw_batch", counting)
-        estimate_all(0.2, Z_AXIS, X_AXIS, 1003, seed=1)
-        estimate_correlation(0.2, Z_AXIS, X_AXIS, 1003, seed=1)
-        estimate_local(0.2, Z_AXIS, "B", 1003, seed=1)
-        assert calls == [1003, 1003, 1003]
+        monkeypatch.setattr(hiddenvar, "_draw_block", counting)
+        monkeypatch.setattr(hiddenvar, "_BLOCK", 400)
+        blocks = [(0, 400, 1003), (400, 400, 1003), (800, 203, 1003)]
+        for estimate in (
+            lambda: estimate_all(0.2, Z_AXIS, X_AXIS, 1003, seed=1),
+            lambda: estimate_correlation(0.2, Z_AXIS, X_AXIS, 1003, seed=1),
+            lambda: estimate_local(0.2, Z_AXIS, "B", 1003, seed=1),
+        ):
+            calls.clear()
+            estimate()
+            assert sorted(calls) == blocks
 
     def test_blocks_do_not_change_the_counts(self, monkeypatch):
-        # the projection runs block by block over the draws; any block size
+        # the draws are streamed and counted block by block; any block size
         # gives the same counts
         args = (0.3, Z_AXIS, random_unit_axis(np.random.default_rng(8)), 5000, 12)
         whole = estimate_all(*args)
         monkeypatch.setattr(hiddenvar, "_BLOCK", 7)
         assert estimate_all(*args) == whole
+
+    def test_worker_count_does_not_change_the_estimates(self, monkeypatch):
+        # the blocks are split among min(usable CPUs, blocks) threads, whose
+        # integer counts merge exactly in any order
+        count_outcomes = hiddenvar._count_outcomes
+        threads, starts = set(), []
+
+        def recording(q, axis_a, axis_b, seed, n_samples, block_starts, stop):
+            threads.add(threading.get_ident())
+            starts.extend(block_starts)
+            return count_outcomes(q, axis_a, axis_b, seed, n_samples, block_starts, stop)
+
+        monkeypatch.setattr(hiddenvar, "_count_outcomes", recording)
+        monkeypatch.setattr(hiddenvar, "_BLOCK", 1000)
+        rng = np.random.default_rng(12)
+        args = (0.25, random_unit_axis(rng), random_unit_axis(rng), 10_007, 3)
+        estimates = {}
+        interval = sys.getswitchinterval()
+        for cpus in (1, 4):
+            monkeypatch.setattr(hiddenvar, "_usable_cpus", lambda cpus=cpus: cpus)
+            threads.clear()
+            starts.clear()
+            # switch threads often, so that a lost update would show
+            sys.setswitchinterval(1e-5)
+            try:
+                estimates[cpus] = estimate_all(*args)
+            finally:
+                sys.setswitchinterval(interval)
+            assert sorted(starts) == list(range(0, 10_007, 1000))
+            if cpus == 1:
+                assert threads == {threading.get_ident()}
+            else:
+                assert threading.get_ident() not in threads
+                assert 1 <= len(threads) <= cpus
+        assert estimates[1] == estimates[4]
+
+        # a single block runs inline, whatever the CPU count
+        threads.clear()
+        estimate_all(0.25, Z_AXIS, X_AXIS, 1000, 3)
+        assert threads == {threading.get_ident()}
+
+    def test_a_failed_block_ends_the_other_threads(self, monkeypatch):
+        # a block of the first thread's share fails once both threads run;
+        # the other thread stops at its next block instead of drawing the
+        # rest of its 5000
+        draw_block = hiddenvar._draw_block
+        calls = []
+
+        def failing(seed, start, m, n_samples):
+            calls.append(start)
+            if start == 20_000:
+                raise RuntimeError("block failed")
+            return draw_block(seed, start, m, n_samples)
+
+        monkeypatch.setattr(hiddenvar, "_draw_block", failing)
+        monkeypatch.setattr(hiddenvar, "_BLOCK", 100)
+        monkeypatch.setattr(hiddenvar, "_usable_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match="block failed"):
+            estimate_all(0.2, Z_AXIS, X_AXIS, 1_000_000, 1)
+        assert len(calls) < 5000
+
+    def test_peak_memory_is_a_few_blocks_per_thread(self, monkeypatch):
+        # an estimate holds a few block-length arrays per thread; at two
+        # threads, 4 * 10^6 draws peak far below the 128 MB of draws held whole
+        monkeypatch.setattr(hiddenvar, "_usable_cpus", lambda: 2)
+        tracemalloc.start()
+        try:
+            estimate_all(0.2, Z_AXIS, X_AXIS, 4_000_000, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 << 20
+
+    def test_refuses_more_than_the_sample_cap(self):
+        with pytest.raises(ValueError, match=f"at most {hiddenvar.MAX_SAMPLES}, got"):
+            estimate_all(0.2, Z_AXIS, X_AXIS, hiddenvar.MAX_SAMPLES + 1, 1)

@@ -16,6 +16,7 @@ from wernerkit.states import (
     bloch_state,
     marginal,
     product_state,
+    validate_bloch_vector,
     werner,
 )
 
@@ -125,6 +126,24 @@ class TestBlochState:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="3 real components"):
             bloch_state((1.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_vector(self, bad):
+        # a NaN norm compares false with the bound, so it is refused by name
+        with pytest.raises(ValueError, match="must be finite") as info:
+            bloch_state((bad, 0.0, 0.0))
+        assert type(info.value) is ValueError
+
+    def test_rejects_a_stack_with_one_non_finite_row(self):
+        stack = np.zeros((5, 3))
+        stack[3, 1] = np.nan
+        with pytest.raises(ValueError, match="must be finite") as info:
+            validate_bloch_vector(stack)
+        assert type(info.value) is ValueError
+        # a row beyond the bound still gives the positivity text
+        stack[3, 1] = 1.5
+        with pytest.raises(PositivityError, match="norm 1.5 exceeds 1"):
+            validate_bloch_vector(stack)
 
 
 class TestProductState:
