@@ -24,6 +24,7 @@ from .decomposition import (
     SCHMIDT_TOL,
     DecompositionDomainError,
     MomentReport,
+    _assemble,
     local_bloch_norm,
     moment_check,
     phase_constraint_residual,
@@ -51,6 +52,8 @@ PHASE_TOL = 1e-13
 CROSS_DECOMPOSITION_TOL = 1e-11
 WEIGHT_SUM_TOL = 1e-14
 SIGMA_BAND = 5.0
+# The most --sweep or --grid steps: a float STEPS holds every count up to it.
+MAX_GRID_STEPS = 2**53
 
 
 @dataclass
@@ -90,11 +93,23 @@ def _max_abs(x, axis=None):
     return np.max(np.abs(x), axis=axis)
 
 
+@dataclass
+class Nullable:
+    """A column: values on the rows where present is set, in order, null on the others."""
+
+    present: np.ndarray
+    values: np.ndarray
+
+    def tolist(self) -> list:
+        values = iter(np.asarray(self.values).tolist())
+        return [next(values) if p else None for p in self.present.tolist()]
+
+
 class Table:
     """Report rows held as named columns: each column an array with one
-    entry, shape (n,), or one vector, shape (n, k), per row, or a list of
-    Python scalars, such as strings, with None for null.  JSON writes a table
-    as a list of row objects, each vector as a list."""
+    entry, shape (n,), or one vector, shape (n, k), per row, a Nullable, or
+    a list of Python scalars, such as strings, with None for null.  JSON
+    writes a table as a list of row objects, each vector as a list."""
 
     def __init__(self, **columns):
         self.columns = columns
@@ -102,7 +117,7 @@ class Table:
     def rows(self) -> list[dict]:
         """The rows as dicts of Python values."""
         names = list(self.columns)
-        values = (c.tolist() if isinstance(c, np.ndarray) else c for c in self.columns.values())
+        values = (c if isinstance(c, list) else c.tolist() for c in self.columns.values())
         return [dict(zip(names, row)) for row in zip(*values)]
 
 
@@ -114,8 +129,8 @@ class RunReport:
     checks: list[Check] = field(default_factory=list)
     seed: int | None = None
     # The CSV projection: a header name per CSV field, and the columns the
-    # fields come from, each an array (an (n, k) array gives k fields) or a
-    # list of scalars.
+    # fields come from, each an array (an (n, k) array gives k fields), a
+    # Nullable or a list of scalars.
     csv_header: list[str] | None = None
     csv_columns: list | None = None
     # Lines for stderr, written only once the report is.
@@ -199,33 +214,46 @@ def _csv_scalar(value) -> str:
     return _fmt_scalar(value)
 
 
-def _column_values(column, text) -> tuple[str, list[list]]:
-    """A column as the printf format of one value and its scalar columns of
-    Python values: an (n, k) array gives k.  With %r a float or int is
-    written as JSON writes it, one float.__repr__ per value.  The entries
-    of a list column are written by the format's scalar writer text."""
-    if not isinstance(column, np.ndarray):
-        return "%s", [[text(v) for v in column]]
-    if column.ndim > 2 or column.dtype.kind not in "biuf":
-        raise TypeError(f"cannot serialize a {column.dtype} column into a report")
-    finite = np.isfinite(column)
+def _column_values(column, text) -> list[list]:
+    """A column as its scalar columns, an (n, k) array giving k, of values
+    that %s writes as JSON does: floats with one float.__repr__ per distinct
+    magnitude, as repr(x) == "-" + repr(-x) for finite x < 0, -0.0 included,
+    and a list column and a Nullable's null rows by the format's text."""
+    if isinstance(column, Nullable):
+        present, values = column.present[None], np.asarray(column.values, dtype=float)
+    elif not isinstance(column, np.ndarray):
+        return [[text(v) for v in column]]
+    else:
+        if column.ndim > 2 or column.dtype.kind not in "biuf":
+            raise TypeError(f"cannot serialize a {column.dtype} column into a report")
+        subs = column.T if column.ndim == 2 else column[None]
+        if column.dtype == bool:
+            return [["true" if v else "false" for v in sub] for sub in subs.tolist()]
+        if column.dtype.kind != "f":
+            return subs.tolist()
+        present, values = np.broadcast_to(True, subs.shape), subs.ravel()
+    finite = np.isfinite(values)
     if not finite.all():
-        raise _not_finite(column[~finite][0])
-    subs = column.T.tolist() if column.ndim == 2 else [column.tolist()]
-    if column.dtype == bool:
-        return "%s", [["true" if v else "false" for v in sub] for sub in subs]
-    return "%r", subs
+        raise _not_finite(values[~finite][0])
+    magnitudes, inverse = np.unique(np.abs(values), return_inverse=True)
+    texts = [repr(m) for m in magnitudes.tolist()]
+    # every entry of one magnitude and sign shares one string
+    strings = np.array(texts + ["-" + t for t in texts] + [text(None)], dtype=object)
+    index = np.full(present.shape, 2 * len(texts))
+    index[present] = inverse.ravel() + np.signbit(values) * len(texts)
+    return strings[index].tolist()
 
 
 def _json_table(table: Table, nl: str | None) -> str:
     """A table as a JSON list of row objects: every row from one template
-    built for its depth, filled from the columns' .tolist() values."""
+    built for its depth, filled from the columns' values."""
     row_nl = None if nl is None else nl + "  "
     field_nl = None if nl is None else row_nl + "  "
     fields, values = [], []
     for name, column in table.columns.items():
-        fmt, subs = _column_values(column, _json_scalar)
+        subs = _column_values(column, _json_scalar)
         values += subs
+        fmt = "%s"
         if isinstance(column, np.ndarray) and column.ndim == 2:
             fmt = _enclose("[", [fmt] * len(subs), "]", field_nl)
         fields.append(_json_str(name).replace("%", "%%") + ": " + fmt)
@@ -258,12 +286,8 @@ def emit_json(report: RunReport) -> str:
 def emit_csv(report: RunReport) -> str:
     if report.csv_header is None or report.csv_columns is None:
         raise ValueError(f"command {report.command!r} has no CSV projection")
-    formats, values = [], []
-    for column in report.csv_columns:
-        fmt, subs = _column_values(column, _csv_scalar)
-        formats += [fmt] * len(subs)
-        values += subs
-    template = ",".join(formats)
+    values = [sub for column in report.csv_columns for sub in _column_values(column, _csv_scalar)]
+    template = ",".join(["%s"] * len(values))
     lines = [",".join(report.csv_header), *(template % row for row in zip(*values))]
     return "\n".join(lines) + "\n"
 
@@ -366,6 +390,8 @@ def _q_grid(q_min: float, q_max: float, steps: float, kind: str) -> tuple[np.nda
     steps = int(steps)
     if steps < 1:
         raise ValueError(f"{kind} steps must be >= 1, got {steps}")
+    if steps > MAX_GRID_STEPS:
+        raise ValueError(f"{kind} steps must be <= {MAX_GRID_STEPS}, got {steps}")
     for name, value in (("Q_MIN", q_min), ("Q_MAX", q_max)):
         if not math.isfinite(value):
             raise ValueError(f"{kind} {name} must be finite, got {value}")
@@ -417,8 +443,8 @@ def _spherical_checks(dec, target: np.ndarray) -> tuple[np.ndarray, MomentReport
     """The reconstructions of a spherical decomposition of a stack of q, its
     moment report, and each check's observed value, each with one entry per
     q.  target is the stack of Werner matrices."""
-    recon = reconstruct(dec)
     moments = moment_check(dec)
+    recon = _assemble(dec, moments.matrix)
     second_dev = moments.second_moment + dec.q[:, None, None] * np.eye(3)
     observed = {
         "reconstruction_error": _max_abs(recon - target, (-2, -1)),
@@ -573,14 +599,6 @@ _VERIFY_CHECKS = {
 }
 
 
-def _on_rows(rows: np.ndarray, values) -> list:
-    """A list column: values on the rows where rows is set, None on the
-    others."""
-    column = np.full(rows.shape, None, dtype=object)
-    column[rows] = values
-    return column.tolist()
-
-
 def _verify_rows(q: np.ndarray, rho: np.ndarray) -> tuple[Table, Table, list[Check]]:
     """The verify report rows of a q grid, from the stack rho = werner(q),
     the skipped rows' q and reasons, and the checks over the grid.
@@ -615,8 +633,8 @@ def _verify_rows(q: np.ndarray, rho: np.ndarray) -> tuple[Table, Table, list[Che
         ppt_deviation=ppt["closed_form_deviation"],
         separable=ppt["separable"],
         verdict_matches=ppt["separable"] == ppt["expected_separable"],
-        **{key: _on_rows(tested, deviations.get(key, ())) for key in _VERIFY_CHECKS},
-        skipped=_on_rows(~tested, reasons),
+        **{key: Nullable(tested, deviations.get(key, ())) for key in _VERIFY_CHECKS},
+        skipped=Nullable(~tested, reasons).tolist(),
     )
     checks = _ppt_checks(ppt, "ppt_") + [
         check_value(name, deviations[key], 0.0, tol)

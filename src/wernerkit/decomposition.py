@@ -53,6 +53,8 @@ __all__ = [
 
 MOMENT_TOL = 1e-13
 SCHMIDT_TOL = 1e-12
+# The largest n_theta or n_phi, refused before leggauss sees a count like 2^64.
+MAX_NODE_COUNT = 100_000
 
 
 class DecompositionDomainError(ValueError):
@@ -135,14 +137,15 @@ class WoottersDecomposition:
 class MomentReport:
     """First and second moments of the node ensemble, whose targets are
     sum w*a_i = sum w*b_i = 0, sum w*a_i*b_j = -q delta_ij and
-    sum w*f_i*f_j = delta_ij / 3.  For a stack of q, shape (m,), every field
-    gains a leading axis of length m."""
+    sum w*f_i*f_j = delta_ij / 3; matrix M = sum w (1, a)(1, b)^T holds the
+    first three.  A stack of q, shape (m,), gives each a leading axis m."""
 
     q: float | np.ndarray
     first_moment_a: np.ndarray
     first_moment_b: np.ndarray
     second_moment: np.ndarray
     f_second_moment: np.ndarray
+    matrix: np.ndarray
 
 
 def sphere_direction(theta: float, phi: float) -> np.ndarray:
@@ -168,6 +171,8 @@ def spherical_decomposition(q, n_theta: int = 4, n_phi: int = 8) -> SphericalDec
         raise ValueError(f"n_theta must be >= 2 for degree-2 exactness, got {n_theta}")
     if n_phi < 3:
         raise ValueError(f"n_phi must be >= 3 for degree-2 exactness, got {n_phi}")
+    if max(n_theta, n_phi) > MAX_NODE_COUNT:
+        raise ValueError(f"n_theta, n_phi must be <= {MAX_NODE_COUNT}, got {n_theta}, {n_phi}")
 
     nodes, weights, directions = _quadrature(n_theta, n_phi)
     return SphericalDecomposition(
@@ -293,15 +298,20 @@ _PAULIS = (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z)
 _PAULI_PRODUCTS = np.array([[np.kron(s, t) / 4.0 for t in _PAULIS] for s in _PAULIS])
 
 
+def _assemble(dec: SphericalDecomposition, m: np.ndarray) -> np.ndarray:
+    """(1/4) sum m_mu,nu sigma_mu (x) sigma_nu, once dec's nodes are checked to be states."""
+    validate_bloch_vector(dec.a)  # b = -a has the same norms
+    m = m[..., None, None]
+    # each entry adds four nonzero terms, +-M_mu,nu / 4 times 1 or i
+    return sum(m[..., mu, nu, :, :] * _PAULI_PRODUCTS[mu, nu] for mu, nu in np.ndindex(4, 4))
+
+
 def reconstruct(dec) -> np.ndarray:
     """Resum a decomposition into its 4x4 density matrix; a stacked
     decomposition gives the stack of matrices, shape (m, 4, 4).  A spherical
     node whose local vectors are not states raises PositivityError."""
     if isinstance(dec, SphericalDecomposition):
-        validate_bloch_vector(dec.a)  # b = -a has the same norms
-        m = _moment_matrix(dec.weights, dec.a, dec.b)[..., None, None]
-        # each entry adds four nonzero terms, +-M_mu,nu / 4 times 1 or i
-        return sum(m[..., mu, nu, :, :] * _PAULI_PRODUCTS[mu, nu] for mu, nu in np.ndindex(4, 4))
+        return _assemble(dec, _moment_matrix(dec.weights, dec.a, dec.b))
     if isinstance(dec, WoottersDecomposition):
         total = np.zeros(dec.z[0].shape[:-1] + (4, 4), dtype=complex)
         for z in dec.z:
@@ -326,6 +336,7 @@ def moment_check(dec: SphericalDecomposition) -> MomentReport:
         first_moment_b=m[..., 0, 1:],
         second_moment=m[..., 1:, 1:],
         f_second_moment=np.broadcast_to(f[1:, 1:], m.shape[:-2] + (3, 3)),
+        matrix=m,
     )
 
 

@@ -22,7 +22,7 @@ import json
 import os
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wernerkit.cli import main
@@ -126,6 +126,9 @@ def check(argv: list[str]) -> None:
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
 
 
+# A node count leggauss cannot take, with a valid --q, so that the count
+# reaches the quadrature's own check; the drawn counts never pair with one.
+@example(["decompose", "--q", "0.2", "--nodes", "18446744073709551616", "3"])
 @settings(
     max_examples=EXAMPLES, derandomize=True, database=None, deadline=None,
     suppress_health_check=list(HealthCheck),

@@ -84,6 +84,10 @@ ARGVS = [
     ["hvsim", "--q", "0.2", "--samples", "1000000000000000"],
     ["hvsim", "--q", "0.2", "--samples", "1152921504606846976"],
     ["hvsim", "--q", "0.2", "--samples", "18446744073709551616"],
+    # node and grid step counts past their caps
+    ["decompose", "--q", "0.2", "--nodes", "18446744073709551616", "3"],
+    ["ppt", "--sweep", "0", "1", "1e30"],
+    ["verify", "--grid", "0", "1", "1e19"],
     ["matrix", "--q", "0.2", "--out", "missing/report.json"],
     # exit 3: an inseparable q for a separable-only operation
     ["decompose", "--q", "0.4"],

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -37,8 +37,8 @@ from wernerkit.cli import (
     main,
 )
 from wernerkit.decomposition import (
+    MAX_NODE_COUNT,
     DecompositionDomainError,
-    SphericalDecomposition,
     WoottersDecomposition,
     spherical_decomposition,
     wootters_decomposition,
@@ -221,22 +221,27 @@ class TestGridPassCount:
 
 class TestDecompositionPassCount:
     """verify decomposes its tested q in one pass: one call of each
-    constructor, each reconstruction and the moment check for the grid, and
-    none when no q is tested.  decompose is that pass on a stack of one."""
+    constructor, of the moment check and of the four-vector reconstruction
+    for the grid, and none when no q is tested.  The spherical
+    reconstruction is assembled from the moment check's matrix, so each
+    node moment matrix is built once.  decompose is that pass on a stack of
+    one."""
 
     @staticmethod
     def count_decomposition_calls(monkeypatch) -> dict:
         names = ("spherical_decomposition", "wootters_decomposition", "reconstruct", "moment_check")
-        return {name: count_calls(monkeypatch, cli, name) for name in names}
+        calls = {name: count_calls(monkeypatch, cli, name) for name in names}
+        calls["_moment_matrix"] = count_calls(monkeypatch, decomposition, "_moment_matrix")
+        return calls
 
     def test_verify_grid(self, capsys, monkeypatch):
         calls = self.count_decomposition_calls(monkeypatch)
         code, report, _ = run_json(capsys, "verify", "--grid", "0", "1", "1001")
         assert code == EXIT_OK
-        assert [type(args[0]) for args in calls["reconstruct"]] == [
-            SphericalDecomposition, WoottersDecomposition,
-        ]
+        assert [type(args[0]) for args in calls["reconstruct"]] == [WoottersDecomposition]
         assert len(calls["moment_check"]) == 1
+        # M = sum w (1, a)(1, b)^T and the direction moments, once each
+        assert len(calls["_moment_matrix"]) == 2
         (spherical,), (wootters,) = calls["spherical_decomposition"], calls["wootters_decomposition"]
         assert len(report["results"]["skipped"]) == 1001 - 334
         assert spherical[0].shape == wootters[0].shape == (334,)
@@ -260,7 +265,8 @@ class TestDecompositionPassCount:
         assert run(capsys, "decompose", "--q", "0.2", "--method", method)[0] == EXIT_OK
         (args,) = builder
         assert args[0].q.shape == (1,)
-        assert len(calls["reconstruct"]) == 1
+        assert len(calls["reconstruct"]) == (method == "wootters")
+        assert len(calls["moment_check"]) == len(calls["_moment_matrix"]) // 2 == (method == "spherical")
 
 
 class TestCheckBuilderOracle:
@@ -382,6 +388,47 @@ class TestGridErrors:
         code, report, _ = run_json(capsys, *command, "0.2", "0.2", "1")
         assert code == EXIT_OK
         assert [row["q"] for row in report["results"]["rows"]] == [0.2]
+
+
+class TestSizeCaps:
+    """A node count or a grid step count past its cap exits 2 with one line
+    naming the cap, judged before any allocation.  The counts at the caps
+    are taken: --nodes 2 100000 runs in TestFineGrids, and --nodes 100000
+    100000 and 2^53 grid steps fail only for memory in TestOutOfMemory."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("decompose", "--q", "0.2", "--nodes", "18446744073709551616", "3"),
+             "n_theta, n_phi must be <= 100000, got 18446744073709551616, 3"),
+            (("decompose", "--q", "0.2", "--nodes", "100001", "3"),
+             "n_theta, n_phi must be <= 100000, got 100001, 3"),
+            (("decompose", "--q", "0.2", "--nodes", "2", "100001"),
+             "n_theta, n_phi must be <= 100000, got 2, 100001"),
+            (("ppt", "--sweep", "0", "1", "1e30"),
+             "sweep steps must be <= 9007199254740992, got 1000000000000000019884624838656"),
+            (("verify", "--grid", "0", "1", "1e19"),
+             "grid steps must be <= 9007199254740992, got 10000000000000000000"),
+            # the double after 2^53: 2^53 + 1 reads as 2^53
+            (("ppt", "--sweep", "0", "1", "9007199254740994"),
+             "sweep steps must be <= 9007199254740992, got 9007199254740994"),
+            (("verify", "--grid", "0", "1", "9007199254740994"),
+             "grid steps must be <= 9007199254740992, got 9007199254740994"),
+        ],
+    )
+    def test_count_past_its_cap_exits_2(self, capsys, argv, message):
+        for fmt in ("json", "csv", "pretty"):
+            assert run(capsys, *argv, "--format", fmt) == (EXIT_USAGE, "", f"error: {message}\n")
+
+    def test_node_count_cap(self):
+        assert MAX_NODE_COUNT == 100_000
+        assert spherical_decomposition(0.2, 3, MAX_NODE_COUNT).weights.shape == (3 * MAX_NODE_COUNT,)
+        with pytest.raises(ValueError, match="must be <= 100000"):
+            spherical_decomposition(0.2, 3, MAX_NODE_COUNT + 1)
+
+    def test_grid_step_cap(self):
+        assert cli.MAX_GRID_STEPS == 2**53
+        assert float(cli.MAX_GRID_STEPS + 1) == cli.MAX_GRID_STEPS  # no larger count is typed exactly
 
 
 class TestMatrixCommand:
@@ -837,6 +884,18 @@ class TestVerifyCommand:
         assert len(lines) == 6
         assert lines[0].split(",")[0] == "q"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_all_skipped_grid_writes_null_deviations(self, capsys, fmt):
+        code, out, _ = run(capsys, "verify", "--grid", "0.5", "1", "3", "--format", fmt)
+        assert code == EXIT_OK
+        if fmt == "csv":
+            header, *lines = out.splitlines()
+            rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+            assert [[row[key] for key in cli._VERIFY_CHECKS] for row in rows] == [[""] * 6] * 3
+        else:
+            for key in cli._VERIFY_CHECKS:
+                assert out.count(f'"{key}": null') == out.count(f'"{key}": ') == 3
+
 
 class TestReportMachinery:
     def test_json_round_trip(self, capsys):
@@ -944,13 +1003,14 @@ class TestReportMachinery:
 
 def _finite_report() -> RunReport:
     values, column = [0.5, 1.5], np.array([0.5, 2.0])
+    nullable = cli.Nullable(np.array([False, True]), np.array([0.75]))
     return RunReport(
         command="x",
         parameters={"q": 0.5},
-        results={"mean": 0.25, "values": values, "rows": cli.Table(v=column)},
+        results={"mean": 0.25, "values": values, "rows": cli.Table(v=column, n=nullable)},
         checks=[check_value("c", 0.0, 0.0, 1.0)],
-        csv_header=["v", "w"],
-        csv_columns=[column, values],
+        csv_header=["v", "w", "n"],
+        csv_columns=[column, values, nullable],
     )
 
 
@@ -966,9 +1026,9 @@ class TestNonFiniteGate:
     @pytest.mark.parametrize(
         "fmt, where",
         [(fmt, where) for fmt in ("json", "pretty")
-         for where in ("parameter", "scalar", "list", "table", "check")]
-        # the CSV projection: a list column, and an array shared with a table
-        + [("csv", "list"), ("csv", "table")],
+         for where in ("parameter", "scalar", "list", "table", "check", "nullable")]
+        # the CSV projection: a list column, and columns shared with a table
+        + [("csv", "list"), ("csv", "table"), ("csv", "nullable")],
     )
     def test_every_format_refuses_a_non_finite_value(self, fmt, where, bad):
         report = _finite_report()
@@ -980,6 +1040,8 @@ class TestNonFiniteGate:
             report.results["values"][1] = bad
         elif where == "table":
             report.results["rows"].columns["v"][1] = bad
+        elif where == "nullable":
+            report.results["rows"].columns["n"].values[0] = bad
         else:
             report.checks[0].observed = bad
         with pytest.raises(ValueError, match="is not finite"):
@@ -999,6 +1061,37 @@ class TestNonFiniteGate:
         assert out == ""
         assert err == "error: report value nan is not finite\n"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    @pytest.mark.parametrize("column", ["plain", "nullable"])
+    def test_non_finite_column_entry_exits_2(self, capsys, monkeypatch, column, fmt, bad):
+        if column == "plain":
+            # one eigenvalue of a ppt sweep
+            ppt_test = cli.ppt_test
+
+            def one_bad(rho):
+                verdict = ppt_test(rho)
+                eigenvalues = verdict.eigenvalues.copy()
+                eigenvalues[1, 2] = bad
+                return dataclasses.replace(verdict, eigenvalues=eigenvalues)
+
+            monkeypatch.setattr(cli, "ppt_test", one_bad)
+            argv = ["ppt", "--sweep", "0", "1", "3"]
+        else:
+            # the phase residual of a tested row of a grid whose rows past
+            # 1/3 are null: a present entry is never written as null
+            residual = cli.phase_constraint_residual
+
+            def one_bad(thetas, q):
+                values = np.array(residual(thetas, q))
+                values[1] = bad
+                return values
+
+            monkeypatch.setattr(cli, "phase_constraint_residual", one_bad)
+            argv = ["verify", "--grid", "0", "1", "7"]
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: report value {bad} is not finite\n")
+
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -1008,8 +1101,14 @@ def _tables(draw):
     n = draw(st.integers(0, 4))
     columns = {}
     for i in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["float", "vector", "bool", "int", "nullable", "text"]))
-        if kind == "nullable":
+        kind = draw(st.sampled_from(
+            ["float", "vector", "bool", "int", "nullable", "masked", "text"]
+        ))
+        if kind == "masked":
+            present = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            values = draw(st.lists(_FLOATS, min_size=sum(present), max_size=sum(present)))
+            columns[f"c{i}"] = cli.Nullable(np.array(present, dtype=bool), np.array(values))
+        elif kind == "nullable":
             columns[f"c{i}"] = draw(st.lists(st.none() | _FLOATS, min_size=n, max_size=n))
         elif kind == "text":
             columns[f"c{i}"] = draw(st.lists(st.none() | st.text(max_size=6), min_size=n, max_size=n))
@@ -1062,6 +1161,60 @@ class TestRendererOracle:
         assert cli.emit_csv(report) == "\n".join(expected) + "\n"
 
 
+# Floats whose repr is easy to get wrong: the signed zeros, the smallest
+# subnormals, the largest doubles, and the doubles on each side of the
+# points where repr switches to exponent notation.
+_EDGE_FLOATS = [
+    -0.0, 0.0, 5e-324, -5e-324, 1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05,
+    1.7976931348623157e308, -1.7976931348623157e308,
+]
+
+
+@st.composite
+def _float_columns(draw) -> np.ndarray:
+    """A float column of shape (n,) or (n, k), n >= 0, its values drawn
+    freely, all negative, or from a pool of at most three."""
+    n, k = draw(st.integers(0, 12)), draw(st.sampled_from([None, 1, 3]))
+    size = n * (k or 1)
+    floats = st.sampled_from(_EDGE_FLOATS) | _FLOATS
+    mode = draw(st.sampled_from(["free", "negative", "repeated"]))
+    if mode == "repeated":
+        floats = st.sampled_from(draw(st.lists(floats, min_size=1, max_size=3)))
+    values = draw(st.lists(floats, min_size=size, max_size=size))
+    if mode == "negative":
+        values = [-abs(v) for v in values]
+    return np.array(values, dtype=float).reshape((n, k) if k else (n,))
+
+
+class TestFloatColumnOracle:
+    """A float column is written with one repr per distinct magnitude, yet
+    every entry reads exactly as repr of its own value, in JSON and CSV."""
+
+    @example(np.array(_EDGE_FLOATS))
+    @example(np.array(_EDGE_FLOATS).reshape(5, 2))
+    @example(-np.abs(np.array(_EDGE_FLOATS)))
+    @example(np.full((4, 3), -0.0))
+    @example(np.empty(0))
+    @example(np.empty((0, 3)))
+    @settings(max_examples=200, deadline=None)
+    @given(_float_columns())
+    def test_every_entry_is_its_own_repr(self, column):
+        subs = column.T if column.ndim == 2 else column[None]
+        expected = [[repr(v) for v in sub] for sub in subs.tolist()]
+        magnitudes = len(np.unique(np.abs(column)))
+        for text in (cli._json_scalar, cli._csv_scalar):
+            written = cli._column_values(column, text)
+            assert written == expected
+            # entries of one magnitude and sign share one string
+            assert len({id(x) for sub in written for x in sub}) <= 2 * magnitudes
+
+    def test_nullable_column(self):
+        column = cli.Nullable(np.array([True, False, True, False]), np.array([-0.0, 2.5]))
+        assert cli._column_values(column, cli._json_scalar) == [["-0.0", "null", "2.5", "null"]]
+        assert cli._column_values(column, cli._csv_scalar) == [["-0.0", "", "2.5", ""]]
+        assert column.tolist() == [-0.0, None, 2.5, None]
+
+
 class TestOutOfMemory:
     """An argument whose arrays cannot be allocated exits 2 with one line.
     Each run is a child process with a 1 GiB address-space limit that the
@@ -1076,6 +1229,9 @@ class TestOutOfMemory:
         [
             ["ppt", "--sweep", "0", "1", "1e12"],
             ["verify", "--grid", "0", "1", "1e12"],
+            # 2^53 steps, the most _q_grid takes
+            ["ppt", "--sweep", "0", "1", "9007199254740992"],
+            ["verify", "--grid", "0", "1", "9007199254740992"],
             ["decompose", "--q", "0.2", "--nodes", "100000", "100000"],
         ],
     )

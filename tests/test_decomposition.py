@@ -202,9 +202,15 @@ class TestMoments:
         dec = spherical_decomposition(0.2)
         report = moment_check(dataclasses.replace(dec, a=1.5 * dec.directions))
         assert [f.name for f in dataclasses.fields(report)] == [
-            "q", "first_moment_a", "first_moment_b", "second_moment", "f_second_moment",
+            "q", "first_moment_a", "first_moment_b", "second_moment", "f_second_moment", "matrix",
         ]
         assert_allclose(report.second_moment, -0.75 * np.eye(3), atol=1e-15)
+        # the moment matrix M = sum w (1, a)(1, b)^T holds the first three
+        m = report.matrix
+        assert m.shape == (4, 4) and m[0, 0] == dec.weights.sum()
+        for block, field in ((m[1:, 0], "first_moment_a"), (m[0, 1:], "first_moment_b"),
+                             (m[1:, 1:], "second_moment")):
+            assert np.array_equal(block, getattr(report, field))
 
 
 class TestDomainBoundary:
