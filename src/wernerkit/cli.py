@@ -214,34 +214,49 @@ def _csv_scalar(value) -> str:
     return _fmt_scalar(value)
 
 
-def _column_values(column, text) -> list[list]:
-    """A column as its scalar columns, an (n, k) array giving k, of values
-    that %s writes as JSON does: floats with one float.__repr__ per distinct
-    magnitude, as repr(x) == "-" + repr(-x) for finite x < 0, -0.0 included,
-    and a list column and a Nullable's null rows by the format's text."""
-    if isinstance(column, Nullable):
-        present, values = column.present[None], np.asarray(column.values, dtype=float)
-    elif not isinstance(column, np.ndarray):
-        return [[text(v) for v in column]]
-    else:
+def _scalar_columns(columns, text) -> list[list]:
+    """Columns as their scalar columns, an (n, k) array giving k, of values
+    that %s writes as JSON does: the floats of all the columns with one
+    float.__repr__ per distinct magnitude, as repr(x) == "-" + repr(-x) for
+    finite x < 0, -0.0 included, and a list column and a Nullable's null rows
+    by the format's text."""
+    scalars, floats = [], []
+    for column in columns:
+        if isinstance(column, Nullable):
+            floats.append((len(scalars), column.present[None], np.asarray(column.values, dtype=float)))
+            scalars.append(None)
+            continue
+        if not isinstance(column, np.ndarray):
+            scalars.append([text(v) for v in column])
+            continue
         if column.ndim > 2 or column.dtype.kind not in "biuf":
             raise TypeError(f"cannot serialize a {column.dtype} column into a report")
         subs = column.T if column.ndim == 2 else column[None]
         if column.dtype == bool:
-            return [["true" if v else "false" for v in sub] for sub in subs.tolist()]
-        if column.dtype.kind != "f":
-            return subs.tolist()
-        present, values = np.broadcast_to(True, subs.shape), subs.ravel()
+            scalars += [["true" if v else "false" for v in sub] for sub in subs.tolist()]
+        elif column.dtype.kind != "f":
+            scalars += subs.tolist()
+        else:
+            floats.append((len(scalars), np.broadcast_to(True, subs.shape), subs))
+            scalars += [None] * len(subs)
+    if not floats:
+        return scalars
+    values = np.concatenate([v.ravel() for _, _, v in floats])
     finite = np.isfinite(values)
     if not finite.all():
         raise _not_finite(values[~finite][0])
     magnitudes, inverse = np.unique(np.abs(values), return_inverse=True)
     texts = [repr(m) for m in magnitudes.tolist()]
-    # every entry of one magnitude and sign shares one string
+    # every entry of one magnitude and sign, in any column, shares one string
     strings = np.array(texts + ["-" + t for t in texts] + [text(None)], dtype=object)
-    index = np.full(present.shape, 2 * len(texts))
-    index[present] = inverse.ravel() + np.signbit(values) * len(texts)
-    return strings[index].tolist()
+    inverse += np.signbit(values) * len(texts)
+    end = 0
+    for first, present, v in floats:
+        index = np.full(present.shape, 2 * len(texts))
+        index[present] = inverse[end : end + v.size]
+        end += v.size
+        scalars[first : first + len(present)] = strings[index].tolist()
+    return scalars
 
 
 def _json_table(table: Table, nl: str | None) -> str:
@@ -249,15 +264,14 @@ def _json_table(table: Table, nl: str | None) -> str:
     built for its depth, filled from the columns' values."""
     row_nl = None if nl is None else nl + "  "
     field_nl = None if nl is None else row_nl + "  "
-    fields, values = [], []
+    fields = []
     for name, column in table.columns.items():
-        subs = _column_values(column, _json_scalar)
-        values += subs
         fmt = "%s"
         if isinstance(column, np.ndarray) and column.ndim == 2:
-            fmt = _enclose("[", [fmt] * len(subs), "]", field_nl)
+            fmt = _enclose("[", [fmt] * column.shape[1], "]", field_nl)
         fields.append(_json_str(name).replace("%", "%%") + ": " + fmt)
     template = _enclose("{", fields, "}", row_nl)
+    values = _scalar_columns(table.columns.values(), _json_scalar)
     return _enclose("[", [template % row for row in zip(*values)], "]", nl)
 
 
@@ -286,7 +300,7 @@ def emit_json(report: RunReport) -> str:
 def emit_csv(report: RunReport) -> str:
     if report.csv_header is None or report.csv_columns is None:
         raise ValueError(f"command {report.command!r} has no CSV projection")
-    values = [sub for column in report.csv_columns for sub in _column_values(column, _csv_scalar)]
+    values = _scalar_columns(report.csv_columns, _csv_scalar)
     template = ",".join(["%s"] * len(values))
     lines = [",".join(report.csv_header), *(template % row for row in zip(*values))]
     return "\n".join(lines) + "\n"

@@ -38,6 +38,7 @@ from wernerkit.cli import (
 )
 from wernerkit.decomposition import (
     MAX_NODE_COUNT,
+    MAX_THETA_COUNT,
     DecompositionDomainError,
     WoottersDecomposition,
     spherical_decomposition,
@@ -393,8 +394,9 @@ class TestGridErrors:
 class TestSizeCaps:
     """A node count or a grid step count past its cap exits 2 with one line
     naming the cap, judged before any allocation.  The counts at the caps
-    are taken: --nodes 2 100000 runs in TestFineGrids, and --nodes 100000
-    100000 and 2^53 grid steps fail only for memory in TestOutOfMemory."""
+    are taken: --nodes 1000 1000 and 2 100000 run in TestFineGrids, and
+    --nodes 1000 100000 and 2^53 grid steps fail only for memory in
+    TestOutOfMemory."""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -414,6 +416,9 @@ class TestSizeCaps:
              "sweep steps must be <= 9007199254740992, got 9007199254740994"),
             (("verify", "--grid", "0", "1", "9007199254740994"),
              "grid steps must be <= 9007199254740992, got 9007199254740994"),
+            # n_theta has its own, tighter cap
+            (("decompose", "--q", "0.2", "--nodes", "1001", "100000"),
+             "n_theta must be <= 1000, got 1001"),
         ],
     )
     def test_count_past_its_cap_exits_2(self, capsys, argv, message):
@@ -425,6 +430,19 @@ class TestSizeCaps:
         assert spherical_decomposition(0.2, 3, MAX_NODE_COUNT).weights.shape == (3 * MAX_NODE_COUNT,)
         with pytest.raises(ValueError, match="must be <= 100000"):
             spherical_decomposition(0.2, 3, MAX_NODE_COUNT + 1)
+
+    def test_theta_count_cap(self):
+        assert MAX_THETA_COUNT == 1000
+        assert spherical_decomposition(0.2, MAX_THETA_COUNT, 3).weights.shape == (3 * MAX_THETA_COUNT,)
+        with pytest.raises(ValueError, match="n_theta must be <= 1000"):
+            spherical_decomposition(0.2, MAX_THETA_COUNT + 1, 3)
+
+    def test_theta_past_its_cap_exits_before_leggauss(self, capsys, monkeypatch):
+        # the count that made leggauss ask for 3.2 GB is refused at once
+        calls = []
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: calls.append(n))
+        code, out, err = run(capsys, "decompose", "--q", "0.2", "--nodes", "20000", "3")
+        assert (code, out, err, calls) == (EXIT_USAGE, "", "error: n_theta must be <= 1000, got 20000\n", [])
 
     def test_grid_step_cap(self):
         assert cli.MAX_GRID_STEPS == 2**53
@@ -1203,16 +1221,48 @@ class TestFloatColumnOracle:
         expected = [[repr(v) for v in sub] for sub in subs.tolist()]
         magnitudes = len(np.unique(np.abs(column)))
         for text in (cli._json_scalar, cli._csv_scalar):
-            written = cli._column_values(column, text)
+            written = cli._scalar_columns([column], text)
             assert written == expected
             # entries of one magnitude and sign share one string
             assert len({id(x) for sub in written for x in sub}) <= 2 * magnitudes
 
     def test_nullable_column(self):
         column = cli.Nullable(np.array([True, False, True, False]), np.array([-0.0, 2.5]))
-        assert cli._column_values(column, cli._json_scalar) == [["-0.0", "null", "2.5", "null"]]
-        assert cli._column_values(column, cli._csv_scalar) == [["-0.0", "", "2.5", ""]]
+        assert cli._scalar_columns([column], cli._json_scalar) == [["-0.0", "null", "2.5", "null"]]
+        assert cli._scalar_columns([column], cli._csv_scalar) == [["-0.0", "", "2.5", ""]]
         assert column.tolist() == [-0.0, None, 2.5, None]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_float_columns(), min_size=1, max_size=4), st.booleans())
+    def test_one_string_per_magnitude_and_sign_across_columns(self, columns, mirror):
+        # the float columns of a table share one string per distinct
+        # magnitude and sign, as the node table's b = -a shares a's
+        n = min(len(c) for c in columns)
+        columns = [c[:n] for c in columns]
+        if mirror:
+            columns.append(-columns[0])
+        columns.insert(1, np.arange(n))
+        expected = [
+            [repr(v) if isinstance(v, float) else v for v in sub]
+            for c in columns
+            for sub in (c.T if c.ndim == 2 else c[None]).tolist()
+        ]
+        magnitudes = np.unique(np.abs(np.concatenate([c.ravel() for c in columns if c.dtype == float])))
+        for text in (cli._json_scalar, cli._csv_scalar):
+            written = cli._scalar_columns(columns, text)
+            assert written == expected
+            floats = [x for sub in written for x in sub if isinstance(x, str)]
+            assert len({id(x) for x in floats}) <= 2 * len(magnitudes)
+
+    def test_node_table_shares_a_strings_with_b(self):
+        dec = spherical_decomposition(np.array([0.2]), 64, 128)
+        columns = [dec.nodes[:, 0], dec.nodes[:, 1], dec.weights, dec.a[0], dec.b[0]]
+        written = cli._scalar_columns(columns, cli._json_scalar)
+        magnitudes = np.unique(np.abs(np.concatenate([c.ravel() for c in columns])))
+        assert len({id(x) for sub in written for x in sub}) <= 2 * len(magnitudes)
+        # each b entry is a's string with its sign flipped
+        for a, b in zip(written[3:6], written[6:9]):
+            assert b == [x[1:] if x.startswith("-") else "-" + x for x in a]
 
 
 class TestOutOfMemory:
@@ -1232,7 +1282,8 @@ class TestOutOfMemory:
             # 2^53 steps, the most _q_grid takes
             ["ppt", "--sweep", "0", "1", "9007199254740992"],
             ["verify", "--grid", "0", "1", "9007199254740992"],
-            ["decompose", "--q", "0.2", "--nodes", "100000", "100000"],
+            # the largest counts each cap takes
+            ["decompose", "--q", "0.2", "--nodes", "1000", "100000"],
         ],
     )
     def test_unallocatable_report_exits_2(self, argv):

@@ -9,12 +9,14 @@ import pytest
 
 from helpers import random_unit_axis
 from wernerkit import hiddenvar
-from wernerkit.decomposition import DecompositionDomainError, sphere_direction
+from wernerkit.decomposition import DecompositionDomainError, local_bloch_norm, sphere_direction
 from wernerkit.hiddenvar import (
     _BLOCK,
+    _SCREEN,
     HvSample,
     _draw_block,
     _estimate,
+    _plus_mask,
     _wrap_phi,
     estimate_all,
     estimate_correlation,
@@ -457,3 +459,89 @@ class TestCountingKernel:
     def test_refuses_more_than_the_sample_cap(self):
         with pytest.raises(ValueError, match=f"at most {hiddenvar.MAX_SAMPLES}, got"):
             estimate_all(0.2, Z_AXIS, X_AXIS, hiddenvar.MAX_SAMPLES + 1, 1)
+
+
+def _float64_thresholds(signed_radius, axis, sin_t, cos_t, phi):
+    """The thresholds every draw is decided by: (1 + r axis.f)/2 in float64,
+    in the sampler's order of operations, from float64 cos and sin of phi."""
+    dot = (np.cos(phi) * axis[0] + np.sin(phi) * axis[1]) * sin_t + cos_t * axis[2]
+    return (dot * signed_radius + 1.0) * 0.5
+
+
+class TestThresholdScreen:
+    """The sampler screens each threshold from float32 cos(phi) and sin(phi)
+    and decides the draws within _SCREEN of it again in float64; the
+    decisions are those of float64 thresholds throughout."""
+
+    def test_draws_on_and_next_to_a_threshold(self):
+        rng = np.random.default_rng(140)
+        n = 4000
+        cos_t = rng.uniform(-1.0, 1.0, n)
+        phi = _wrap_phi(rng.uniform(0.0, 2.0 * math.pi, n))
+        phi[:3] = _wrap_phi(np.array([2.0 * math.pi, np.nextafter(2.0 * math.pi, 0.0), 0.0]))
+        sin_t = np.sqrt(np.clip(1.0 - cos_t * cos_t, 0.0, None))
+        phi32 = phi.astype(np.float32)
+        cos_p32, sin_p32 = np.cos(phi32), np.sin(phi32)
+        axes = [X_AXIS, Y_AXIS, np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)]
+        axes += [random_unit_axis(rng) for _ in range(5)]
+        radii = [local_bloch_norm(q) for q in (1.0 / 3.0, float(rng.uniform(0.0, 1.0 / 3.0)))]
+        for axis in axes:
+            for signed_radius in radii + [-r for r in radii]:
+                exact = _float64_thresholds(signed_radius, axis, sin_t, cos_t, phi)
+                # lam on the threshold, its neighbouring doubles, the screen's
+                # edges with theirs, and a point between
+                lams = [exact, exact + 1e-7, exact + _SCREEN, exact - _SCREEN]
+                lams += [np.nextafter(lam, side) for lam in lams for side in (-1.0, 2.0)]
+                for lam in lams:
+                    mask = _plus_mask(
+                        lam, signed_radius, axis, sin_t, cos_t, phi, cos_p32, sin_p32
+                    )
+                    assert np.array_equal(mask, lam <= exact)
+
+    def test_float32_trig_is_well_inside_the_screen(self):
+        # measures the margin over a dense sweep of [0, 2pi] and both ends
+        # _wrap_phi leaves, rounding phi to float32 included
+        ends = _wrap_phi(np.array([2.0 * math.pi, np.nextafter(2.0 * math.pi, 0.0)]))
+        sweep = np.linspace(0.0, 2.0 * math.pi, 1 << 23)
+        worst = 0.0
+        for phi in np.array_split(sweep, 8) + [ends]:
+            phi32 = phi.astype(np.float32)
+            worst = max(
+                worst,
+                float(np.max(np.abs(np.cos(phi32) - np.cos(phi)))),
+                float(np.max(np.abs(np.sin(phi32) - np.sin(phi)))),
+            )
+        assert worst <= _SCREEN / 16
+
+    def test_float64_trig_of_a_subset_equals_the_block_at_its_indices(self):
+        # the draws decided again get the cos and sin the whole block gives
+        _, phi, _, _ = _stream(14, _BLOCK)
+        rng = np.random.default_rng(14)
+        subsets = [np.sort(rng.choice(_BLOCK, k, replace=False)) for k in (1, 2, 3, 7, 9, 63, 1000)]
+        subsets += [np.arange(_BLOCK - k, _BLOCK) for k in (1, 5, 17)]
+        for trig in (np.cos, np.sin):
+            whole = trig(phi)
+            for idx in subsets:
+                assert np.array_equal(whole[idx].view(np.uint64), trig(phi[idx]).view(np.uint64))
+
+    def test_a_million_draws_decide_some_again(self, monkeypatch):
+        # the float64 fallback runs at this size, about 2 * _SCREEN of the
+        # draws per party, and the counts still match the float64 reference
+        threshold = hiddenvar._threshold
+        again = []
+
+        def recording(signed_radius, axis, sin_t, cos_t, cos_p, sin_p):
+            if cos_p.dtype == np.float64:
+                again.append(cos_p.size)
+            return threshold(signed_radius, axis, sin_t, cos_t, cos_p, sin_p)
+
+        monkeypatch.setattr(hiddenvar, "_threshold", recording)
+        rng = np.random.default_rng(141)
+        l, m = random_unit_axis(rng), random_unit_axis(rng)
+        n = 10**6
+        est = estimate_all(1.0 / 3.0, l, m, n, 141)
+        assert 1 <= sum(again) <= 20 * 2 * _SCREEN * n * 2
+        corr, marg_a, marg_b = _three_pass_reference(1.0 / 3.0, l, m, n, 141)
+        _assert_matches(est.correlation, corr)
+        _assert_matches(est.marginal_a, marg_a)
+        _assert_matches(est.marginal_b, marg_b)
