@@ -53,7 +53,8 @@ __all__ = [
 
 MOMENT_TOL = 1e-13
 SCHMIDT_TOL = 1e-12
-# The largest n_theta or n_phi, refused before a count like 2^64 sizes an array.
+# The largest n_phi, refused before a count like 2^64 sizes an array; n_theta
+# has the tighter cap below.
 MAX_NODE_COUNT = 100_000
 # The largest n_theta, refused before leggauss sees it: leggauss solves a
 # dense n_theta x n_theta eigenproblem, 0.12 s at 1000 nodes and 0.65 s at
@@ -175,10 +176,10 @@ def spherical_decomposition(q, n_theta: int = 4, n_phi: int = 8) -> SphericalDec
         raise ValueError(f"n_theta must be >= 2 for degree-2 exactness, got {n_theta}")
     if n_phi < 3:
         raise ValueError(f"n_phi must be >= 3 for degree-2 exactness, got {n_phi}")
-    if max(n_theta, n_phi) > MAX_NODE_COUNT:
-        raise ValueError(f"n_theta, n_phi must be <= {MAX_NODE_COUNT}, got {n_theta}, {n_phi}")
     if n_theta > MAX_THETA_COUNT:
         raise ValueError(f"n_theta must be <= {MAX_THETA_COUNT}, got {n_theta}")
+    if n_phi > MAX_NODE_COUNT:
+        raise ValueError(f"n_phi must be <= {MAX_NODE_COUNT}, got {n_phi}")
 
     nodes, weights, directions = _quadrature(n_theta, n_phi)
     return SphericalDecomposition(

@@ -15,15 +15,18 @@ are counted on one thread per usable CPU, in memory that does not grow with
 the sample count.  The counts, and so every estimate, are the same whatever
 the number of threads.
 
-A draw's outcome is which side of its float64 threshold lambda falls on.  The
-thresholds are screened from float32 cos(phi) and sin(phi), SIMD in numpy and
-within 2.6e-7 of the float64 values (phi's rounding to float32 included), so a
-screened threshold is within 1.9e-7 of the float64 one.  Only a draw whose
-lambda lies within _SCREEN = 2^-16 of its screened threshold can fall on the
-other side; those draws, about 2 _SCREEN of them per party, are decided again
-from float64 cos and sin of their own phi through the same threshold
-arithmetic, which gives a subset of the draws the values the whole block
-would.  So every count is the one the float64 thresholds give, bit for bit.
+A draw's outcome is which side of its float64 threshold lambda falls on.  Each
+worker fills block buffers it makes once with raw uniform draws, and screens
+every draw in float32: from sin(theta)/2 = sqrt(u (1 - u)), with 1 - u taken
+in float64, from float32 cos(phi) and sin(phi), SIMD in numpy, and from the
+uniform u of cos theta and both lambdas, one (2, 6) float32 product gives each
+party's threshold minus its lambda.  That difference was within 2.5e-7 of the
+float64 one on 4.2e6 draws, poles and both ends of phi included, so only a
+draw whose difference lies within _SCREEN = 2^-16 of 0 can fall on the other
+side.  Those draws, about 2 _SCREEN of them per party, are decided again from
+float64 values built for them alone, through the float64 threshold arithmetic,
+which gives a subset of the draws the values the whole block would.  So every
+count is the one the float64 thresholds give, bit for bit.
 """
 
 from __future__ import annotations
@@ -52,18 +55,20 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 # Samples per block.  A block draws its own slice of each of the four stream
-# variables and counts it, so an estimate holds about 8 block-length arrays
-# (2 MB) per thread, whatever its sample count.
+# variables into its worker's buffers and counts it, so an estimate holds
+# about 2.1 MB of buffers per thread, whatever its sample count.
 _BLOCK = 1 << 15
 # The most draws one estimate takes.  Streaming bounds an estimate's memory
-# but not its time: 2^32 draws take about 4 min on 2 CPUs, and every count
+# but not its time: 2^32 draws take about 1.4 min on 2 CPUs, and every count
 # stays exact in a float64.
 MAX_SAMPLES = 1 << 32
-# Half-width of the band around a screened threshold inside which a draw is
-# decided again in float64.  The float32 cos(phi) and sin(phi), phi rounded to
-# float32 included, are within 2.6e-7 of the float64 ones over [0, 2pi]
-# (measured on 2^23 points), 59 times inside this band, and a threshold moves
-# by at most sqrt(3q)/2 sin(theta) |(d cos, d sin)| <= 0.71 times that.
+# Half-width of the band around 0 inside which a draw's screened threshold
+# minus lambda is decided again in float64.  At q = 1/3 the screened
+# difference came within 2.42e-7 of the float64 one, 63 times inside this
+# band, over 4.2e6 draws (cos theta = +/-1 with its neighbours and both ends
+# of phi among them) x 100 axis pairs x both signs of the radius.  Adding up
+# the worst case of every float32 rounding, phi's and the six-term product's
+# included, gives about 1.7e-6, still 9 times inside.
 _SCREEN = 2.0**-16
 
 
@@ -115,32 +120,37 @@ def outcome_b(sample: HvSample, q: float, axis) -> int:
     return 1 if sample.lambda_b <= threshold else -1
 
 
-def _wrap_phi(phi: np.ndarray) -> np.ndarray:
-    """phi % 2pi, in place, for uniform draws on [0, 2pi]: uniform may round
-    up to 2pi itself, which wraps to 0, with no division per draw."""
-    phi[phi >= _TWO_PI] -= _TWO_PI
-    return phi
-
-
-def _draw_block(seed: int, start: int, m: int, n_samples: int):
-    """Draws start to start + m of the seed's n_samples-draw stream, in the
-    stream order (cos theta, phi, lambda_a, lambda_b).
+def _draw_block(
+    rng: np.random.Generator, origin: dict, start: int, n_samples: int, out: np.ndarray
+) -> np.ndarray:
+    """Fills out, shape (4, m), with draws start to start + m of the
+    n_samples-draw stream that rng's bit generator begins at origin, in the
+    stream order: the uniforms of cos theta and phi, then lambda_a and
+    lambda_b.  Returns out.
 
     The stream, default_rng([seed, 0]), draws every cos theta, then every phi,
     lambda_a and lambda_b.  Each double takes one 64-bit PCG64 output, so
     advancing the bit generator by n_samples - m moves from one variable's
-    slice of the block to the next one's."""
-    bits = np.random.PCG64([seed, 0]).advance(start)
-    rng = np.random.Generator(bits)
-    gap = n_samples - m
-    cos_t = rng.uniform(-1.0, 1.0, m)
-    bits.advance(gap)
-    phi = _wrap_phi(rng.uniform(0.0, _TWO_PI, m))
-    bits.advance(gap)
-    lam_a = rng.random(m)
-    bits.advance(gap)
-    lam_b = rng.random(m)
-    return cos_t, phi, lam_a, lam_b
+    slice of the block to the next one's.  random(out=...) releases the GIL,
+    so the workers draw in parallel."""
+    bits = rng.bit_generator
+    bits.state = origin
+    bits.advance(start)
+    gap = n_samples - out.shape[1]
+    rng.random(out=out[0])
+    for row in out[1:]:
+        bits.advance(gap)
+        rng.random(out=row)
+    return out
+
+
+def _angles(u_cos: np.ndarray, u_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos theta and phi of raw uniform draws, bit for bit the values
+    uniform(-1, 1) and uniform(0, 2pi) give, since numpy computes those as
+    low + (high - low) u.  phi = 2pi u < 2pi for every u <= 1 - 2^-53."""
+    cos_t = u_cos * 2.0
+    cos_t -= 1.0
+    return cos_t, u_phi * _TWO_PI
 
 
 def _threshold(
@@ -156,8 +166,8 @@ def _threshold(
     cos(theta) l_z built in place in two work arrays of the draws' length.
     Every step is one elementwise float64 operation, so a subset of the draws
     gets the thresholds the whole block gives at its indices, bit for bit."""
-    dot = np.multiply(cos_p, axis[0], dtype=np.float64)
-    work = np.multiply(sin_p, axis[1], dtype=np.float64)
+    dot = np.multiply(cos_p, axis[0])
+    work = np.multiply(sin_p, axis[1])
     dot += work
     dot *= sin_t
     np.multiply(cos_t, axis[2], out=work)
@@ -168,30 +178,91 @@ def _threshold(
     return dot
 
 
-def _plus_mask(
-    lam: np.ndarray,
-    signed_radius: float,
-    axis: np.ndarray,
-    sin_t: np.ndarray,
-    cos_t: np.ndarray,
-    phi: np.ndarray,
-    cos_p32: np.ndarray,
-    sin_p32: np.ndarray,
-) -> np.ndarray:
-    """Where one party answers +1: lam <= its float64 threshold.
+def _exact_plus(
+    radius: float, axis_a: np.ndarray, axis_b: np.ndarray, draws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where A and where B answer +1 for the raw draws (4, k), each lambda
+    compared with its float64 threshold."""
+    cos_t, phi = _angles(draws[0], draws[1])
+    # |cos theta| <= 1, so 1 - cos^2 theta >= 0
+    sin_t = np.sqrt(1.0 - cos_t * cos_t)
+    cos_p, sin_p = np.cos(phi), np.sin(phi)
+    return (
+        draws[2] <= _threshold(radius, axis_a, sin_t, cos_t, cos_p, sin_p),
+        draws[3] <= _threshold(-radius, axis_b, sin_t, cos_t, cos_p, sin_p),
+    )
 
-    The thresholds are screened from the float32 cos(phi) and sin(phi), which
-    sit within _SCREEN / 59 of the float64 ones; only the draws whose lam
-    lies within _SCREEN of a screened threshold are decided again, from
-    float64 np.cos and np.sin of their own phi."""
-    screened = _threshold(signed_radius, axis, sin_t, cos_t, cos_p32, sin_p32)
-    plus = lam <= screened
-    screened -= lam
-    near = np.flatnonzero(np.abs(screened, out=screened) <= _SCREEN)
-    p = phi[near]
-    exact = _threshold(signed_radius, axis, sin_t[near], cos_t[near], np.cos(p), np.sin(p))
-    plus[near] = lam[near] <= exact
-    return plus
+
+def _screen_weights(radius: float, axis_a: np.ndarray, axis_b: np.ndarray) -> np.ndarray:
+    """The (2, 6) float32 map from a draw's screen features (g cos phi,
+    g sin phi, u, 1, lambda_a, lambda_b), with u the uniform of cos theta and
+    g = sqrt(u (1 - u)) = sin(theta)/2, to each party's threshold minus its
+    lambda: (1 + c.f)/2 = c_x g cos phi + c_y g sin phi + c_z u + (1 - c_z)/2
+    for c = r l (party A) and c = -r m (party B)."""
+    a, b = radius * axis_a, -radius * axis_b
+    return np.array(
+        [
+            [a[0], a[1], a[2], 0.5 - 0.5 * a[2], -1.0, 0.0],
+            [b[0], b[1], b[2], 0.5 - 0.5 * b[2], 0.0, -1.0],
+        ],
+        dtype=np.float32,
+    )
+
+
+def _buffers(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One worker's block buffers, made once per estimate: the raw draws
+    (4, size) float64, the screen features (6, size) float32 with their
+    constant row of ones, the screened differences (2, size) float32, and
+    the screened signs (2, size)."""
+    features = np.empty((6, size), dtype=np.float32)
+    features[3] = 1.0
+    return (
+        np.empty((4, size)),
+        features,
+        np.empty((2, size), dtype=np.float32),
+        np.empty((2, size), dtype=bool),
+    )
+
+
+def _screen(
+    weights: np.ndarray, draws: np.ndarray, features: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Each party's threshold minus its lambda for the raw draws (4, m), in
+    float32, into out (2, m) by way of features (6, m); out's rows serve as
+    scratch before the product.
+
+    1 - u is taken in float64 before the cast, so sin(theta) keeps its
+    float32 relative accuracy at the poles, where 1 - float32(u) would move it
+    by up to 3.5e-4.  Beside the draws, no float64 array is built."""
+    u, lam = draws[0], draws[2:]
+    g, angle = out
+    np.copyto(features[2], u, casting="same_kind")
+    np.copyto(features[4:], lam, casting="same_kind")
+    np.subtract(1.0, u, out=g)
+    g *= features[2]
+    np.sqrt(g, out=g)
+    np.multiply(draws[1], _TWO_PI, out=angle)
+    np.cos(angle, out=features[0])
+    np.sin(angle, out=features[1])
+    features[:2] *= g
+    return np.matmul(weights, features, out=out)
+
+
+def _screened_signs(
+    weights: np.ndarray,
+    draws: np.ndarray,
+    features: np.ndarray,
+    screened: np.ndarray,
+    plus: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where each party's screened threshold lies at or above its lambda,
+    into plus (2, m), and the columns where either party's lies within
+    _SCREEN of it: only there can a float64 threshold decide otherwise."""
+    diff = _screen(weights, draws, features, screened)
+    np.greater_equal(diff, 0.0, out=plus)
+    np.abs(diff, out=diff)
+    closest = np.minimum(diff[0], diff[1], out=diff[0])
+    return plus, np.flatnonzero(closest <= _SCREEN)
 
 
 def _count_outcomes(
@@ -208,24 +279,25 @@ def _count_outcomes(
     stop is set.  Returns the number of draws with A = +1, with B = +1, and
     with A == B; counts of +/-1 outcomes merge exactly across blocks."""
     radius = local_bloch_norm(q)
+    weights = _screen_weights(radius, axis_a, axis_b)
+    rng = np.random.Generator(np.random.PCG64([seed, 0]))
+    origin = rng.bit_generator.state
+    draw_buf, feature_buf, screened_buf, plus_buf = _buffers(min(_BLOCK, n_samples))
     plus_a = plus_b = agree = 0
     for start in starts:
         if stop.is_set():
             break
         m = min(_BLOCK, n_samples - start)
-        cos_t, phi, lam_a, lam_b = _draw_block(seed, start, m, n_samples)
-        sin_t = np.multiply(cos_t, cos_t)
-        np.subtract(1.0, sin_t, out=sin_t)
-        np.clip(sin_t, 0.0, None, out=sin_t)
-        np.sqrt(sin_t, out=sin_t)
-        phi32 = phi.astype(np.float32)
-        cos_p = np.cos(phi32)
-        sin_p = np.sin(phi32, out=phi32)
-        out_a = _plus_mask(lam_a, radius, axis_a, sin_t, cos_t, phi, cos_p, sin_p)
-        out_b = _plus_mask(lam_b, -radius, axis_b, sin_t, cos_t, phi, cos_p, sin_p)
+        draws = _draw_block(rng, origin, start, n_samples, draw_buf[:, :m])
+        plus, near = _screened_signs(
+            weights, draws, feature_buf[:, :m], screened_buf[:, :m], plus_buf[:, :m]
+        )
+        if near.size:
+            plus[:, near] = _exact_plus(radius, axis_a, axis_b, draws[:, near])
+        out_a, out_b = plus
         plus_a += int(np.count_nonzero(out_a))
         plus_b += int(np.count_nonzero(out_b))
-        agree += out_a.size - int(np.count_nonzero(out_a ^ out_b))
+        agree += m - int(np.count_nonzero(np.not_equal(out_a, out_b, out=out_a)))
     return plus_a, plus_b, agree
 
 

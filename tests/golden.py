@@ -64,6 +64,17 @@ ARGVS = [
     ["hvsim", "--q", "0.2", "--samples", "2", "--seed", "0"],
     # a negative axis component in exponent form is a value, not an option
     ["hvsim", "--q", "0.2", "--samples", "100", "--l", "1", "0", "-1e-5"],
+    # 10^6 draws, about 60 of them within the threshold screen: q = 1/3 with
+    # the axes at the poles, orthogonal axes at the largest seed, and the
+    # seed-1 argv of the hvsim_mc benchmark
+    ["hvsim", "--q", "0.3333333333333333", "--l", "0", "0", "1", "--m", "0", "0", "1",
+     "--samples", "1000000", "--seed", "0"],
+    ["hvsim", "--q", "0.3333333333333333", "--l", "1", "0", "0", "--m", "0", "1", "0",
+     "--samples", "1000000", "--seed", "18446744073709551615"],
+    ["hvsim", "--q", "0.044788081370800405",
+     "--l", "0.5745264926818521", "-0.8181924061073218", "-0.021920214300990233",
+     "--m", "0.6270943380667162", "-0.7400456150588764", "0.24307443056972522",
+     "--samples", "1000000", "--seed", "901749037"],
     # reports written with --out
     ["decompose", "--q", "0.1", "--nodes", "7", "11", "--out", OUT_FILE],
     ["ppt", "--sweep", "0", "1", "11", "--out", OUT_FILE],

@@ -402,11 +402,11 @@ class TestSizeCaps:
         "argv, message",
         [
             (("decompose", "--q", "0.2", "--nodes", "18446744073709551616", "3"),
-             "n_theta, n_phi must be <= 100000, got 18446744073709551616, 3"),
+             "n_theta must be <= 1000, got 18446744073709551616"),
             (("decompose", "--q", "0.2", "--nodes", "100001", "3"),
-             "n_theta, n_phi must be <= 100000, got 100001, 3"),
+             "n_theta must be <= 1000, got 100001"),
             (("decompose", "--q", "0.2", "--nodes", "2", "100001"),
-             "n_theta, n_phi must be <= 100000, got 2, 100001"),
+             "n_phi must be <= 100000, got 100001"),
             (("ppt", "--sweep", "0", "1", "1e30"),
              "sweep steps must be <= 9007199254740992, got 1000000000000000019884624838656"),
             (("verify", "--grid", "0", "1", "1e19"),
@@ -738,9 +738,9 @@ class TestHvsimCommand:
         calls = []
         draw_block = hiddenvar._draw_block
 
-        def counting(seed, start, m, n_samples):
-            calls.append((start, m, n_samples))
-            return draw_block(seed, start, m, n_samples)
+        def counting(rng, origin, start, n_samples, out):
+            calls.append((start, out.shape[1], n_samples))
+            return draw_block(rng, origin, start, n_samples, out)
 
         monkeypatch.setattr(hiddenvar, "_draw_block", counting)
         code, _, _ = run(capsys, *self.ARGS)

@@ -14,10 +14,14 @@ from wernerkit.hiddenvar import (
     _BLOCK,
     _SCREEN,
     HvSample,
+    _angles,
+    _buffers,
     _draw_block,
     _estimate,
-    _plus_mask,
-    _wrap_phi,
+    _exact_plus,
+    _screen,
+    _screen_weights,
+    _screened_signs,
     estimate_all,
     estimate_correlation,
     estimate_local,
@@ -33,8 +37,11 @@ Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 def _stream(seed, n):
-    """The hidden draws estimate_all makes for (seed, n)."""
-    return _draw_block(seed, 0, n, n)
+    """The hidden draws estimate_all makes for (seed, n): cos theta, phi,
+    lambda_a and lambda_b."""
+    rng = np.random.Generator(np.random.PCG64([seed, 0]))
+    u_cos, u_phi, lam_a, lam_b = _draw_block(rng, rng.bit_generator.state, 0, n, np.empty((4, n)))
+    return (*_angles(u_cos, u_phi), lam_a, lam_b)
 
 
 class TestSampling:
@@ -319,18 +326,36 @@ class TestCountingKernel:
             assert est.marginal_a.mean == float(np.mean(a))
             assert est.marginal_b.mean == float(np.mean(b))
 
-    def test_phi_wraps_like_the_remainder(self):
-        # the draw wraps phi = 2pi to 0 without dividing: same values as % 2pi
-        rng = np.random.default_rng([77, 0])
-        rng.uniform(-1.0, 1.0, 50_000)
-        raw = rng.uniform(0.0, 2.0 * math.pi, 50_000)
-        _, phi, _, _ = _stream(77, 50_000)
-        assert np.array_equal(phi, raw % (2.0 * math.pi))
+    def test_the_largest_draw_gives_phi_below_2pi(self):
+        # numpy's uniform(0, 2pi) is 0 + 2pi u with u <= 1 - 2^-53, and the
+        # largest u rounds to the double below 2pi, so phi never wraps
+        top = 1.0 - 2.0**-53
+        assert _angles(np.array([top]), np.array([top]))[1][0] == np.nextafter(2.0 * math.pi, 0.0)
+        u = 1.0 - np.arange(1, (1 << 20) + 1) * 2.0**-53
+        assert np.all(_angles(u, u)[1] < 2.0 * math.pi)
 
-        # uniform draws that all round up to the high end
-        phi = _wrap_phi(np.full(3, 2.0 * math.pi))
-        assert np.array_equal(phi, np.full(3, 2.0 * math.pi) % (2.0 * math.pi))
-        assert not np.signbit(phi).any()
+    @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 7])
+    def test_buffer_filled_blocks_equal_the_uniform_draws(self, n):
+        # blocks drawn in any order into one reused buffer, their cos theta
+        # and phi mapped from the raw draws, are the stream's uniform draws
+        # bit for bit
+        stream = np.random.default_rng([55, 0])
+        expected = [
+            stream.uniform(-1.0, 1.0, n),
+            stream.uniform(0.0, 2.0 * math.pi, n),
+            stream.random(n),
+            stream.random(n),
+        ]
+        rng = np.random.Generator(np.random.PCG64([55, 0]))
+        origin = rng.bit_generator.state
+        buf = np.full((4, _BLOCK), np.nan)
+        got = np.empty((4, n))
+        for start in reversed(range(0, n, _BLOCK)):
+            m = min(_BLOCK, n - start)
+            u_cos, u_phi, lam_a, lam_b = _draw_block(rng, origin, start, n, buf[:, :m])
+            got[:, start : start + m] = (*_angles(u_cos, u_phi), lam_a, lam_b)
+        for row, want in zip(got, expected):
+            assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
 
     @staticmethod
     def _assert_count_estimate(k, n):
@@ -360,9 +385,9 @@ class TestCountingKernel:
         calls = []
         draw_block = hiddenvar._draw_block
 
-        def counting(seed, start, m, n_samples):
-            calls.append((start, m, n_samples))
-            return draw_block(seed, start, m, n_samples)
+        def counting(rng, origin, start, n_samples, out):
+            calls.append((start, out.shape[1], n_samples))
+            return draw_block(rng, origin, start, n_samples, out)
 
         monkeypatch.setattr(hiddenvar, "_draw_block", counting)
         monkeypatch.setattr(hiddenvar, "_BLOCK", 400)
@@ -431,11 +456,11 @@ class TestCountingKernel:
         draw_block = hiddenvar._draw_block
         calls = []
 
-        def failing(seed, start, m, n_samples):
+        def failing(rng, origin, start, n_samples, out):
             calls.append(start)
             if start == 20_000:
                 raise RuntimeError("block failed")
-            return draw_block(seed, start, m, n_samples)
+            return draw_block(rng, origin, start, n_samples, out)
 
         monkeypatch.setattr(hiddenvar, "_draw_block", failing)
         monkeypatch.setattr(hiddenvar, "_BLOCK", 100)
@@ -468,50 +493,93 @@ def _float64_thresholds(signed_radius, axis, sin_t, cos_t, phi):
     return (dot * signed_radius + 1.0) * 0.5
 
 
+def _screened_outcomes(radius, axis_a, axis_b, draws):
+    """Both parties' outcomes for the raw draws (4, n) as the sampler decides
+    them: the screened signs, with the columns near a threshold decided
+    again in float64."""
+    _, features, screened, plus = _buffers(draws.shape[1])
+    weights = _screen_weights(radius, axis_a, axis_b)
+    plus, near = _screened_signs(weights, draws, features, screened, plus)
+    plus[:, near] = _exact_plus(radius, axis_a, axis_b, draws[:, near])
+    return plus
+
+
 class TestThresholdScreen:
-    """The sampler screens each threshold from float32 cos(phi) and sin(phi)
-    and decides the draws within _SCREEN of it again in float64; the
-    decisions are those of float64 thresholds throughout."""
+    """The sampler screens each party's threshold minus its lambda in float32
+    and decides the draws within _SCREEN of a threshold again in float64;
+    the decisions are those of float64 thresholds throughout."""
 
     def test_draws_on_and_next_to_a_threshold(self):
         rng = np.random.default_rng(140)
         n = 4000
-        cos_t = rng.uniform(-1.0, 1.0, n)
-        phi = _wrap_phi(rng.uniform(0.0, 2.0 * math.pi, n))
-        phi[:3] = _wrap_phi(np.array([2.0 * math.pi, np.nextafter(2.0 * math.pi, 0.0), 0.0]))
-        sin_t = np.sqrt(np.clip(1.0 - cos_t * cos_t, 0.0, None))
-        phi32 = phi.astype(np.float32)
-        cos_p32, sin_p32 = np.cos(phi32), np.sin(phi32)
+        u_cos, u_phi = rng.random(n), rng.random(n)
+        # both poles, and the largest and smallest phi: nextafter(2pi, 0), 0
+        u_cos[:4] = [0.0, 2.0**-53, 1.0 - 2.0**-53, 1.0 - 2.0**-52]
+        u_phi[:2] = [1.0 - 2.0**-53, 0.0]
+        cos_t, phi = _angles(u_cos, u_phi)
+        assert phi[:2].tolist() == [np.nextafter(2.0 * math.pi, 0.0), 0.0]
+        sin_t = np.sqrt(1.0 - cos_t * cos_t)
         axes = [X_AXIS, Y_AXIS, np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)]
         axes += [random_unit_axis(rng) for _ in range(5)]
         radii = [local_bloch_norm(q) for q in (1.0 / 3.0, float(rng.uniform(0.0, 1.0 / 3.0)))]
         for axis in axes:
-            for signed_radius in radii + [-r for r in radii]:
-                exact = _float64_thresholds(signed_radius, axis, sin_t, cos_t, phi)
+            for radius in radii:
+                # A's threshold takes +radius and B's -radius
+                exact = np.array([
+                    _float64_thresholds(signed_radius, axis, sin_t, cos_t, phi)
+                    for signed_radius in (radius, -radius)
+                ])
                 # lam on the threshold, its neighbouring doubles, the screen's
                 # edges with theirs, and a point between
                 lams = [exact, exact + 1e-7, exact + _SCREEN, exact - _SCREEN]
                 lams += [np.nextafter(lam, side) for lam in lams for side in (-1.0, 2.0)]
                 for lam in lams:
-                    mask = _plus_mask(
-                        lam, signed_radius, axis, sin_t, cos_t, phi, cos_p32, sin_p32
-                    )
-                    assert np.array_equal(mask, lam <= exact)
+                    draws = np.vstack([u_cos, u_phi, lam])
+                    plus = _screened_outcomes(radius, axis, axis, draws)
+                    assert np.array_equal(plus, lam <= exact)
 
-    def test_float32_trig_is_well_inside_the_screen(self):
-        # measures the margin over a dense sweep of [0, 2pi] and both ends
-        # _wrap_phi leaves, rounding phi to float32 included
-        ends = _wrap_phi(np.array([2.0 * math.pi, np.nextafter(2.0 * math.pi, 0.0)]))
-        sweep = np.linspace(0.0, 2.0 * math.pi, 1 << 23)
+    def test_screened_differences_are_well_inside_the_screen(self):
+        # measures the margin of the whole float32 screen, threshold minus
+        # lambda, at the largest radius: over a dense sweep of phi, at
+        # cos theta = -1 and 1 (u = 1, never drawn) and their neighbouring
+        # draws, at both ends of phi, and with lambda's rounding near 0 and 1
+        rng = np.random.default_rng(15)
+        sweep = 1 << 17
+        step = np.arange(8) * 2.0**-53
+        poles = np.concatenate([step, 1.0 - step, [0.5]])
+        ends = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-52, 1.0 - 2.0**-53])
+        u_cos = np.concatenate([np.repeat(poles, ends.size), rng.random(sweep)])
+        phi_sweep = np.linspace(0.0, 1.0 - 2.0**-53, sweep)
+        u_phi = np.concatenate([np.tile(ends, poles.size), phi_sweep])
+        lam = rng.random((2, u_cos.size))
+        lam[:, :4] = [0.0, 2.0**-53, 1.0 - 2.0**-53, 1.0 - 2.0**-25]
+        draws = np.vstack([u_cos, u_phi, lam])
+        cos_t, phi = _angles(u_cos, u_phi)
+        sin_t = np.sqrt(1.0 - cos_t * cos_t)
+        _, features, screened, _ = _buffers(draws.shape[1])
+        radius = local_bloch_norm(1.0 / 3.0)
+        axes = [X_AXIS, Y_AXIS, Z_AXIS, np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)]
+        axes += [random_unit_axis(rng) for _ in range(4)]
         worst = 0.0
-        for phi in np.array_split(sweep, 8) + [ends]:
-            phi32 = phi.astype(np.float32)
-            worst = max(
-                worst,
-                float(np.max(np.abs(np.cos(phi32) - np.cos(phi)))),
-                float(np.max(np.abs(np.sin(phi32) - np.sin(phi)))),
-            )
+        for axis_a, axis_b in zip(axes, axes[::-1]):
+            diff = _screen(_screen_weights(radius, axis_a, axis_b), draws, features, screened)
+            exact = [
+                _float64_thresholds(radius, axis_a, sin_t, cos_t, phi) - lam[0],
+                _float64_thresholds(-radius, axis_b, sin_t, cos_t, phi) - lam[1],
+            ]
+            worst = max(worst, float(np.max(np.abs(diff - np.array(exact)))))
         assert worst <= _SCREEN / 16
+
+    @pytest.mark.parametrize("screen", [2.0, 0.01])
+    def test_a_wider_screen_gives_the_same_counts(self, monkeypatch, screen):
+        # every draw, or about 4% of them, decided again in float64: the
+        # counts stay those of the float64 thresholds
+        rng = np.random.default_rng(142)
+        args = (1.0 / 3.0, random_unit_axis(rng), random_unit_axis(rng), 10_007, 142)
+        expected = estimate_all(*args)
+        monkeypatch.setattr(hiddenvar, "_SCREEN", screen)
+        monkeypatch.setattr(hiddenvar, "_BLOCK", 1000)
+        assert estimate_all(*args) == expected
 
     def test_float64_trig_of_a_subset_equals_the_block_at_its_indices(self):
         # the draws decided again get the cos and sin the whole block gives
