@@ -10,11 +10,11 @@ separable-only operation).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -187,18 +187,6 @@ def _fmt_scalar(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__} into a report")
 
 
-def _enclose(open_: str, parts: list[str], close: str, nl: str | None) -> str:
-    """Members joined as json.dumps(indent=2) writes a container whose own
-    line break and indentation is nl: one member per line, one level
-    deeper.  With nl None, on one line as json.dumps writes it unindented."""
-    if not parts:
-        return open_ + close
-    if nl is None:
-        return open_ + ", ".join(parts) + close
-    inner = nl + "  "
-    return f"{open_}{inner}{(',' + inner).join(parts)}{nl}{close}"
-
-
 def _json_scalar(value) -> str:
     """A scalar as JSON writes it."""
     return _json_str(value) if isinstance(value, str) else _fmt_scalar(value)
@@ -216,7 +204,7 @@ def _csv_scalar(value) -> str:
 
 def _scalar_columns(columns, text) -> list[list]:
     """Columns as their scalar columns, an (n, k) array giving k, of values
-    that %s writes as JSON does: the floats of all the columns with one
+    that str() writes as JSON does: the floats of all the columns with one
     float.__repr__ per distinct magnitude, as repr(x) == "-" + repr(-x) for
     finite x < 0, -0.0 included, and a list column and a Nullable's null rows
     by the format's text."""
@@ -259,70 +247,117 @@ def _scalar_columns(columns, text) -> list[list]:
     return scalars
 
 
-def _json_table(table: Table, nl: str | None) -> str:
-    """A table as a JSON list of row objects: every row from one template
-    built for its depth, filled from the columns' values."""
-    row_nl = None if nl is None else nl + "  "
-    field_nl = None if nl is None else row_nl + "  "
+_SLOT = "\0"  # a value's mark in a row template: _json_str escapes it in names
+
+
+def _enclose(open_: str, parts: list[str], close: str, nl: str | None) -> str:
+    """Members joined as json.dumps(indent=2) writes a container whose own
+    line break and indentation is nl (None: unindented)."""
+    if not parts:
+        return open_ + close
+    inner = nl and nl + "  "
+    return open_ + (inner or "") + ("," + (inner or " ")).join(parts) + (nl or "") + close
+
+
+def _write_rows(out: list, template: str, values: list[list]) -> None:
+    """Append one row per entry of the scalar columns values, each the
+    template with its _SLOT marks filled in order.  Every piece of the
+    template and every value string goes into one (n, 2k + 1) object array,
+    flattened once."""
+    pieces = template.split(_SLOT)
+    cells = np.empty((len(values[0]), len(pieces) + len(values)), dtype=object)
+    cells[:, ::2] = np.array(pieces, dtype=object)
+    for j, column in enumerate(values):
+        # an integer column's entries are Python ints
+        cells[:, 2 * j + 1] = column if isinstance(column[0], str) else list(map(str, column))
+    out += cells.ravel().tolist()
+
+
+def _write_table(out: list, table: Table, nl: str | None) -> None:
+    """Append a table as a JSON list of row objects, every row from one
+    template built for its depth."""
+    values = _scalar_columns(table.columns.values(), _json_scalar)
+    if not values or not values[0]:
+        out.append("[]")
+        return
+    row_nl = nl and nl + "  "
+    field_nl = row_nl and row_nl + "  "
     fields = []
     for name, column in table.columns.items():
-        fmt = "%s"
+        slot = _SLOT
         if isinstance(column, np.ndarray) and column.ndim == 2:
-            fmt = _enclose("[", [fmt] * column.shape[1], "]", field_nl)
-        fields.append(_json_str(name).replace("%", "%%") + ": " + fmt)
-    template = _enclose("{", fields, "}", row_nl)
-    values = _scalar_columns(table.columns.values(), _json_scalar)
-    return _enclose("[", [template % row for row in zip(*values)], "]", nl)
+            slot = _enclose("[", [_SLOT] * column.shape[1], "]", field_nl)
+        fields.append(_json_str(name) + ": " + slot)
+    # each row ends in the separator of a list's members; the last row's is
+    # its list's closing text instead
+    sep = "," + (row_nl or " ")
+    out.append("[" + (row_nl or ""))
+    _write_rows(out, _enclose("{", fields, "}", row_nl) + sep, values)
+    out[-1] = out[-1][: -len(sep)] + (nl or "") + "]"
 
 
-def _json(value, nl: str | None) -> str:
-    """value as json.dumps(value, indent=2) writes it, placed on a line
-    whose line break and indentation is nl (None: unindented)."""
+def _write(out: list, value, nl: str | None) -> None:
+    """Append value as json.dumps(value, indent=2) writes it, placed on a
+    line whose line break and indentation is nl (None: unindented)."""
     if isinstance(value, str):
-        return _json_str(value)
-    if not isinstance(value, (dict, list, tuple, np.ndarray, Table)):
-        return _fmt_scalar(value)
-    if isinstance(value, Table):
-        return _json_table(value, nl)
-    if isinstance(value, np.ndarray):
-        return _json(value.tolist(), nl)
-    inner = None if nl is None else nl + "  "
-    if isinstance(value, dict):
-        parts = [f"{_json_str(k)}: {_json(v, inner)}" for k, v in value.items()]
-        return _enclose("{", parts, "}", nl)
-    return _enclose("[", [_json(v, inner) for v in value], "]", nl)
+        out.append(_json_str(value))
+    elif isinstance(value, Table):
+        _write_table(out, value, nl)
+    elif isinstance(value, np.ndarray):
+        _write(out, value.tolist(), nl)
+    elif not isinstance(value, (dict, list, tuple)):
+        out.append(_fmt_scalar(value))
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    else:
+        keyed = isinstance(value, dict)
+        inner = nl and nl + "  "
+        sep = ("{" if keyed else "[") + (inner or "")
+        for member in value.items() if keyed else value:
+            if keyed:
+                sep, member = sep + _json_str(member[0]) + ": ", member[1]
+            out.append(sep)
+            _write(out, member, inner)
+            sep = "," + (inner or " ")
+        out.append((nl or "") + ("}" if keyed else "]"))
 
 
 def emit_json(report: RunReport) -> str:
-    return _json(report.to_dict(), "\n") + "\n"
+    out = []
+    _write(out, report.to_dict(), "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def emit_csv(report: RunReport) -> str:
     if report.csv_header is None or report.csv_columns is None:
         raise ValueError(f"command {report.command!r} has no CSV projection")
     values = _scalar_columns(report.csv_columns, _csv_scalar)
-    template = ",".join(["%s"] * len(values))
-    lines = [",".join(report.csv_header), *(template % row for row in zip(*values))]
-    return "\n".join(lines) + "\n"
+    out = [",".join(report.csv_header) + "\n"]
+    if values and values[0]:
+        _write_rows(out, ",".join([_SLOT] * len(values)) + "\n", values)
+    return "".join(out)
 
 
 def emit_pretty(report: RunReport) -> str:
-    lines = [f"command: {report.command}"]
+    out = [f"command: {report.command}\n"]
     if report.seed is not None:
-        lines.append(f"seed: {report.seed}")
-    lines.append("parameters: " + _json(report.parameters, None))
-    lines.append("results:")
-    lines.append("  " + _json(report.results, "\n  "))
+        out.append(f"seed: {report.seed}\n")
+    out.append("parameters: ")
+    _write(out, report.parameters, None)
+    out.append("\nresults:\n  ")
+    _write(out, report.results, "\n  ")
+    out.append("\n")
     if report.checks:
-        lines.append("checks:")
+        out.append("checks:\n")
         for c in report.checks:
             tag = "PASS" if c.passed else "FAIL"
-            lines.append(
+            out.append(
                 f"  [{tag}] {c.name}: observed={_fmt_scalar(c.observed)} "
-                f"expected={_fmt_scalar(c.expected)} tolerance={_fmt_scalar(c.tolerance)}"
+                f"expected={_fmt_scalar(c.expected)} tolerance={_fmt_scalar(c.tolerance)}\n"
             )
-    lines.append(f"tool_version: {__version__}")
-    return "\n".join(lines) + "\n"
+    out.append(f"tool_version: {__version__}\n")
+    return "".join(out)
 
 
 _RENDERERS = {"json": emit_json, "csv": emit_csv, "pretty": emit_pretty}
@@ -773,9 +808,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on main's first call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report = args.handler(args)
         text = _RENDERERS[args.format](report)
@@ -791,7 +831,9 @@ def main(argv=None) -> int:
 
     if args.out is not None:
         try:
-            Path(args.out).write_text(text)
+            # the path as given: a trailing slash names a directory
+            with open(args.out, "w") as out:
+                out.write(text)
         except OSError as err:
             _error(f"cannot write report to {args.out}: {err.strerror}")
             return EXIT_USAGE

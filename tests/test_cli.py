@@ -139,10 +139,12 @@ def reference_verify_row(q: float) -> dict:
 NODE_SUM_FIELDS = ("spherical_error", "cross_error", "moment_deviation")
 
 
-def as_json(value) -> str:
+def as_json(value, **kwargs) -> str:
     """JSON text of value, numpy scalars and arrays written as the Python
-    values they hold."""
-    return json.dumps(value, default=lambda v: v.tolist())
+    values they hold, and a cli.Table as its list of row objects."""
+    return json.dumps(
+        value, default=lambda v: v.rows() if isinstance(v, cli.Table) else v.tolist(), **kwargs
+    )
 
 
 # Q_MIN Q_MAX STEPS of a three-point grid on the doubles around 1/3.
@@ -832,6 +834,59 @@ class TestArgumentParsing:
         assert exc.value.code == EXIT_USAGE
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    # Pairs of calls whose second must not see the first's arguments: an
+    # argv then its option's default, and a parse error then a valid argv.
+    PARSER_SEQUENCE = [
+        ("ppt", "--sweep", "0", "1", "3"),
+        ("ppt", "--q", "0.2"),
+        ("hvsim", "--q", "0.2", "--samples", "1000", "--l", "1", "0", "0", "--m", "0", "1", "0"),
+        ("hvsim", "--q", "0.2", "--samples", "1000"),
+        ("decompose", "--q", "0.2", "--nodes", "2", "3", "--format", "csv"),
+        ("decompose", "--q", "0.2", "--format", "csv"),
+        ("ppt", "--q", "0.2", "--sweep", "0", "1", "3"),
+        ("ppt", "--q", "0.9", "--format", "pretty"),
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        fresh = []
+        for argv in self.PARSER_SEQUENCE:
+            cli._parser.cache_clear()
+            fresh.append(self.outcome(capsys, argv))
+        cli._parser.cache_clear()
+        built = count_calls(monkeypatch, cli, "build_parser")
+        for argv, expected in zip(self.PARSER_SEQUENCE, fresh):
+            assert self.outcome(capsys, argv) == expected, argv
+        assert len(built) == 1
+        assert [code for code, _, _ in fresh] == [EXIT_OK] * 6 + [EXIT_USAGE, EXIT_OK]
+
+    def test_import_builds_no_parser(self):
+        # a child process counts every parser constructed while it imports cli
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def spy(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = spy\n"
+            "import wernerkit.cli\n"
+            "print(len(built))\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
     def test_help_and_version_are_unchanged(self, capsys):
         for flag, text in (("--version", "0.1.0\n"), ("--help", "usage: wernerkit [-h]")):
             with pytest.raises(SystemExit) as exc:
@@ -1122,39 +1177,56 @@ def _tables(draw):
         kind = draw(st.sampled_from(
             ["float", "vector", "bool", "int", "nullable", "masked", "text"]
         ))
+        # names that a %-template or a split on "\0" would misread
+        name = draw(st.sampled_from(["c", "%", "%s", "50%s%%", "\0"])) + str(i)
         if kind == "masked":
             present = draw(st.lists(st.booleans(), min_size=n, max_size=n))
             values = draw(st.lists(_FLOATS, min_size=sum(present), max_size=sum(present)))
-            columns[f"c{i}"] = cli.Nullable(np.array(present, dtype=bool), np.array(values))
+            columns[name] = cli.Nullable(np.array(present, dtype=bool), np.array(values))
         elif kind == "nullable":
-            columns[f"c{i}"] = draw(st.lists(st.none() | _FLOATS, min_size=n, max_size=n))
+            columns[name] = draw(st.lists(st.none() | _FLOATS, min_size=n, max_size=n))
         elif kind == "text":
-            columns[f"c{i}"] = draw(st.lists(st.none() | st.text(max_size=6), min_size=n, max_size=n))
+            columns[name] = draw(st.lists(st.none() | st.text(max_size=6), min_size=n, max_size=n))
         elif kind == "bool":
-            columns[f"c{i}"] = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+            columns[name] = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
         elif kind == "int":
-            columns[f"c{i}"] = np.array(draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
+            columns[name] = np.array(draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
         else:
             k = 3 if kind == "vector" else None
             values = draw(st.lists(_FLOATS, min_size=n * (k or 1), max_size=n * (k or 1)))
-            columns[f"c{i}"] = np.array(values, dtype=float).reshape((n, k) if k else (n,))
+            columns[name] = np.array(values, dtype=float).reshape((n, k) if k else (n,))
     return cli.Table(**columns)
+
+
+# A table of one row with a column of each kind, named with "%" and "%s".
+_ONE_ROW = cli.Table(**{
+    "%s": np.array([-0.0]),
+    "%": np.array([[1e16, -5e-324, 0.5]]),
+    "n%%s": np.array([-7]),
+    "b": np.array([True]),
+    "m": cli.Nullable(np.array([False]), np.empty(0)),
+    "t": ["a,b"],
+})
 
 
 class TestRendererOracle:
     """The array renderer writes what json.dumps writes for the same values."""
 
+    @example(table=cli.Table(q=np.empty(0), v=np.empty((0, 3)), reason=[]), scalar=0.0, text="")
+    @example(table=_ONE_ROW, scalar=-0.0, text="%s")
     @settings(max_examples=60, deadline=None)
     @given(table=_tables(), scalar=_FLOATS, text=st.text(max_size=8))
     def test_json_and_pretty_match_json_dumps(self, table, scalar, text):
-        results = {"x": scalar, "s": text, "empty": [], "none": None, "rows": table}
-        plain = {**results, "rows": table.rows()}
-        report = RunReport(command="t", parameters={"p": [scalar, text]}, results=results)
-        expected = {**report.to_dict(), "results": plain}
-        assert cli.emit_json(report) == json.dumps(expected, indent=2) + "\n"
+        # the table at each depth pretty writes: on the unindented parameters
+        # line, and in the results at two indentations
+        results = {"x": scalar, "s": text, "empty": [], "none": None, "rows": table,
+                   "nested": [{"rows": table}]}
+        report = RunReport(command="t", parameters={"p": [scalar, text], "rows": table},
+                           results=results)
+        assert cli.emit_json(report) == as_json(report.to_dict(), indent=2) + "\n"
         pretty = cli.emit_pretty(report).splitlines()
-        assert pretty[1] == "parameters: " + json.dumps(report.parameters)
-        body = json.dumps(plain, indent=2).splitlines()
+        assert pretty[1] == "parameters: " + as_json(report.parameters)
+        body = as_json(results, indent=2).splitlines()
         assert pretty[3 : 3 + len(body)] == ["  " + line for line in body]
 
     @staticmethod
@@ -1165,6 +1237,18 @@ class TestRendererOracle:
             return value.replace(",", ";")
         return json.dumps(value)
 
+    @classmethod
+    def csv_text(cls, header, columns) -> str:
+        """The CSV rule: the header, then one line per row of the columns,
+        each field as csv_field writes its Python value."""
+        lines = [",".join(header)]
+        for row in cli.Table(**{f"f{i}": c for i, c in enumerate(columns)}).rows():
+            flat = [x for v in row.values() for x in (v if isinstance(v, list) else [v])]
+            lines.append(",".join(cls.csv_field(x) for x in flat))
+        return "\n".join(lines) + "\n"
+
+    @example(table=cli.Table(q=np.empty(0), v=np.empty((0, 3)), reason=[]))
+    @example(table=_ONE_ROW)
     @settings(max_examples=60, deadline=None)
     @given(table=_tables())
     def test_csv_matches_the_rows(self, table):
@@ -1172,11 +1256,27 @@ class TestRendererOracle:
         header = [f"f{i}" for i in range(n_fields)]
         report = RunReport(command="t", parameters={}, results={}, csv_header=header,
                            csv_columns=list(table.columns.values()))
-        expected = [",".join(header)]
-        for row in table.rows():
-            flat = [x for v in row.values() for x in (v if isinstance(v, list) else [v])]
-            expected.append(",".join(self.csv_field(x) for x in flat))
-        assert cli.emit_csv(report) == "\n".join(expected) + "\n"
+        assert cli.emit_csv(report) == self.csv_text(header, report.csv_columns)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a zero-row skipped table beside the rows
+            ["verify", "--grid", "0", "0.3", "5"],
+            # one-row tables
+            ["verify", "--grid", "0.5", "0.5", "1"],
+            ["ppt", "--sweep", "0.2", "0.2", "1"],
+            # integer columns in CSV
+            ["matrix", "--q", "0.2"],
+            ["decompose", "--q", "0.2", "--method", "wootters"],
+            ["decompose", "--q", "0.2", "--nodes", "2", "3"],
+        ],
+    )
+    def test_command_reports_match_the_oracles(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        report = args.handler(args)
+        assert cli.emit_json(report) == as_json(report.to_dict(), indent=2) + "\n"
+        assert cli.emit_csv(report) == self.csv_text(report.csv_header, report.csv_columns)
 
 
 # Floats whose repr is easy to get wrong: the signed zeros, the smallest
@@ -1214,6 +1314,8 @@ class TestFloatColumnOracle:
     @example(np.full((4, 3), -0.0))
     @example(np.empty(0))
     @example(np.empty((0, 3)))
+    @example(np.array([-5e-324]))
+    @example(np.array([[1e16, -0.0, 9.999999999999999e-05]]))
     @settings(max_examples=200, deadline=None)
     @given(_float_columns())
     def test_every_entry_is_its_own_repr(self, column):
@@ -1241,9 +1343,12 @@ class TestFloatColumnOracle:
         columns = [c[:n] for c in columns]
         if mirror:
             columns.append(-columns[0])
+        # an integer column gives Python ints, a boolean column JSON's text
         columns.insert(1, np.arange(n))
+        columns.insert(2, np.arange(n) % 3 == 0)
         expected = [
-            [repr(v) if isinstance(v, float) else v for v in sub]
+            [repr(v) if isinstance(v, float) else json.dumps(v) if isinstance(v, bool) else v
+             for v in sub]
             for c in columns
             for sub in (c.T if c.ndim == 2 else c[None]).tolist()
         ]
@@ -1251,7 +1356,7 @@ class TestFloatColumnOracle:
         for text in (cli._json_scalar, cli._csv_scalar):
             written = cli._scalar_columns(columns, text)
             assert written == expected
-            floats = [x for sub in written for x in sub if isinstance(x, str)]
+            floats = [x for sub in written for x in sub if isinstance(x, str) and x not in ("true", "false")]
             assert len({id(x) for x in floats}) <= 2 * len(magnitudes)
 
     def test_node_table_shares_a_strings_with_b(self):
@@ -1271,8 +1376,17 @@ class TestOutOfMemory:
     test sets on the child alone."""
 
     @staticmethod
-    def _limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    def _limit_address_space(limit=1 << 30):
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    @staticmethod
+    def _run_limited(argv, limit=1 << 30, **kwargs):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        return subprocess.run(
+            [sys.executable, "-m", "wernerkit.cli", *argv], text=True, env=env, timeout=120,
+            preexec_fn=lambda: TestOutOfMemory._limit_address_space(limit), **kwargs,
+        )
 
     @pytest.mark.parametrize(
         "argv",
@@ -1287,16 +1401,22 @@ class TestOutOfMemory:
         ],
     )
     def test_unallocatable_report_exits_2(self, argv):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "wernerkit.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-            preexec_fn=self._limit_address_space,
-        )
+        proc = self._run_limited(argv, capture_output=True)
         assert proc.returncode == EXIT_USAGE, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr == f"error: the {argv[0]} report needs more memory than can be allocated\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_large_node_table_renders_in_bounded_memory(self, fmt):
+        # 200,000 node rows, about 50 MB of text, under a 384 MiB limit.
+        # Written as one list of fragments joined once, the report needed
+        # about 310 MiB in either format; writing one string per container
+        # level needed about 450 MiB for JSON and 338 MiB for CSV.
+        argv = ["decompose", "--q", "0.2", "--nodes", "200", "1000", "--format", fmt]
+        proc = self._run_limited(
+            argv, 384 << 20, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
 
 
 class TestArgvFuzz:
@@ -1334,3 +1454,16 @@ class TestOutputFile:
         assert out == ""
         assert err.startswith(f"error: cannot write report to {target}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_trailing_slash_names_a_directory(self, tmp_path, capsys, exists):
+        # the path is used as given: its slash is never dropped to write a
+        # file named report.json, or to write over an existing one
+        if exists:
+            (tmp_path / "report.json").write_text("kept\n")
+        target = f"{tmp_path / 'report.json'}/"
+        code, out, err = run(capsys, "verify", "--grid", "0", "0.3", "2", "--out", target)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: cannot write report to {target}: Is a directory\n")
+        assert [p.name for p in tmp_path.iterdir()] == (["report.json"] if exists else [])
+        if exists:
+            assert (tmp_path / "report.json").read_text() == "kept\n"
