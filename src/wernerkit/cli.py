@@ -94,22 +94,40 @@ def _max_abs(x, axis=None):
 
 
 @dataclass
+class Text:
+    """A text column: row i is pieces[0] + repr(slots[0][i]) + pieces[1] +
+    ... + pieces[-1], for one or more slots, each a float array with one
+    entry per row.  A renderer writes the slots from its report's float
+    strings and each fixed piece by the format's text rule once, not once
+    per row."""
+
+    pieces: tuple[str, ...]
+    slots: tuple[np.ndarray, ...]
+
+    def tolist(self) -> list[str]:
+        return _scalar_columns([self], _fmt_scalar)[0]
+
+
+@dataclass
 class Nullable:
-    """A column: values on the rows where present is set, in order, null on the others."""
+    """A column: values, a float array or a Text, on the rows where present
+    is set, in order, null on the others."""
 
     present: np.ndarray
-    values: np.ndarray
+    values: np.ndarray | Text
 
     def tolist(self) -> list:
-        values = iter(np.asarray(self.values).tolist())
+        values = self.values if isinstance(self.values, Text) else np.asarray(self.values)
+        values = iter(values.tolist())
         return [next(values) if p else None for p in self.present.tolist()]
 
 
 class Table:
     """Report rows held as named columns: each column an array with one
-    entry, shape (n,), or one vector, shape (n, k), per row, a Nullable, or
-    a list of Python scalars, such as strings, with None for null.  JSON
-    writes a table as a list of row objects, each vector as a list."""
+    entry, shape (n,), or one vector, shape (n, k), per row, a Text, a
+    Nullable, or a list of Python scalars, such as strings, with None for
+    null.  JSON writes a table as a list of row objects, each vector as a
+    list."""
 
     def __init__(self, **columns):
         self.columns = columns
@@ -202,20 +220,46 @@ def _csv_scalar(value) -> str:
     return _fmt_scalar(value)
 
 
+def _width(column) -> int:
+    """The number of scalar columns of a column: k for an (n, k) array."""
+    return column.shape[1] if isinstance(column, np.ndarray) and column.ndim == 2 else 1
+
+
+def _text_template(pieces, text) -> str:
+    """The %-template of a Text column's rows as the format writes them: its
+    fixed pieces by the text rule, %s between them.  The rule writes a string
+    as an opening mark, its characters one at a time and a closing mark of
+    the same length (JSON's quotes, CSV's nothing), and a float's repr as is."""
+    marks = text("")
+    half = len(marks) // 2
+    inner = [t[half : len(t) - half].replace("%", "%%") for t in map(text, pieces)]
+    return marks[:half] + "%s".join(inner) + marks[half:]
+
+
 def _scalar_columns(columns, text) -> list[list]:
     """Columns as their scalar columns, an (n, k) array giving k, of values
-    that str() writes as JSON does: the floats of all the columns with one
-    float.__repr__ per distinct magnitude, as repr(x) == "-" + repr(-x) for
-    finite x < 0, -0.0 included, and a list column and a Nullable's null rows
-    by the format's text."""
-    scalars, floats = [], []
+    that str() writes as the format does.  The floats of all the columns,
+    the slots of Text columns included, take one float.__repr__ per distinct
+    magnitude, as repr(x) == "-" + repr(-x) for finite x < 0, -0.0 included.
+    A Text column's rows are built once, however many columns hold it; a
+    list column and a Nullable's null rows are written by the format's text."""
+    scalars, floats, placed = [], [], []
+    text_columns = {}  # id of a Text -> the Text and the index of its first slot in floats
     for column in columns:
+        present = None
         if isinstance(column, Nullable):
-            floats.append((len(scalars), column.present[None], np.asarray(column.values, dtype=float)))
-            scalars.append(None)
-            continue
-        if not isinstance(column, np.ndarray):
+            present, column = column.present, column.values
+            if not isinstance(column, Text):
+                column = np.asarray(column, dtype=float)
+        elif not isinstance(column, (np.ndarray, Text)):
             scalars.append([text(v) for v in column])
+            continue
+        if isinstance(column, Text):
+            if id(column) not in text_columns:
+                text_columns[id(column)] = column, len(floats)
+                floats += [np.asarray(slot, dtype=float)[None] for slot in column.slots]
+            placed.append((len(scalars), present, column))
+            scalars.append(None)
             continue
         if column.ndim > 2 or column.dtype.kind not in "biuf":
             raise TypeError(f"cannot serialize a {column.dtype} column into a report")
@@ -225,25 +269,34 @@ def _scalar_columns(columns, text) -> list[list]:
         elif column.dtype.kind != "f":
             scalars += subs.tolist()
         else:
-            floats.append((len(scalars), np.broadcast_to(True, subs.shape), subs))
+            placed.append((len(scalars), present, len(floats)))
+            floats.append(subs)
             scalars += [None] * len(subs)
     if not floats:
         return scalars
-    values = np.concatenate([v.ravel() for _, _, v in floats])
+    values = np.concatenate([v.ravel() for v in floats])
     finite = np.isfinite(values)
     if not finite.all():
         raise _not_finite(values[~finite][0])
     magnitudes, inverse = np.unique(np.abs(values), return_inverse=True)
     texts = [repr(m) for m in magnitudes.tolist()]
     # every entry of one magnitude and sign, in any column, shares one string
-    strings = np.array(texts + ["-" + t for t in texts] + [text(None)], dtype=object)
     inverse += np.signbit(values) * len(texts)
-    end = 0
-    for first, present, v in floats:
-        index = np.full(present.shape, 2 * len(texts))
-        index[present] = inverse[end : end + v.size]
-        end += v.size
-        scalars[first : first + len(present)] = strings[index].tolist()
+    strings = np.array(texts + ["-" + t for t in texts], dtype=object)[inverse]
+    ends = np.cumsum([v.size for v in floats]).tolist()
+    # the scalar columns of each float array, and of each Text
+    written = [strings[end - v.size : end].reshape(v.shape).tolist() for v, end in zip(floats, ends)]
+    for key, (column, first) in text_columns.items():
+        template = _text_template(column.pieces, text)
+        slots = [sub for (sub,) in written[first : first + len(column.slots)]]
+        text_columns[key] = [[template % row for row in zip(*slots)]]
+    for at, present, source in placed:
+        subs = text_columns[id(source)] if isinstance(source, Text) else written[source]
+        if present is not None:
+            column = np.full(present.shape, text(None), dtype=object)
+            column[present] = subs[0]
+            subs = [column.tolist()]
+        scalars[at : at + len(subs)] = subs
     return scalars
 
 
@@ -259,9 +312,9 @@ def _enclose(open_: str, parts: list[str], close: str, nl: str | None) -> str:
     return open_ + (inner or "") + ("," + (inner or " ")).join(parts) + (nl or "") + close
 
 
-def _write_rows(out: list, template: str, values: list[list]) -> None:
-    """Append one row per entry of the scalar columns values, each the
-    template with its _SLOT marks filled in order.  Every piece of the
+def _rows(template: str, values: list[list]) -> list[str]:
+    """The fragments of one row per entry of the scalar columns values, each
+    the template with its _SLOT marks filled in order.  Every piece of the
     template and every value string goes into one (n, 2k + 1) object array,
     flattened once."""
     pieces = template.split(_SLOT)
@@ -270,16 +323,14 @@ def _write_rows(out: list, template: str, values: list[list]) -> None:
     for j, column in enumerate(values):
         # an integer column's entries are Python ints
         cells[:, 2 * j + 1] = column if isinstance(column[0], str) else list(map(str, column))
-    out += cells.ravel().tolist()
+    return cells.ravel().tolist()
 
 
-def _write_table(out: list, table: Table, nl: str | None) -> None:
-    """Append a table as a JSON list of row objects, every row from one
-    template built for its depth."""
-    values = _scalar_columns(table.columns.values(), _json_scalar)
+def _table_fragments(table: Table, values: list[list], nl: str | None) -> list[str]:
+    """A table as the fragments of a JSON list of row objects, from its
+    scalar columns values, every row from one template built for its depth."""
     if not values or not values[0]:
-        out.append("[]")
-        return
+        return ["[]"]
     row_nl = nl and nl + "  "
     field_nl = row_nl and row_nl + "  "
     fields = []
@@ -291,42 +342,83 @@ def _write_table(out: list, table: Table, nl: str | None) -> None:
     # each row ends in the separator of a list's members; the last row's is
     # its list's closing text instead
     sep = "," + (row_nl or " ")
-    out.append("[" + (row_nl or ""))
-    _write_rows(out, _enclose("{", fields, "}", row_nl) + sep, values)
-    out[-1] = out[-1][: -len(sep)] + (nl or "") + "]"
+    rows = _rows(_enclose("{", fields, "}", row_nl) + sep, values)
+    rows[0] = "[" + (row_nl or "") + rows[0]
+    rows[-1] = rows[-1][: -len(sep)] + (nl or "") + "]"
+    return rows
 
 
-def _write(out: list, value, nl: str | None) -> None:
-    """Append value as json.dumps(value, indent=2) writes it, placed on a
-    line whose line break and indentation is nl (None: unindented)."""
-    if isinstance(value, str):
-        out.append(_json_str(value))
-    elif isinstance(value, Table):
-        _write_table(out, value, nl)
-    elif isinstance(value, np.ndarray):
-        _write(out, value.tolist(), nl)
-    elif not isinstance(value, (dict, list, tuple)):
-        out.append(_fmt_scalar(value))
-    elif not value:
-        out.append("{}" if isinstance(value, dict) else "[]")
-    else:
-        keyed = isinstance(value, dict)
-        inner = nl and nl + "  "
-        sep = ("{" if keyed else "[") + (inner or "")
-        for member in value.items() if keyed else value:
-            if keyed:
-                sep, member = sep + _json_str(member[0]) + ": ", member[1]
-            out.append(sep)
-            _write(out, member, inner)
-            sep = "," + (inner or " ")
-        out.append((nl or "") + ("}" if keyed else "]"))
+class _Fragments:
+    """A report's JSON text as a list of fragments, joined once.  Every float
+    it writes, in a table or not, comes from one pool: a float or a table
+    holds its place in the list until `text` writes them all with one
+    _scalar_columns call, so each distinct magnitude is formatted once per
+    report."""
+
+    def __init__(self):
+        self.out = []
+        self.floats = []  # the places of the floats
+        self.tables = []  # (place, table, nl) of each table
+
+    def scalar(self, value) -> None:
+        """Append a scalar as _fmt_scalar writes it."""
+        if isinstance(value, (float, np.floating)):
+            self.floats.append(len(self.out))
+            self.out.append(value)
+        else:
+            self.out.append(_fmt_scalar(value))
+
+    def write(self, value, nl: str | None) -> None:
+        """Append value as json.dumps(value, indent=2) writes it, placed on a
+        line whose line break and indentation is nl (None: unindented)."""
+        out = self.out
+        if isinstance(value, str):
+            out.append(_json_str(value))
+        elif isinstance(value, Table):
+            self.tables.append((len(out), value, nl))
+            out.append(None)
+        elif isinstance(value, np.ndarray):
+            self.write(value.tolist(), nl)
+        elif not isinstance(value, (dict, list, tuple)):
+            self.scalar(value)
+        elif not value:
+            out.append("{}" if isinstance(value, dict) else "[]")
+        else:
+            keyed = isinstance(value, dict)
+            inner = nl and nl + "  "
+            sep = ("{" if keyed else "[") + (inner or "")
+            for member in value.items() if keyed else value:
+                if keyed:
+                    sep, member = sep + _json_str(member[0]) + ": ", member[1]
+                out.append(sep)
+                self.write(member, inner)
+                sep = "," + (inner or " ")
+            out.append((nl or "") + ("}" if keyed else "]"))
+
+    def text(self) -> str:
+        out = self.out
+        loose = np.array([out[i] for i in self.floats], dtype=float)
+        columns = [c for _, table, _ in self.tables for c in table.columns.values()]
+        values = _scalar_columns(columns + [loose], _json_scalar)
+        for i, string in zip(self.floats, values.pop()):
+            out[i] = string
+        # each table replaces its place, the last first so that the places
+        # before it stay put.  Copying the fragments into a second list
+        # instead made a 64 x 128 decompose op map about 1700 fresh pages,
+        # not 25, beside another program's ops in one process
+        end = len(values)
+        for at, table, nl in reversed(self.tables):
+            start = end - sum(map(_width, table.columns.values()))
+            out[at : at + 1] = _table_fragments(table, values[start:end], nl)
+            end = start
+        return "".join(out)
 
 
 def emit_json(report: RunReport) -> str:
-    out = []
-    _write(out, report.to_dict(), "\n")
-    out.append("\n")
-    return "".join(out)
+    fragments = _Fragments()
+    fragments.write(report.to_dict(), "\n")
+    fragments.out.append("\n")
+    return fragments.text()
 
 
 def emit_csv(report: RunReport) -> str:
@@ -335,29 +427,33 @@ def emit_csv(report: RunReport) -> str:
     values = _scalar_columns(report.csv_columns, _csv_scalar)
     out = [",".join(report.csv_header) + "\n"]
     if values and values[0]:
-        _write_rows(out, ",".join([_SLOT] * len(values)) + "\n", values)
+        out += _rows(",".join([_SLOT] * len(values)) + "\n", values)
     return "".join(out)
 
 
 def emit_pretty(report: RunReport) -> str:
-    out = [f"command: {report.command}\n"]
+    fragments = _Fragments()
+    out = fragments.out
+    out.append(f"command: {report.command}\n")
     if report.seed is not None:
         out.append(f"seed: {report.seed}\n")
     out.append("parameters: ")
-    _write(out, report.parameters, None)
+    fragments.write(report.parameters, None)
     out.append("\nresults:\n  ")
-    _write(out, report.results, "\n  ")
+    fragments.write(report.results, "\n  ")
     out.append("\n")
     if report.checks:
         out.append("checks:\n")
         for c in report.checks:
-            tag = "PASS" if c.passed else "FAIL"
-            out.append(
-                f"  [{tag}] {c.name}: observed={_fmt_scalar(c.observed)} "
-                f"expected={_fmt_scalar(c.expected)} tolerance={_fmt_scalar(c.tolerance)}\n"
-            )
+            out.append(f"  [{'PASS' if c.passed else 'FAIL'}] {c.name}: observed=")
+            fragments.scalar(c.observed)
+            out.append(" expected=")
+            fragments.scalar(c.expected)
+            out.append(" tolerance=")
+            fragments.scalar(c.tolerance)
+            out.append("\n")
     out.append(f"tool_version: {__version__}\n")
-    return "".join(out)
+    return fragments.text()
 
 
 _RENDERERS = {"json": emit_json, "csv": emit_csv, "pretty": emit_pretty}
@@ -673,24 +769,25 @@ def _verify_rows(q: np.ndarray, rho: np.ndarray) -> tuple[Table, Table, list[Che
             "schmidt_max": w["schmidt_determinant_max"],
             "phase_residual": w["phase_constraint_residual"],
         }
-    reasons = [
-        f"decomposition checks skipped: q = {x} > 1/3 (|a| = sqrt(3q) = {math.sqrt(3.0 * x)} > 1)"
-        for x in q[~tested].tolist()
-    ]
+    skipped_q = q[~tested]
+    reasons = Text(
+        ("decomposition checks skipped: q = ", " > 1/3 (|a| = sqrt(3q) = ", " > 1)"),
+        (skipped_q, np.sqrt(3.0 * skipped_q)),
+    )
     rows = Table(
         q=q,
         ppt_deviation=ppt["closed_form_deviation"],
         separable=ppt["separable"],
         verdict_matches=ppt["separable"] == ppt["expected_separable"],
         **{key: Nullable(tested, deviations.get(key, ())) for key in _VERIFY_CHECKS},
-        skipped=Nullable(~tested, reasons).tolist(),
+        skipped=Nullable(~tested, reasons),
     )
     checks = _ppt_checks(ppt, "ppt_") + [
         check_value(name, deviations[key], 0.0, tol)
         for key, (name, tol) in _VERIFY_CHECKS.items()
         if deviations
     ]
-    return rows, Table(q=q[~tested], reason=reasons), checks
+    return rows, Table(q=skipped_q, reason=reasons), checks
 
 
 def cmd_verify(args) -> RunReport:

@@ -36,7 +36,9 @@ for _const in (PAULI_X, PAULI_Y, PAULI_Z, IDENTITY_2, IDENTITY_4):
 
 # Entrywise Hermiticity tolerance: absolute for unit-trace density matrices
 # (`is_hermitian`), relative to the largest entry in the gate of
-# `hermitian_eigenvalues`.
+# `hermitian_eigenvalues`.  `ppt_test` gates each state once, on both rules,
+# and its partial transpose not at all: PT moves each entry pair (x_rc, x_cr)
+# onto another such pair, so PT(rho) has rho's deviation and largest entry.
 HERMITIAN_TOL = 1e-12
 
 
@@ -118,12 +120,19 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     a = _as_stack(m)
     if a.shape[-1] != a.shape[-2]:
         raise ValueError(f"eigenvalues require a square matrix, got {a.shape}")
+    _hermitian_gate(a, _hermitian_deviation(a))
+    return np.linalg.eigvalsh(a)
+
+
+def _hermitian_gate(a: np.ndarray, deviation: np.ndarray) -> None:
+    """The gate of `hermitian_eigenvalues` on a stack a whose per-matrix
+    max|a - a^H| is deviation: ValueError unless each matrix's deviation is
+    at most HERMITIAN_TOL times its largest entry, and that entry is finite."""
     scale = np.max(np.abs(a), axis=(-2, -1))
     # negated so that NaN deviations are rejected too
-    bad = ~(_hermitian_deviation(a) <= HERMITIAN_TOL * scale) | ~np.isfinite(scale)
+    bad = ~(deviation <= HERMITIAN_TOL * scale) | ~np.isfinite(scale)
     if bad.any():
         raise ValueError(
             f"matrix{_first_failure(bad)[1]} is not Hermitian within {HERMITIAN_TOL} "
             "of its largest entry"
         )
-    return np.linalg.eigvalsh(a)

@@ -38,13 +38,17 @@ ARGVS = [
     ["decompose", "--q", "0.3333333333333333", "--nodes", "3", "5"],
     ["decompose", "--q", "0.2", "--method", "wootters"],
     ["decompose", "--q", "0", "--method", "wootters"],
-    # ppt: one q on each side of the threshold, and two sweeps
+    # decompose: the seed-1 argv of the decompose_dense benchmark
+    ["decompose", "--q", "0.044788081370800405", "--method", "spherical", "--nodes", "64", "128"],
+    # ppt: one q on each side of the threshold, two sweeps, and the seed-1
+    # argv of the ppt_sweep benchmark
     ["ppt", "--q", "0.2"],
     ["ppt", "--q", "0.9"],
     ["ppt", "--sweep", "0", "1", "11"],
     ["ppt", "--sweep", "0", "1", "1001"],
-    # verify: the default grid, and grids with skipped rows (the skip text
-    # carries a comma that CSV replaces)
+    ["ppt", "--sweep", "0.0026872848822480245", "0.9969486747387446", "1001"],
+    # verify: the default grid, and grids with skipped rows, each with its
+    # reason text
     ["verify"],
     ["verify", "--grid", "0", "1", "7"],
     ["verify", "--grid", "0", "1", "1001"],

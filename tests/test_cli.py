@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -1368,6 +1369,104 @@ class TestFloatColumnOracle:
         # each b entry is a's string with its sign flipped
         for a, b in zip(written[3:6], written[6:9]):
             assert b == [x[1:] if x.startswith("-") else "-" + x for x in a]
+
+
+# Fixed pieces that a format's text rule must write: JSON escapes a quote, a
+# backslash, a control character and non-ASCII text, CSV turns a comma into
+# a semicolon, and "%" and "\0" mark slots in the renderer's own templates.
+_TRICKY_PIECES = ('say "', '\\ a,b\x07 \u00e9 %s\0 ', " \u2603, \U0001f600")
+
+
+@st.composite
+def _text_columns(draw):
+    """A Text column of n >= 0 rows, with k = 1..3 slots between fixed
+    pieces, and a row mask of n' >= n rows with n set."""
+    n, k = draw(st.integers(0, 6)), draw(st.integers(1, 3))
+    pieces = draw(st.lists(st.text(max_size=5), min_size=k + 1, max_size=k + 1))
+    floats = st.sampled_from(_EDGE_FLOATS) | _FLOATS
+    slots = [np.array(draw(st.lists(floats, min_size=n, max_size=n)), dtype=float)
+             for _ in range(k)]
+    present = draw(st.permutations([True] * n + [False] * draw(st.integers(0, 3))))
+    return cli.Text(tuple(pieces), tuple(slots)), np.array(present, dtype=bool)
+
+
+class TestTextColumn:
+    """A Text column's rows are written as the strings the f-string of the
+    template gives, each slot as repr of its value: JSON as json.dumps
+    writes them, CSV by _csv_scalar, null rows as every format writes null."""
+
+    @staticmethod
+    def f_strings(text) -> list[str]:
+        rows = []
+        for values in zip(*(slot.tolist() for slot in text.slots)):
+            row = text.pieces[0]
+            for value, piece in zip(values, text.pieces[1:]):
+                row += f"{value}{piece}"
+            rows.append(row)
+        return rows
+
+    @example(column=(cli.Text(_TRICKY_PIECES, (np.array([-0.0, 0.5, -0.0]), np.array([1e16, -5e-324, 0.0]))),
+                     np.array([True, False, True, True])))
+    @example(column=(cli.Text(_TRICKY_PIECES, (np.empty(0), np.empty(0))), np.zeros(2, dtype=bool)))
+    @example(column=(cli.Text(("", ""), (np.array([-0.0]),)), np.array([True])))
+    @settings(max_examples=100, deadline=None)
+    @given(column=_text_columns())
+    def test_every_format_writes_the_f_strings(self, column):
+        text, present = column
+        rows = self.f_strings(text)
+        nullable = cli.Nullable(present, text)
+        with_nulls = nullable.tolist()
+        assert text.tolist() == rows
+        assert [r for r, p in zip(with_nulls, present) if p] == rows
+        assert with_nulls.count(None) == (~present).sum()
+
+        # JSON and pretty, a table of the rows alone and one with null rows
+        results = {"rows": cli.Table(t=text, q=text.slots[0]), "masked": cli.Table(t=nullable)}
+        report = RunReport(command="t", parameters={}, results=results,
+                           csv_header=["t"], csv_columns=[nullable])
+        expected = {"rows": [{"t": r, "q": q} for r, q in zip(rows, text.slots[0].tolist())],
+                    "masked": [{"t": r} for r in with_nulls]}
+        assert json.loads(cli.emit_json(report))["results"] == expected
+        assert cli.emit_json(report) == json.dumps(
+            {"command": "t", "parameters": {}, "results": expected, "checks": [],
+             "tool_version": cli.__version__}, indent=2) + "\n"
+        body = json.dumps(expected, indent=2).splitlines()
+        assert cli.emit_pretty(report).splitlines()[3 : 3 + len(body)] == ["  " + b for b in body]
+
+        # CSV: one field per row, null rows empty
+        fields = ["" if r is None else cli._csv_scalar(r) for r in with_nulls]
+        assert cli.emit_csv(report) == "".join(f + "\n" for f in ["t", *fields])
+
+    def test_one_text_held_by_two_columns_shares_its_strings(self):
+        text = cli.Text(_TRICKY_PIECES, (np.array([0.25, -0.0]), np.array([3.0, 7.5])))
+        present = np.array([False, True, True])
+        for render in (cli._json_scalar, cli._csv_scalar):
+            masked, plain = cli._scalar_columns([cli.Nullable(present, text), text], render)
+            assert masked[1:] == plain
+            assert all(a is b for a, b in zip(masked[1:], plain))
+
+
+def test_verify_grid_json_formats_each_distinct_magnitude_once(monkeypatch, capsys):
+    # the seed-1 verify_grid report: its tables, skip reasons, parameters and
+    # checks share one pool of float strings, so cli calls repr on a float
+    # once per distinct magnitude the report writes, sqrt(3q) included
+    formatted = []
+
+    def counting_repr(value):
+        if isinstance(value, float):
+            formatted.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+    code, out, _ = run(capsys, "verify", "--grid", "0.0026872848822480245", "0.9969486747387446", "1001")
+    assert code == EXIT_OK
+    written = []
+    report = json.loads(out, parse_float=lambda s: written.append(float(s)) or float(s))
+    reasons = [row["reason"] for row in report["results"]["skipped"]]
+    assert len(reasons) == 668
+    for reason in reasons:
+        written += [float(x) for x in re.findall(r"= (\S+) >", reason)]
+    assert len(formatted) == len({abs(x) for x in written})
 
 
 class TestOutOfMemory:

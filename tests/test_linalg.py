@@ -15,6 +15,7 @@ from wernerkit.linalg import (
     IDENTITY_2,
     IDENTITY_4,
     PAULI_Z,
+    _hermitian_deviation,
     hermitian_eigenvalues,
     is_hermitian,
     kron,
@@ -212,6 +213,56 @@ class TestPerMatrixGate:
         with pytest.raises(ValueError) as err:
             hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
         assert str(err.value) == "matrix is not Hermitian within 1e-12 of its largest entry"
+
+
+# Entry parts for the stacks below: any finite double, plus the specials.
+_PARTS = st.floats(allow_nan=False, allow_infinity=False, width=64) | st.sampled_from(
+    [0.0, -0.0, 5e-324, 1.7976931348623157e308, np.nan, np.inf, -np.inf]
+)
+
+
+@st.composite
+def _stacks(draw, specials: bool):
+    """A complex stack of shape (..., 4, 4): random normal entries, with a
+    few entry parts replaced by drawn values (NaN and inf when specials)."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=2))) + (4, 4)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    m *= 10.0 ** draw(st.integers(-300, 300))
+    parts = m.reshape(-1).view(float)
+    parts_drawn = _PARTS if specials else _PARTS.filter(np.isfinite)
+    for value in draw(st.lists(parts_drawn, max_size=6)):
+        parts[draw(st.integers(0, parts.size - 1))] = value
+    return m
+
+
+class TestPartialTransposeKeepsTheGate:
+    """PT moves each entry pair (x_rc, x_cr) onto another such pair, so a
+    stack and its partial transpose have the same per-matrix deviation
+    max|m - m^H| and largest entry, bit for bit: the Hermitian gate of
+    rho decides for PT(rho) too."""
+
+    @staticmethod
+    def gate_inputs(m):
+        # entries near the largest double overflow in m - m^H: inf, or NaN
+        with np.errstate(invalid="ignore", over="ignore"):
+            return _hermitian_deviation(m), np.max(np.abs(m), axis=(-2, -1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_stacks(specials=False))
+    def test_finite_stacks_keep_deviation_and_scale_bitwise(self, m):
+        for got, want in zip(self.gate_inputs(partial_transpose_b(m)), self.gate_inputs(m)):
+            assert_bitwise_equal(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_stacks(specials=True))
+    def test_non_finite_entries_mark_the_same_matrices(self, m):
+        pt, plain = self.gate_inputs(partial_transpose_b(m)), self.gate_inputs(m)
+        for got, want in zip(pt, plain):
+            assert_array_equal(np.isnan(got), np.isnan(want))
+            assert_array_equal(np.isinf(got), np.isinf(want))
+            finite = np.isfinite(want)
+            assert_bitwise_equal(got[finite], want[finite])
 
 
 class TestPlumbing:

@@ -145,6 +145,29 @@ class TestPptStack:
             ppt_test(stack)
         assert str(err.value) == f"not a density matrix at stack index 1: {message}"
 
+    def test_relative_gate_follows_the_absolute_and_trace_checks(self):
+        # a deviation of 5e-13 passes the absolute 1e-12 of a density matrix,
+        # but not 1e-12 of the largest entry, 0.25, of werner(0)
+        single = werner(0.0)
+        single[0, 1] = 5e-13
+        with pytest.raises(ValueError) as err:
+            ppt_test(single)
+        assert str(err.value) == "matrix is not Hermitian within 1e-12 of its largest entry"
+
+        stack = werner(np.zeros(4))
+        stack[2, 0, 1] = 5e-13
+        with pytest.raises(ValueError) as err:
+            ppt_test(stack)
+        assert str(err.value) == (
+            "matrix at stack index 2 is not Hermitian within 1e-12 of its largest entry"
+        )
+
+        # the trace check comes first
+        stack[3] *= 2.0
+        with pytest.raises(ValueError) as err:
+            ppt_test(stack)
+        assert str(err.value) == "not a density matrix at stack index 3: trace is (2+0j), expected 1"
+
     def test_rejects_wrong_shapes(self):
         for bad in (np.zeros(16), np.zeros((3, 2, 2))):
             with pytest.raises(ValueError, match="4x4 density matrix"):
@@ -235,9 +258,8 @@ class TestLocalExpectation:
             local_expectation(werner(0.1), 0.5 * Z_AXIS, "A")
 
 
-def test_jacobi_and_pt_agree_with_direct_route():
-    # same spectrum whether the closed-form matrix or the constructed state
-    # is transposed
+def test_pt_spectrum_of_the_constructed_state_matches_the_closed_form():
+    # hermitian_eigenvalues of PT(werner(q)) against the closed-form spectrum
     for q in (0.0, 0.15, 1.0 / 3.0, 0.8):
         direct = hermitian_eigenvalues(partial_transpose_b(werner(q)))
         assert np.max(np.abs(direct - werner_pt_eigenvalues_closed_form(q))) < 1e-12
