@@ -36,9 +36,10 @@ for _const in (PAULI_X, PAULI_Y, PAULI_Z, IDENTITY_2, IDENTITY_4):
 
 # Entrywise Hermiticity tolerance: absolute for unit-trace density matrices
 # (`is_hermitian`), relative to the largest entry in the gate of
-# `hermitian_eigenvalues`.  `ppt_test` gates each state once, on both rules,
-# and its partial transpose not at all: PT moves each entry pair (x_rc, x_cr)
-# onto another such pair, so PT(rho) has rho's deviation and largest entry.
+# `hermitian_eigenvalues`.  `states.validate_density_matrix` gates each state
+# once, on both rules, and `ppt_test` its partial transpose not at all: PT
+# moves each entry pair (x_rc, x_cr) onto another such pair, so PT(rho) has
+# rho's deviation and largest entry.
 HERMITIAN_TOL = 1e-12
 
 

@@ -8,20 +8,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    HERMITIAN_TOL,
     IDENTITY_2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    _first_failure,
-    _hermitian_deviation,
-    _hermitian_gate,
     # not called here; perfbench/tests/test_bench_tracing.py swaps it in this module
     hermitian_eigenvalues,  # noqa: F401
     kron,
     partial_transpose_b,
 )
-from .states import PPT_TOL, UNIT_TRACE_TOL, _unit_axis, validate_mixing_parameter
+from .states import (
+    PPT_TOL,
+    _one_density_matrix,
+    _unit_axis,
+    validate_density_matrix,
+    validate_mixing_parameter,
+)
 
 __all__ = [
     "PptVerdict",
@@ -30,9 +32,6 @@ __all__ = [
     "correlation",
     "local_expectation",
 ]
-
-_POSITIVITY_TOL = 1e-10  # input rounding, not the separability boundary
-_IMAG_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,38 +47,6 @@ class PptVerdict:
     tol: float
 
 
-def _validate_density_matrix(rho) -> np.ndarray:
-    """A 4x4 density matrix, or a stack of them, checked matrix by matrix:
-    Hermitian, unit trace, the Hermitian gate of `hermitian_eigenvalues`, no
-    eigenvalue below -_POSITIVITY_TOL.  An error names the first matrix that
-    fails.  The gate passes rho, and so its partial transpose, for eigvalsh."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    deviation = _hermitian_deviation(rho)
-    bad = ~(deviation <= HERMITIAN_TOL)
-    if bad.any():
-        _, where = _first_failure(bad)
-        raise ValueError(f"not a density matrix{where}: not Hermitian within {HERMITIAN_TOL}")
-    tr = np.trace(rho, axis1=-2, axis2=-1)
-    bad = np.abs(tr - 1.0) > UNIT_TRACE_TOL
-    if bad.any():
-        index, where = _first_failure(bad)
-        raise ValueError(
-            f"not a density matrix{where}: trace is {complex(tr[index])}, expected 1"
-        )
-    _hermitian_gate(rho, deviation)
-    smallest = np.linalg.eigvalsh(rho)[..., 0]
-    bad = smallest < -_POSITIVITY_TOL
-    if bad.any():
-        index, where = _first_failure(bad)
-        raise ValueError(
-            f"not a density matrix{where}: smallest eigenvalue "
-            f"{float(smallest[index])} is below -{_POSITIVITY_TOL}"
-        )
-    return rho
-
-
 def ppt_test(rho) -> PptVerdict:
     """Partial-transpose criterion on a two-qubit density matrix, or on each
     matrix of a stack of shape (..., 4, 4) at once.
@@ -87,11 +54,11 @@ def ppt_test(rho) -> PptVerdict:
     The state is reported separable iff all eigenvalues of the partially
     transposed matrix are >= -PPT_TOL.  For two qubits this criterion is
     exact, so on the Werner family the verdict equals q <= SEPARABLE_Q_EDGE,
-    and product states of Bloch norm <= BLOCH_NORM_MAX are separable.  An
-    input is accepted with eigenvalues down to -_POSITIVITY_TOL; where its own
-    spectrum dips below -PPT_TOL, the verdict reads that rounding.
+    and product states of Bloch norm <= BLOCH_NORM_MAX are separable.  The
+    input passes `states.validate_density_matrix`, whose positivity bound is
+    the same PPT_TOL, so no verdict reads the rounding of its own input.
     """
-    rho = _validate_density_matrix(rho)
+    rho = validate_density_matrix(rho)
     eigs = np.linalg.eigvalsh(partial_transpose_b(rho))
     min_eig = eigs[..., 0]
     separable = min_eig >= -PPT_TOL
@@ -121,27 +88,18 @@ def axis_operator(v) -> np.ndarray:
     return v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z
 
 
-def _real_trace(op: np.ndarray, rho: np.ndarray) -> float:
-    val = complex(np.trace(op @ rho))
-    if abs(val.imag) > _IMAG_TOL:
-        raise ValueError(
-            f"expectation value has imaginary part {val.imag}; input is not Hermitian"
-        )
-    return val.real
-
-
 def correlation(rho, axis_a, axis_b) -> float:
     """Expectation of the product of +-1 outcomes along unit axes on A and B:
     Re tr[(axis_a . sigma (x) axis_b . sigma) rho]."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _one_density_matrix(rho, "correlation")
     la = _unit_axis(axis_a, "axis_a")
     mb = _unit_axis(axis_b, "axis_b")
-    return _real_trace(kron(axis_operator(la), axis_operator(mb)), rho)
+    return float(np.trace(kron(axis_operator(la), axis_operator(mb)) @ rho).real)
 
 
 def local_expectation(rho, axis, subsystem: str) -> float:
     """Expectation of a single party's +-1 outcome along a unit axis."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _one_density_matrix(rho, "local_expectation")
     v = _unit_axis(axis, "axis")
     if subsystem == "A":
         op = kron(axis_operator(v), IDENTITY_2)
@@ -149,4 +107,4 @@ def local_expectation(rho, axis, subsystem: str) -> float:
         op = kron(IDENTITY_2, axis_operator(v))
     else:
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return _real_trace(op, rho)
+    return float(np.trace(op @ rho).real)

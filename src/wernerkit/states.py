@@ -7,7 +7,8 @@ import math
 
 import numpy as np
 
-from .linalg import IDENTITY_2, IDENTITY_4, PAULI_X, PAULI_Y, PAULI_Z, kron
+from .linalg import HERMITIAN_TOL, IDENTITY_2, IDENTITY_4, PAULI_X, PAULI_Y, PAULI_Z, kron
+from .linalg import _first_failure, _hermitian_deviation, _hermitian_gate
 
 __all__ = [
     "PositivityError",
@@ -28,7 +29,9 @@ __all__ = [
 # q <= SEPARABLE_Q_EDGE on every double within 2^-40 of 1/3 (an edge at 1/3
 # would not).  A product state with |a|, |b| <= BLOCH_NORM_MAX has a PT
 # eigenvalue no lower than about -PPT_TOL/4, which leaves eigvalsh three
-# quarters of PPT_TOL (9 eps) of rounding on such unit-scale spectra.
+# quarters of PPT_TOL (9 eps) of rounding on such unit-scale spectra.  Its
+# own smallest eigenvalue is about -PPT_TOL/4 too, so every such product
+# passes validate_density_matrix, whose positivity bound is PPT_TOL.
 SEPARABLE_Q_MAX = 1.0 / 3.0
 SEPARABLE_Q_EDGE = SEPARABLE_Q_MAX + 64 * math.ulp(SEPARABLE_Q_MAX)
 PPT_TOL = abs(1.0 - 3.0 * SEPARABLE_Q_EDGE) / 4.0
@@ -138,15 +141,50 @@ def product_state(a, b) -> np.ndarray:
     return kron(bloch_state(a), bloch_state(b))
 
 
-def marginal(rho, subsystem: str) -> np.ndarray:
-    """Reduced 2x2 state of subsystem "A" or "B" of a 4x4 density matrix."""
+def validate_density_matrix(rho) -> np.ndarray:
+    """A 4x4 density matrix, or a stack of them, as a complex array, checked
+    matrix by matrix: Hermitian within HERMITIAN_TOL, unit trace, the
+    Hermitian gate of `hermitian_eigenvalues`, no eigenvalue below -PPT_TOL.
+    An error names the first matrix that fails.  The gate passes rho, and so
+    its partial transpose, for eigvalsh."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+    deviation = _hermitian_deviation(rho)
+    bad = ~(deviation <= HERMITIAN_TOL)
+    if bad.any():
+        _, where = _first_failure(bad)
+        raise ValueError(f"not a density matrix{where}: not Hermitian within {HERMITIAN_TOL}")
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    bad = np.abs(tr - 1.0) > UNIT_TRACE_TOL
+    if bad.any():
+        index, where = _first_failure(bad)
+        raise ValueError(
+            f"not a density matrix{where}: trace is {complex(tr[index])}, expected 1"
+        )
+    _hermitian_gate(rho, deviation)
+    smallest = np.linalg.eigvalsh(rho)[..., 0]
+    bad = smallest < -PPT_TOL
+    if bad.any():
+        index, where = _first_failure(bad)
+        raise ValueError(
+            f"not a density matrix{where}: smallest eigenvalue "
+            f"{float(smallest[index])} is below -{PPT_TOL}"
+        )
+    return rho
+
+
+def _one_density_matrix(rho, caller: str) -> np.ndarray:
+    """validate_density_matrix for a caller that takes one 4x4 state."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
-        raise ValueError(f"marginal requires a 4x4 density matrix, got {rho.shape}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > UNIT_TRACE_TOL:
-        raise ValueError(f"marginal requires trace 1 within {UNIT_TRACE_TOL}, got {tr}")
-    t = rho.reshape(2, 2, 2, 2)
+        raise ValueError(f"{caller} requires a 4x4 density matrix, got {rho.shape}")
+    return validate_density_matrix(rho)
+
+
+def marginal(rho, subsystem: str) -> np.ndarray:
+    """Reduced 2x2 state of subsystem "A" or "B" of a 4x4 density matrix."""
+    t = _one_density_matrix(rho, "marginal").reshape(2, 2, 2, 2)
     if subsystem == "A":
         return np.einsum("ikjk->ij", t)
     if subsystem == "B":

@@ -7,7 +7,10 @@ without writing, with
 
     PYTHONPATH=src python tests/golden.py --changed
 
-names them in CHANGES.md, and regenerates the file with
+which exits 1 when it lists any case and 0 when it prints nothing, so a
+change meant to keep every report byte-identical can script that check.  A
+change that alters reports names the listed cases in CHANGES.md, and
+regenerates the file with
 
     PYTHONPATH=src python tests/golden.py
 """
@@ -167,11 +170,21 @@ def write() -> None:
     print(f"wrote {len(digests)} digests to {DIGESTS}", file=sys.stderr)
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] == ["--changed"]:
-        for cid in changed():
+def main(argv: list[str]) -> int:
+    """The exit status of `golden.py [--changed]`: with --changed, 1 if it
+    printed any case id and 0 if none; with no argument, 0 once the file is
+    written; 2 for any other argument."""
+    if argv == ["--changed"]:
+        ids = changed()
+        for cid in ids:
             print(cid)
-    elif sys.argv[1:]:
-        sys.exit(f"usage: {sys.argv[0]} [--changed]")
-    else:
-        write()
+        return 1 if ids else 0
+    if argv:
+        print("usage: golden.py [--changed]", file=sys.stderr)
+        return 2
+    write()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,16 +1,36 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import STACK_QS, THRESHOLD_QS, assert_bitwise_equal, random_unit_axis
-from wernerkit.linalg import PAULI_X, hermitian_eigenvalues, kron, partial_transpose_b
+from wernerkit.linalg import (
+    IDENTITY_2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    hermitian_eigenvalues,
+    kron,
+    partial_transpose_b,
+)
 from wernerkit.separability import (
     correlation,
     local_expectation,
     ppt_test,
     werner_pt_eigenvalues_closed_form,
 )
-from wernerkit.states import SEPARABLE_Q_EDGE, bloch_state, product_state, werner
+from wernerkit.states import (
+    BLOCH_NORM_MAX,
+    SEPARABLE_Q_EDGE,
+    PositivityError,
+    bloch_state,
+    marginal,
+    product_state,
+    werner,
+)
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -126,7 +146,7 @@ class TestPptStack:
             (lambda m: m.__imul__(2.0), "trace is (2+0j), expected 1"),
             (
                 lambda m: m.__setitem__(Ellipsis, np.diag([1.5, -0.5, 0.0, 0.0])),
-                "smallest eigenvalue -0.5 is below -1e-10",
+                "smallest eigenvalue -0.5 is below -2.6645352591003757e-15",
             ),
         ],
         ids=["hermitian", "trace", "positivity"],
@@ -220,11 +240,12 @@ class TestCorrelation:
         with pytest.raises(ValueError, match="finite unit"):
             correlation(werner(0.2), Z_AXIS, [bad, 0.0, 0.0])
 
-    def test_imaginary_part_guard(self):
-        # non-Hermitian input makes the trace complex instead of silently real
+    def test_refuses_a_non_hermitian_input(self):
+        # a non-Hermitian input would make the trace complex, not silently real
         rho = 0.25 * np.eye(4, dtype=complex) + 0.25j * kron(PAULI_X, PAULI_X)
-        with pytest.raises(ValueError, match="imaginary"):
+        with pytest.raises(ValueError) as err:
             correlation(rho, X_AXIS, X_AXIS)
+        assert str(err.value) == "not a density matrix: not Hermitian within 1e-12"
 
 
 class TestLocalExpectation:
@@ -256,6 +277,179 @@ class TestLocalExpectation:
     def test_requires_unit_axis(self):
         with pytest.raises(ValueError, match="unit"):
             local_expectation(werner(0.1), 0.5 * Z_AXIS, "A")
+
+
+# The four functions that take a two-qubit state, each called on one state.
+CALLERS = {
+    "ppt_test": ppt_test,
+    "marginal": lambda rho: marginal(rho, "A"),
+    "correlation": lambda rho: correlation(rho, Z_AXIS, Z_AXIS),
+    "local_expectation": lambda rho: local_expectation(rho, Z_AXIS, "A"),
+}
+
+
+def _values(result) -> np.ndarray:
+    """Every number a caller returns, as one complex array."""
+    if hasattr(result, "eigenvalues"):
+        result = [result.min_eigenvalue, *result.eigenvalues]
+    return np.asarray(result, dtype=complex)
+
+
+def _outcomes(rho) -> dict:
+    """Each caller's error text on rho, or None where it returns."""
+    texts = {}
+    for name, call in CALLERS.items():
+        try:
+            # entries near the largest double overflow in rho - rho^H
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = call(rho)
+        except ValueError as err:
+            texts[name] = str(err)
+        else:
+            assert np.isfinite(_values(result)).all(), (name, result)
+            texts[name] = None
+    return texts
+
+
+def _werner_with(q, index, delta):
+    m = werner(q)
+    for at, d in zip(index, delta):
+        m[at] += d
+    return m
+
+
+# Non-states, each with its refusal text; None marks the positivity text,
+# whose eigenvalue is eigvalsh's.
+NON_STATES = {
+    "nan": (
+        np.full((4, 4), np.nan, dtype=complex),
+        "not a density matrix: not Hermitian within 1e-12",
+    ),
+    "non_hermitian": (
+        _werner_with(0.2, [(0, 1)], [1e-3]),
+        "not a density matrix: not Hermitian within 1e-12",
+    ),
+    "trace": (
+        2.0 * werner(0.5),
+        "not a density matrix: trace is (1.9999999999999998+0j), expected 1",
+    ),
+    # smallest eigenvalue -1e-12: inside the old 1e-10 bound, past PPT_TOL
+    "negative": (_werner_with(1.0, [(0, 0), (3, 3)], [1e-12, -1e-12]), None),
+}
+
+POSITIVITY_TEXT = (
+    r"not a density matrix: smallest eigenvalue (-\S+) is below -2\.6645352591003757e-15"
+)
+
+
+class TestOneDensityMatrixGate:
+    """ppt_test, marginal, correlation and local_expectation all check their
+    state with states.validate_density_matrix, so each refuses a non-state
+    with the same one-line ValueError."""
+
+    @pytest.mark.parametrize("caller", CALLERS)
+    @pytest.mark.parametrize("kind", NON_STATES)
+    def test_each_caller_refuses_a_non_state_with_one_text(self, caller, kind):
+        rho, text = NON_STATES[kind]
+        with pytest.raises(ValueError) as err:
+            CALLERS[caller](rho)
+        if text is None:
+            match = re.fullmatch(POSITIVITY_TEXT, str(err.value))
+            assert match and float(match[1]) == pytest.approx(-1e-12, abs=1e-15)
+        else:
+            assert str(err.value) == text
+        assert set(_outcomes(rho).values()) == {str(err.value)}
+
+    @pytest.mark.parametrize("caller", ["marginal", "correlation", "local_expectation"])
+    def test_a_one_state_caller_refuses_a_stack(self, caller):
+        with pytest.raises(ValueError) as err:
+            CALLERS[caller](werner(np.array([0.1, 0.2])))
+        assert str(err.value) == f"{caller} requires a 4x4 density matrix, got (2, 4, 4)"
+
+    def test_a_product_past_the_bloch_bound_is_refused_not_called_entangled(self):
+        # (I + a.sigma)/2 (x) (I + b.sigma)/2 with |a| = 1 + 1e-12 and |b| = 1,
+        # built from the Pauli matrices: bloch_state refuses a, and the
+        # product's smallest eigenvalue, about -5e-13, is past PPT_TOL.  The
+        # old gate's 1e-10 accepted it, and its PT verdict read that rounding.
+        def half(v):
+            return 0.5 * (IDENTITY_2 + v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z)
+
+        a = (1.0 + 1e-12) * np.array([1.0, 2.0, 2.0]) / 3.0
+        b = np.array([2.0, -1.0, 2.0]) / 3.0
+        with pytest.raises(PositivityError):
+            bloch_state(a)
+        rho = kron(half(a), half(b))
+        with pytest.raises(ValueError) as err:
+            ppt_test(rho)
+        match = re.fullmatch(POSITIVITY_TEXT, str(err.value))
+        assert match and float(match[1]) == pytest.approx(-5e-13, rel=1e-3)
+        assert set(_outcomes(rho).values()) == {str(err.value)}
+
+
+# Entry parts of the raw matrices below: the specials, and tiny and huge
+# magnitudes.
+_SPECIAL_PARTS = st.sampled_from(
+    [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-300, 1e300, 1.7976931348623157e308]
+)
+
+
+@st.composite
+def _raw_matrices(draw):
+    """A complex 4x4 matrix of normal entries at a drawn scale, with a few
+    entry parts replaced by specials, and Hermitian, or of trace 1, or both,
+    at will."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m *= 10.0 ** draw(st.integers(-300, 300))
+    if draw(st.booleans()):
+        m = (m + m.conj().T) / 2.0
+    if draw(st.booleans()):
+        m[np.diag_indices(4)] += (1.0 - np.trace(m)) / 4.0
+    parts = m.reshape(-1).view(float)
+    for value in draw(st.lists(_SPECIAL_PARTS, max_size=4)):
+        parts[draw(st.integers(0, parts.size - 1))] = value
+    return m
+
+
+@st.composite
+def _perturbed_states(draw):
+    """werner(q) or a product of bloch_states, plus a small Hermitian or
+    non-Hermitian perturbation."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        rho = werner(draw(st.floats(0.0, 1.0)))
+    else:
+        radii = st.floats(0.0, 1.0) | st.sampled_from([1.0, BLOCH_NORM_MAX])
+        a, b = (random_unit_axis(rng) * draw(radii) for _ in range(2))
+        # a norm drawn at BLOCH_NORM_MAX may round past it
+        assume(max(np.linalg.norm(a), np.linalg.norm(b)) <= BLOCH_NORM_MAX)
+        rho = product_state(a, b)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    if draw(st.booleans()):
+        g = (g + g.conj().T) / 2.0
+    return rho + draw(st.sampled_from([0.0, 1e-17, 1e-15, 1e-14, 1e-13, 1e-12, 1e-6])) * g
+
+
+class TestNoCallerPassesANonStateThrough:
+    """Each of the four either returns finite values or raises a one-line
+    ValueError, and where one raises, all four raise the same text."""
+
+    @staticmethod
+    def check(rho):
+        texts = set(_outcomes(rho).values())
+        assert len(texts) == 1, texts
+        (text,) = texts
+        assert text is None or "\n" not in text
+
+    @settings(max_examples=300, deadline=None)
+    @given(_raw_matrices())
+    def test_raw_matrices(self, rho):
+        self.check(rho)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_perturbed_states())
+    def test_perturbed_states(self, rho):
+        self.check(rho)
 
 
 def test_pt_spectrum_of_the_constructed_state_matches_the_closed_form():
