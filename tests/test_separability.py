@@ -421,9 +421,12 @@ def _perturbed_states(draw):
     else:
         radii = st.floats(0.0, 1.0) | st.sampled_from([1.0, BLOCH_NORM_MAX])
         a, b = (random_unit_axis(rng) * draw(radii) for _ in range(2))
-        # a norm drawn at BLOCH_NORM_MAX may round past it
-        assume(max(np.linalg.norm(a), np.linalg.norm(b)) <= BLOCH_NORM_MAX)
-        rho = product_state(a, b)
+        # a norm drawn at BLOCH_NORM_MAX may round past it; bloch_state's own
+        # norm, not a differently rounded one, decides which vectors are kept
+        try:
+            rho = product_state(a, b)
+        except PositivityError:
+            assume(False)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     if draw(st.booleans()):
         g = (g + g.conj().T) / 2.0
