@@ -367,11 +367,12 @@ def schmidt_determinant(v) -> complex | np.ndarray:
 
 def schmidt_rank_one_check(v) -> bool:
     """True if a two-qubit vector is a product state: its Schmidt determinant
-    vanishes within SCHMIDT_TOL, times the squared norm when that exceeds 1."""
+    is at most SCHMIDT_TOL times its squared norm, a verdict that a rescaling
+    of the vector does not change."""
     v = np.asarray(v, dtype=complex).reshape(-1)
     det = schmidt_determinant(v)
     norm_sq = float(np.real(np.vdot(v, v)))
-    return bool(abs(det) <= SCHMIDT_TOL * max(1.0, norm_sq))
+    return bool(abs(det) <= SCHMIDT_TOL * norm_sq)
 
 
 def phase_constraint_residual(thetas, q):

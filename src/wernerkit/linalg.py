@@ -34,12 +34,11 @@ IDENTITY_4 = np.eye(4, dtype=complex)
 for _const in (PAULI_X, PAULI_Y, PAULI_Z, IDENTITY_2, IDENTITY_4):
     _const.setflags(write=False)
 
-# Entrywise Hermiticity tolerance: absolute for unit-trace density matrices
-# (`is_hermitian`), relative to the largest entry in the gate of
-# `hermitian_eigenvalues`.  `states.validate_density_matrix` gates each state
-# once, on both rules, and `ppt_test` its partial transpose not at all: PT
-# moves each entry pair (x_rc, x_cr) onto another such pair, so PT(rho) has
-# rho's deviation and largest entry.
+# Hermiticity tolerance relative to each matrix's own largest entry, so that
+# the one Hermitian rule, max|a - a^H| <= HERMITIAN_TOL * max|a| with max|a|
+# finite, means the same thing at any scale.  PT moves each entry pair
+# (x_rc, x_cr) onto another such pair, so PT(rho) has rho's deviation and
+# largest entry, and the rule passes PT(rho) whenever it passes rho.
 HERMITIAN_TOL = 1e-12
 
 
@@ -68,8 +67,30 @@ def _first_failure(bad: np.ndarray) -> tuple[tuple[int, ...], str]:
 
 
 def _hermitian_deviation(a: np.ndarray) -> np.ndarray:
-    """max|a - a^H| of each matrix of a stack (a 0-d array for one matrix)."""
-    return np.max(np.abs(a - np.swapaxes(a, -1, -2).conj()), axis=(-2, -1))
+    """max|a - a^H| / max|a| of each matrix of a stack (a 0-d array for one
+    matrix): 0 for the zero matrix, NaN where max|a| is not finite.  No numpy
+    warning: entries near the largest double overflow in a - a^H."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviation = np.max(np.abs(a - np.swapaxes(a, -1, -2).conj()), axis=(-2, -1))
+        scale = np.max(np.abs(a), axis=(-2, -1))
+        relative = deviation / np.where(scale > 0.0, scale, 1.0)
+    return np.where(np.isfinite(scale), relative, np.nan)
+
+
+def _not_hermitian(a: np.ndarray) -> np.ndarray:
+    """The one Hermitian rule, per matrix: True unless its relative deviation
+    is at most HERMITIAN_TOL (so True for NaN)."""
+    return ~(_hermitian_deviation(a) <= HERMITIAN_TOL)
+
+
+def _hermitian_gate(a: np.ndarray) -> None:
+    """ValueError naming the first matrix of the stack a that breaks the rule."""
+    bad = _not_hermitian(a)
+    if bad.any():
+        raise ValueError(
+            f"matrix{_first_failure(bad)[1]} is not Hermitian within {HERMITIAN_TOL} "
+            "of its largest entry"
+        )
 
 
 def kron(a, b) -> np.ndarray:
@@ -82,11 +103,10 @@ def kron(a, b) -> np.ndarray:
 
 
 def is_hermitian(a) -> bool:
-    """True if the matrix equals its conjugate transpose entrywise within HERMITIAN_TOL."""
+    """True if the matrix is square and passes the Hermitian rule of
+    `hermitian_eigenvalues`, that is, exactly when that call returns."""
     a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        return False
-    return float(_hermitian_deviation(a)) <= HERMITIAN_TOL
+    return a.shape[0] == a.shape[1] and not _not_hermitian(a)
 
 
 def partial_transpose_b(m) -> np.ndarray:
@@ -112,28 +132,14 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     shape (..., n, n) gives shape (..., n), in one LAPACK call.
 
     LAPACK's Hermitian solver (``np.linalg.eigvalsh``) reads only one
-    triangle of each matrix, so the input is first gated, matrix by matrix:
-    it is rejected with ValueError unless max|m - m^H| <= HERMITIAN_TOL *
-    max|m| and max|m| is finite.  The gate is relative to each matrix's own
-    largest entry, so it means the same thing at any matrix scale, whatever
-    the other matrices of a stack hold; the zero matrix passes.
+    triangle of each matrix, so the input is first gated, matrix by matrix,
+    by the one Hermitian rule: ValueError unless max|m - m^H| <=
+    HERMITIAN_TOL * max|m| and max|m| is finite.  Each matrix is held to its
+    own largest entry, whatever the others of a stack hold; the zero matrix
+    passes.
     """
     a = _as_stack(m)
     if a.shape[-1] != a.shape[-2]:
         raise ValueError(f"eigenvalues require a square matrix, got {a.shape}")
-    _hermitian_gate(a, _hermitian_deviation(a))
+    _hermitian_gate(a)
     return np.linalg.eigvalsh(a)
-
-
-def _hermitian_gate(a: np.ndarray, deviation: np.ndarray) -> None:
-    """The gate of `hermitian_eigenvalues` on a stack a whose per-matrix
-    max|a - a^H| is deviation: ValueError unless each matrix's deviation is
-    at most HERMITIAN_TOL times its largest entry, and that entry is finite."""
-    scale = np.max(np.abs(a), axis=(-2, -1))
-    # negated so that NaN deviations are rejected too
-    bad = ~(deviation <= HERMITIAN_TOL * scale) | ~np.isfinite(scale)
-    if bad.any():
-        raise ValueError(
-            f"matrix{_first_failure(bad)[1]} is not Hermitian within {HERMITIAN_TOL} "
-            "of its largest entry"
-        )

@@ -1521,14 +1521,16 @@ class TestOutOfMemory:
 class TestArgvFuzz:
     """The hypothesis fuzz of main(argv) in argv_fuzz.py, run in one child
     process with one BLAS thread and a 1 GiB address-space limit that the
-    test sets on the child alone."""
+    test sets on the child alone.  A numpy RuntimeWarning is an error there,
+    since it would add a second stderr line."""
 
     def test_every_argv_gives_a_report_or_one_error_line(self, tmp_path):
         src = os.path.dirname(os.path.dirname(cli.__file__))
         script = os.path.join(os.path.dirname(__file__), "argv_fuzz.py")
         threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
         proc = subprocess.run(
-            [sys.executable, script], capture_output=True, text=True, cwd=tmp_path,
+            [sys.executable, "-W", "error::RuntimeWarning", script],
+            capture_output=True, text=True, cwd=tmp_path,
             env=dict(os.environ, PYTHONPATH=src, **threads), timeout=300,
             preexec_fn=TestOutOfMemory._limit_address_space,
         )

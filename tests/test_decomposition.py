@@ -301,6 +301,11 @@ class TestSchmidtCheck:
         v = np.array([1.0, 1e-6, 0.0, 1e-15], dtype=complex)
         assert schmidt_rank_one_check(v)
         assert schmidt_rank_one_check(1e6 * v)
+        assert schmidt_rank_one_check(1e-6 * v)
+        # a scaled Bell vector stays entangled at every scale
+        psi = bell_state("psi_minus")
+        for scale in (1e-6, 1.0, 1e6):
+            assert not schmidt_rank_one_check(scale * psi)
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):

@@ -165,8 +165,10 @@ class TestHermitianEigenvalues:
     def test_rejects_non_finite_entries(self, bad):
         # an infinite largest entry makes the relative tolerance infinite,
         # which would let any matrix through
+        m = np.array([[0.0, bad], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eigenvalues(np.array([[0.0, bad], [0.0, 0.0]], dtype=complex))
+            hermitian_eigenvalues(m)
+        assert not is_hermitian(m)
 
     def test_stack_equals_scalar_calls_bitwise(self):
         rng = np.random.default_rng(13)
@@ -236,6 +238,50 @@ def _stacks(draw, specials: bool):
     return m
 
 
+@st.composite
+def _scaled_square_matrices(draw):
+    """A complex n x n matrix at scale 10^k, k in [-300, 300]: random normal
+    entries, made Hermitian or not, plus at will an anti-Hermitian part near
+    HERMITIAN_TOL of its scale."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if draw(st.booleans()):
+        m = (m + m.conj().T) / 2.0
+    if draw(st.booleans()):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        m = m + draw(st.sampled_from([1e-14, 1e-13, 5e-13, 2e-12, 1e-11])) * (g - g.conj().T)
+    return m * 10.0 ** draw(st.integers(-300, 300))
+
+
+class TestOneHermitianRule:
+    """is_hermitian and the gate of hermitian_eigenvalues are one rule,
+    relative to each matrix's largest entry, so they agree at every scale."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(_scaled_square_matrices())
+    def test_is_hermitian_exactly_when_eigenvalues_return(self, m):
+        try:
+            hermitian_eigenvalues(m)
+        except ValueError:
+            returned = False
+        else:
+            returned = True
+        assert is_hermitian(m) == returned
+
+    def test_both_agree_on_a_tiny_and_a_huge_matrix(self):
+        # an absolute rule would call the first Hermitian and the second not
+        tiny = 1e-13 * np.array([[0, 1], [0, 0]], dtype=complex)
+        assert not is_hermitian(tiny)
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_eigenvalues(tiny)
+        huge = 1e6 * np.ones((2, 2), dtype=complex)
+        huge[0, 1] += 1e-9
+        assert is_hermitian(huge)
+        assert_allclose(hermitian_eigenvalues(huge), [0.0, 2e6], atol=1e-9)
+
+
 class TestPartialTransposeKeepsTheGate:
     """PT moves each entry pair (x_rc, x_cr) onto another such pair, so a
     stack and its partial transpose have the same per-matrix deviation
@@ -244,16 +290,16 @@ class TestPartialTransposeKeepsTheGate:
 
     @staticmethod
     def gate_inputs(m):
-        # entries near the largest double overflow in m - m^H: inf, or NaN
-        with np.errstate(invalid="ignore", over="ignore"):
-            return _hermitian_deviation(m), np.max(np.abs(m), axis=(-2, -1))
+        return _hermitian_deviation(m), np.max(np.abs(m), axis=(-2, -1))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=150, deadline=None)
     @given(_stacks(specials=False))
     def test_finite_stacks_keep_deviation_and_scale_bitwise(self, m):
         for got, want in zip(self.gate_inputs(partial_transpose_b(m)), self.gate_inputs(m)):
             assert_bitwise_equal(got, want)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=150, deadline=None)
     @given(_stacks(specials=True))
     def test_non_finite_entries_mark_the_same_matrices(self, m):
@@ -283,3 +329,4 @@ class TestPlumbing:
         assert is_hermitian(np.array([[1.0, 1e-13j], [0.0, 1.0]], dtype=complex))
         assert not is_hermitian(np.array([[1.0, 1e-11j], [0.0, 1.0]], dtype=complex))
         assert not is_hermitian(np.zeros((2, 3)))
+        assert is_hermitian(np.zeros((3, 3)))

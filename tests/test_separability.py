@@ -38,6 +38,8 @@ Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 Q_GRID = np.linspace(0.0, 1.0, 101)
 
+HERMITIAN_TEXT = "matrix is not Hermitian within 1e-12 of its largest entry"
+
 
 class TestClosedForm:
     def test_critical_point(self):
@@ -142,11 +144,15 @@ class TestPptStack:
     @pytest.mark.parametrize(
         "corrupt, message",
         [
-            (lambda m: m.__setitem__((0, 1), 1e-3), "not Hermitian within 1e-12"),
-            (lambda m: m.__imul__(2.0), "trace is (2+0j), expected 1"),
+            (
+                lambda m: m.__setitem__((0, 1), 1e-3),
+                "matrix{} is not Hermitian within 1e-12 of its largest entry",
+            ),
+            (lambda m: m.__imul__(2.0), "not a density matrix{}: trace is (2+0j), expected 1"),
             (
                 lambda m: m.__setitem__(Ellipsis, np.diag([1.5, -0.5, 0.0, 0.0])),
-                "smallest eigenvalue -0.5 is below -2.6645352591003757e-15",
+                "not a density matrix{}: smallest eigenvalue -0.5 is below "
+                "-2.6645352591003757e-15",
             ),
         ],
         ids=["hermitian", "trace", "positivity"],
@@ -156,23 +162,23 @@ class TestPptStack:
         corrupt(single)
         with pytest.raises(ValueError) as err:
             ppt_test(single)
-        assert str(err.value) == f"not a density matrix: {message}"
+        assert str(err.value) == message.format("")
 
         stack = werner(np.linspace(0.0, 1.0, 5))
         for i in (3, 1):
             corrupt(stack[i])
         with pytest.raises(ValueError) as err:
             ppt_test(stack)
-        assert str(err.value) == f"not a density matrix at stack index 1: {message}"
+        assert str(err.value) == message.format(" at stack index 1")
 
-    def test_relative_gate_follows_the_absolute_and_trace_checks(self):
-        # a deviation of 5e-13 passes the absolute 1e-12 of a density matrix,
-        # but not 1e-12 of the largest entry, 0.25, of werner(0)
+    def test_hermitian_rule_comes_before_the_trace_check(self):
+        # a deviation of 5e-13 is more than 1e-12 of the largest entry, 0.25,
+        # of werner(0)
         single = werner(0.0)
         single[0, 1] = 5e-13
         with pytest.raises(ValueError) as err:
             ppt_test(single)
-        assert str(err.value) == "matrix is not Hermitian within 1e-12 of its largest entry"
+        assert str(err.value) == HERMITIAN_TEXT
 
         stack = werner(np.zeros(4))
         stack[2, 0, 1] = 5e-13
@@ -182,11 +188,17 @@ class TestPptStack:
             "matrix at stack index 2 is not Hermitian within 1e-12 of its largest entry"
         )
 
-        # the trace check comes first
-        stack[3] *= 2.0
+        # the Hermitian rule is applied to the whole stack before the trace check
+        stack[1] *= 2.0
         with pytest.raises(ValueError) as err:
             ppt_test(stack)
-        assert str(err.value) == "not a density matrix at stack index 3: trace is (2+0j), expected 1"
+        assert str(err.value) == (
+            "matrix at stack index 2 is not Hermitian within 1e-12 of its largest entry"
+        )
+        stack[2] = werner(0.0)
+        with pytest.raises(ValueError) as err:
+            ppt_test(stack)
+        assert str(err.value) == "not a density matrix at stack index 1: trace is (2+0j), expected 1"
 
     def test_rejects_wrong_shapes(self):
         for bad in (np.zeros(16), np.zeros((3, 2, 2))):
@@ -245,7 +257,13 @@ class TestCorrelation:
         rho = 0.25 * np.eye(4, dtype=complex) + 0.25j * kron(PAULI_X, PAULI_X)
         with pytest.raises(ValueError) as err:
             correlation(rho, X_AXIS, X_AXIS)
-        assert str(err.value) == "not a density matrix: not Hermitian within 1e-12"
+        assert str(err.value) == HERMITIAN_TEXT
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_refuses_a_huge_axis_without_a_warning(self):
+        # |v|^2 overflows; the axis is refused as not unit, with no numpy warning
+        with pytest.raises(ValueError, match="finite unit"):
+            correlation(werner(0.2), [1e200, 0.0, 0.0], Z_AXIS)
 
 
 class TestLocalExpectation:
@@ -300,9 +318,7 @@ def _outcomes(rho) -> dict:
     texts = {}
     for name, call in CALLERS.items():
         try:
-            # entries near the largest double overflow in rho - rho^H
-            with np.errstate(over="ignore", invalid="ignore"):
-                result = call(rho)
+            result = call(rho)
         except ValueError as err:
             texts[name] = str(err)
         else:
@@ -321,17 +337,18 @@ def _werner_with(q, index, delta):
 # Non-states, each with its refusal text; None marks the positivity text,
 # whose eigenvalue is eigvalsh's.
 NON_STATES = {
-    "nan": (
-        np.full((4, 4), np.nan, dtype=complex),
-        "not a density matrix: not Hermitian within 1e-12",
-    ),
-    "non_hermitian": (
-        _werner_with(0.2, [(0, 1)], [1e-3]),
-        "not a density matrix: not Hermitian within 1e-12",
-    ),
+    "nan": (np.full((4, 4), np.nan, dtype=complex), HERMITIAN_TEXT),
+    "non_hermitian": (_werner_with(0.2, [(0, 1)], [1e-3]), HERMITIAN_TEXT),
+    # 5e-13 is within 1e-12 absolutely, but not of werner(0)'s largest entry, 0.25
+    "slightly_non_hermitian": (_werner_with(0.0, [(0, 1)], [5e-13]), HERMITIAN_TEXT),
     "trace": (
         2.0 * werner(0.5),
         "not a density matrix: trace is (1.9999999999999998+0j), expected 1",
+    ),
+    # Hermitian, but its trace overflows
+    "huge_trace": (
+        np.diag([1.7e308, 1.7e308, 0.0, 0.0]).astype(complex),
+        "not a density matrix: trace is (inf+0j), expected 1",
     ),
     # smallest eigenvalue -1e-12: inside the old 1e-10 bound, past PPT_TOL
     "negative": (_werner_with(1.0, [(0, 0), (3, 3)], [1e-12, -1e-12]), None),
@@ -342,6 +359,7 @@ POSITIVITY_TEXT = (
 )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestOneDensityMatrixGate:
     """ppt_test, marginal, correlation and local_expectation all check their
     state with states.validate_density_matrix, so each refuses a non-state
@@ -433,9 +451,11 @@ def _perturbed_states(draw):
     return rho + draw(st.sampled_from([0.0, 1e-17, 1e-15, 1e-14, 1e-13, 1e-12, 1e-6])) * g
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNoCallerPassesANonStateThrough:
     """Each of the four either returns finite values or raises a one-line
-    ValueError, and where one raises, all four raise the same text."""
+    ValueError, and where one raises, all four raise the same text, with no
+    numpy warning first."""
 
     @staticmethod
     def check(rho):

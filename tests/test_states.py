@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -133,6 +135,27 @@ class TestBlochState:
         with pytest.raises(ValueError, match="must be finite") as info:
             bloch_state((bad, 0.0, 0.0))
         assert type(info.value) is ValueError
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "v, norm",
+        [
+            ((1e200, 0.0, 0.0), 1e200),
+            ((0.0, -3e200, 4e200), 5e200),
+            # the norm itself is past the largest double
+            ((1.7e308, 1.7e308, 0.0), np.inf),
+        ],
+    )
+    def test_refuses_a_huge_finite_vector_by_its_norm(self, v, norm):
+        # |v|^2 overflows, but the vector is finite: it is past the bound,
+        # with no numpy warning first
+        stack = np.zeros((3, 3))
+        stack[2] = v
+        for call, arg in ((validate_bloch_vector, v), (bloch_state, stack)):
+            with pytest.raises(PositivityError) as info:
+                call(arg)
+            named = re.fullmatch(r"Bloch vector norm (\S+) exceeds 1; .*", str(info.value))
+            assert named and float(named[1]) == pytest.approx(norm, rel=1e-15)
 
     def test_rejects_a_stack_with_one_non_finite_row(self):
         stack = np.zeros((5, 3))
