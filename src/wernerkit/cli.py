@@ -105,7 +105,7 @@ class Text:
     slots: tuple[np.ndarray, ...]
 
     def tolist(self) -> list[str]:
-        return _scalar_columns([self], _fmt_scalar)[0]
+        return _scalar_columns([self], _fmt_scalar)[0].tolist()
 
 
 @dataclass
@@ -236,13 +236,14 @@ def _text_template(pieces, text) -> str:
     return marks[:half] + "%s".join(inner) + marks[half:]
 
 
-def _scalar_columns(columns, text) -> list[list]:
-    """Columns as their scalar columns, an (n, k) array giving k, of values
-    that str() writes as the format does.  The floats of all the columns,
-    the slots of Text columns included, take one float.__repr__ per distinct
-    magnitude, as repr(x) == "-" + repr(-x) for finite x < 0, -0.0 included.
-    A Text column's rows are built once, however many columns hold it; a
-    list column and a Nullable's null rows are written by the format's text."""
+def _scalar_columns(columns, text) -> list[np.ndarray]:
+    """Columns as their scalar columns, an (n, k) array giving k, each a 1-D
+    object array of n strings as the format writes them.  The floats of all
+    the columns, the slots of Text columns included, take one float.__repr__
+    per distinct magnitude, as repr(x) == "-" + repr(-x) for finite x < 0,
+    -0.0 included; a float scalar column is a row view into those strings.  A
+    Text column's rows are built once, however many columns hold it; a list
+    column and a Nullable's null rows are written by the format's text."""
     scalars, floats, placed = [], [], []
     text_columns = {}  # id of a Text -> the Text and the index of its first slot in floats
     for column in columns:
@@ -252,7 +253,7 @@ def _scalar_columns(columns, text) -> list[list]:
             if not isinstance(column, Text):
                 column = np.asarray(column, dtype=float)
         elif not isinstance(column, (np.ndarray, Text)):
-            scalars.append([text(v) for v in column])
+            scalars.append(np.array([text(v) for v in column], dtype=object))
             continue
         if isinstance(column, Text):
             if id(column) not in text_columns:
@@ -265,9 +266,9 @@ def _scalar_columns(columns, text) -> list[list]:
             raise TypeError(f"cannot serialize a {column.dtype} column into a report")
         subs = column.T if column.ndim == 2 else column[None]
         if column.dtype == bool:
-            scalars += [["true" if v else "false" for v in sub] for sub in subs.tolist()]
+            scalars += list(np.array(["false", "true"], dtype=object)[subs.view(np.uint8)])
         elif column.dtype.kind != "f":
-            scalars += subs.tolist()
+            scalars += list(subs.astype(str).astype(object))
         else:
             placed.append((len(scalars), present, len(floats)))
             floats.append(subs)
@@ -285,17 +286,17 @@ def _scalar_columns(columns, text) -> list[list]:
     strings = np.array(texts + ["-" + t for t in texts], dtype=object)[inverse]
     ends = np.cumsum([v.size for v in floats]).tolist()
     # the scalar columns of each float array, and of each Text
-    written = [strings[end - v.size : end].reshape(v.shape).tolist() for v, end in zip(floats, ends)]
+    written = [list(strings[end - v.size : end].reshape(v.shape)) for v, end in zip(floats, ends)]
     for key, (column, first) in text_columns.items():
         template = _text_template(column.pieces, text)
         slots = [sub for (sub,) in written[first : first + len(column.slots)]]
-        text_columns[key] = [[template % row for row in zip(*slots)]]
+        text_columns[key] = [np.array([template % row for row in zip(*slots)], dtype=object)]
     for at, present, source in placed:
         subs = text_columns[id(source)] if isinstance(source, Text) else written[source]
         if present is not None:
             column = np.full(present.shape, text(None), dtype=object)
             column[present] = subs[0]
-            subs = [column.tolist()]
+            subs = [column]
         scalars[at : at + len(subs)] = subs
     return scalars
 
@@ -312,24 +313,22 @@ def _enclose(open_: str, parts: list[str], close: str, nl: str | None) -> str:
     return open_ + (inner or "") + ("," + (inner or " ")).join(parts) + (nl or "") + close
 
 
-def _rows(template: str, values: list[list]) -> list[str]:
+def _rows(template: str, values: list[np.ndarray]) -> list[str]:
     """The fragments of one row per entry of the scalar columns values, each
-    the template with its _SLOT marks filled in order.  Every piece of the
-    template and every value string goes into one (n, 2k + 1) object array,
-    flattened once."""
+    the template with its _SLOT marks filled in order, from one (n, 2k + 1)
+    object array of the template's pieces and the columns, flattened once."""
     pieces = template.split(_SLOT)
     cells = np.empty((len(values[0]), len(pieces) + len(values)), dtype=object)
     cells[:, ::2] = np.array(pieces, dtype=object)
     for j, column in enumerate(values):
-        # an integer column's entries are Python ints
-        cells[:, 2 * j + 1] = column if isinstance(column[0], str) else list(map(str, column))
+        cells[:, 2 * j + 1] = column
     return cells.ravel().tolist()
 
 
-def _table_fragments(table: Table, values: list[list], nl: str | None) -> list[str]:
+def _table_fragments(table: Table, values: list[np.ndarray], nl: str | None) -> list[str]:
     """A table as the fragments of a JSON list of row objects, from its
     scalar columns values, every row from one template built for its depth."""
-    if not values or not values[0]:
+    if not values or not len(values[0]):
         return ["[]"]
     row_nl = nl and nl + "  "
     field_nl = row_nl and row_nl + "  "
@@ -426,7 +425,7 @@ def emit_csv(report: RunReport) -> str:
         raise ValueError(f"command {report.command!r} has no CSV projection")
     values = _scalar_columns(report.csv_columns, _csv_scalar)
     out = [",".join(report.csv_header) + "\n"]
-    if values and values[0]:
+    if values and len(values[0]):
         out += _rows(",".join([_SLOT] * len(values)) + "\n", values)
     return "".join(out)
 

@@ -68,13 +68,24 @@ def validate_mixing_parameter(q):
     return float(qs) if qs.ndim == 0 else qs
 
 
+def _largest_norm(v: np.ndarray) -> float:
+    """The largest |v| over the vectors along the last axis of v.  A finite v
+    whose squared norm overflows is divided by its largest entry first, so
+    [1e200, 0, 0] gives 1e200; a non-finite v gives inf or NaN."""
+    with np.errstate(over="ignore"):
+        norm = float(np.max(np.linalg.norm(v, axis=-1), initial=0.0))
+    if norm == math.inf and np.isfinite(v).all():
+        big = float(np.max(np.abs(v)))
+        norm = big * float(np.max(np.linalg.norm(v / big, axis=-1)))
+    return norm
+
+
 def _unit_axis(v, name: str) -> np.ndarray:
     """A measurement axis: a finite real 3-vector of norm 1 within 1e-12."""
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{name} must be a real 3-vector, got shape {v.shape}")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(v))
+    norm = _largest_norm(v)
     # negated so that a NaN norm, from a non-finite entry, is rejected too
     if not abs(norm - 1.0) <= UNIT_AXIS_TOL:
         raise ValueError(f"{name} must be a finite unit vector, got norm {norm}")
@@ -113,15 +124,11 @@ def validate_bloch_vector(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape[-1:] != (3,):
         raise ValueError(f"Bloch vector must have exactly 3 real components, got shape {v.shape}")
-    with np.errstate(over="ignore"):
-        norm = float(np.max(np.linalg.norm(v, axis=-1), initial=0.0))
-    # negated so that a NaN norm is rejected along with an infinite one
-    if not norm < math.inf:
-        if not np.isfinite(v).all():
-            raise ValueError(f"Bloch vector must be finite, got norm {norm}")
-        # a finite vector whose squared norm overflowed: divide by its largest entry first
-        big = float(np.max(np.abs(v)))
-        norm = big * float(np.max(np.linalg.norm(v / big, axis=-1)))
+    norm = _largest_norm(v)
+    # negated so that a NaN norm is rejected along with an infinite one; a
+    # finite vector whose norm is past the largest double is not positive
+    if not norm < math.inf and not np.isfinite(v).all():
+        raise ValueError(f"Bloch vector must be finite, got norm {norm}")
     if norm > BLOCH_NORM_MAX:
         raise PositivityError(
             f"Bloch vector norm {norm} exceeds 1; the operator (I + v.sigma)/2 "

@@ -1170,13 +1170,22 @@ class TestNonFiniteGate:
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 
 
+def _strings(column, n: int) -> list[str]:
+    """A scalar column that _scalar_columns returns, as a list, after
+    checking that it is a 1-D object array of n strings."""
+    assert isinstance(column, np.ndarray)
+    assert (column.dtype, column.shape) == (object, (n,))
+    assert all(type(x) is str for x in column)
+    return column.tolist()
+
+
 @st.composite
 def _tables(draw):
     n = draw(st.integers(0, 4))
     columns = {}
     for i in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(
-            ["float", "vector", "bool", "int", "nullable", "masked", "text"]
+            ["float", "vector", "bool", "int", "nullable", "masked", "text", "Text", "masked Text"]
         ))
         # names that a %-template or a split on "\0" would misread
         name = draw(st.sampled_from(["c", "%", "%s", "50%s%%", "\0"])) + str(i)
@@ -1184,6 +1193,19 @@ def _tables(draw):
             present = draw(st.lists(st.booleans(), min_size=n, max_size=n))
             values = draw(st.lists(_FLOATS, min_size=sum(present), max_size=sum(present)))
             columns[name] = cli.Nullable(np.array(present, dtype=bool), np.array(values))
+        elif kind in ("Text", "masked Text"):
+            # a Text column alone, or held by a Nullable; its fixed pieces may
+            # hold the marks of the renderer's own templates
+            present = [True] * n
+            if kind == "masked Text":
+                present = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            k = draw(st.integers(1, 2))
+            pieces = draw(st.lists(st.text(max_size=4), min_size=k + 1, max_size=k + 1))
+            slots = [np.array(draw(st.lists(st.just(-0.0) | _FLOATS, min_size=sum(present),
+                                            max_size=sum(present))), dtype=float)
+                     for _ in range(k)]
+            text = cli.Text(tuple(pieces), tuple(slots))
+            columns[name] = text if kind == "Text" else cli.Nullable(np.array(present, dtype=bool), text)
         elif kind == "nullable":
             columns[name] = draw(st.lists(st.none() | _FLOATS, min_size=n, max_size=n))
         elif kind == "text":
@@ -1207,6 +1229,8 @@ _ONE_ROW = cli.Table(**{
     "b": np.array([True]),
     "m": cli.Nullable(np.array([False]), np.empty(0)),
     "t": ["a,b"],
+    "T": cli.Text(('q = "', '%s, ', "\0"), (np.array([-0.0]), np.array([1e16]))),
+    "mT": cli.Nullable(np.array([True]), cli.Text(("", ","), (np.array([-0.0]),))),
 })
 
 
@@ -1258,6 +1282,18 @@ class TestRendererOracle:
         report = RunReport(command="t", parameters={}, results={}, csv_header=header,
                            csv_columns=list(table.columns.values()))
         assert cli.emit_csv(report) == self.csv_text(header, report.csv_columns)
+
+    @example(table=cli.Table(q=np.empty(0), v=np.empty((0, 3)), reason=[]))
+    @example(table=_ONE_ROW)
+    @settings(max_examples=60, deadline=None)
+    @given(table=_tables())
+    def test_every_scalar_column_is_an_object_array_of_strings(self, table):
+        n = len(table.rows())
+        for text in (cli._json_scalar, cli._csv_scalar):
+            written = cli._scalar_columns(list(table.columns.values()), text)
+            assert len(written) == sum(map(cli._width, table.columns.values()))
+            for column in written:
+                _strings(column, n)
 
     @pytest.mark.parametrize(
         "argv",
@@ -1324,15 +1360,17 @@ class TestFloatColumnOracle:
         expected = [[repr(v) for v in sub] for sub in subs.tolist()]
         magnitudes = len(np.unique(np.abs(column)))
         for text in (cli._json_scalar, cli._csv_scalar):
-            written = cli._scalar_columns([column], text)
+            written = [_strings(c, len(column)) for c in cli._scalar_columns([column], text)]
             assert written == expected
             # entries of one magnitude and sign share one string
             assert len({id(x) for sub in written for x in sub}) <= 2 * magnitudes
 
     def test_nullable_column(self):
         column = cli.Nullable(np.array([True, False, True, False]), np.array([-0.0, 2.5]))
-        assert cli._scalar_columns([column], cli._json_scalar) == [["-0.0", "null", "2.5", "null"]]
-        assert cli._scalar_columns([column], cli._csv_scalar) == [["-0.0", "", "2.5", ""]]
+        (json_column,) = cli._scalar_columns([column], cli._json_scalar)
+        (csv_column,) = cli._scalar_columns([column], cli._csv_scalar)
+        assert _strings(json_column, 4) == ["-0.0", "null", "2.5", "null"]
+        assert _strings(csv_column, 4) == ["-0.0", "", "2.5", ""]
         assert column.tolist() == [-0.0, None, 2.5, None]
 
     @settings(max_examples=100, deadline=None)
@@ -1344,26 +1382,27 @@ class TestFloatColumnOracle:
         columns = [c[:n] for c in columns]
         if mirror:
             columns.append(-columns[0])
-        # an integer column gives Python ints, a boolean column JSON's text
+        # an integer or a boolean column gives JSON's text
         columns.insert(1, np.arange(n))
         columns.insert(2, np.arange(n) % 3 == 0)
         expected = [
-            [repr(v) if isinstance(v, float) else json.dumps(v) if isinstance(v, bool) else v
-             for v in sub]
+            [repr(v) if isinstance(v, float) else json.dumps(v) for v in sub]
             for c in columns
             for sub in (c.T if c.ndim == 2 else c[None]).tolist()
         ]
+        from_floats = [c.dtype == float for c in columns for _ in range(cli._width(c))]
         magnitudes = np.unique(np.abs(np.concatenate([c.ravel() for c in columns if c.dtype == float])))
         for text in (cli._json_scalar, cli._csv_scalar):
-            written = cli._scalar_columns(columns, text)
+            written = [_strings(c, n) for c in cli._scalar_columns(columns, text)]
             assert written == expected
-            floats = [x for sub in written for x in sub if isinstance(x, str) and x not in ("true", "false")]
+            floats = [x for sub, f in zip(written, from_floats) if f for x in sub]
             assert len({id(x) for x in floats}) <= 2 * len(magnitudes)
 
     def test_node_table_shares_a_strings_with_b(self):
         dec = spherical_decomposition(np.array([0.2]), 64, 128)
         columns = [dec.nodes[:, 0], dec.nodes[:, 1], dec.weights, dec.a[0], dec.b[0]]
-        written = cli._scalar_columns(columns, cli._json_scalar)
+        n = len(dec.weights)
+        written = [_strings(c, n) for c in cli._scalar_columns(columns, cli._json_scalar)]
         magnitudes = np.unique(np.abs(np.concatenate([c.ravel() for c in columns])))
         assert len({id(x) for sub in written for x in sub}) <= 2 * len(magnitudes)
         # each b entry is a's string with its sign flipped
@@ -1442,6 +1481,7 @@ class TestTextColumn:
         present = np.array([False, True, True])
         for render in (cli._json_scalar, cli._csv_scalar):
             masked, plain = cli._scalar_columns([cli.Nullable(present, text), text], render)
+            masked, plain = _strings(masked, 3), _strings(plain, 2)
             assert masked[1:] == plain
             assert all(a is b for a, b in zip(masked[1:], plain))
 
@@ -1466,6 +1506,30 @@ def test_verify_grid_json_formats_each_distinct_magnitude_once(monkeypatch, caps
     assert len(reasons) == 668
     for reason in reasons:
         written += [float(x) for x in re.findall(r"= (\S+) >", reason)]
+    assert len(formatted) == len({abs(x) for x in written})
+
+
+def test_decompose_dense_json_formats_each_distinct_magnitude_once(monkeypatch, capsys):
+    # the seed-1 decompose_dense report: the 73,728 floats of its node table
+    # hold 5,866 distinct magnitudes, and the report makes one repr per
+    # distinct magnitude it writes, its parameters and checks included
+    formatted = []
+
+    def counting_repr(value):
+        if isinstance(value, float):
+            formatted.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+    code, out, _ = run(capsys, "decompose", "--q", "0.044788081370800405", "--method", "spherical",
+                       "--nodes", "64", "128")
+    assert code == EXIT_OK
+    written = []
+    report = json.loads(out, parse_float=lambda s: written.append(float(s)) or float(s))
+    nodes = report["results"]["nodes"]
+    assert len(nodes) == 64 * 128
+    table = [x for row in nodes for v in row.values() for x in (v if isinstance(v, list) else [v])]
+    assert len({abs(x) for x in table}) == 5866
     assert len(formatted) == len({abs(x) for x in written})
 
 

@@ -254,6 +254,21 @@ class TestEstimateLocal:
             call()
         assert str(info.value) == message
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("huge, norm", [([1e200, 0.0, 0.0], "1e+200"),
+                                            ([0.0, 0.0, -1e300], "1e+300")])
+    def test_a_huge_axis_is_refused_by_its_true_norm(self, huge, norm):
+        # |v|^2 overflows, but the axis is finite: the error names its norm,
+        # not inf, with no numpy warning first
+        calls = [
+            lambda: correlation(werner(0.2), huge, Z_AXIS),
+            lambda: estimate_all(0.2, huge, Z_AXIS, 10, 0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"axis_a must be a finite unit vector, got norm {norm}"
+
 
 def _three_pass_reference(q, axis_a, axis_b, n_samples, seed):
     """The float computation the counting kernel replaced, kept here as its
