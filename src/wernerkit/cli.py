@@ -36,7 +36,14 @@ from .decomposition import (
 from .hiddenvar import MAX_SAMPLES, HvEstimate, estimate_all
 from .linalg import HERMITIAN_TOL, _hermitian_deviation
 from .separability import ppt_test, werner_pt_eigenvalues_closed_form
-from .states import PositivityError, SEPARABLE_Q_EDGE, SEPARABLE_Q_MAX, UNIT_AXIS_TOL, werner
+from .states import (
+    PositivityError,
+    SEPARABLE_Q_EDGE,
+    SEPARABLE_Q_MAX,
+    UNIT_AXIS_TOL,
+    _scaled_norm,
+    werner,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -465,17 +472,11 @@ def _normalized_axis(values, flag: str) -> tuple[np.ndarray, list[str]]:
         raise ValueError(f"axis {flag} must be finite, got {v.tolist()}")
     if not v.any():
         raise ValueError(f"axis {flag} must be nonzero")
-    scale = 1.0
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(v))
-    if not 1e-150 < norm < 1e150:
-        # the squared norm of this nonzero vector overflowed, underflowed or
-        # lost digits as a subnormal: divide by its largest entry first
-        scale = float(np.max(np.abs(v)))
-        v = v / scale
-        norm = float(np.linalg.norm(v))
+    # a subnormal axis is normalized from its rescaled entries, which keep
+    # their digits
+    scale, norm = _scaled_norm(v)
     if abs(norm * scale - 1.0) > UNIT_AXIS_TOL:
-        normalized = v / norm
+        normalized = v / scale / norm
         return normalized, [
             f"warning: axis {flag} has norm {norm * scale}; normalized to "
             f"[{', '.join(repr(float(x)) for x in normalized)}]"

@@ -10,13 +10,12 @@ correlation -q (l.m).
 
 The model is local: each party's outcome reads only its own draw and its own
 vector.  So an estimate splits into blocks of draws whose +/-1 counts add
-exactly; each block draws its own slice of the seeded stream, and the blocks
-are counted on one thread per usable CPU, in memory that does not grow with
-the sample count.  The counts, and so every estimate, are the same whatever
-the number of threads.
+exactly; the blocks are drawn from the seeded stream in order and counted one
+after another on the caller's thread, in memory that does not grow with the
+sample count.
 
-A draw's outcome is which side of its float64 threshold lambda falls on.  Each
-worker fills block buffers it makes once with raw uniform draws, and screens
+A draw's outcome is which side of its float64 threshold lambda falls on.  An
+estimate fills block buffers it makes once with raw uniform draws, and screens
 every draw in float32: from sin(theta)/2 = sqrt(u (1 - u)), with 1 - u taken
 in float64, from float32 cos(phi) and sin(phi), SIMD in numpy, and from the
 uniform u of cos theta and both lambdas, one (2, 6) float32 product gives each
@@ -32,8 +31,6 @@ count is the one the float64 thresholds give, bit for bit.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,13 +51,13 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-# Samples per block.  A block draws its own slice of each of the four stream
-# variables into its worker's buffers and counts it, so an estimate holds
-# about 2.1 MB of buffers per thread, whatever its sample count.
+# Samples per block.  A block draws the next slice of each of the four stream
+# variables into the estimate's buffers and counts it, so an estimate holds
+# about 2.1 MB of buffers, whatever its sample count.
 _BLOCK = 1 << 15
 # The most draws one estimate takes.  Streaming bounds an estimate's memory
-# but not its time: 2^32 draws take about 1.4 min on 2 CPUs, and every count
-# stays exact in a float64.
+# but not its time: 10^9 draws took 18.0 s on one thread of a 2-vCPU Xeon, so
+# 2^32 take about 1.3 min, and every count stays exact in a float64.
 MAX_SAMPLES = 1 << 32
 # Half-width of the band around 0 inside which a draw's screened threshold
 # minus lambda is decided again in float64.  At q = 1/3 the screened
@@ -120,26 +117,25 @@ def outcome_b(sample: HvSample, q: float, axis) -> int:
     return 1 if sample.lambda_b <= threshold else -1
 
 
-def _draw_block(
-    rng: np.random.Generator, origin: dict, start: int, n_samples: int, out: np.ndarray
-) -> np.ndarray:
-    """Fills out, shape (4, m), with draws start to start + m of the
-    n_samples-draw stream that rng's bit generator begins at origin, in the
-    stream order: the uniforms of cos theta and phi, then lambda_a and
-    lambda_b.  Returns out.
+def _streams(seed: int, n_samples: int) -> list[np.random.Generator]:
+    """The seed's n_samples-draw stream, default_rng([seed, 0]), as one
+    generator per variable.  The stream draws every cos theta, then every
+    phi, lambda_a and lambda_b, and each double takes one 64-bit PCG64
+    output, so the generator of the k-th variable is the stream's advanced
+    by k n_samples."""
+    streams = []
+    for k in range(4):
+        bits = np.random.PCG64([seed, 0])
+        bits.advance(k * n_samples)
+        streams.append(np.random.Generator(bits))
+    return streams
 
-    The stream, default_rng([seed, 0]), draws every cos theta, then every phi,
-    lambda_a and lambda_b.  Each double takes one 64-bit PCG64 output, so
-    advancing the bit generator by n_samples - m moves from one variable's
-    slice of the block to the next one's.  random(out=...) releases the GIL,
-    so the workers draw in parallel."""
-    bits = rng.bit_generator
-    bits.state = origin
-    bits.advance(start)
-    gap = n_samples - out.shape[1]
-    rng.random(out=out[0])
-    for row in out[1:]:
-        bits.advance(gap)
+
+def _draw_block(streams: list[np.random.Generator], out: np.ndarray) -> np.ndarray:
+    """Fills out, shape (4, m), with the next m draws of each of the four
+    _streams, in the stream order: the uniforms of cos theta and phi, then
+    lambda_a and lambda_b.  Returns out."""
+    for rng, row in zip(streams, out):
         rng.random(out=row)
     return out
 
@@ -210,10 +206,10 @@ def _screen_weights(radius: float, axis_a: np.ndarray, axis_b: np.ndarray) -> np
 
 
 def _buffers(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One worker's block buffers, made once per estimate: the raw draws
-    (4, size) float64, the screen features (6, size) float32 with their
-    constant row of ones, the screened differences (2, size) float32, and
-    the screened signs (2, size)."""
+    """An estimate's block buffers, made once: the raw draws (4, size)
+    float64, the screen features (6, size) float32 with their constant row of
+    ones, the screened differences (2, size) float32, and the screened signs
+    (2, size)."""
     features = np.empty((6, size), dtype=np.float32)
     features[3] = 1.0
     return (
@@ -266,29 +262,20 @@ def _screened_signs(
 
 
 def _count_outcomes(
-    q: float,
-    axis_a: np.ndarray,
-    axis_b: np.ndarray,
-    seed: int,
-    n_samples: int,
-    starts: range,
-    stop: threading.Event,
+    q: float, axis_a: np.ndarray, axis_b: np.ndarray, seed: int, n_samples: int
 ) -> tuple[int, int, int]:
-    """Draws and counts the blocks of the seed's n_samples-draw stream that
-    begin at starts, with A measured along axis_a and B along axis_b, until
-    stop is set.  Returns the number of draws with A = +1, with B = +1, and
-    with A == B; counts of +/-1 outcomes merge exactly across blocks."""
+    """Draws and counts the seed's n_samples-draw stream block by block, with
+    A measured along axis_a and B along axis_b.  Returns the number of draws
+    with A = +1, with B = +1, and with A == B; counts of +/-1 outcomes merge
+    exactly across blocks."""
     radius = local_bloch_norm(q)
     weights = _screen_weights(radius, axis_a, axis_b)
-    rng = np.random.Generator(np.random.PCG64([seed, 0]))
-    origin = rng.bit_generator.state
+    streams = _streams(seed, n_samples)
     draw_buf, feature_buf, screened_buf, plus_buf = _buffers(min(_BLOCK, n_samples))
     plus_a = plus_b = agree = 0
-    for start in starts:
-        if stop.is_set():
-            break
+    for start in range(0, n_samples, _BLOCK):
         m = min(_BLOCK, n_samples - start)
-        draws = _draw_block(rng, origin, start, n_samples, draw_buf[:, :m])
+        draws = _draw_block(streams, draw_buf[:, :m])
         plus, near = _screened_signs(
             weights, draws, feature_buf[:, :m], screened_buf[:, :m], plus_buf[:, :m]
         )
@@ -299,13 +286,6 @@ def _count_outcomes(
         plus_b += int(np.count_nonzero(out_b))
         agree += m - int(np.count_nonzero(np.not_equal(out_a, out_b, out=out_a)))
     return plus_a, plus_b, agree
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _estimate(plus: int, n_samples: int, seed: int) -> HvEstimate:
@@ -328,10 +308,10 @@ def estimate_all(q: float, axis_a, axis_b, n_samples: int, seed: int) -> HvEstim
     marginals, from one pass over n_samples hidden draws.
 
     The draws come from one seeded stream, numpy's PCG64 default_rng([seed,
-    0]), so identical arguments give bit-identical estimates on any number
-    of threads; the seeded reports pin that key.  Each estimate equals, bit
-    for bit, the one estimate_correlation or estimate_local gives for the same
-    arguments.  More than MAX_SAMPLES draws raise ValueError.
+    0]), so identical arguments give bit-identical estimates; the seeded
+    reports pin that key.  Each estimate equals, bit for bit, the one
+    estimate_correlation or estimate_local gives for the same arguments.
+    More than MAX_SAMPLES draws raise ValueError.
     """
     q = _require_separable_q(q)
     la = _unit_axis(axis_a, "axis_a")
@@ -343,28 +323,7 @@ def estimate_all(q: float, axis_a, axis_b, n_samples: int, seed: int) -> HvEstim
     if n_samples > MAX_SAMPLES:
         raise ValueError(f"n_samples must be at most {MAX_SAMPLES}, got {n_samples}")
 
-    blocks = range(0, n_samples, _BLOCK)
-    workers = min(_usable_cpus(), len(blocks))
-    stop = threading.Event()
-
-    def count(first: int) -> tuple[int, int, int]:
-        return _count_outcomes(q, la, mb, seed, n_samples, blocks[first::workers], stop)
-
-    if workers == 1:
-        counts = [count(0)]
-    else:
-        # imported here so that CLI start-up does not load it; numpy releases
-        # the GIL in the draws and ufuncs, so the threads run in parallel
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            try:
-                counts = list(pool.map(count, range(workers)))
-            finally:
-                # a failed worker or an interrupt ends the others' shares
-                # at their next block
-                stop.set()
-    plus_a, plus_b, agree = (sum(c) for c in zip(*counts))
+    plus_a, plus_b, agree = _count_outcomes(q, la, mb, seed, n_samples)
     return HvEstimates(
         correlation=_estimate(agree, n_samples, seed),
         marginal_a=_estimate(plus_a, n_samples, seed),

@@ -68,16 +68,31 @@ def validate_mixing_parameter(q):
     return float(qs) if qs.ndim == 0 else qs
 
 
-def _largest_norm(v: np.ndarray) -> float:
-    """The largest |v| over the vectors along the last axis of v.  A finite v
-    whose squared norm overflows is divided by its largest entry first, so
-    [1e200, 0, 0] gives 1e200; a non-finite v gives inf or NaN."""
+def _scaled_norm(v: np.ndarray) -> tuple[float, float]:
+    """(scale, n): the largest |v| over the vectors along the last axis of v
+    is scale * n, with n the largest |v / scale|.  Where that norm leaves
+    (1e-150, 1e150) for a finite nonzero v, its squared norm may have
+    overflowed, underflowed or lost digits as a subnormal, so scale is v's
+    largest entry; else it is 1.  A non-finite v gives an n of inf or NaN."""
+
+    def largest(x: np.ndarray) -> float:
+        # matmul takes each x.x with the dot product np.linalg.norm takes for
+        # one vector, so a vector of a stack gets the norm it gets alone
+        return float(np.max(np.sqrt(x[..., None, :] @ x[..., :, None]), initial=0.0))
+
     with np.errstate(over="ignore"):
-        norm = float(np.max(np.linalg.norm(v, axis=-1), initial=0.0))
-    if norm == math.inf and np.isfinite(v).all():
-        big = float(np.max(np.abs(v)))
-        norm = big * float(np.max(np.linalg.norm(v / big, axis=-1)))
-    return norm
+        norm = largest(v)
+    if not 1e-150 < norm < 1e150 and v.any() and np.isfinite(v).all():
+        scale = float(np.max(np.abs(v)))
+        return scale, largest(v / scale)
+    return 1.0, norm
+
+
+def _largest_norm(v: np.ndarray) -> float:
+    """The largest |v| over the vectors along the last axis of v, so that
+    [1e200, 0, 0] gives 1e200 and [1e-200, 0, 0] gives 1e-200."""
+    scale, norm = _scaled_norm(v)
+    return scale * norm
 
 
 def _unit_axis(v, name: str) -> np.ndarray:

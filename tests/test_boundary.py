@@ -79,7 +79,9 @@ def test_random_pure_product_states_are_separable():
     unit = rng.normal(size=(4000, 3))
     unit /= np.linalg.norm(unit, axis=1, keepdims=True)
     at_bound = unit * BLOCH_NORM_MAX
-    at_bound = at_bound[np.linalg.norm(at_bound, axis=1) <= BLOCH_NORM_MAX]
+    # the vectors whose norm, as np.linalg.norm gives it for one vector,
+    # rounds to at most the bound
+    at_bound = at_bound[[np.linalg.norm(v) <= BLOCH_NORM_MAX for v in at_bound]]
     assert len(at_bound) > 3000
     for v in (unit, at_bound):
         half = len(v) // 2

@@ -656,6 +656,9 @@ class TestHvsimCommand:
         [
             (("1e308", "1e308", "1e308"), [1 / math.sqrt(3.0)] * 3),
             (("1e-320", "0", "0"), [1.0, 0.0, 0.0]),
+            # a subnormal axis normalized by its rounded norm would be off
+            # by 7e-5
+            (("1e-320", "3e-320", "0"), [1 / math.sqrt(10.0), 3 / math.sqrt(10.0), 0.0]),
             (("3e-162", "4e-162", "0"), [0.6, 0.8, 0.0]),
         ],
     )
@@ -672,6 +675,30 @@ class TestHvsimCommand:
         assert err.startswith("warning: axis --l has norm ")
         assert err.count("\n") == 1
         np.testing.assert_allclose(json.loads(out)["parameters"]["l"], unit, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "axis, warning",
+        [
+            (("1e-200", "0", "0"),
+             "has norm 1e-200; normalized to [1.0, 0.0, 0.0]"),
+            (("1e-160", "1e-160", "0"),
+             "has norm 1.4142135623730952e-160; normalized to "
+             "[0.7071067811865475, 0.7071067811865475, 0.0]"),
+            (("1e151", "1e151", "0"),
+             "has norm 1.414213562373095e+151; normalized to "
+             "[0.7071067811865475, 0.7071067811865475, 0.0]"),
+            (("1e200", "0", "0"),
+             "has norm 1e+200; normalized to [1.0, 0.0, 0.0]"),
+        ],
+    )
+    def test_far_scaled_axis_warning_text(self, capsys, axis, warning):
+        # the norm of an axis far from 1 is taken from the axis over its
+        # largest entry, by the rule the library's axis checks use
+        code, out, err = run(
+            capsys, "hvsim", "--q", "0.1", "--l", *axis, "--samples", "1000", "--seed", "1",
+        )
+        assert code == EXIT_OK
+        assert err == f"warning: axis --l {warning}\n"
 
     def test_zero_axis_exits_2(self, capsys):
         code, _, err = run(
@@ -737,31 +764,29 @@ class TestHvsimCommand:
 
     def test_one_draw_per_block(self, capsys, monkeypatch):
         # the correlation and both marginals come from a single pass, which
-        # draws each block of the stream once
-        calls = []
+        # draws each block of the stream once, in order
+        sizes = []
         draw_block = hiddenvar._draw_block
 
-        def counting(rng, origin, start, n_samples, out):
-            calls.append((start, out.shape[1], n_samples))
-            return draw_block(rng, origin, start, n_samples, out)
+        def counting(streams, out):
+            sizes.append(out.shape[1])
+            return draw_block(streams, out)
 
         monkeypatch.setattr(hiddenvar, "_draw_block", counting)
         code, _, _ = run(capsys, *self.ARGS)
         assert code == EXIT_OK
         n, block = 200_000, hiddenvar._BLOCK
-        assert sorted(calls) == [
-            (start, min(block, n - start), n) for start in range(0, n, block)
-        ]
+        assert sizes == [min(block, n - start) for start in range(0, n, block)]
 
-    def test_one_block_run_loads_no_thread_pool(self):
-        # a one-block estimate runs inline; the thread pool module stays out
-        # of start-up and of every command that does not sample
+    def test_sampling_loads_no_thread_pool(self):
+        # every estimate runs on the caller's thread, so a many-block run
+        # loads no thread pool module
         src = os.path.dirname(os.path.dirname(cli.__file__))
         code = (
             "import sys, contextlib, io\n"
             "import wernerkit.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert wernerkit.cli.main(['hvsim', '--q', '0.2', '--samples', '1000']) == 0\n"
+            "    assert wernerkit.cli.main(['hvsim', '--q', '0.2', '--samples', '100000']) == 0\n"
             "print('concurrent.futures' in sys.modules)\n"
         )
         proc = subprocess.run(

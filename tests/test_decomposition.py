@@ -104,8 +104,11 @@ class TestSphericalArrayOracle:
         bad = dataclasses.replace(dec, a=1.5 * dec.directions)
         with pytest.raises(PositivityError) as exc:
             reconstruct(bad)
+        # the error names the largest node norm, each as np.linalg.norm gives
+        # it for one vector
+        largest = max(np.linalg.norm(a) for a in bad.a)
         assert str(exc.value) == (
-            "Bloch vector norm 1.5 exceeds 1; the operator (I + v.sigma)/2 "
+            f"Bloch vector norm {largest} exceeds 1; the operator (I + v.sigma)/2 "
             "would not be positive semidefinite"
         )
 

@@ -1,5 +1,4 @@
 import math
-import sys
 import threading
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -22,6 +21,7 @@ from wernerkit.hiddenvar import (
     _screen,
     _screen_weights,
     _screened_signs,
+    _streams,
     estimate_all,
     estimate_correlation,
     estimate_local,
@@ -39,8 +39,7 @@ Z_AXIS = np.array([0.0, 0.0, 1.0])
 def _stream(seed, n):
     """The hidden draws estimate_all makes for (seed, n): cos theta, phi,
     lambda_a and lambda_b."""
-    rng = np.random.Generator(np.random.PCG64([seed, 0]))
-    u_cos, u_phi, lam_a, lam_b = _draw_block(rng, rng.bit_generator.state, 0, n, np.empty((4, n)))
+    u_cos, u_phi, lam_a, lam_b = _draw_block(_streams(seed, n), np.empty((4, n)))
     return (*_angles(u_cos, u_phi), lam_a, lam_b)
 
 
@@ -351,9 +350,9 @@ class TestCountingKernel:
 
     @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 7])
     def test_buffer_filled_blocks_equal_the_uniform_draws(self, n):
-        # blocks drawn in any order into one reused buffer, their cos theta
-        # and phi mapped from the raw draws, are the stream's uniform draws
-        # bit for bit
+        # blocks drawn in order into one reused buffer, their cos theta and
+        # phi mapped from the raw draws, are the stream's uniform draws bit
+        # for bit
         stream = np.random.default_rng([55, 0])
         expected = [
             stream.uniform(-1.0, 1.0, n),
@@ -361,13 +360,12 @@ class TestCountingKernel:
             stream.random(n),
             stream.random(n),
         ]
-        rng = np.random.Generator(np.random.PCG64([55, 0]))
-        origin = rng.bit_generator.state
+        streams = _streams(55, n)
         buf = np.full((4, _BLOCK), np.nan)
         got = np.empty((4, n))
-        for start in reversed(range(0, n, _BLOCK)):
+        for start in range(0, n, _BLOCK):
             m = min(_BLOCK, n - start)
-            u_cos, u_phi, lam_a, lam_b = _draw_block(rng, origin, start, n, buf[:, :m])
+            u_cos, u_phi, lam_a, lam_b = _draw_block(streams, buf[:, :m])
             got[:, start : start + m] = (*_angles(u_cos, u_phi), lam_a, lam_b)
         for row, want in zip(got, expected):
             assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
@@ -396,25 +394,24 @@ class TestCountingKernel:
                 assert _estimate(k, n, seed=0).mean == float(np.mean(values))
 
     def test_one_draw_per_estimate(self, monkeypatch):
-        # each estimate draws every block of its stream once
-        calls = []
+        # each estimate draws every block of its stream once, in order
+        sizes = []
         draw_block = hiddenvar._draw_block
 
-        def counting(rng, origin, start, n_samples, out):
-            calls.append((start, out.shape[1], n_samples))
-            return draw_block(rng, origin, start, n_samples, out)
+        def counting(streams, out):
+            sizes.append(out.shape[1])
+            return draw_block(streams, out)
 
         monkeypatch.setattr(hiddenvar, "_draw_block", counting)
         monkeypatch.setattr(hiddenvar, "_BLOCK", 400)
-        blocks = [(0, 400, 1003), (400, 400, 1003), (800, 203, 1003)]
         for estimate in (
             lambda: estimate_all(0.2, Z_AXIS, X_AXIS, 1003, seed=1),
             lambda: estimate_correlation(0.2, Z_AXIS, X_AXIS, 1003, seed=1),
             lambda: estimate_local(0.2, Z_AXIS, "B", 1003, seed=1),
         ):
-            calls.clear()
+            sizes.clear()
             estimate()
-            assert sorted(calls) == blocks
+            assert sizes == [400, 400, 203]
 
     def test_blocks_do_not_change_the_counts(self, monkeypatch):
         # the draws are streamed and counted block by block; any block size
@@ -424,77 +421,64 @@ class TestCountingKernel:
         monkeypatch.setattr(hiddenvar, "_BLOCK", 7)
         assert estimate_all(*args) == whole
 
-    def test_worker_count_does_not_change_the_estimates(self, monkeypatch):
-        # the blocks are split among min(usable CPUs, blocks) threads, whose
-        # integer counts merge exactly in any order
-        count_outcomes = hiddenvar._count_outcomes
-        threads, starts = set(), []
+    def test_one_count_on_the_callers_thread_in_stream_order(self, monkeypatch):
+        # a many-block estimate counts once, on the thread that asked, and
+        # its blocks, joined in the order they are drawn, are the stream
+        count_outcomes, draw_block = hiddenvar._count_outcomes, hiddenvar._draw_block
+        count_threads, draw_threads, blocks = [], [], []
 
-        def recording(q, axis_a, axis_b, seed, n_samples, block_starts, stop):
-            threads.add(threading.get_ident())
-            starts.extend(block_starts)
-            return count_outcomes(q, axis_a, axis_b, seed, n_samples, block_starts, stop)
+        def recording_count(*args):
+            count_threads.append(threading.get_ident())
+            return count_outcomes(*args)
 
-        monkeypatch.setattr(hiddenvar, "_count_outcomes", recording)
+        def recording_draw(streams, out):
+            draw_threads.append(threading.get_ident())
+            blocks.append(draw_block(streams, out).copy())
+            return out
+
+        monkeypatch.setattr(hiddenvar, "_count_outcomes", recording_count)
+        monkeypatch.setattr(hiddenvar, "_draw_block", recording_draw)
         monkeypatch.setattr(hiddenvar, "_BLOCK", 1000)
         rng = np.random.default_rng(12)
-        args = (0.25, random_unit_axis(rng), random_unit_axis(rng), 10_007, 3)
-        estimates = {}
-        interval = sys.getswitchinterval()
-        for cpus in (1, 4):
-            monkeypatch.setattr(hiddenvar, "_usable_cpus", lambda cpus=cpus: cpus)
-            threads.clear()
-            starts.clear()
-            # switch threads often, so that a lost update would show
-            sys.setswitchinterval(1e-5)
-            try:
-                estimates[cpus] = estimate_all(*args)
-            finally:
-                sys.setswitchinterval(interval)
-            assert sorted(starts) == list(range(0, 10_007, 1000))
-            if cpus == 1:
-                assert threads == {threading.get_ident()}
-            else:
-                assert threading.get_ident() not in threads
-                assert 1 <= len(threads) <= cpus
-        assert estimates[1] == estimates[4]
+        estimate_all(0.25, random_unit_axis(rng), random_unit_axis(rng), 10_007, 3)
+        caller = threading.get_ident()
+        assert count_threads == [caller]
+        assert draw_threads == [caller] * 11
+        drawn = np.concatenate(blocks, axis=1)
+        # the stream's uniforms: every cos theta's, then every phi's,
+        # lambda_a and lambda_b
+        expected = np.random.default_rng([3, 0]).random((4, 10_007))
+        assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
 
-        # a single block runs inline, whatever the CPU count
-        threads.clear()
-        estimate_all(0.25, Z_AXIS, X_AXIS, 1000, 3)
-        assert threads == {threading.get_ident()}
-
-    def test_a_failed_block_ends_the_other_threads(self, monkeypatch):
-        # a block of the first thread's share fails once both threads run;
-        # the other thread stops at its next block instead of drawing the
-        # rest of its 5000
+    def test_a_failing_block_ends_the_estimate(self, monkeypatch):
+        # the error of the third block reaches the caller, and no later
+        # block is drawn
         draw_block = hiddenvar._draw_block
-        calls = []
+        sizes = []
 
-        def failing(rng, origin, start, n_samples, out):
-            calls.append(start)
-            if start == 20_000:
+        def failing(streams, out):
+            sizes.append(out.shape[1])
+            if len(sizes) == 3:
                 raise RuntimeError("block failed")
-            return draw_block(rng, origin, start, n_samples, out)
+            return draw_block(streams, out)
 
         monkeypatch.setattr(hiddenvar, "_draw_block", failing)
         monkeypatch.setattr(hiddenvar, "_BLOCK", 100)
-        monkeypatch.setattr(hiddenvar, "_usable_cpus", lambda: 2)
         with pytest.raises(RuntimeError, match="block failed"):
             estimate_all(0.2, Z_AXIS, X_AXIS, 1_000_000, 1)
-        assert len(calls) < 5000
+        assert sizes == [100, 100, 100]
 
-    def test_peak_memory_is_a_few_blocks_per_thread(self, monkeypatch):
-        # an estimate holds a few block-length arrays per thread; at two
-        # threads, 4 * 10^6 draws peak far below the 128 MB of draws held whole
-        monkeypatch.setattr(hiddenvar, "_usable_cpus", lambda: 2)
+    def test_peak_memory_is_a_few_blocks(self):
+        # an estimate holds its block buffers, about 2.1 MB, and a few
+        # arrays as long as its near draws; 4 * 10^6 draws peak far below
+        # the 128 MB of draws held whole
         tracemalloc.start()
         try:
             estimate_all(0.2, Z_AXIS, X_AXIS, 4_000_000, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 16 << 20
+        assert peak <= 4 << 20
 
     def test_refuses_more_than_the_sample_cap(self):
         with pytest.raises(ValueError, match=f"at most {hiddenvar.MAX_SAMPLES}, got"):

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -14,6 +15,8 @@ from wernerkit.linalg import hermitian_eigenvalues, kron
 from wernerkit.states import (
     BLOCH_NORM_MAX,
     PositivityError,
+    _largest_norm,
+    _unit_axis,
     bell_state,
     bloch_state,
     marginal,
@@ -62,6 +65,38 @@ class TestWerner:
             assert np.max(np.abs(w - w.conj().T)) < 1e-15
             assert abs(np.trace(w) - 1.0) < 1e-15
             assert hermitian_eigenvalues(w)[0] >= -1e-12
+
+
+# Vectors whose squared norm underflows to 0, is a subnormal with few digits,
+# or overflows past 1e300
+FAR_SCALED_VECTORS = [
+    [1e-200, 0.0, 0.0],
+    [1e-160, 1e-160, 0.0],
+    [1e151, 1e151, 0.0],
+    [1e200, 0.0, 0.0],
+]
+
+
+class TestAxisNorm:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("v", FAR_SCALED_VECTORS, ids=str)
+    def test_unit_axis_names_the_true_norm(self, v):
+        # the norm is taken from v over its largest entry, within 2 ulps of
+        # math.hypot's
+        with pytest.raises(ValueError) as info:
+            _unit_axis(v, "axis")
+        named = re.fullmatch(r"axis must be a finite unit vector, got norm (\S+)", str(info.value))
+        assert named
+        true = math.hypot(*v)
+        assert abs(float(named[1]) - true) <= 2 * math.ulp(true)
+
+    def test_a_stacked_vector_has_its_own_norm(self):
+        # each vector of a stack gets the norm np.linalg.norm gives it alone
+        rng = np.random.default_rng(21)
+        stack = rng.normal(size=(2000, 3)) * 10.0 ** rng.integers(-3, 4, size=(2000, 1))
+        for v in stack:
+            assert _largest_norm(v) == np.linalg.norm(v)
+        assert _largest_norm(stack) == max(np.linalg.norm(v) for v in stack)
 
 
 class TestBellStates:
