@@ -937,7 +937,14 @@ def main(argv=None) -> int:
     for line in report.warnings:
         print(line, file=sys.stderr)
     if args.out is None:
-        sys.stdout.write(text)
+        # a failed flush drops its bytes, so the interpreter's own flush at
+        # exit adds no second message
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as err:
+            _error(f"cannot write report to stdout: {err.strerror}")
+            return EXIT_USAGE
     return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
 
 

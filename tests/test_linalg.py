@@ -311,6 +311,40 @@ class TestPartialTransposeKeepsTheGate:
             assert_bitwise_equal(got[finite], want[finite])
 
 
+class TestInputKind:
+    """A complex input is solved as complex128; any other, such as an int, a
+    bool or a float32 array, as float64, by the real symmetric solver."""
+
+    INPUTS = {
+        "complex128": (np.array([[2.0, 1j], [-1j, 2.0]]), np.complex128),
+        "complex64": (np.array([[2.0, 1j], [-1j, 2.0]], dtype=np.complex64), np.complex128),
+        "float64": (np.array([[2.0, 1.0], [1.0, 2.0]]), np.float64),
+        "float32": (np.array([[2.0, 1.0], [1.0, 2.0]], dtype=np.float32), np.float64),
+        "int": (np.array([[2, 1], [1, 2]]), np.float64),
+        "bool": (np.array([[True, False], [False, True]]), np.float64),
+        "list": ([[2, 1], [1, 2]], np.float64),
+    }
+
+    @pytest.mark.parametrize("kind", INPUTS)
+    def test_eigvalsh_gets_the_kind_of_the_input(self, kind, monkeypatch):
+        m, dtype = self.INPUTS[kind]
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.dtype) or eigvalsh(a))
+        eigs = hermitian_eigenvalues(m)
+        assert seen == [dtype]
+        assert eigs.dtype == np.float64
+        assert_allclose(eigs, [1.0, 3.0] if kind != "bool" else [1.0, 1.0], rtol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["int", "bool", "float32"])
+    def test_partial_transpose_of_a_real_input_is_float64(self, kind):
+        m = np.arange(16).reshape(4, 4).astype(kind)
+        pt = partial_transpose_b(m)
+        assert pt.dtype == np.float64
+        assert_bitwise_equal(pt, partial_transpose_b(m.astype(float)))
+        assert partial_transpose_b(m.astype(np.complex64)).dtype == np.complex128
+
+
 class TestPlumbing:
     def test_trace_of_werner_is_one(self):
         for q in (0.0, 0.37, 1.0):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import STACK_QS, THRESHOLD_QS, assert_bitwise_equal, random_unit_axis
 from wernerkit.linalg import (
@@ -473,6 +473,86 @@ class TestNoCallerPassesANonStateThrough:
     @given(_perturbed_states())
     def test_perturbed_states(self, rho):
         self.check(rho)
+
+
+@st.composite
+def _real_state_stacks(draw):
+    """A stack of real symmetric two-qubit states: each is G G^T of a random
+    real 4 x r matrix, over its trace, mixed with the singlet at a drawn
+    weight, so that both verdicts occur."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, rank = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    g = rng.standard_normal((n, 4, rank))
+    m = g @ np.swapaxes(g, -1, -2)
+    m = (m + np.swapaxes(m, -1, -2)) / 2.0
+    m /= np.trace(m, axis1=-2, axis2=-1)[:, None, None]
+    weight = rng.uniform(0.0, 1.0, (n, 1, 1))
+    return weight * werner(1.0) + (1.0 - weight) * m
+
+
+class TestRealInputs:
+    """A real symmetric state goes through the gate and the PT test as
+    float64, by LAPACK's real symmetric solver; a complex one as complex128.
+    The two give the same verdicts, spectra within a few eps of each
+    matrix's largest entry, and the same error texts."""
+
+    @staticmethod
+    def check_same_verdicts(rho, eps_count):
+        real, cplx = ppt_test(rho), ppt_test(rho.astype(complex))
+        assert_array_equal(real.separable, cplx.separable)
+        bound = eps_count * np.finfo(float).eps * np.max(np.abs(rho), axis=(-2, -1))
+        assert (np.max(np.abs(real.eigenvalues - cplx.eigenvalues), axis=-1) <= bound).all()
+        assert (np.abs(real.min_eigenvalue - cplx.min_eigenvalue) <= bound).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_real_state_stacks())
+    def test_random_real_states_get_the_verdicts_of_their_complex_copies(self, rho):
+        # each solver is within about n eps ||PT(rho)||_2 of the exact
+        # spectrum, and ||PT(rho)||_2 <= n max|rho|, so two solvers at n = 4
+        # differ by at most 2 n^2 = 32 eps max|rho| (18.9 seen over 200,000
+        # such states)
+        self.check_same_verdicts(rho, 32)
+
+    def test_the_werner_stack_gets_the_verdicts_of_its_complex_copy(self):
+        # 2.1 eps max|rho| seen on this stack
+        rho = werner(STACK_QS)
+        self.check_same_verdicts(rho, 4)
+        assert_array_equal(ppt_test(rho).separable, STACK_QS <= SEPARABLE_Q_EDGE)
+
+    @pytest.mark.parametrize(
+        "rho, dtype",
+        [
+            (werner(np.array([0.1, 0.9])), np.float64),
+            (werner(np.array([0.1, 0.9])).astype(complex), np.complex128),
+            (werner(0.5).astype(np.complex64), np.complex128),
+            (np.diag([1, 0, 0, 0]), np.float64),
+            (np.diag([True, False, False, False]), np.float64),
+        ],
+    )
+    def test_both_spectra_are_taken_in_the_kind_of_the_input(self, rho, dtype, monkeypatch):
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.dtype) or eigvalsh(a))
+        ppt_test(rho)
+        assert seen == [dtype, dtype]
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            _werner_with(0.2, [(0, 1)], [1e-3]),
+            2.0 * werner(0.5),
+            np.diag([1.5, -0.5, 0.0, 0.0]),
+            np.stack([werner(0.2), np.diag([1.5, -0.5, 0.0, 0.0])]),
+        ],
+        ids=["not_hermitian", "trace", "negative_eigenvalue", "negative_at_stack_index_1"],
+    )
+    def test_gate_texts_are_the_same_for_a_real_and_a_complex_input(self, rho):
+        texts = []
+        for m in (rho, rho.astype(complex)):
+            with pytest.raises(ValueError) as err:
+                ppt_test(m)
+            texts.append(str(err.value))
+        assert texts[0] == texts[1]
 
 
 def test_pt_spectrum_of_the_constructed_state_matches_the_closed_form():

@@ -59,6 +59,16 @@ class TestWerner:
         with pytest.raises(ValueError, match=r"got nan$"):
             werner(np.array([0.2, float("nan"), -0.5]))
 
+    def test_is_the_real_part_of_the_complex_construction_bitwise(self):
+        # q |psi_minus><psi_minus| + (1 - q)/4 I in complex arithmetic has an
+        # imaginary part of +0.0 everywhere; werner(q) is its real part
+        q = STACK_QS[:, None, None]
+        psi = bell_state("psi_minus")
+        built = q * np.outer(psi, psi.conj()) + ((1.0 - q) / 4.0) * np.eye(4, dtype=complex)
+        assert not (built.imag.any() or np.signbit(built.imag).any())
+        assert_bitwise_equal(werner(STACK_QS), built.real)
+        assert werner(0.2).dtype == np.float64
+
     def test_family_is_hermitian_unit_trace_psd(self):
         for q in Q_GRID:
             w = werner(q)
