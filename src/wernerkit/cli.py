@@ -10,9 +10,11 @@ separable-only operation).
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -26,6 +28,7 @@ from .decomposition import (
     MomentReport,
     _assemble,
     local_bloch_norm,
+    local_margin,
     moment_check,
     phase_constraint_residual,
     reconstruct,
@@ -37,6 +40,7 @@ from .hiddenvar import MAX_SAMPLES, HvEstimate, estimate_all
 from .linalg import HERMITIAN_TOL, _hermitian_deviation
 from .separability import ppt_test, werner_pt_eigenvalues_closed_form
 from .states import (
+    PPT_TOL,
     PositivityError,
     SEPARABLE_Q_EDGE,
     SEPARABLE_Q_MAX,
@@ -101,40 +105,26 @@ def _max_abs(x, axis=None):
 
 
 @dataclass
-class Text:
-    """A text column: row i is pieces[0] + repr(slots[0][i]) + pieces[1] +
-    ... + pieces[-1], for one or more slots, each a float array with one
-    entry per row.  A renderer writes the slots from its report's float
-    strings and each fixed piece by the format's text rule once, not once
-    per row."""
-
-    pieces: tuple[str, ...]
-    slots: tuple[np.ndarray, ...]
-
-    def tolist(self) -> list[str]:
-        return _scalar_columns([self], _fmt_scalar)[0].tolist()
-
-
-@dataclass
 class Nullable:
-    """A column: values, a float array or a Text, on the rows where present
-    is set, in order, null on the others."""
+    """A column that is null where present is clear.  Where it is set, the
+    column holds values: a float array with one entry per such row, in
+    order, or one fixed string for every such row."""
 
     present: np.ndarray
-    values: np.ndarray | Text
+    values: np.ndarray | str
 
     def tolist(self) -> list:
-        values = self.values if isinstance(self.values, Text) else np.asarray(self.values)
-        values = iter(values.tolist())
+        if isinstance(self.values, str):
+            return [self.values if p else None for p in self.present.tolist()]
+        values = iter(np.asarray(self.values).tolist())
         return [next(values) if p else None for p in self.present.tolist()]
 
 
 class Table:
     """Report rows held as named columns: each column an array with one
-    entry, shape (n,), or one vector, shape (n, k), per row, a Text, a
-    Nullable, or a list of Python scalars, such as strings, with None for
-    null.  JSON writes a table as a list of row objects, each vector as a
-    list."""
+    entry, shape (n,), or one vector, shape (n, k), per row, a Nullable, or a
+    list of Python scalars, such as strings, with None for null.  JSON writes
+    a table as a list of row objects, each vector as a list."""
 
     def __init__(self, **columns):
         self.columns = columns
@@ -232,42 +222,32 @@ def _width(column) -> int:
     return column.shape[1] if isinstance(column, np.ndarray) and column.ndim == 2 else 1
 
 
-def _text_template(pieces, text) -> str:
-    """The %-template of a Text column's rows as the format writes them: its
-    fixed pieces by the text rule, %s between them.  The rule writes a string
-    as an opening mark, its characters one at a time and a closing mark of
-    the same length (JSON's quotes, CSV's nothing), and a float's repr as is."""
-    marks = text("")
-    half = len(marks) // 2
-    inner = [t[half : len(t) - half].replace("%", "%%") for t in map(text, pieces)]
-    return marks[:half] + "%s".join(inner) + marks[half:]
+def _with_nulls(present: np.ndarray, values, text) -> np.ndarray:
+    """A nullable column's strings: values on the present rows, in order,
+    and the format's null text on the others."""
+    column = np.full(present.shape, text(None), dtype=object)
+    column[present] = values
+    return column
 
 
 def _scalar_columns(columns, text) -> list[np.ndarray]:
     """Columns as their scalar columns, an (n, k) array giving k, each a 1-D
     object array of n strings as the format writes them.  The floats of all
-    the columns, the slots of Text columns included, take one float.__repr__
-    per distinct magnitude, as repr(x) == "-" + repr(-x) for finite x < 0,
-    -0.0 included; a float scalar column is a row view into those strings.  A
-    Text column's rows are built once, however many columns hold it; a list
-    column and a Nullable's null rows are written by the format's text."""
+    the columns take one float.__repr__ per distinct magnitude, as repr(x) ==
+    "-" + repr(-x) for finite x < 0, -0.0 included; a float scalar column is
+    a row view into those strings.  A list column, a Nullable's fixed string
+    and a Nullable's null rows are written by the format's text."""
     scalars, floats, placed = [], [], []
-    text_columns = {}  # id of a Text -> the Text and the index of its first slot in floats
     for column in columns:
         present = None
         if isinstance(column, Nullable):
             present, column = column.present, column.values
-            if not isinstance(column, Text):
-                column = np.asarray(column, dtype=float)
-        elif not isinstance(column, (np.ndarray, Text)):
+            if isinstance(column, str):
+                scalars.append(_with_nulls(present, text(column), text))
+                continue
+            column = np.asarray(column, dtype=float)
+        elif not isinstance(column, np.ndarray):
             scalars.append(np.array([text(v) for v in column], dtype=object))
-            continue
-        if isinstance(column, Text):
-            if id(column) not in text_columns:
-                text_columns[id(column)] = column, len(floats)
-                floats += [np.asarray(slot, dtype=float)[None] for slot in column.slots]
-            placed.append((len(scalars), present, column))
-            scalars.append(None)
             continue
         if column.ndim > 2 or column.dtype.kind not in "biuf":
             raise TypeError(f"cannot serialize a {column.dtype} column into a report")
@@ -277,7 +257,7 @@ def _scalar_columns(columns, text) -> list[np.ndarray]:
         elif column.dtype.kind != "f":
             scalars += list(subs.astype(str).astype(object))
         else:
-            placed.append((len(scalars), present, len(floats)))
+            placed.append((len(scalars), present))
             floats.append(subs)
             scalars += [None] * len(subs)
     if not floats:
@@ -291,19 +271,12 @@ def _scalar_columns(columns, text) -> list[np.ndarray]:
     # every entry of one magnitude and sign, in any column, shares one string
     inverse += np.signbit(values) * len(texts)
     strings = np.array(texts + ["-" + t for t in texts], dtype=object)[inverse]
-    ends = np.cumsum([v.size for v in floats]).tolist()
-    # the scalar columns of each float array, and of each Text
-    written = [list(strings[end - v.size : end].reshape(v.shape)) for v, end in zip(floats, ends)]
-    for key, (column, first) in text_columns.items():
-        template = _text_template(column.pieces, text)
-        slots = [sub for (sub,) in written[first : first + len(column.slots)]]
-        text_columns[key] = [np.array([template % row for row in zip(*slots)], dtype=object)]
-    for at, present, source in placed:
-        subs = text_columns[id(source)] if isinstance(source, Text) else written[source]
+    end = 0
+    for (at, present), v in zip(placed, floats):
+        subs = list(strings[end : end + v.size].reshape(v.shape))
+        end += v.size
         if present is not None:
-            column = np.full(present.shape, text(None), dtype=object)
-            column[present] = subs[0]
-            subs = [column]
+            subs = [_with_nulls(present, subs[0], text)]
         scalars[at : at + len(subs)] = subs
     return scalars
 
@@ -357,9 +330,9 @@ def _table_fragments(table: Table, values: list[np.ndarray], nl: str | None) -> 
 class _Fragments:
     """A report's JSON text as a list of fragments, joined once.  Every float
     it writes, in a table or not, comes from one pool: a float or a table
-    holds its place in the list until `text` writes them all with one
-    _scalar_columns call, so each distinct magnitude is formatted once per
-    report."""
+    holds its place in the list until `text` writes them all, and every
+    table column, with one _scalar_columns call, so each distinct magnitude
+    is formatted once per report."""
 
     def __init__(self):
         self.out = []
@@ -744,16 +717,25 @@ _VERIFY_CHECKS = {
 }
 
 
+# The skipped field of a verify row past SEPARABLE_Q_EDGE; its local_margin
+# gives the number.
+SKIP_REASON = "decomposition checks skipped: q > 1/3 (local_margin < 0)"
+
+
 def _verify_rows(q: np.ndarray, rho: np.ndarray) -> tuple[Table, Table, list[Check]]:
     """The verify report rows of a q grid, from the stack rho = werner(q),
-    the skipped rows' q and reasons, and the checks over the grid.
+    the skipped rows' q and local margins, and the checks over the grid.
 
-    Each row holds its ppt row's PT fields, then the deviations of both
-    decompositions of W(q).  The tested q, those <= SEPARABLE_Q_EDGE, are
-    decomposed and checked in one pass; on the other rows the deviations are
-    null and skipped gives the reason.  No q tested gives only PT checks."""
+    Each row holds its ppt row's PT fields, the smallest eigenvalue of the
+    local states (local_margin), then the deviations of both decompositions
+    of W(q).  The tested q, those <= SEPARABLE_Q_EDGE, are decomposed and
+    checked in one pass; on the other rows the deviations are null and
+    skipped is SKIP_REASON.  The local states' positivity, margin >=
+    -PPT_TOL, must give the PT verdict on every row.  No q tested gives only
+    the PT and local checks."""
     ppt = _ppt_table(q, rho).columns
     tested = ppt["expected_separable"]
+    margin = local_margin(q)
     deviations = {}
     if tested.any():
         recon_s, _, s = _spherical_checks(spherical_decomposition(q[tested]), rho[tested])
@@ -769,25 +751,23 @@ def _verify_rows(q: np.ndarray, rho: np.ndarray) -> tuple[Table, Table, list[Che
             "schmidt_max": w["schmidt_determinant_max"],
             "phase_residual": w["phase_constraint_residual"],
         }
-    skipped_q = q[~tested]
-    reasons = Text(
-        ("decomposition checks skipped: q = ", " > 1/3 (|a| = sqrt(3q) = ", " > 1)"),
-        (skipped_q, np.sqrt(3.0 * skipped_q)),
-    )
     rows = Table(
         q=q,
         ppt_deviation=ppt["closed_form_deviation"],
         separable=ppt["separable"],
         verdict_matches=ppt["separable"] == ppt["expected_separable"],
+        local_margin=margin,
         **{key: Nullable(tested, deviations.get(key, ())) for key in _VERIFY_CHECKS},
-        skipped=Nullable(~tested, reasons),
+        skipped=Nullable(~tested, SKIP_REASON),
     )
-    checks = _ppt_checks(ppt, "ppt_") + [
+    local_matches = (margin >= -PPT_TOL) == ppt["separable"]
+    local = check_equal("local_positivity_matches_ppt", bool(np.all(local_matches)), True)
+    checks = _ppt_checks(ppt, "ppt_") + [local] + [
         check_value(name, deviations[key], 0.0, tol)
         for key, (name, tol) in _VERIFY_CHECKS.items()
         if deviations
     ]
-    return rows, Table(q=skipped_q, reason=reasons), checks
+    return rows, Table(q=q[~tested], local_margin=margin[~tested]), checks
 
 
 def cmd_verify(args) -> RunReport:
@@ -807,7 +787,7 @@ def cmd_verify(args) -> RunReport:
         # default endpoint is the double nearest 1/3
         parameters["grid"]["q_max_ratio"] = "1/3"
 
-    csv_header = ["q", "ppt_deviation", "separable", *_VERIFY_CHECKS, "skipped"]
+    csv_header = ["q", "ppt_deviation", "separable", "local_margin", *_VERIFY_CHECKS, "skipped"]
     return RunReport(
         command="verify",
         parameters=parameters,
@@ -818,9 +798,23 @@ def cmd_verify(args) -> RunReport:
     )
 
 
+def _stderr(line: str) -> None:
+    """Write one line on stderr, or nothing where stderr is closed: None, as
+    the interpreter sets it when fd 2 is closed at start (print would then
+    write to stdout), or a stream whose write fails.  A lost diagnostic
+    changes neither the report nor the exit code."""
+    if sys.stderr is None:
+        return
+    try:
+        sys.stderr.write(line + "\n")
+        sys.stderr.flush()
+    except OSError:
+        pass
+
+
 def _error(message) -> None:
     """Write the one stderr line of a run that exits 2 or 3."""
-    print("error: " + " ".join(str(message).splitlines()), file=sys.stderr)
+    _stderr("error: " + " ".join(str(message).splitlines()))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -935,11 +929,13 @@ def main(argv=None) -> int:
             _error(f"cannot write report to {args.out}: {err.strerror}")
             return EXIT_USAGE
     for line in report.warnings:
-        print(line, file=sys.stderr)
+        _stderr(line)
     if args.out is None:
         # a failed flush drops its bytes, so the interpreter's own flush at
         # exit adds no second message
         try:
+            if sys.stdout is None:  # fd 1 was closed at start
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.write(text)
             sys.stdout.flush()
         except OSError as err:

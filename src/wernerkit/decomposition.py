@@ -49,6 +49,7 @@ __all__ = [
     "schmidt_rank_one_check",
     "phase_constraint_residual",
     "local_bloch_norm",
+    "local_margin",
 ]
 
 MOMENT_TOL = 1e-13
@@ -97,6 +98,18 @@ def local_bloch_norm(q):
     """|a| = |b| = sqrt(3q), held at 1 for q in (1/3, SEPARABLE_Q_EDGE], where
     3q passes 1 by rounding only, so that every local vector is a state."""
     return _scalar_or_array(np.sqrt(np.minimum(3.0 * np.asarray(q, dtype=float), 1.0)))
+
+
+def local_margin(q):
+    """The smallest eigenvalue (1 - sqrt(3q))/2 of the local states
+    (I +- a.sigma)/2 with |a| = sqrt(3q), unclamped: negative exactly where
+    W(q) is entangled, which is the paper's reading of the threshold 1/3.
+    It is written as ((1 - 2q) - q) / (2 (1 + sqrt(3q))), whose numerator is
+    exact near 1/3 (Sterbenz), so margin >= -PPT_TOL agrees with the PT
+    verdict on every double within 2^-40 of 1/3; (1 - sqrt(3q))/2 rounds
+    across -PPT_TOL at 1/3 + 65 and 66 ulps, past the edge at 64."""
+    q = np.asarray(q, dtype=float)
+    return _scalar_or_array(((1.0 - 2.0 * q) - q) / (2.0 * (1.0 + np.sqrt(3.0 * q))))
 
 
 def _frozen(x: np.ndarray) -> np.ndarray:

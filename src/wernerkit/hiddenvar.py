@@ -99,22 +99,25 @@ class HvEstimates:
     marginal_b: HvEstimate
 
 
+def _outcome(lam: float, radius, sample: HvSample, axis) -> int:
+    """+1 iff lam <= (1 + axis.v)/2, for the local vector v = radius f(theta,
+    phi) of a signed radius."""
+    axis = _unit_axis(axis, "axis")
+    v = radius * sphere_direction(sample.theta, sample.phi)
+    threshold = 0.5 * (1.0 + float(np.dot(axis, v)))
+    return 1 if lam <= threshold else -1
+
+
 def outcome_a(sample: HvSample, q: float, axis) -> int:
     """Party A's deterministic outcome: +1 iff lambda_a <= (1 + l.a)/2."""
     q = _require_separable_q(q)
-    axis = _unit_axis(axis, "axis")
-    a = local_bloch_norm(q) * sphere_direction(sample.theta, sample.phi)
-    threshold = 0.5 * (1.0 + float(np.dot(axis, a)))
-    return 1 if sample.lambda_a <= threshold else -1
+    return _outcome(sample.lambda_a, local_bloch_norm(q), sample, axis)
 
 
 def outcome_b(sample: HvSample, q: float, axis) -> int:
     """Party B's deterministic outcome; B's local vector is b = -a."""
     q = _require_separable_q(q)
-    axis = _unit_axis(axis, "axis")
-    b = -local_bloch_norm(q) * sphere_direction(sample.theta, sample.phi)
-    threshold = 0.5 * (1.0 + float(np.dot(axis, b)))
-    return 1 if sample.lambda_b <= threshold else -1
+    return _outcome(sample.lambda_b, -local_bloch_norm(q), sample, axis)
 
 
 def _streams(seed: int, n_samples: int) -> list[np.random.Generator]:

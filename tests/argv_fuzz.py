@@ -5,8 +5,10 @@ and in exponent form.
 Every argv must either exit 0 or 1, with `--format json` output that
 `json.loads` accepts with NaN and Infinity refused, or exit 2 or 3 (a
 SystemExit code counts) with no stdout and exactly one stderr line that
-starts `error: `.  No other exception may escape.  The examples are drawn
-deterministically and the sizes are bounded, so a run takes a few seconds:
+starts `error: `.  Exit 1 is a failure for `matrix`, `ppt` and `verify`,
+whose checks are all deterministic.  No other exception may escape.  The
+examples are drawn deterministically and the sizes are bounded, so a run
+takes a few seconds:
 
     PYTHONPATH=src python tests/argv_fuzz.py
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -26,16 +29,24 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wernerkit.cli import main
+from wernerkit.states import SEPARABLE_Q_EDGE
 
 EXAMPLES = 400
 OUT_FILE = "report.out"
 
 # Spellings float() and int() may or may not take, past the float range and
-# at its ends.
+# at its ends, and the q at the separability edge, the double past it and the
+# double nearest 1/3.
 _SPECIAL = [
     "nan", "-nan", "NaN", "inf", "-inf", "Infinity", "-Infinity", "1e400", "-1e400",
     "1e-320", "-1e-320", "0", "-0", "-0.0", "1e308", "-1e308", "1_000", "0x10", "abc", "",
+    repr(SEPARABLE_Q_EDGE), repr(math.nextafter(SEPARABLE_Q_EDGE, 1.0)), "0.3333333333333333",
 ]
+
+# The commands whose checks are all deterministic: a failed check there is a
+# fault of the program, not a draw outside its band.
+_DETERMINISTIC = {"matrix", "ppt", "verify"}
+
 _FINITE = st.floats(-2.0, 2.0) | st.floats(allow_nan=False, allow_infinity=False)
 _NUMBER = _FINITE.flatmap(
     lambda x: st.sampled_from([repr(x), f"{x:e}", f"{x:.3E}", f"{x:.0e}"])
@@ -118,6 +129,7 @@ def check(argv: list[str]) -> None:
         finally:
             os.chdir(cwd)
     if code in (0, 1):
+        assert code == 0 or argv[0] not in _DETERMINISTIC, (argv, text)
         if "--format" not in argv or argv[argv.index("--format") + 1] == "json":
             json.loads(text, parse_constant=_refuse)
     else:

@@ -51,7 +51,7 @@ ARGVS = [
     ["ppt", "--sweep", "0", "1", "1001"],
     ["ppt", "--sweep", "0.0026872848822480245", "0.9969486747387446", "1001"],
     # verify: the default grid, and grids with skipped rows, each with its
-    # reason text
+    # negative local_margin and skip text
     ["verify"],
     ["verify", "--grid", "0", "1", "7"],
     ["verify", "--grid", "0", "1", "1001"],

@@ -1,7 +1,9 @@
-"""One separability boundary: the PT verdict, both decompositions, the
-hidden-variable sampler and every command that decides on q give the same
-answer at every q around 1/3, and that answer is q <= SEPARABLE_Q_EDGE."""
+"""One separability boundary: the PT verdict, the positivity of the local
+states, both decompositions, the hidden-variable sampler and every command
+that decides on q give the same answer at every q around 1/3, and that answer
+is q <= SEPARABLE_Q_EDGE."""
 
+import decimal
 import json
 import math
 
@@ -12,12 +14,14 @@ from wernerkit import separability
 from wernerkit.cli import EXIT_CHECK_FAILED, EXIT_DOMAIN, EXIT_OK, main
 from wernerkit.decomposition import (
     DecompositionDomainError,
+    local_margin,
     spherical_decomposition,
     wootters_decomposition,
 )
 from wernerkit.separability import ppt_test
 from wernerkit.states import (
     BLOCH_NORM_MAX,
+    PPT_TOL,
     SEPARABLE_Q_EDGE,
     SEPARABLE_Q_MAX,
     product_state,
@@ -29,7 +33,8 @@ OFFSET_QS = [SEPARABLE_Q_MAX + s * d for d in (1e-13, 1e-12, 1e-11, 1e-10, 1.4e-
 
 # The double nearest 1/3 and every double within 2^14 ulps of it, which are
 # the doubles within 2^-40 of 1/3.
-NEAR_QS = SEPARABLE_Q_MAX + np.arange(-(2**14), 2**14 + 1) * math.ulp(SEPARABLE_Q_MAX)
+NEAR_ULPS = np.arange(-(2**14), 2**14 + 1)
+NEAR_QS = SEPARABLE_Q_MAX + NEAR_ULPS * math.ulp(SEPARABLE_Q_MAX)
 
 
 def accepts(decomposition, q) -> bool:
@@ -61,6 +66,36 @@ def test_verdict_and_decompositions_agree_with_the_edge_at_every_q():
     for q in qs[~inside].tolist():
         assert not accepts(spherical_decomposition, q), q
         assert not accepts(wootters_decomposition, q), q
+
+
+def test_local_positivity_gives_the_pt_verdict_at_every_q():
+    # the paper's reading of the threshold: W(q) is separable where its local
+    # states (I +- a.sigma)/2, |a| = sqrt(3q), are positive
+    local = local_margin(NEAR_QS) >= -PPT_TOL
+    assert np.array_equal(local, ppt_test(werner(NEAR_QS)).separable)
+    assert np.array_equal(local, NEAR_QS <= SEPARABLE_Q_EDGE)
+
+
+def test_the_naive_margin_misses_the_edge_by_two_doubles():
+    # (1 - sqrt(3q))/2 rounds across -PPT_TOL 65 and 66 doubles above 1/3,
+    # past the edge at 64, which is why local_margin takes the numerator
+    # (1 - 2q) - q, exact near 1/3
+    assert NEAR_QS[NEAR_ULPS == 64] == SEPARABLE_Q_EDGE
+    naive = (1 - np.sqrt(3 * NEAR_QS)) / 2 >= -PPT_TOL
+    assert NEAR_ULPS[naive != (NEAR_QS <= SEPARABLE_Q_EDGE)].tolist() == [65, 66]
+
+
+def test_local_margin_is_within_3_ulps_of_the_exact_value():
+    # against (1 - sqrt(3q))/2 at 60 digits, on a grid of [0, 1] and every
+    # eighth double near 1/3; the worst of these is 2.70 ulps, at q = 0.19125
+    qs = np.concatenate([np.linspace(0.0, 1.0, 20001), NEAR_QS[::8]])
+    worst = 0
+    with decimal.localcontext() as context:
+        context.prec = 60
+        for q, margin in zip(qs.tolist(), local_margin(qs).tolist()):
+            exact = (1 - (3 * decimal.Decimal(q)).sqrt()) / 2
+            worst = max(worst, abs(decimal.Decimal(margin) - exact) / decimal.Decimal(math.ulp(float(exact))))
+    assert worst <= 3
 
 
 def ppt_separable(pairs) -> np.ndarray:
@@ -129,6 +164,7 @@ def test_every_command_gives_one_answer(capsys, q):
     assert code == EXIT_OK
     [row] = report["results"]["rows"]
     assert row["separable"] is separable
+    assert (row["local_margin"] >= -PPT_TOL) is separable
     assert (row["skipped"] is None) is separable
 
 

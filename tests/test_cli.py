@@ -3,7 +3,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import resource
 import subprocess
 import sys
@@ -107,16 +106,14 @@ def reference_verify_row(q: float) -> dict:
         "ppt_deviation": ppt["closed_form_deviation"],
         "separable": ppt["separable"],
         "verdict_matches": ppt["separable"] == ppt["expected_separable"],
+        "local_margin": ((1.0 - 2.0 * q) - q) / (2.0 * (1.0 + math.sqrt(3.0 * q))),
     }
     try:
         dec = spherical_decomposition(q)
         wootters_decomposition(q)
-    except DecompositionDomainError as err:
+    except DecompositionDomainError:
         row.update(dict.fromkeys(cli._VERIFY_CHECKS))
-        row["skipped"] = (
-            f"decomposition checks skipped: q = {q} > 1/3 "
-            f"(|a| = sqrt(3q) = {err.bloch_norm} > 1)"
-        )
+        row["skipped"] = "decomposition checks skipped: q > 1/3 (local_margin < 0)"
         return row
     target = werner(q)
     z, thetas = reference_wootters(q)
@@ -142,26 +139,13 @@ def reference_verify_row(q: float) -> dict:
 NODE_SUM_FIELDS = ("spherical_error", "cross_error", "moment_deviation")
 
 
-def text_rows(text: cli.Text) -> list[str]:
-    """The oracles' own writer of a Text column: row i is pieces[0] +
-    repr(float(x0)) + pieces[1] + ..., with no call into the renderer."""
-    rows = []
-    for values in zip(*(slot.tolist() for slot in text.slots)):
-        row = text.pieces[0]
-        for x, piece in zip(values, text.pieces[1:]):
-            row += repr(float(x)) + piece
-        rows.append(row)
-    return rows
-
-
 def column_values(column) -> list:
-    """A table column as a list of Python values, null as None, each Text
-    written by text_rows."""
+    """A table column as a list of Python values, null as None."""
     if isinstance(column, list):
         return column
-    if isinstance(column, cli.Text):
-        return text_rows(column)
     if isinstance(column, cli.Nullable):
+        if isinstance(column.values, str):
+            return [column.values if p else None for p in column.present.tolist()]
         values = iter(column_values(column.values))
         return [next(values) if p else None for p in column.present.tolist()]
     return np.asarray(column).tolist()
@@ -290,6 +274,7 @@ class TestDecompositionPassCount:
         assert all(not c for c in calls.values())
         assert [c["name"] for c in report["checks"]] == [
             "ppt_eigenvalues_match_closed_form", "ppt_verdict_matches_closed_form",
+            "local_positivity_matches_ppt",
         ]
         rows = report["results"]["rows"]
         assert all(row[key] is None for row in rows for key in cli._VERIFY_CHECKS)
@@ -976,7 +961,15 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         skipped = report["results"]["skipped"]
         assert len(skipped) == 7  # q = 0.4 ... 1.0
-        assert all("sqrt(3q)" in s["reason"] for s in skipped)
+        # each skipped row's margin is the smallest eigenvalue (1 - sqrt(3q))/2
+        # of its local states, negative past 1/3
+        rows = {row["q"]: row for row in report["results"]["rows"]}
+        for s in skipped:
+            assert set(s) == {"q", "local_margin"}
+            assert s["local_margin"] == rows[s["q"]]["local_margin"] < 0
+            assert s["local_margin"] == pytest.approx((1 - math.sqrt(3 * s["q"])) / 2, rel=1e-15)
+            assert rows[s["q"]]["skipped"] == cli.SKIP_REASON
+        assert all(row["skipped"] is None for row in rows.values() if row["q"] < 1 / 3)
         ppt_checks = [c for c in report["checks"] if c["name"].startswith("ppt")]
         assert all(c["pass"] for c in ppt_checks)
 
@@ -1237,13 +1230,19 @@ def _strings(column, n: int) -> list[str]:
     return column.tolist()
 
 
+# Fixed strings that a format's text rule must write: JSON escapes a quote, a
+# backslash, a control character and non-ASCII text, CSV turns a comma into
+# a semicolon, and "%" and "\0" mark slots in the renderer's own templates.
+_TRICKY_TEXTS = ['say "', '\\ a,b\x07 \u00e9 %s\0 ', " \u2603, \U0001f600", ""]
+
+
 @st.composite
 def _tables(draw):
     n = draw(st.integers(0, 4))
     columns = {}
     for i in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(
-            ["float", "vector", "bool", "int", "nullable", "masked", "text", "Text", "masked Text"]
+            ["float", "vector", "bool", "int", "nullable", "masked", "text", "fixed text"]
         ))
         # names that a %-template or a split on "\0" would misread
         name = draw(st.sampled_from(["c", "%", "%s", "50%s%%", "\0"])) + str(i)
@@ -1251,19 +1250,13 @@ def _tables(draw):
             present = draw(st.lists(st.booleans(), min_size=n, max_size=n))
             values = draw(st.lists(_FLOATS, min_size=sum(present), max_size=sum(present)))
             columns[name] = cli.Nullable(np.array(present, dtype=bool), np.array(values))
-        elif kind in ("Text", "masked Text"):
-            # a Text column alone, or held by a Nullable; its fixed pieces may
-            # hold the marks of the renderer's own templates
-            present = [True] * n
-            if kind == "masked Text":
-                present = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-            k = draw(st.integers(1, 2))
-            pieces = draw(st.lists(st.text(max_size=4), min_size=k + 1, max_size=k + 1))
-            slots = [np.array(draw(st.lists(st.just(-0.0) | _FLOATS, min_size=sum(present),
-                                            max_size=sum(present))), dtype=float)
-                     for _ in range(k)]
-            text = cli.Text(tuple(pieces), tuple(slots))
-            columns[name] = text if kind == "Text" else cli.Nullable(np.array(present, dtype=bool), text)
+        elif kind == "fixed text":
+            # one string on the present rows, which may need JSON's escapes
+            # or CSV's comma rule, or hold the marks of the renderer's own
+            # templates
+            present = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            text = draw(st.sampled_from(_TRICKY_TEXTS) | st.text(max_size=6))
+            columns[name] = cli.Nullable(np.array(present, dtype=bool), text)
         elif kind == "nullable":
             columns[name] = draw(st.lists(st.none() | _FLOATS, min_size=n, max_size=n))
         elif kind == "text":
@@ -1287,8 +1280,8 @@ _ONE_ROW = cli.Table(**{
     "b": np.array([True]),
     "m": cli.Nullable(np.array([False]), np.empty(0)),
     "t": ["a,b"],
-    "T": cli.Text(('q = "', '%s, ', "\0"), (np.array([-0.0]), np.array([1e16]))),
-    "mT": cli.Nullable(np.array([True]), cli.Text(("", ","), (np.array([-0.0]),))),
+    "mt": cli.Nullable(np.array([True]), 'q = "%s, \0'),
+    "nt": cli.Nullable(np.array([False]), ","),
 })
 
 
@@ -1390,7 +1383,7 @@ class TestRendererOracle:
         ],
     )
     def test_oracles_give_the_recorded_verify_digests(self, argv, fmt):
-        # the golden digest of each verify report, skip reasons included,
+        # the golden digest of each verify report, skip texts included,
         # recomputed from the oracles' text alone
         args = cli.build_parser().parse_args(argv)
         report = args.handler(args)
@@ -1461,6 +1454,17 @@ class TestFloatColumnOracle:
         assert _strings(csv_column, 4) == ["-0.0", "", "2.5", ""]
         assert column.tolist() == [-0.0, None, 2.5, None]
 
+    @pytest.mark.parametrize("text", _TRICKY_TEXTS)
+    def test_fixed_text_nullable_column(self, text):
+        # JSON writes the string escaped as json.dumps does, CSV with its
+        # commas as semicolons, and both write null rows as null
+        column = cli.Nullable(np.array([False, True, True]), text)
+        (json_column,) = cli._scalar_columns([column], cli._json_scalar)
+        (csv_column,) = cli._scalar_columns([column], cli._csv_scalar)
+        assert _strings(json_column, 3) == ["null", json.dumps(text), json.dumps(text)]
+        assert _strings(csv_column, 3) == ["", text.replace(",", ";"), text.replace(",", ";")]
+        assert column.tolist() == [None, text, text]
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_float_columns(), min_size=1, max_size=4), st.booleans())
     def test_one_string_per_magnitude_and_sign_across_columns(self, columns, mirror):
@@ -1498,76 +1502,10 @@ class TestFloatColumnOracle:
             assert b == [x[1:] if x.startswith("-") else "-" + x for x in a]
 
 
-# Fixed pieces that a format's text rule must write: JSON escapes a quote, a
-# backslash, a control character and non-ASCII text, CSV turns a comma into
-# a semicolon, and "%" and "\0" mark slots in the renderer's own templates.
-_TRICKY_PIECES = ('say "', '\\ a,b\x07 \u00e9 %s\0 ', " \u2603, \U0001f600")
-
-
-@st.composite
-def _text_columns(draw):
-    """A Text column of n >= 0 rows, with k = 1..3 slots between fixed
-    pieces, and a row mask of n' >= n rows with n set."""
-    n, k = draw(st.integers(0, 6)), draw(st.integers(1, 3))
-    pieces = draw(st.lists(st.text(max_size=5), min_size=k + 1, max_size=k + 1))
-    floats = st.sampled_from(_EDGE_FLOATS) | _FLOATS
-    slots = [np.array(draw(st.lists(floats, min_size=n, max_size=n)), dtype=float)
-             for _ in range(k)]
-    present = draw(st.permutations([True] * n + [False] * draw(st.integers(0, 3))))
-    return cli.Text(tuple(pieces), tuple(slots)), np.array(present, dtype=bool)
-
-
-class TestTextColumn:
-    """A Text column's rows are written as the strings text_rows gives, each
-    slot as repr of its value: JSON as json.dumps writes them, CSV by
-    _csv_scalar, null rows as every format writes null."""
-
-    @example(column=(cli.Text(_TRICKY_PIECES, (np.array([-0.0, 0.5, -0.0]), np.array([1e16, -5e-324, 0.0]))),
-                     np.array([True, False, True, True])))
-    @example(column=(cli.Text(_TRICKY_PIECES, (np.empty(0), np.empty(0))), np.zeros(2, dtype=bool)))
-    @example(column=(cli.Text(("", ""), (np.array([-0.0]),)), np.array([True])))
-    @settings(max_examples=100, deadline=None)
-    @given(column=_text_columns())
-    def test_every_format_writes_the_f_strings(self, column):
-        text, present = column
-        rows = text_rows(text)
-        nullable = cli.Nullable(present, text)
-        with_nulls = nullable.tolist()
-        assert text.tolist() == rows
-        assert [r for r, p in zip(with_nulls, present) if p] == rows
-        assert with_nulls.count(None) == (~present).sum()
-
-        # JSON and pretty, a table of the rows alone and one with null rows
-        results = {"rows": cli.Table(t=text, q=text.slots[0]), "masked": cli.Table(t=nullable)}
-        report = RunReport(command="t", parameters={}, results=results,
-                           csv_header=["t"], csv_columns=[nullable])
-        expected = {"rows": [{"t": r, "q": q} for r, q in zip(rows, text.slots[0].tolist())],
-                    "masked": [{"t": r} for r in with_nulls]}
-        assert json.loads(cli.emit_json(report))["results"] == expected
-        assert cli.emit_json(report) == json.dumps(
-            {"command": "t", "parameters": {}, "results": expected, "checks": [],
-             "tool_version": cli.__version__}, indent=2) + "\n"
-        body = json.dumps(expected, indent=2).splitlines()
-        assert cli.emit_pretty(report).splitlines()[3 : 3 + len(body)] == ["  " + b for b in body]
-
-        # CSV: one field per row, null rows empty
-        fields = ["" if r is None else cli._csv_scalar(r) for r in with_nulls]
-        assert cli.emit_csv(report) == "".join(f + "\n" for f in ["t", *fields])
-
-    def test_one_text_held_by_two_columns_shares_its_strings(self):
-        text = cli.Text(_TRICKY_PIECES, (np.array([0.25, -0.0]), np.array([3.0, 7.5])))
-        present = np.array([False, True, True])
-        for render in (cli._json_scalar, cli._csv_scalar):
-            masked, plain = cli._scalar_columns([cli.Nullable(present, text), text], render)
-            masked, plain = _strings(masked, 3), _strings(plain, 2)
-            assert masked[1:] == plain
-            assert all(a is b for a, b in zip(masked[1:], plain))
-
-
 def test_verify_grid_json_formats_each_distinct_magnitude_once(monkeypatch, capsys):
-    # the seed-1 verify_grid report: its tables, skip reasons, parameters and
-    # checks share one pool of float strings, so cli calls repr on a float
-    # once per distinct magnitude the report writes, sqrt(3q) included
+    # the seed-1 verify_grid report: its tables, parameters and checks share
+    # one pool of float strings, so cli calls repr on a float once per
+    # distinct magnitude the report writes
     formatted = []
 
     def counting_repr(value):
@@ -1580,10 +1518,7 @@ def test_verify_grid_json_formats_each_distinct_magnitude_once(monkeypatch, caps
     assert code == EXIT_OK
     written = []
     report = json.loads(out, parse_float=lambda s: written.append(float(s)) or float(s))
-    reasons = [row["reason"] for row in report["results"]["skipped"]]
-    assert len(reasons) == 668
-    for reason in reasons:
-        written += [float(x) for x in re.findall(r"= (\S+) >", reason)]
+    assert len(report["results"]["skipped"]) == 668
     assert len(formatted) == len({abs(x) for x in written})
 
 
@@ -1728,3 +1663,33 @@ class TestOutputFile:
         assert (proc.returncode, proc.stderr) == (
             EXIT_USAGE, "error: cannot write report to stdout: No space left on device\n"
         )
+
+    @staticmethod
+    def _run_closed(argv, fd, **kwargs):
+        """A child process run with file descriptor fd (1 or 2) closed, as a
+        shell's >&- or 2>&- leaves it."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        return subprocess.run(
+            [sys.executable, "-m", "wernerkit", *argv], text=True, preexec_fn=lambda: os.close(fd),
+            env=dict(os.environ, PYTHONPATH=src), timeout=120, **kwargs,
+        )
+
+    def test_closed_stdout_exits_2_with_one_line(self):
+        proc = self._run_closed(["ppt", "--q", "0.2"], 1, stderr=subprocess.PIPE)
+        assert (proc.returncode, proc.stderr) == (
+            EXIT_USAGE, "error: cannot write report to stdout: Bad file descriptor\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            # the axis warning is lost; the report and its exit code are not
+            (["hvsim", "--q", "0.2", "--l", "2", "0", "0", "--samples", "1000", "--format", "csv"], EXIT_OK),
+            (["ppt", "--q", "2"], EXIT_USAGE),
+        ],
+    )
+    def test_closed_stderr_keeps_the_report_and_the_exit_code(self, capsys, argv, code):
+        proc = self._run_closed(argv, 2, stdout=subprocess.PIPE)
+        expected_code, expected_out, _ = run(capsys, *argv)
+        assert (proc.returncode, proc.stdout) == (code, expected_out)
+        assert expected_code == code
