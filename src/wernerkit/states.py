@@ -3,6 +3,7 @@ single-qubit states, product states, and reduced (marginal) states."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -37,17 +38,27 @@ __all__ = [
 # spectra.  Over 10^4 random pairs at the bound, the lowest computed PT
 # eigenvalue was -0.41 PPT_TOL, by the complex solver that product_state's
 # matrices take and by the real one on real products alike: 2.4x headroom.
-# Their own smallest eigenvalue was as low, so every such product passes
-# validate_density_matrix, whose positivity bound is PPT_TOL.
+# Their own smallest eigenvalue was as low.  validate_density_matrix passes
+# a state whose Gershgorin discs lie at or above 0 without a spectrum, and
+# judges the rest, such products among them, by eigvalsh at -PPT_TOL, so
+# every such product passes.
 SEPARABLE_Q_MAX = 1.0 / 3.0
 SEPARABLE_Q_EDGE = SEPARABLE_Q_MAX + 64 * math.ulp(SEPARABLE_Q_MAX)
 PPT_TOL = abs(1.0 - 3.0 * SEPARABLE_Q_EDGE) / 4.0
 BLOCH_NORM_MAX = 1.0 + PPT_TOL / 2.0
 
 UNIT_AXIS_TOL = 1e-12
+# The gate's trace bound, for states built outside the package: the 1e-12 of
+# UNIT_AXIS_TOL and linalg.HERMITIAN_TOL, so a state whose entries were
+# rounded to 13 significant digits still has unit trace.
 UNIT_TRACE_TOL = 1e-12
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
+
+# The strictly lower entries of a 4x4 matrix, (1,0) (2,0) (2,1) (3,0) (3,1)
+# (3,2), and for each row i the three of them that sit in row or column i.
+_LOWER = np.tril_indices(4, -1)
+_ROW_OF_LOWER = ((0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5))
 
 _BELL_VECTORS = {
     "psi_minus": np.array([0.0, _SQRT_HALF, -_SQRT_HALF, 0.0], dtype=complex),
@@ -183,7 +194,16 @@ def validate_density_matrix(rho) -> np.ndarray:
     partial transpose, for eigvalsh), unit trace, no eigenvalue below
     -PPT_TOL.  An error names the first matrix that fails.  A complex rho
     comes back as complex128, any other as float64, so a real symmetric rho
-    is solved by the real symmetric solver."""
+    is solved by the real symmetric solver.
+
+    Positivity has two bounds.  A matrix whose Gershgorin discs all lie at
+    or above 0, Re rho_ii - sum_{j != i} |rho_ij| >= 0 for every row i, is
+    positive semidefinite and passes without a spectrum; every werner(q)
+    does, so the Werner stacks of the CLI take none.  The matrices whose
+    discs reach below 0 pass if eigvalsh finds no eigenvalue below -PPT_TOL.
+    The discs are those of the matrix eigvalsh would solve, and their bound
+    is 0, not -PPT_TOL, so the certificate passes only what the spectrum
+    check passes too."""
     rho = _real_or_complex(rho)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
@@ -197,14 +217,28 @@ def validate_density_matrix(rho) -> np.ndarray:
         raise ValueError(
             f"not a density matrix{where}: trace is {complex(tr[index])}, expected 1"
         )
-    smallest = np.linalg.eigvalsh(rho)[..., 0]
-    bad = smallest < -PPT_TOL
-    if bad.any():
-        index, where = _first_failure(bad)
-        raise ValueError(
-            f"not a density matrix{where}: smallest eigenvalue "
-            f"{float(smallest[index])} is below -{PPT_TOL}"
-        )
+    # The discs of the Hermitian matrix eigvalsh solves, which it builds from
+    # rho's diagonal and lower triangle: a pair (rho_ij, rho_ji) that the
+    # Hermitian rule lets differ counts as |rho_ij|, i > j, in both rows.
+    lower = np.moveaxis(np.abs(rho[..., _LOWER[0], _LOWER[1]]), -1, 0)
+    diagonal = np.moveaxis(np.diagonal(rho, axis1=-2, axis2=-1).real, -1, 0)
+    # finite entries of a finite trace may still add up past the largest double
+    with np.errstate(over="ignore"):
+        edges = [diagonal[i] - (lower[a] + lower[b] + lower[c])
+                 for i, (a, b, c) in enumerate(_ROW_OF_LOWER)]
+    open_discs = ~(functools.reduce(np.minimum, edges) >= 0.0)
+    if open_discs.any():
+        # boolean indexing keeps stack order, so the first failure among the
+        # open matrices is the first in the stack
+        smallest = np.linalg.eigvalsh(rho[open_discs])[:, 0]
+        failing = smallest < -PPT_TOL
+        if failing.any():
+            bad = np.zeros(open_discs.shape, dtype=bool)
+            bad[open_discs] = failing
+            raise ValueError(
+                f"not a density matrix{_first_failure(bad)[1]}: smallest eigenvalue "
+                f"{float(smallest[np.argmax(failing)])} is below -{PPT_TOL}"
+            )
     return rho
 
 

@@ -17,6 +17,7 @@ import golden
 from helpers import (
     EXACT_SUM_TOL,
     THRESHOLD_QS,
+    assert_bitwise_equal,
     reference_moments,
     reference_node_sum,
     reference_norm_squared_sum,
@@ -47,6 +48,7 @@ from wernerkit.decomposition import (
     wootters_decomposition,
 )
 from wernerkit.hiddenvar import MAX_SAMPLES
+from wernerkit.linalg import partial_transpose_b
 from wernerkit.separability import ppt_test, werner_pt_eigenvalues_closed_form
 from wernerkit.states import SEPARABLE_Q_EDGE, werner
 
@@ -207,22 +209,32 @@ class TestGridOracle:
 
 
 class TestGridPassCount:
-    """A grid is evaluated in one pass: one Werner stack, one eigensolve for
-    positivity and one for the partial transpose, one quadrature build."""
+    """A grid is evaluated in one pass: one Werner stack, one eigensolve, of
+    its partial transpose, and one quadrature build.  The gate certifies
+    every Werner state from its Gershgorin discs, so it takes no spectrum."""
+
+    @staticmethod
+    def assert_one_pt_stack(eigvalsh, werner_calls):
+        # the one eigvalsh stack is the partial transpose of the one werner stack
+        (stack,) = [args[0] for args in eigvalsh if np.ndim(args[0]) == 3]
+        ((q,),) = werner_calls
+        assert_bitwise_equal(stack, partial_transpose_b(werner(q)))
+        return stack
 
     def test_ppt_sweep(self, capsys, monkeypatch):
         eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
         werner_calls = count_calls(monkeypatch, cli, "werner")
         code, _, _ = run(capsys, "ppt", "--sweep", "0", "1", "1001", "--format", "csv")
         assert code == EXIT_OK
-        assert len(eigvalsh) == 2
-        assert len(werner_calls) == 1
-        assert [np.shape(args[0]) for args in eigvalsh] == [(1001, 4, 4)] * 2
+        assert len(eigvalsh) == 1
+        assert self.assert_one_pt_stack(eigvalsh, werner_calls).shape == (1001, 4, 4)
 
     def test_ppt_single_q_is_a_grid_of_one(self, capsys, monkeypatch):
         eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        werner_calls = count_calls(monkeypatch, cli, "werner")
         assert run(capsys, "ppt", "--q", "0.2")[0] == EXIT_OK
-        assert [np.shape(args[0]) for args in eigvalsh] == [(1, 4, 4)] * 2
+        assert len(eigvalsh) == 1
+        assert self.assert_one_pt_stack(eigvalsh, werner_calls).shape == (1, 4, 4)
 
     def test_default_verify(self, capsys, monkeypatch):
         decomposition._quadrature.cache_clear()
@@ -232,12 +244,12 @@ class TestGridPassCount:
         code, report, _ = run_json(capsys, "verify")
         assert code == EXIT_OK
         assert len(report["results"]["rows"]) == 21
-        # leggauss makes its own eigvalsh call, on one 2-d companion matrix;
-        # the density matrices are one real stack, solved as float64
-        states = [args[0] for args in eigvalsh if np.ndim(args[0]) == 3]
-        assert [(a.shape, a.dtype) for a in states] == [((21, 4, 4), np.float64)] * 2
+        # the PT stack of the density matrices is real, solved as float64;
+        # then leggauss makes its own eigvalsh call, on one 2-d companion matrix
+        assert [np.ndim(args[0]) for args in eigvalsh] == [3, 2]
+        stack = self.assert_one_pt_stack(eigvalsh, werner_calls)
+        assert (stack.shape, stack.dtype) == ((21, 4, 4), np.float64)
         assert len(leggauss) == 1
-        assert len(werner_calls) == 1
 
 
 class TestDecompositionPassCount:

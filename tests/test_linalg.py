@@ -282,6 +282,27 @@ class TestOneHermitianRule:
         assert_allclose(hermitian_eigenvalues(huge), [0.0, 2e6], atol=1e-9)
 
 
+class TestDeviationByFolds:
+    """_hermitian_deviation takes its two per-matrix maxima as elementwise
+    maxima across the stack; a max is exact in any order, so it equals the
+    np.max reductions it replaced, bit for bit, with NaN where they give NaN."""
+
+    @staticmethod
+    def reference(a):
+        with np.errstate(over="ignore", invalid="ignore"):
+            deviation = np.max(np.abs(a - np.swapaxes(a, -1, -2).conj()), axis=(-2, -1))
+            scale = np.max(np.abs(a), axis=(-2, -1))
+            relative = deviation / np.where(scale > 0.0, scale, 1.0)
+        return np.where(np.isfinite(scale), relative, np.nan)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(_stacks(specials=True), st.booleans())
+    def test_equals_the_np_max_reductions(self, m, real):
+        m = m.real.copy() if real else m
+        assert_bitwise_equal(_hermitian_deviation(m), self.reference(m))
+
+
 class TestPartialTransposeKeepsTheGate:
     """PT moves each entry pair (x_rc, x_cr) onto another such pair, so a
     stack and its partial transpose have the same per-matrix deviation
@@ -357,6 +378,20 @@ class TestPlumbing:
             hermitian_eigenvalues(np.zeros(4))
         with pytest.raises(ValueError, match="2-d"):
             kron(np.zeros(2), IDENTITY_2)
+
+    def test_a_matrix_with_no_entries_is_refused(self):
+        for call in (is_hermitian, hermitian_eigenvalues):
+            with pytest.raises(ValueError) as err:
+                call(np.zeros((0, 0)))
+            assert str(err.value) == (
+                "the Hermitian rule requires nonempty matrices, got shape (0, 0)"
+            )
+        with pytest.raises(ValueError, match="requires nonempty matrices, got shape"):
+            hermitian_eigenvalues(np.zeros((3, 0, 0)))
+
+    def test_an_empty_stack_of_matrices_is_valid(self):
+        eigs = hermitian_eigenvalues(np.zeros((0, 4, 4)))
+        assert (eigs.shape, eigs.dtype) == ((0, 4), np.float64)
 
     def test_is_hermitian_tolerance(self):
         # the entrywise deviation of [[1, t i], [0, 1]] is t; HERMITIAN_TOL is 1e-12

@@ -490,6 +490,11 @@ def _real_state_stacks(draw):
     return weight * werner(1.0) + (1.0 - weight) * m
 
 
+_OPEN_DISC = np.zeros((4, 4))
+_OPEN_DISC[:2, :2] = [[0.25, 0.375], [0.375, 0.75]]
+_PHASES = np.array([[1, 1j, 1, 1], [-1j, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]])
+
+
 class TestRealInputs:
     """A real symmetric state goes through the gate and the PT test as
     float64, by LAPACK's real symmetric solver; a complex one as complex128.
@@ -520,21 +525,31 @@ class TestRealInputs:
         assert_array_equal(ppt_test(rho).separable, STACK_QS <= SEPARABLE_Q_EDGE)
 
     @pytest.mark.parametrize(
-        "rho, dtype",
+        "rho, dtype, spectra",
         [
-            (werner(np.array([0.1, 0.9])), np.float64),
-            (werner(np.array([0.1, 0.9])).astype(complex), np.complex128),
-            (werner(0.5).astype(np.complex64), np.complex128),
-            (np.diag([1, 0, 0, 0]), np.float64),
-            (np.diag([True, False, False, False]), np.float64),
+            # Werner and diagonal states pass the gate on their Gershgorin
+            # discs, so only the PT spectrum is taken
+            (werner(np.array([0.1, 0.9])), np.float64, 1),
+            (werner(np.array([0.1, 0.9])).astype(complex), np.complex128, 1),
+            (werner(0.5).astype(np.complex64), np.complex128, 1),
+            (np.diag([1, 0, 0, 0]), np.float64, 1),
+            (np.diag([True, False, False, False]), np.float64, 1),
+            # a state whose first Gershgorin disc reaches below 0, with
+            # entries exact in single precision
+            (_OPEN_DISC, np.float64, 2),
+            (_OPEN_DISC.astype(np.float32), np.float64, 2),
+            (_OPEN_DISC * _PHASES, np.complex128, 2),
+            ((_OPEN_DISC * _PHASES).astype(np.complex64), np.complex128, 2),
         ],
     )
-    def test_both_spectra_are_taken_in_the_kind_of_the_input(self, rho, dtype, monkeypatch):
+    def test_both_spectra_are_taken_in_the_kind_of_the_input(
+        self, rho, dtype, spectra, monkeypatch
+    ):
         seen = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.dtype) or eigvalsh(a))
         ppt_test(rho)
-        assert seen == [dtype, dtype]
+        assert seen == [dtype] * spectra
 
     @pytest.mark.parametrize(
         "rho",

@@ -3,17 +3,29 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import (
     STACK_QS,
     assert_bitwise_equal,
     random_bloch_vector,
+    random_unit_axis,
     werner_matrix_closed_form,
 )
-from wernerkit.linalg import hermitian_eigenvalues, kron
+from wernerkit.linalg import (
+    HERMITIAN_TOL,
+    _first_failure,
+    hermitian_eigenvalues,
+    kron,
+    partial_transpose_b,
+)
+from wernerkit.separability import ppt_test
 from wernerkit.states import (
     BLOCH_NORM_MAX,
+    PPT_TOL,
+    UNIT_TRACE_TOL,
     PositivityError,
     _largest_norm,
     _unit_axis,
@@ -22,6 +34,7 @@ from wernerkit.states import (
     marginal,
     product_state,
     validate_bloch_vector,
+    validate_density_matrix,
     werner,
 )
 
@@ -270,3 +283,220 @@ class TestMarginal:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="4x4"):
             marginal(np.eye(2) / 2, "A")
+
+
+def reference_gate(rho):
+    """The full-spectrum gate that the Gershgorin certificate replaced: the
+    Hermitian rule by np.max reductions, unit trace, then the smallest
+    eigenvalue of every matrix against -PPT_TOL."""
+    rho = np.asarray(rho)
+    rho = rho.astype(complex if np.iscomplexobj(rho) else float, copy=False)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviation = np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj()), axis=(-2, -1))
+        scale = np.max(np.abs(rho), axis=(-2, -1))
+        relative = deviation / np.where(scale > 0.0, scale, 1.0)
+    bad = ~(np.where(np.isfinite(scale), relative, np.nan) <= HERMITIAN_TOL)
+    if bad.any():
+        raise ValueError(
+            f"matrix{_first_failure(bad)[1]} is not Hermitian within {HERMITIAN_TOL} "
+            "of its largest entry"
+        )
+    with np.errstate(over="ignore"):
+        tr = np.trace(rho, axis1=-2, axis2=-1)
+    bad = np.abs(tr - 1.0) > UNIT_TRACE_TOL
+    if bad.any():
+        index, where = _first_failure(bad)
+        raise ValueError(f"not a density matrix{where}: trace is {complex(tr[index])}, expected 1")
+    smallest = np.linalg.eigvalsh(rho)[..., 0]
+    bad = smallest < -PPT_TOL
+    if bad.any():
+        index, where = _first_failure(bad)
+        raise ValueError(
+            f"not a density matrix{where}: smallest eigenvalue "
+            f"{float(smallest[index])} is below -{PPT_TOL}"
+        )
+    return rho
+
+
+_THIRD = 1.0 / 3.0
+_WERNER_QS = (
+    st.floats(0.0, 1.0)
+    | st.sampled_from([0.0, 1.0])
+    | st.integers(-(2**14), 2**14).map(lambda k: _THIRD + k * math.ulp(_THIRD))
+)
+
+
+def _seeded(draw) -> np.random.Generator:
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+@st.composite
+def _werner_states(draw):
+    return werner(draw(_WERNER_QS))
+
+
+@st.composite
+def _x_states(draw):
+    """Diagonal (a, b, c, d) plus a Hermitian pair on each anti-diagonal, of
+    modulus min(a, d) and min(b, c) times 1 + delta: at delta = 0 the
+    smaller disc of each pair touches 0.  The lower entry of each pair may
+    then be scaled by 1 + skew, within the Hermitian rule: eigvalsh reads
+    that triangle alone."""
+    rng = _seeded(draw)
+    diagonal = rng.dirichlet(np.ones(4))
+    delta = draw(st.sampled_from([0.0, 1e-16, -1e-16, 1e-14, 1e-6]))
+    skew = draw(st.sampled_from([0.0, 1e-13, -1e-13, 4e-13]))
+    is_complex = draw(st.booleans())
+    m = np.diag(diagonal).astype(complex if is_complex else float)
+    for i, j in ((0, 3), (1, 2)):
+        phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) if is_complex else rng.choice([-1, 1])
+        m[i, j] = min(diagonal[i], diagonal[j]) * (1.0 + delta) * phase
+        m[j, i] = np.conj(m[i, j]) * (1.0 + skew)
+    return m
+
+
+@st.composite
+def _diagonal_states(draw):
+    """A diagonal state with one entry at 0, at -PPT_TOL or one double
+    either side of it, or at the smallest subnormal of either sign."""
+    low = draw(st.sampled_from([
+        0.0, -0.0, -PPT_TOL, np.nextafter(-PPT_TOL, -1.0), np.nextafter(-PPT_TOL, 0.0),
+        5e-324, -5e-324,
+    ]))
+    rest = _seeded(draw).dirichlet(np.ones(3)) * (1.0 - low)
+    return np.diag(np.array([low, *rest])[list(draw(st.permutations(range(4))))])
+
+
+@st.composite
+def _products_at_the_bound(draw):
+    rng = _seeded(draw)
+    radii = st.sampled_from([1.0, BLOCH_NORM_MAX]) | st.floats(0.0, 1.0)
+    a, b = (random_unit_axis(rng) * draw(radii) for _ in range(2))
+    # a norm drawn at BLOCH_NORM_MAX may round past it; bloch_state decides
+    try:
+        return product_state(a, b)
+    except PositivityError:
+        assume(False)
+
+
+@st.composite
+def _perturbed_werner_states(draw):
+    rng = _seeded(draw)
+    g = rng.standard_normal((4, 4))
+    if draw(st.booleans()):
+        g = g + 1j * rng.standard_normal((4, 4))
+    if draw(st.booleans()):
+        g = (g + g.conj().T) / 2.0
+    size = draw(st.sampled_from([1e-17, 1e-15, 1e-14, 1e-13, 1e-12, 1e-6]))
+    return werner(draw(_WERNER_QS)) + size * g
+
+
+@st.composite
+def _dense_states(draw):
+    """G G^H over its trace, for a random complex 4 x r G, shifted down by
+    a multiple of I near PPT_TOL, in C or Fortran layout."""
+    rng = _seeded(draw)
+    rank = draw(st.integers(1, 4))
+    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    m = g @ g.conj().T
+    m = m / np.trace(m).real
+    shift = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])) * PPT_TOL
+    m = (m - shift * np.eye(4)) / (1.0 - 4.0 * shift)
+    return np.asfortranarray(m) if draw(st.booleans()) else m
+
+
+_STATES = st.one_of(
+    _werner_states(), _x_states(), _diagonal_states(), _products_at_the_bound(),
+    _perturbed_werner_states(), _dense_states(),
+)
+
+
+@st.composite
+def _state_stacks(draw):
+    """One drawn state, or a stack of up to five, or its conjugate-
+    transposed view (a state too, in neither C nor Fortran layout)."""
+    rho = np.stack(draw(st.lists(_STATES, min_size=1, max_size=5)))
+    if len(rho) == 1 and draw(st.booleans()):
+        rho = rho[0]
+    if draw(st.booleans()):
+        rho = np.swapaxes(rho, -1, -2).conj()
+    return rho
+
+
+def _outcome(gate, rho):
+    """The gate's error text, or the dtype, shape and bytes it returns."""
+    try:
+        out = gate(rho)
+    except ValueError as err:
+        return str(err)
+    return out.dtype, out.shape, out.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestGershgorinGate:
+    """validate_density_matrix passes a matrix whose Gershgorin discs lie at
+    or above 0 without a spectrum, and judges the rest by eigvalsh; it
+    accepts and refuses what the full-spectrum gate did, with its texts."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_state_stacks())
+    def test_same_verdict_and_text_as_the_full_spectrum_gate(self, rho):
+        assert _outcome(validate_density_matrix, rho) == _outcome(reference_gate, rho)
+
+    def test_the_werner_sweep_takes_one_spectrum_the_pt_one(self, monkeypatch):
+        rho = werner(np.linspace(0.0, 1.0, 1001))
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a) or eigvalsh(a))
+        validate_density_matrix(rho)
+        assert seen == []
+        ppt_test(rho)
+        (stack,) = seen
+        assert_bitwise_equal(stack, partial_transpose_b(rho))
+
+    @pytest.mark.parametrize(
+        "low, spectra", [(0.0, 0), (-0.0, 0), (5e-324, 0), (-5e-324, 1), (-PPT_TOL / 2, 1)]
+    )
+    def test_the_certificate_is_at_0(self, low, spectra, monkeypatch):
+        # a disc edge below 0 takes the spectrum, even where -PPT_TOL passes it
+        rho = np.diag([low, 0.25, 0.25, 0.5 - low])
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a) or eigvalsh(a))
+        assert_bitwise_equal(validate_density_matrix(rho), rho)
+        assert len(seen) == spectra
+
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_the_discs_are_those_of_the_triangle_eigvalsh_reads(self, upper):
+        # within the Hermitian rule, the lower entry of the (2, 1) pair is
+        # larger than the upper one by 4e-13: the discs of rho's rows touch
+        # 0, but the matrix that eigvalsh builds from the lower triangle has
+        # an eigenvalue of about -2e-13, past -PPT_TOL.  Its mirror image is
+        # certified by either triangle.
+        e = 2e-13
+        rho = np.diag([0.0, 0.5 - e, 0.5 + e, 0.0])
+        rho[1, 2], rho[2, 1] = -(0.5 - e), -(0.5 + e)
+        if upper:
+            rho = rho.T.copy()
+        assert _outcome(validate_density_matrix, rho) == _outcome(reference_gate, rho)
+        assert isinstance(_outcome(reference_gate, rho), str) != upper
+
+    def test_names_the_first_failing_matrix_among_certified_ones(self):
+        bad = np.diag([-1e-12, 0.25, 0.25, 0.5 + 1e-12])
+        rho = np.stack([werner(0.2), bad, werner(1.0), bad])
+        with pytest.raises(ValueError) as err:
+            validate_density_matrix(rho)
+        assert str(err.value) == (
+            "not a density matrix at stack index 1: smallest eigenvalue -1e-12 is below "
+            f"-{PPT_TOL}"
+        )
+        assert str(err.value) == _outcome(reference_gate, rho)
+
+    def test_an_empty_stack_is_valid(self):
+        rho = np.zeros((0, 4, 4))
+        assert validate_density_matrix(rho).shape == (0, 4, 4)
+        verdict = ppt_test(rho)
+        assert verdict.eigenvalues.shape == (0, 4)
+        assert verdict.separable.shape == verdict.min_eigenvalue.shape == (0,)
