@@ -115,12 +115,6 @@ class Nullable:
     present: np.ndarray
     values: np.ndarray | str
 
-    def tolist(self) -> list:
-        if isinstance(self.values, str):
-            return [self.values if p else None for p in self.present.tolist()]
-        values = iter(np.asarray(self.values).tolist())
-        return [next(values) if p else None for p in self.present.tolist()]
-
 
 class Table:
     """Report rows held as named columns: each column an array with one
@@ -130,12 +124,6 @@ class Table:
 
     def __init__(self, **columns):
         self.columns = columns
-
-    def rows(self) -> list[dict]:
-        """The rows as dicts of Python values."""
-        names = list(self.columns)
-        values = (c if isinstance(c, list) else c.tolist() for c in self.columns.values())
-        return [dict(zip(names, row)) for row in zip(*values)]
 
 
 @dataclass
@@ -534,7 +522,7 @@ def cmd_ppt(args) -> RunReport:
     return RunReport(
         command="ppt",
         parameters=parameters,
-        results={"rows": table} if args.sweep is not None else table.rows()[0],
+        results={"rows": table} if args.sweep is not None else {k: v[0] for k, v in c.items()},
         checks=_ppt_checks(c),
         csv_header=["q", "lambda_1", "lambda_2", "lambda_3", "lambda_4", "separable"],
         csv_columns=[q, c["eigenvalues"], c["separable"]],

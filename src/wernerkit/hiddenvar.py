@@ -1,9 +1,9 @@
 """Monte Carlo realization of the local hidden variable model induced by the
 spherical decomposition.
 
-One hidden draw is (theta, phi, lambda_a, lambda_b): a uniformly random point
-on the sphere plus two independent uniforms on [0, 1].  Each party's outcome
-is a deterministic sign function of the draw: party A returns +1 iff
+One hidden draw is (cos theta, phi, lambda_a, lambda_b): a uniformly random
+point on the sphere plus two independent uniforms on [0, 1].  Each party's
+outcome is a deterministic sign function of the draw: party A returns +1 iff
 lambda_a <= (1 + l.a)/2 with a = sqrt(3q) f(theta,phi), and party B uses
 b = -a.  Averaging the outcome product over draws converges to the quantum
 correlation -q (l.m).
@@ -25,7 +25,8 @@ draw whose difference lies within _SCREEN = 2^-16 of 0 can fall on the other
 side.  Those draws, about 2 _SCREEN of them per party, are decided again from
 float64 values built for them alone, through the float64 threshold arithmetic,
 which gives a subset of the draws the values the whole block would.  So every
-count is the one the float64 thresholds give, bit for bit.
+count is the one the float64 thresholds give, bit for bit.  outcome_a and
+outcome_b decide one draw through the same float64 function, _plus.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import _require_separable_q, local_bloch_norm, sphere_direction
+from .decomposition import _require_separable_q, local_bloch_norm
 from .states import _unit_axis
 
 __all__ = [
@@ -71,10 +72,11 @@ _SCREEN = 2.0**-16
 
 @dataclass(frozen=True)
 class HvSample:
-    """One hidden-variable draw: theta in [0, pi], phi in [0, 2pi),
-    lambda_a and lambda_b in [0, 1]."""
+    """One hidden-variable draw: cos_theta in [-1, 1], phi in [0, 2pi),
+    lambda_a and lambda_b in [0, 1].  The sampler draws cos theta, not theta,
+    so a draw's outcome is computed from the value the sampler holds."""
 
-    theta: float
+    cos_theta: float
     phi: float
     lambda_a: float
     lambda_b: float
@@ -99,25 +101,35 @@ class HvEstimates:
     marginal_b: HvEstimate
 
 
-def _outcome(lam: float, radius, sample: HvSample, axis) -> int:
-    """+1 iff lam <= (1 + axis.v)/2, for the local vector v = radius f(theta,
-    phi) of a signed radius."""
+def _sample_outcome(sample: HvSample, q: float, axis, sign: int) -> int:
+    """Party A's (sign 1) or B's (sign -1) outcome for one draw, decided by
+    _plus on one-element arrays as the sampler decides it.  A draw outside
+    the model's ranges, NaN and infinities included, is refused by the name
+    of its field before any arithmetic."""
+    ranges = {
+        "cos_theta": (-1.0 <= sample.cos_theta <= 1.0, "[-1, 1]"),
+        "phi": (0.0 <= sample.phi < _TWO_PI, "[0, 2pi)"),
+        "lambda_a": (0.0 <= sample.lambda_a <= 1.0, "[0, 1]"),
+        "lambda_b": (0.0 <= sample.lambda_b <= 1.0, "[0, 1]"),
+    }
+    for name, (inside, interval) in ranges.items():
+        if not inside:
+            raise ValueError(f"{name} must be in {interval}, got {getattr(sample, name)}")
+    q = _require_separable_q(q)
     axis = _unit_axis(axis, "axis")
-    v = radius * sphere_direction(sample.theta, sample.phi)
-    threshold = 0.5 * (1.0 + float(np.dot(axis, v)))
-    return 1 if lam <= threshold else -1
+    lam = sample.lambda_a if sign == 1 else sample.lambda_b
+    draw = np.array([[sample.cos_theta], [sample.phi], [lam]], dtype=float)
+    return 1 if _plus(sign * local_bloch_norm(q), axis, *draw)[0] else -1
 
 
 def outcome_a(sample: HvSample, q: float, axis) -> int:
     """Party A's deterministic outcome: +1 iff lambda_a <= (1 + l.a)/2."""
-    q = _require_separable_q(q)
-    return _outcome(sample.lambda_a, local_bloch_norm(q), sample, axis)
+    return _sample_outcome(sample, q, axis, 1)
 
 
 def outcome_b(sample: HvSample, q: float, axis) -> int:
     """Party B's deterministic outcome; B's local vector is b = -a."""
-    q = _require_separable_q(q)
-    return _outcome(sample.lambda_b, -local_bloch_norm(q), sample, axis)
+    return _sample_outcome(sample, q, axis, -1)
 
 
 def _streams(seed: int, n_samples: int) -> list[np.random.Generator]:
@@ -177,19 +189,14 @@ def _threshold(
     return dot
 
 
-def _exact_plus(
-    radius: float, axis_a: np.ndarray, axis_b: np.ndarray, draws: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Where A and where B answer +1 for the raw draws (4, k), each lambda
-    compared with its float64 threshold."""
-    cos_t, phi = _angles(draws[0], draws[1])
+def _plus(
+    signed_radius: float, axis: np.ndarray, cos_t: np.ndarray, phi: np.ndarray, lam: np.ndarray
+) -> np.ndarray:
+    """Where one party answers +1 for draws at cos theta cos_t and angle phi:
+    each of its lambdas lam compared with its float64 threshold."""
     # |cos theta| <= 1, so 1 - cos^2 theta >= 0
     sin_t = np.sqrt(1.0 - cos_t * cos_t)
-    cos_p, sin_p = np.cos(phi), np.sin(phi)
-    return (
-        draws[2] <= _threshold(radius, axis_a, sin_t, cos_t, cos_p, sin_p),
-        draws[3] <= _threshold(-radius, axis_b, sin_t, cos_t, cos_p, sin_p),
-    )
+    return lam <= _threshold(signed_radius, axis, sin_t, cos_t, np.cos(phi), np.sin(phi))
 
 
 def _screen_weights(radius: float, axis_a: np.ndarray, axis_b: np.ndarray) -> np.ndarray:
@@ -283,7 +290,9 @@ def _count_outcomes(
             weights, draws, feature_buf[:, :m], screened_buf[:, :m], plus_buf[:, :m]
         )
         if near.size:
-            plus[:, near] = _exact_plus(radius, axis_a, axis_b, draws[:, near])
+            cos_t, phi = _angles(draws[0, near], draws[1, near])
+            plus[0, near] = _plus(radius, axis_a, cos_t, phi, draws[2, near])
+            plus[1, near] = _plus(-radius, axis_b, cos_t, phi, draws[3, near])
         out_a, out_b = plus
         plus_a += int(np.count_nonzero(out_a))
         plus_b += int(np.count_nonzero(out_b))

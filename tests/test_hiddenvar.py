@@ -17,7 +17,7 @@ from wernerkit.hiddenvar import (
     _buffers,
     _draw_block,
     _estimate,
-    _exact_plus,
+    _plus,
     _screen,
     _screen_weights,
     _screened_signs,
@@ -69,16 +69,15 @@ class TestSampling:
 
 class TestOutcomes:
     def test_q_zero_threshold_is_half(self):
-        s_low = HvSample(theta=1.0, phi=2.0, lambda_a=0.49, lambda_b=0.51)
+        s_low = HvSample(cos_theta=0.5, phi=2.0, lambda_a=0.49, lambda_b=0.51)
         assert outcome_a(s_low, 0.0, Z_AXIS) == 1
         assert outcome_b(s_low, 0.0, Z_AXIS) == -1
 
     def test_aligned_axis_at_boundary_always_plus_one(self):
         # q = 1/3 and l = f(theta, phi): threshold is (1 + 1)/2 = 1
         for cos_t, phi, _, lam_b in zip(*_stream(9, 25)):
-            theta = math.acos(cos_t)
-            axis = sphere_direction(theta, phi)
-            forced = HvSample(theta, phi, lambda_a=0.999999, lambda_b=lam_b)
+            axis = sphere_direction(math.acos(cos_t), phi)
+            forced = HvSample(cos_t, phi, lambda_a=0.999999, lambda_b=lam_b)
             assert outcome_a(forced, 1.0 / 3.0, axis) == 1
 
     def test_b_threshold_uses_opposite_vector(self):
@@ -86,8 +85,8 @@ class TestOutcomes:
         # local vector is a = sqrt(3q) z
         q = 0.3
         thresh = 0.5 * (1.0 - math.sqrt(3 * q))
-        just_below = HvSample(0.0, 0.0, 0.0, thresh - 1e-9)
-        just_above = HvSample(0.0, 0.0, 0.0, thresh + 1e-9)
+        just_below = HvSample(1.0, 0.0, 0.0, thresh - 1e-9)
+        just_above = HvSample(1.0, 0.0, 0.0, thresh + 1e-9)
         assert outcome_b(just_below, q, Z_AXIS) == 1
         assert outcome_b(just_above, q, Z_AXIS) == -1
 
@@ -116,11 +115,45 @@ class TestOutcomes:
             assert abs(np.mean(out_a) - target_a) <= 5 * max(se_a, 1e-12)
 
     def test_domain_and_axis_validation(self):
-        s = HvSample(1.0, 1.0, 0.5, 0.5)
+        s = HvSample(0.5, 1.0, 0.5, 0.5)
         with pytest.raises(DecompositionDomainError):
             outcome_a(s, 0.5, Z_AXIS)
         with pytest.raises(ValueError, match="unit"):
             outcome_a(s, 0.1, 2 * Z_AXIS)
+
+    @pytest.mark.parametrize(
+        "sample, message",
+        [
+            (HvSample(math.nan, 0.0, 0.5, 0.5), "cos_theta must be in [-1, 1], got nan"),
+            (HvSample(math.inf, 0.0, 0.5, 0.5), "cos_theta must be in [-1, 1], got inf"),
+            (HvSample(np.nextafter(-1.0, -2.0), 0.0, 0.5, 0.5),
+             "cos_theta must be in [-1, 1], got -1.0000000000000002"),
+            (HvSample(0.0, 2.0 * math.pi, 0.5, 0.5), "phi must be in [0, 2pi), got 6.283185307179586"),
+            (HvSample(0.0, -5e-324, 0.5, 0.5), "phi must be in [0, 2pi), got -5e-324"),
+            (HvSample(0.0, -math.inf, 0.5, 0.5), "phi must be in [0, 2pi), got -inf"),
+            (HvSample(0.0, 0.0, 7.0, 0.5), "lambda_a must be in [0, 1], got 7.0"),
+            (HvSample(0.0, 0.0, -7.0, 0.5), "lambda_a must be in [0, 1], got -7.0"),
+            (HvSample(0.0, 0.0, 0.5, math.nan), "lambda_b must be in [0, 1], got nan"),
+            (HvSample(0.0, 0.0, 0.5, np.nextafter(1.0, 2.0)),
+             "lambda_b must be in [0, 1], got 1.0000000000000002"),
+        ],
+    )
+    def test_a_draw_outside_the_model_is_refused_by_its_field(self, sample, message):
+        # both parties refuse every field, before q, the axis or any
+        # arithmetic is looked at, so no numpy warning comes first
+        for outcome in (outcome_a, outcome_b):
+            for q, axis in ((0.2, Z_AXIS), (0.5, 2 * Z_AXIS)):
+                with pytest.raises(ValueError) as info:
+                    outcome(sample, q, axis)
+                assert str(info.value) == message
+
+    def test_the_ends_of_every_range_are_draws(self):
+        for cos_t in (-1.0, 1.0):
+            for phi in (0.0, np.nextafter(2.0 * math.pi, 0.0)):
+                for lam in (0.0, 1.0):
+                    s = HvSample(cos_t, phi, lam, lam)
+                    assert outcome_a(s, 0.2, X_AXIS) in (-1, 1)
+                    assert outcome_b(s, 0.2, X_AXIS) in (-1, 1)
 
 
 class TestEstimateCorrelation:
@@ -322,17 +355,14 @@ class TestCountingKernel:
             assert estimate_local(q, l, "A", n_samples, seed) == est.marginal_a
             assert estimate_local(q, m, "B", n_samples, seed) == est.marginal_b
 
-    def test_matches_scalar_outcome_functions(self):
-        # the scalar outcome functions, applied draw by draw to the same
-        # stream, give the counts the vectorized kernel gives
+    def test_outcome_functions_sum_to_the_counts_of_a_seeded_block(self):
+        # outcome_a and outcome_b, applied draw by draw to one seeded block,
+        # give the counts the sampler gives
         rng = np.random.default_rng(31)
         n = 2000
         for q in (0.0, 0.15, 1.0 / 3.0):
             l, m = random_unit_axis(rng), random_unit_axis(rng)
-            draws = _stream(5, n)
-            samples = [
-                HvSample(math.acos(c), p, a, b) for c, p, a, b in zip(*draws)
-            ]
+            samples = [HvSample(*draw) for draw in zip(*_stream(5, n))]
             a = np.array([outcome_a(s, q, l) for s in samples])
             b = np.array([outcome_b(s, q, m) for s in samples])
             est = estimate_all(q, l, m, n, seed=5)
@@ -499,7 +529,9 @@ def _screened_outcomes(radius, axis_a, axis_b, draws):
     _, features, screened, plus = _buffers(draws.shape[1])
     weights = _screen_weights(radius, axis_a, axis_b)
     plus, near = _screened_signs(weights, draws, features, screened, plus)
-    plus[:, near] = _exact_plus(radius, axis_a, axis_b, draws[:, near])
+    cos_t, phi = _angles(draws[0, near], draws[1, near])
+    plus[0, near] = _plus(radius, axis_a, cos_t, phi, draws[2, near])
+    plus[1, near] = _plus(-radius, axis_b, cos_t, phi, draws[3, near])
     return plus
 
 
@@ -536,6 +568,48 @@ class TestThresholdScreen:
                     draws = np.vstack([u_cos, u_phi, lam])
                     plus = _screened_outcomes(radius, axis, axis, draws)
                     assert np.array_equal(plus, lam <= exact)
+
+    def test_outcome_functions_decide_every_draw_as_the_sampler(self, monkeypatch):
+        # lambda on each party's float64 threshold, one double to either
+        # side and _SCREEN from it, at both poles and both ends of phi: the
+        # per-draw functions and the sampler decide each draw alike, and
+        # the sampler's own loop counts those decisions
+        rng = np.random.default_rng(143)
+        n = 300
+        u_cos, u_phi = rng.random(n), rng.random(n)
+        u_cos[:6] = [0.0, 2.0**-53, 1.0 - 2.0**-53, 1.0, 0.0, 1.0]
+        u_phi[:6] = [0.0, 1.0 - 2.0**-53, 0.0, 1.0 - 2.0**-53, 1.0 - 2.0**-53, 0.0]
+        cos_t, phi = _angles(u_cos, u_phi)
+        sin_t = np.sqrt(1.0 - cos_t * cos_t)
+
+        def placed_draws(streams, out):
+            out[...] = draws
+            return out
+
+        monkeypatch.setattr(hiddenvar, "_draw_block", placed_draws)
+        for q in (1.0 / 3.0, 0.2, 0.05):
+            radius = local_bloch_norm(q)
+            l, m = random_unit_axis(rng), random_unit_axis(rng)
+            exact = np.array([
+                _float64_thresholds(radius, l, sin_t, cos_t, phi),
+                _float64_thresholds(-radius, m, sin_t, cos_t, phi),
+            ])
+            placed = [exact, exact + _SCREEN, exact - _SCREEN]
+            placed += [np.nextafter(exact, side) for side in (-1.0, 2.0)]
+            for lam in placed:
+                lam = np.clip(lam, 0.0, 1.0)
+                draws = np.vstack([u_cos, u_phi, lam])
+                plus = _screened_outcomes(radius, l, m, draws)
+                assert np.array_equal(plus, lam <= exact)
+                samples = [HvSample(*draw) for draw in zip(cos_t, phi, *lam)]
+                a = np.array([outcome_a(s, q, l) for s in samples])
+                b = np.array([outcome_b(s, q, m) for s in samples])
+                assert np.array_equal(a == 1, plus[0])
+                assert np.array_equal(b == 1, plus[1])
+                est = estimate_all(q, l, m, n, seed=0)
+                assert est.marginal_a.mean == float(np.mean(a))
+                assert est.marginal_b.mean == float(np.mean(b))
+                assert est.correlation.mean == float(np.mean(a * b))
 
     def test_screened_differences_are_well_inside_the_screen(self):
         # measures the margin of the whole float32 screen, threshold minus
