@@ -31,7 +31,6 @@ from .hiddenvar import (
     outcome_b,
 )
 from .linalg import (
-    HERMITIAN_TOL,
     IDENTITY_2,
     IDENTITY_4,
     PAULI_X,
@@ -51,13 +50,13 @@ from .separability import (
 )
 from .states import (
     PositivityError,
-    SEPARABLE_Q_MAX,
     bell_state,
     bloch_state,
     marginal,
     product_state,
     werner,
 )
+from .tolerances import HERMITIAN_TOL, SEPARABLE_Q_MAX
 
 __version__ = "0.1.0"
 

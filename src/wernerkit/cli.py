@@ -22,8 +22,6 @@ import numpy as np
 
 from . import __version__
 from .decomposition import (
-    MOMENT_TOL,
-    SCHMIDT_TOL,
     DecompositionDomainError,
     MomentReport,
     _assemble,
@@ -37,16 +35,25 @@ from .decomposition import (
     wootters_decomposition,
 )
 from .hiddenvar import MAX_SAMPLES, HvEstimate, estimate_all
-from .linalg import HERMITIAN_TOL, _hermitian_deviation
+from .linalg import _hermitian_deviation
 from .separability import ppt_test, werner_pt_eigenvalues_closed_form
-from .states import (
+from .states import PositivityError, _scaled_norm, werner
+from .tolerances import (
+    CROSS_DECOMPOSITION_TOL,
+    EIGENVALUE_TOL,
+    HERMITIAN_TOL,
+    MOMENT_TOL,
+    NORM_SUM_TOL,
+    PHASE_TOL,
     PPT_TOL,
-    PositivityError,
+    RECONSTRUCTION_TOL,
+    SCHMIDT_TOL,
     SEPARABLE_Q_EDGE,
     SEPARABLE_Q_MAX,
+    SIGMA_BAND,
+    TRACE_TOL,
     UNIT_AXIS_TOL,
-    _scaled_norm,
-    werner,
+    WEIGHT_SUM_TOL,
 )
 
 EXIT_OK = 0
@@ -54,17 +61,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
-# Tolerances pinned by the library's contracts.
-# matrix's trace check, on werner(q) alone: its four rounded diagonal
-# entries summed to 1 within 2.2e-16 (1 eps) over 1.2e6 q, and 1e-15 is 4.5 eps.
-TRACE_TOL = 1e-15
-EIGENVALUE_TOL = 1e-12
-RECONSTRUCTION_TOL = 1e-12
-NORM_SUM_TOL = 1e-12
-PHASE_TOL = 1e-13
-CROSS_DECOMPOSITION_TOL = 1e-11
-WEIGHT_SUM_TOL = 1e-14
-SIGMA_BAND = 5.0
 # The most --sweep or --grid steps: a float STEPS holds every count up to it.
 MAX_GRID_STEPS = 2**53
 

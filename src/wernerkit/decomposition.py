@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
-from .states import SEPARABLE_Q_EDGE, bell_state, validate_bloch_vector, validate_mixing_parameter
+from .states import bell_state, validate_bloch_vector, validate_mixing_parameter
+from .tolerances import SCHMIDT_TOL, SEPARABLE_Q_EDGE
 
 __all__ = [
     "DecompositionDomainError",
@@ -52,8 +53,6 @@ __all__ = [
     "local_margin",
 ]
 
-MOMENT_TOL = 1e-13
-SCHMIDT_TOL = 1e-12
 # The largest n_phi, refused before a count like 2^64 sizes an array; n_theta
 # has the tighter cap below.
 MAX_NODE_COUNT = 100_000
@@ -94,10 +93,15 @@ def _scalar_or_array(x: np.ndarray):
     return float(x) if x.ndim == 0 else x
 
 
+def _local_norm_squared(q) -> np.ndarray:
+    """|a|^2 = |b|^2 = 3q, held at 1 in the window (1/3, SEPARABLE_Q_EDGE],
+    where 3q passes 1 by rounding only, so that every local vector is a state."""
+    return np.minimum(3.0 * np.asarray(q, dtype=float), 1.0)
+
+
 def local_bloch_norm(q):
-    """|a| = |b| = sqrt(3q), held at 1 for q in (1/3, SEPARABLE_Q_EDGE], where
-    3q passes 1 by rounding only, so that every local vector is a state."""
-    return _scalar_or_array(np.sqrt(np.minimum(3.0 * np.asarray(q, dtype=float), 1.0)))
+    """|a| = |b| = sqrt(3q), held at 1 past 1/3 as _local_norm_squared is."""
+    return _scalar_or_array(np.sqrt(_local_norm_squared(q)))
 
 
 def local_margin(q):
@@ -267,8 +271,7 @@ def wootters_decomposition(q) -> WoottersDecomposition:
         pairs = zip(np.ravel(sin).tolist(), np.ravel(cos).tolist())
         return np.array([math.atan2(a, b) for a, b in pairs]).reshape(qs.shape)
 
-    # 1 - 3q < 0 for q in (1/3, SEPARABLE_Q_EDGE]: clamp so the root stays real
-    cos3 = np.sqrt(np.maximum(0.0, 1.0 - 3.0 * qs) / (2.0 * (1.0 - qs)))
+    cos3 = np.sqrt((1.0 - _local_norm_squared(qs)) / (2.0 * (1.0 - qs)))
     sin3 = np.sqrt((1.0 + qs) / (2.0 * (1.0 - qs)))
     thetas = np.stack([
         np.zeros(qs.shape),

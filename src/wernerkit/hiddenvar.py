@@ -103,18 +103,21 @@ class HvEstimates:
 
 def _sample_outcome(sample: HvSample, q: float, axis, sign: int) -> int:
     """Party A's (sign 1) or B's (sign -1) outcome for one draw, decided by
-    _plus on one-element arrays as the sampler decides it.  A draw outside
-    the model's ranges, NaN and infinities included, is refused by the name
-    of its field before any arithmetic."""
-    ranges = {
-        "cos_theta": (-1.0 <= sample.cos_theta <= 1.0, "[-1, 1]"),
-        "phi": (0.0 <= sample.phi < _TWO_PI, "[0, 2pi)"),
-        "lambda_a": (0.0 <= sample.lambda_a <= 1.0, "[0, 1]"),
-        "lambda_b": (0.0 <= sample.lambda_b <= 1.0, "[0, 1]"),
-    }
-    for name, (inside, interval) in ranges.items():
-        if not inside:
-            raise ValueError(f"{name} must be in {interval}, got {getattr(sample, name)}")
+    _plus on one-element arrays as the sampler decides it.  A field that is
+    not a real scalar, or lies outside the model's ranges, NaN and infinities
+    included, is refused by its name before any arithmetic."""
+    ranges = (
+        ("cos_theta", lambda x: -1.0 <= x <= 1.0, "[-1, 1]"),
+        ("phi", lambda x: 0.0 <= x < _TWO_PI, "[0, 2pi)"),
+        ("lambda_a", lambda x: 0.0 <= x <= 1.0, "[0, 1]"),
+        ("lambda_b", lambda x: 0.0 <= x <= 1.0, "[0, 1]"),
+    )
+    for name, inside, interval in ranges:
+        value = getattr(sample, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{name} must be a real scalar, got {type(value).__name__}")
+        if not inside(value):
+            raise ValueError(f"{name} must be in {interval}, got {value}")
     q = _require_separable_q(q)
     axis = _unit_axis(axis, "axis")
     lam = sample.lambda_a if sign == 1 else sample.lambda_b

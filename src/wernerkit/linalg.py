@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .tolerances import HERMITIAN_TOL
+
 __all__ = [
     "PAULI_X",
     "PAULI_Y",
@@ -37,13 +39,6 @@ IDENTITY_4 = np.eye(4, dtype=complex)
 
 for _const in (PAULI_X, PAULI_Y, PAULI_Z, IDENTITY_2, IDENTITY_4):
     _const.setflags(write=False)
-
-# Hermiticity tolerance relative to each matrix's own largest entry, so that
-# the one Hermitian rule, max|a - a^H| <= HERMITIAN_TOL * max|a| with max|a|
-# finite, means the same thing at any scale.  PT moves each entry pair
-# (x_rc, x_cr) onto another such pair, so PT(rho) has rho's deviation and
-# largest entry, and the rule passes PT(rho) whenever it passes rho.
-HERMITIAN_TOL = 1e-12
 
 
 def _as_matrix(m) -> np.ndarray:

@@ -18,12 +18,12 @@ from .linalg import (
     partial_transpose_b,
 )
 from .states import (
-    PPT_TOL,
     _one_density_matrix,
     _unit_axis,
     validate_density_matrix,
     validate_mixing_parameter,
 )
+from .tolerances import PPT_TOL
 
 __all__ = [
     "PptVerdict",

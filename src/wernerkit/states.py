@@ -10,6 +10,8 @@ import numpy as np
 
 from .linalg import IDENTITY_2, IDENTITY_4, PAULI_X, PAULI_Y, PAULI_Z, kron
 from .linalg import _first_failure, _hermitian_gate, _real_or_complex
+from .tolerances import BLOCH_NORM_MAX, PPT_TOL, SEPARABLE_Q_EDGE, SEPARABLE_Q_MAX
+from .tolerances import UNIT_AXIS_TOL, UNIT_TRACE_TOL
 
 __all__ = [
     "PositivityError",
@@ -23,35 +25,6 @@ __all__ = [
     "product_state",
     "marginal",
 ]
-
-# The paper's separability threshold, where |a| = |b| = sqrt(3q) reaches 1,
-# and the one accepted edge, 64 doubles above it.  PPT_TOL (12 eps), the low
-# PT eigenvalue |1 - 3q|/4 at the edge, makes eigvalsh's verdict agree with
-# q <= SEPARABLE_Q_EDGE on every double within 2^-40 of 1/3.  On those
-# doubles the real symmetric solver, which takes the float64 Werner stacks,
-# returns the low eigenvalue bit for bit as the complex one does, within
-# eps/4 of the exact (1 - 3q)/4: -PPT_TOL + eps/4 at the edge, -PPT_TOL -
-# eps/16 one double past it.  An edge at 1/3, with a tolerance of 0, would
-# call 1/3 + 1 ulp separable.  A product state with |a|, |b| <=
-# BLOCH_NORM_MAX has a PT eigenvalue no lower than -PPT_TOL/4, which leaves
-# eigvalsh three quarters of PPT_TOL (9 eps) of rounding on such unit-scale
-# spectra.  Over 10^4 random pairs at the bound, the lowest computed PT
-# eigenvalue was -0.41 PPT_TOL, by the complex solver that product_state's
-# matrices take and by the real one on real products alike: 2.4x headroom.
-# Their own smallest eigenvalue was as low.  validate_density_matrix passes
-# a state whose Gershgorin discs lie at or above 0 without a spectrum, and
-# judges the rest, such products among them, by eigvalsh at -PPT_TOL, so
-# every such product passes.
-SEPARABLE_Q_MAX = 1.0 / 3.0
-SEPARABLE_Q_EDGE = SEPARABLE_Q_MAX + 64 * math.ulp(SEPARABLE_Q_MAX)
-PPT_TOL = abs(1.0 - 3.0 * SEPARABLE_Q_EDGE) / 4.0
-BLOCH_NORM_MAX = 1.0 + PPT_TOL / 2.0
-
-UNIT_AXIS_TOL = 1e-12
-# The gate's trace bound, for states built outside the package: the 1e-12 of
-# UNIT_AXIS_TOL and linalg.HERMITIAN_TOL, so a state whose entries were
-# rounded to 13 significant digits still has unit trace.
-UNIT_TRACE_TOL = 1e-12
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 

@@ -22,6 +22,7 @@ from wernerkit.decomposition import (
     DecompositionDomainError,
     SphericalDecomposition,
     WoottersDecomposition,
+    _local_norm_squared,
     _quadrature,
     local_bloch_norm,
     moment_check,
@@ -233,6 +234,15 @@ class TestDomainBoundary:
     def test_constructors_accept_boundary(self, q):
         assert spherical_decomposition(q).q == q
         assert wootters_decomposition(q).q == q
+
+    def test_one_window_clamp_gives_both_former_clamps_bit_for_bit(self):
+        # every double from 1/3 - 4096 ulps to the edge, and 10^5 seeded q below 1/3
+        third = np.float64(Q_THIRD).view(np.int64)
+        window = np.arange(third - 4096, third + 65).view(np.float64)
+        assert window[-1] == SEPARABLE_Q_EDGE
+        qs = np.concatenate([window, np.random.default_rng(7).uniform(0.0, Q_THIRD, 10**5)])
+        assert_bitwise_equal(local_bloch_norm(qs), np.sqrt(np.minimum(3.0 * qs, 1.0)))
+        assert_bitwise_equal(1.0 - _local_norm_squared(qs), np.maximum(0.0, 1.0 - 3.0 * qs))
 
     def test_negative_q_is_a_parameter_error(self):
         with pytest.raises(ValueError, match="mixing parameter"):

