@@ -25,12 +25,12 @@ from .decomposition import (
     DecompositionDomainError,
     MomentReport,
     _assemble,
+    _schmidt_terms,
     local_bloch_norm,
     local_margin,
     moment_check,
     phase_constraint_residual,
     reconstruct,
-    schmidt_determinant,
     spherical_decomposition,
     wootters_decomposition,
 )
@@ -114,9 +114,8 @@ class Nullable:
 
 class Table:
     """Report rows held as named columns: each column an array with one
-    entry, shape (n,), or one vector, shape (n, k), per row, a Nullable, or a
-    list of Python scalars, such as strings, with None for null.  JSON writes
-    a table as a list of row objects, each vector as a list."""
+    entry, shape (n,), or one vector, shape (n, k), per row, or a Nullable.
+    JSON writes a table as a list of row objects, each vector as a list."""
 
     def __init__(self, **columns):
         self.columns = columns
@@ -130,8 +129,8 @@ class RunReport:
     checks: list[Check] = field(default_factory=list)
     seed: int | None = None
     # The CSV projection: a header name per CSV field, and the columns the
-    # fields come from, each an array (an (n, k) array gives k fields), a
-    # Nullable or a list of scalars.
+    # fields come from, each an array (an (n, k) array gives k fields) or a
+    # Nullable.
     csv_header: list[str] | None = None
     csv_columns: list | None = None
     # Lines for stderr, written only once the report is.
@@ -162,45 +161,34 @@ def matrix_payload(m: np.ndarray) -> np.ndarray:
 # A string as JSON writes it, ASCII with escapes (json.dumps's default).
 _json_str = json.encoder.encode_basestring_ascii
 
-# Every renderer writes each float through one of two finite checks: one
-# np.isfinite per array column of a table or CSV projection, or one
-# math.isfinite per scalar.  A report never shows a NaN or an infinity; it
-# fails with ValueError (exit 2) instead.
+# Every renderer writes each float from its report's one pool of float
+# strings, and judges them by the pool's one np.isfinite.  A report never
+# shows a NaN or an infinity; it fails with ValueError (exit 2) instead.
 
 def _not_finite(value) -> ValueError:
     return ValueError(f"report value {value} is not finite")
 
 
 def _fmt_scalar(value) -> str:
-    """A scalar as JSON writes it, except that a string stays unquoted."""
+    """A bool, an int or None as JSON writes it; floats come from the pool."""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        if not math.isfinite(value):
-            raise _not_finite(value)
-        return repr(float(value))
-    if isinstance(value, str):
-        return value
     if value is None:
         return "null"
     raise TypeError(f"cannot serialize {type(value).__name__} into a report")
 
 
 def _json_scalar(value) -> str:
-    """A scalar as JSON writes it."""
-    return _json_str(value) if isinstance(value, str) else _fmt_scalar(value)
+    """A text as JSON writes it, and None as null."""
+    return "null" if value is None else _json_str(value)
 
 
 def _csv_scalar(value) -> str:
-    """A scalar as one CSV field: text unquoted, with its commas written as
+    """A text as one CSV field: unquoted, with its commas written as
     semicolons, and None as an empty field."""
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value.replace(",", ";")
-    return _fmt_scalar(value)
+    return "" if value is None else value.replace(",", ";")
 
 
 def _width(column) -> int:
@@ -221,8 +209,8 @@ def _scalar_columns(columns, text) -> list[np.ndarray]:
     object array of n strings as the format writes them.  The floats of all
     the columns take one float.__repr__ per distinct magnitude, as repr(x) ==
     "-" + repr(-x) for finite x < 0, -0.0 included; a float scalar column is
-    a row view into those strings.  A list column, a Nullable's fixed string
-    and a Nullable's null rows are written by the format's text."""
+    a row view into those strings.  A Nullable's fixed string and its null
+    rows are written by the format's text."""
     scalars, floats, placed = [], [], []
     for column in columns:
         present = None
@@ -233,8 +221,7 @@ def _scalar_columns(columns, text) -> list[np.ndarray]:
                 continue
             column = np.asarray(column, dtype=float)
         elif not isinstance(column, np.ndarray):
-            scalars.append(np.array([text(v) for v in column], dtype=object))
-            continue
+            raise TypeError(f"cannot serialize a {type(column).__name__} column into a report")
         if column.ndim > 2 or column.dtype.kind not in "biuf":
             raise TypeError(f"cannot serialize a {column.dtype} column into a report")
         subs = column.T if column.ndim == 2 else column[None]
@@ -326,7 +313,8 @@ class _Fragments:
         self.tables = []  # (place, table, nl) of each table
 
     def scalar(self, value) -> None:
-        """Append a scalar as _fmt_scalar writes it."""
+        """Append a scalar: a float holds its place until the pool writes
+        it, any other scalar is written by _fmt_scalar."""
         if isinstance(value, (float, np.floating)):
             self.floats.append(len(self.out))
             self.out.append(value)
@@ -564,18 +552,15 @@ def _spherical_checks(dec, target: np.ndarray) -> tuple[np.ndarray, MomentReport
 def _wootters_checks(dec, target: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
     """The reconstructions of a four-vector decomposition of a stack of q, its
     Schmidt determinants' magnitudes, and each check's observed value, each
-    with one entry per q.  target is the stack of Werner matrices."""
+    with one entry per q.  target is the stack of Werner matrices.  The
+    Schmidt check takes each |det z_i| relative to <z_i|z_i>, the rule of
+    schmidt_rank_one_check."""
     recon = reconstruct(dec)
-    z = np.stack(dec.z, axis=-2)
-    det = schmidt_determinant(z)
-    # np.hypot and the batched dot round as abs() of a complex scalar and
-    # np.vdot of each vector do
-    dets = np.hypot(det.real, det.imag)
-    norms = np.matmul(z.conj()[..., None, :], z[..., :, None])[..., 0, 0].real
+    dets, norms = _schmidt_terms(np.stack(dec.z, axis=-2))
     residual = phase_constraint_residual(dec.thetas, dec.q)
     observed = {
         "reconstruction_error": _max_abs(recon - target, (-2, -1)),
-        "schmidt_determinant_max": np.max(dets, axis=-1),
+        "schmidt_determinant_max": np.max(dets / norms, axis=-1),
         "phase_constraint_residual": residual,
         "norm_squared_sum": sum(norms.T),  # added in vector order
     }
@@ -611,7 +596,7 @@ def _spherical_report(q: float, n_theta: int, n_phi: int) -> RunReport:
 def _wootters_report(q: float) -> RunReport:
     dec = wootters_decomposition(np.array([q]))
     _, dets, observed = _wootters_checks(dec, werner(dec.q))
-    thetas = [float(t[0]) for t in dec.thetas]
+    thetas = np.array(dec.thetas)[:, 0]
     z = matrix_payload(np.stack([v[0] for v in dec.z]))
     return RunReport(
         command="decompose",
@@ -683,8 +668,9 @@ def cmd_hvsim(args) -> RunReport:
         warnings=warnings_a + warnings_b,
         csv_header=["q", "l_x", "l_y", "l_z", "m_x", "m_y", "m_z", "n_samples", "seed",
                     "mean", "std_error", "analytic"],
+        # one row of one-element columns; a seed of 2^63 or more is uint64
         csv_columns=[
-            [value]
+            np.array([value])
             for value in (args.q, *axis_a.tolist(), *axis_b.tolist(), args.samples,
                           args.seed, corr.mean, corr.std_error, analytic)
         ],

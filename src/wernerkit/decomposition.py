@@ -53,9 +53,10 @@ __all__ = [
     "local_margin",
 ]
 
-# The largest n_phi, refused before a count like 2^64 sizes an array; n_theta
-# has the tighter cap below.
-MAX_NODE_COUNT = 100_000
+# The most nodes n_theta * n_phi, refused before a count like 2^64 sizes an
+# array: 1000 x 1000 nodes render a 364 MB JSON report in about 6 s, and 10^8
+# nodes were killed for memory on an 8 GB host.  n_theta has its own cap below.
+MAX_NODE_COUNT = 1_000_000
 # The largest n_theta, refused before leggauss sees it: leggauss solves a
 # dense n_theta x n_theta eigenproblem, 0.12 s at 1000 nodes and 0.65 s at
 # 2000 (2 vCPUs), and asks for 3.2 GB at 20000.
@@ -195,8 +196,9 @@ def spherical_decomposition(q, n_theta: int = 4, n_phi: int = 8) -> SphericalDec
         raise ValueError(f"n_phi must be >= 3 for degree-2 exactness, got {n_phi}")
     if n_theta > MAX_THETA_COUNT:
         raise ValueError(f"n_theta must be <= {MAX_THETA_COUNT}, got {n_theta}")
-    if n_phi > MAX_NODE_COUNT:
-        raise ValueError(f"n_phi must be <= {MAX_NODE_COUNT}, got {n_phi}")
+    n_nodes = int(n_theta) * int(n_phi)
+    if n_nodes > MAX_NODE_COUNT:
+        raise ValueError(f"n_theta * n_phi must be <= {MAX_NODE_COUNT}, got {n_nodes}")
 
     nodes, weights, directions = _quadrature(n_theta, n_phi)
     return SphericalDecomposition(
@@ -381,14 +383,23 @@ def schmidt_determinant(v) -> complex | np.ndarray:
     return det[()]
 
 
+def _schmidt_terms(v) -> tuple[np.ndarray, np.ndarray]:
+    """|det| and <v|v> of each two-qubit vector of a stack, shape (..., 4),
+    the two sides of the one product-state rule |det| <= SCHMIDT_TOL <v|v>.
+    np.hypot and the batched dot round as abs() of a complex scalar and
+    np.vdot of each vector do."""
+    v = np.asarray(v, dtype=complex)
+    det = schmidt_determinant(v)
+    norm_sq = np.matmul(v.conj()[..., None, :], v[..., :, None])[..., 0, 0].real
+    return np.hypot(det.real, det.imag), norm_sq
+
+
 def schmidt_rank_one_check(v) -> bool:
     """True if a two-qubit vector is a product state: its Schmidt determinant
     is at most SCHMIDT_TOL times its squared norm, a verdict that a rescaling
     of the vector does not change."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    det = schmidt_determinant(v)
-    norm_sq = float(np.real(np.vdot(v, v)))
-    return bool(abs(det) <= SCHMIDT_TOL * norm_sq)
+    det, norm_sq = _schmidt_terms(np.asarray(v, dtype=complex).reshape(-1))
+    return bool(det <= SCHMIDT_TOL * norm_sq)
 
 
 def phase_constraint_residual(thetas, q):

@@ -98,6 +98,12 @@ def max_abs(x) -> float:
     return float(np.max(np.abs(x)))
 
 
+def reference_schmidt_ratio(v) -> float:
+    """|det v| / <v|v> in complex scalar arithmetic: the product-state rule
+    of schmidt_rank_one_check."""
+    return float(abs(reference_schmidt_determinant(v))) / float(np.real(np.vdot(v, v)))
+
+
 def reference_verify_row(q: float) -> dict:
     """A verify report row built from one-q calls for this q alone, with the
     decompositions resummed and checked by the per-q oracles: the loop that
@@ -129,7 +135,7 @@ def reference_verify_row(q: float) -> dict:
         moment_deviation=max(
             max_abs(first_a), max_abs(first_b), max_abs(second + q * np.eye(3))
         ),
-        schmidt_max=max(float(abs(reference_schmidt_determinant(v))) for v in z),
+        schmidt_max=max(reference_schmidt_ratio(v) for v in z),
         phase_residual=reference_phase_residual(thetas, q),
         skipped=None,
     )
@@ -143,8 +149,6 @@ NODE_SUM_FIELDS = ("spherical_error", "cross_error", "moment_deviation")
 
 def column_values(column) -> list:
     """A table column as a list of Python values, null as None."""
-    if isinstance(column, list):
-        return column
     if isinstance(column, cli.Nullable):
         if isinstance(column.values, str):
             return [column.values if p else None for p in column.present.tolist()]
@@ -315,7 +319,7 @@ class TestCheckBuilderOracle:
             z, thetas = reference_wootters(q)
             reference_dets = [float(abs(reference_schmidt_determinant(v))) for v in z]
             assert dets[k].tolist() == reference_dets
-            assert observed["schmidt_determinant_max"][k] == max(reference_dets)
+            assert observed["schmidt_determinant_max"][k] == max(map(reference_schmidt_ratio, z))
             assert observed["phase_constraint_residual"][k] == reference_phase_residual(thetas, q)
             assert observed["norm_squared_sum"][k] == reference_norm_squared_sum(z)
             target = werner(q)
@@ -425,11 +429,11 @@ class TestGridErrors:
 
 
 class TestSizeCaps:
-    """A node count or a grid step count past its cap exits 2 with one line
-    naming the cap, judged before any allocation.  The counts at the caps
-    are taken: --nodes 1000 1000 and 2 100000 run in TestFineGrids, and
-    --nodes 1000 100000 and 2^53 grid steps fail only for memory in
-    TestOutOfMemory."""
+    """A node count or a grid step count outside its bounds exits 2 with one
+    line naming the bound, judged before any allocation.  The counts at the
+    caps are taken: --nodes 1000 1000 runs in TestFineGrids and renders
+    within TestOutOfMemory's limit, and 2^53 grid steps fail only for
+    memory there."""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -438,8 +442,11 @@ class TestSizeCaps:
              "n_theta must be <= 1000, got 18446744073709551616"),
             (("decompose", "--q", "0.2", "--nodes", "100001", "3"),
              "n_theta must be <= 1000, got 100001"),
-            (("decompose", "--q", "0.2", "--nodes", "2", "100001"),
-             "n_phi must be <= 100000, got 100001"),
+            # the node total n_theta * n_phi has its own cap
+            (("decompose", "--q", "0.2", "--nodes", "1000", "1001"),
+             "n_theta * n_phi must be <= 1000000, got 1001000"),
+            (("decompose", "--q", "0.2", "--nodes", "1000", "100000"),
+             "n_theta * n_phi must be <= 1000000, got 100000000"),
             (("ppt", "--sweep", "0", "1", "1e30"),
              "sweep steps must be <= 9007199254740992, got 1000000000000000019884624838656"),
             (("verify", "--grid", "0", "1", "1e19"),
@@ -449,6 +456,10 @@ class TestSizeCaps:
              "sweep steps must be <= 9007199254740992, got 9007199254740994"),
             (("verify", "--grid", "0", "1", "9007199254740994"),
              "grid steps must be <= 9007199254740992, got 9007199254740994"),
+            # and at least one step, -0 included
+            (("ppt", "--sweep", "0", "1", "0"), "sweep steps must be >= 1, got 0"),
+            (("verify", "--grid", "0", "0.3", "-2"), "grid steps must be >= 1, got -2"),
+            (("ppt", "--sweep", "0", "1", "-0"), "sweep steps must be >= 1, got 0"),
             # n_theta has its own, tighter cap
             (("decompose", "--q", "0.2", "--nodes", "1001", "100000"),
              "n_theta must be <= 1000, got 1001"),
@@ -459,10 +470,19 @@ class TestSizeCaps:
             assert run(capsys, *argv, "--format", fmt) == (EXIT_USAGE, "", f"error: {message}\n")
 
     def test_node_count_cap(self):
-        assert MAX_NODE_COUNT == 100_000
-        assert spherical_decomposition(0.2, 3, MAX_NODE_COUNT).weights.shape == (3 * MAX_NODE_COUNT,)
-        with pytest.raises(ValueError, match="must be <= 100000"):
-            spherical_decomposition(0.2, 3, MAX_NODE_COUNT + 1)
+        # the cap is on the node total, whatever its split
+        assert MAX_NODE_COUNT == MAX_THETA_COUNT**2 == 1_000_000
+        half = MAX_NODE_COUNT // 2
+        assert spherical_decomposition(0.2, 2, half).weights.shape == (MAX_NODE_COUNT,)
+        decomposition._quadrature.cache_clear()
+        for n_theta, n_phi, message in (
+            (2, half + 1, "n_theta * n_phi must be <= 1000000, got 1000002"),
+            (MAX_THETA_COUNT, 1001, "n_theta * n_phi must be <= 1000000, got 1001000"),
+            (MAX_THETA_COUNT + 1, 1000, "n_theta must be <= 1000, got 1001"),
+        ):
+            with pytest.raises(ValueError) as err:
+                spherical_decomposition(0.2, n_theta, n_phi)
+            assert str(err.value) == message
 
     def test_theta_count_cap(self):
         assert MAX_THETA_COUNT == 1000
@@ -1139,15 +1159,15 @@ class TestReportMachinery:
 
 
 def _finite_report() -> RunReport:
-    values, column = [0.5, 1.5], np.array([0.5, 2.0])
+    column = np.array([0.5, 2.0])
     nullable = cli.Nullable(np.array([False, True]), np.array([0.75]))
     return RunReport(
         command="x",
         parameters={"q": 0.5},
-        results={"mean": 0.25, "values": values, "rows": cli.Table(v=column, n=nullable)},
+        results={"mean": 0.25, "values": [0.5, 1.5], "rows": cli.Table(v=column, n=nullable)},
         checks=[check_value("c", 0.0, 0.0, 1.0)],
-        csv_header=["v", "w", "n"],
-        csv_columns=[column, values, nullable],
+        csv_header=["v", "n"],
+        csv_columns=[column, nullable],
     )
 
 
@@ -1164,8 +1184,8 @@ class TestNonFiniteGate:
         "fmt, where",
         [(fmt, where) for fmt in ("json", "pretty")
          for where in ("parameter", "scalar", "list", "table", "check", "nullable")]
-        # the CSV projection: a list column, and columns shared with a table
-        + [("csv", "list"), ("csv", "table"), ("csv", "nullable")],
+        # the CSV projection: columns shared with a table
+        + [("csv", "table"), ("csv", "nullable")],
     )
     def test_every_format_refuses_a_non_finite_value(self, fmt, where, bad):
         report = _finite_report()
@@ -1183,6 +1203,17 @@ class TestNonFiniteGate:
             report.checks[0].observed = bad
         with pytest.raises(ValueError, match="is not finite"):
             cli._RENDERERS[fmt](report)
+
+    def test_every_format_refuses_a_list_column(self):
+        # a column is an array or a Nullable, so every float a report writes
+        # passes the pool's one finite check
+        report = _finite_report()
+        report.results["rows"].columns["w"] = [0.5, 1.5]
+        report.csv_header.append("w")
+        report.csv_columns.append([0.5, 1.5])
+        for emit in cli._RENDERERS.values():
+            with pytest.raises(TypeError, match="cannot serialize a list column"):
+                emit(report)
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
     def test_non_finite_report_exits_2(self, capsys, monkeypatch, fmt):
@@ -1253,9 +1284,7 @@ def _tables(draw):
     n = draw(st.integers(0, 4))
     columns = {}
     for i in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(
-            ["float", "vector", "bool", "int", "nullable", "masked", "text", "fixed text"]
-        ))
+        kind = draw(st.sampled_from(["float", "vector", "bool", "int", "masked", "fixed text"]))
         # names that a %-template or a split on "\0" would misread
         name = draw(st.sampled_from(["c", "%", "%s", "50%s%%", "\0"])) + str(i)
         if kind == "masked":
@@ -1269,10 +1298,6 @@ def _tables(draw):
             present = draw(st.lists(st.booleans(), min_size=n, max_size=n))
             text = draw(st.sampled_from(_TRICKY_TEXTS) | st.text(max_size=6))
             columns[name] = cli.Nullable(np.array(present, dtype=bool), text)
-        elif kind == "nullable":
-            columns[name] = draw(st.lists(st.none() | _FLOATS, min_size=n, max_size=n))
-        elif kind == "text":
-            columns[name] = draw(st.lists(st.none() | st.text(max_size=6), min_size=n, max_size=n))
         elif kind == "bool":
             columns[name] = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
         elif kind == "int":
@@ -1291,16 +1316,19 @@ _ONE_ROW = cli.Table(**{
     "n%%s": np.array([-7]),
     "b": np.array([True]),
     "m": cli.Nullable(np.array([False]), np.empty(0)),
-    "t": ["a,b"],
     "mt": cli.Nullable(np.array([True]), 'q = "%s, \0'),
     "nt": cli.Nullable(np.array([False]), ","),
 })
 
 
+# A table of no rows, with a vector column and a fixed-text column.
+_NO_ROWS = cli.Table(q=np.empty(0), v=np.empty((0, 3)), reason=cli.Nullable(np.empty(0, bool), "x"))
+
+
 class TestRendererOracle:
     """The array renderer writes what json.dumps writes for the same values."""
 
-    @example(table=cli.Table(q=np.empty(0), v=np.empty((0, 3)), reason=[]), scalar=0.0, text="")
+    @example(table=_NO_ROWS, scalar=0.0, text="")
     @example(table=_ONE_ROW, scalar=-0.0, text="%s")
     @settings(max_examples=60, deadline=None)
     @given(table=_tables(), scalar=_FLOATS, text=st.text(max_size=8))
@@ -1335,7 +1363,7 @@ class TestRendererOracle:
             lines.append(",".join(cls.csv_field(x) for x in flat))
         return "\n".join(lines) + "\n"
 
-    @example(table=cli.Table(q=np.empty(0), v=np.empty((0, 3)), reason=[]))
+    @example(table=_NO_ROWS)
     @example(table=_ONE_ROW)
     @settings(max_examples=60, deadline=None)
     @given(table=_tables())
@@ -1346,7 +1374,7 @@ class TestRendererOracle:
                            csv_columns=list(table.columns.values()))
         assert cli.emit_csv(report) == self.csv_text(header, report.csv_columns)
 
-    @example(table=cli.Table(q=np.empty(0), v=np.empty((0, 3)), reason=[]))
+    @example(table=_NO_ROWS)
     @example(table=_ONE_ROW)
     @settings(max_examples=60, deadline=None)
     @given(table=_tables())
@@ -1582,8 +1610,6 @@ class TestOutOfMemory:
             # 2^53 steps, the most _q_grid takes
             ["ppt", "--sweep", "0", "1", "9007199254740992"],
             ["verify", "--grid", "0", "1", "9007199254740992"],
-            # the largest counts each cap takes
-            ["decompose", "--q", "0.2", "--nodes", "1000", "100000"],
         ],
     )
     def test_unallocatable_report_exits_2(self, argv):
@@ -1591,6 +1617,13 @@ class TestOutOfMemory:
         assert proc.returncode == EXIT_USAGE, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr == f"error: the {argv[0]} report needs more memory than can be allocated\n"
+
+    def test_largest_node_grid_renders_within_the_limit(self):
+        # the node caps take no grid that this limit refuses: 1000 x 1000
+        # nodes, about 364 MB of JSON, exit 0
+        argv = ["decompose", "--q", "0.2", "--nodes", "1000", "1000"]
+        proc = self._run_limited(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_large_node_table_renders_in_bounded_memory(self, fmt):
