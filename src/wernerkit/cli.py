@@ -196,28 +196,23 @@ def _width(column) -> int:
     return column.shape[1] if isinstance(column, np.ndarray) and column.ndim == 2 else 1
 
 
-def _with_nulls(present: np.ndarray, values, text) -> np.ndarray:
-    """A nullable column's strings: values on the present rows, in order,
-    and the format's null text on the others."""
-    column = np.full(present.shape, text(None), dtype=object)
-    column[present] = values
-    return column
-
-
 def _scalar_columns(columns, text) -> list[np.ndarray]:
     """Columns as their scalar columns, an (n, k) array giving k, each a 1-D
     object array of n strings as the format writes them.  The floats of all
     the columns take one float.__repr__ per distinct magnitude, as repr(x) ==
-    "-" + repr(-x) for finite x < 0, -0.0 included; a float scalar column is
-    a row view into those strings.  A Nullable's fixed string and its null
-    rows are written by the format's text."""
+    "-" + repr(-x) for finite x < 0, -0.0 included, in one pool whose last
+    entry is the format's null text.  Each float column is one gather from
+    that pool, a Nullable's by one index array that points at the null entry
+    on its absent rows.  A Nullable's fixed string is gathered as a bool
+    column is, from its null text and its text."""
     scalars, floats, placed = [], [], []
     for column in columns:
         present = None
         if isinstance(column, Nullable):
             present, column = column.present, column.values
             if isinstance(column, str):
-                scalars.append(_with_nulls(present, text(column), text))
+                choices = np.array([text(None), text(column)], dtype=object)
+                scalars.append(choices[present.view(np.uint8)])
                 continue
             column = np.asarray(column, dtype=float)
         elif not isinstance(column, np.ndarray):
@@ -243,13 +238,17 @@ def _scalar_columns(columns, text) -> list[np.ndarray]:
     texts = [repr(m) for m in magnitudes.tolist()]
     # every entry of one magnitude and sign, in any column, shares one string
     inverse += np.signbit(values) * len(texts)
-    strings = np.array(texts + ["-" + t for t in texts], dtype=object)[inverse]
+    pool = np.array(texts + ["-" + t for t in texts] + [text(None)], dtype=object)
     end = 0
     for (at, present), v in zip(placed, floats):
-        subs = list(strings[end : end + v.size].reshape(v.shape))
+        index = inverse[end : end + v.size].reshape(v.shape)
         end += v.size
         if present is not None:
-            subs = [_with_nulls(present, subs[0], text)]
+            # spread over the rows, the null entry on the absent ones
+            spread = np.full((1,) + present.shape, len(pool) - 1)
+            spread[0, present] = index[0]
+            index = spread
+        subs = list(pool[index])
         scalars[at : at + len(subs)] = subs
     return scalars
 
@@ -514,7 +513,8 @@ def cmd_ppt(args) -> RunReport:
 
 
 # Each decomposition's checks, name -> (expected, tolerance).  A check
-# builder gives each one's observed value per q.
+# builder gives each one's observed value per q; anti_alignment, which only
+# decompose reports, is added by _spherical_report.
 _SPHERICAL_CHECKS = {
     "reconstruction_error": (0.0, RECONSTRUCTION_TOL),
     "weight_sum_deviation": (0.0, WEIGHT_SUM_TOL),
@@ -533,8 +533,8 @@ _WOOTTERS_CHECKS = {
 
 def _spherical_checks(dec, target: np.ndarray) -> tuple[np.ndarray, MomentReport, dict]:
     """The reconstructions of a spherical decomposition of a stack of q, its
-    moment report, and each check's observed value, each with one entry per
-    q.  target is the stack of Werner matrices."""
+    moment report, and each check's observed value but anti_alignment's,
+    each with one entry per q.  target is the stack of Werner matrices."""
     moments = moment_check(dec)
     recon = _assemble(dec, moments.matrix)
     second_dev = moments.second_moment + dec.q[:, None, None] * np.eye(3)
@@ -544,7 +544,6 @@ def _spherical_checks(dec, target: np.ndarray) -> tuple[np.ndarray, MomentReport
         "first_moment_a": _max_abs(moments.first_moment_a, -1),
         "first_moment_b": _max_abs(moments.first_moment_b, -1),
         "second_moment_deviation": _max_abs(second_dev, (-2, -1)),
-        "anti_alignment": _max_abs(dec.a + dec.b, (-2, -1)),
     }
     return recon, moments, observed
 
@@ -575,6 +574,7 @@ def _checks(observed: dict, specs: dict) -> list[Check]:
 def _spherical_report(q: float, n_theta: int, n_phi: int) -> RunReport:
     dec = spherical_decomposition(np.array([q]), n_theta, n_phi)
     _, moments, observed = _spherical_checks(dec, werner(dec.q))
+    observed["anti_alignment"] = _max_abs(dec.a + dec.b, (-2, -1))
     nodes = Table(
         theta=dec.nodes[:, 0], phi=dec.nodes[:, 1], weight=dec.weights, a=dec.a[0], b=dec.b[0]
     )

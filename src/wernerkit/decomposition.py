@@ -295,40 +295,51 @@ def wootters_decomposition(q) -> WoottersDecomposition:
     return WoottersDecomposition(q=q, z=z_vectors, thetas=thetas)
 
 
-def _node_sum(weights: np.ndarray, *factors: np.ndarray) -> np.ndarray:
-    """sum_n w_n x_n y_n ... over the last axis of each factor, the node
-    axis.  The products form one C-contiguous array, so numpy adds each row
-    pairwise, and a row of a stack exactly as the same row alone."""
-    product = weights
-    for x in factors:
-        product = product * x
-    return product.sum(axis=-1)
-
-
 def _moment_matrix(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """M = sum_n w_n (1, x_n)(1, y_n)^T for node vectors x and y of shape
     (..., n, 3), shape (..., 4, 4): the weight sum, the first moments of x
-    (column 0) and y (row 0), and the second moment sum w x_i y_j."""
-    u = [()] + [(x[..., i],) for i in range(3)]
-    v = [()] + [(y[..., j],) for j in range(3)]
+    (column 0) and y (row 0), and the second moment sum w x_i y_j.  Each
+    w x_i is formed once, and each entry is one sum along the node axis of a
+    C-contiguous product, so numpy adds each row pairwise, and a row of a
+    stack exactly as the same row alone."""
+    wx = [weights] + [weights * x[..., i] for i in range(3)]
     m = np.empty(x.shape[:-2] + (4, 4))
     for i in range(4):
-        for j in range(4):
-            m[..., i, j] = _node_sum(weights, *u[i], *v[j])
+        m[..., i, 0] = wx[i].sum(axis=-1)
+        for j in range(1, 4):
+            m[..., i, j] = (wx[i] * y[..., j - 1]).sum(axis=-1)
     return m
 
 
-# kron(sigma_mu, sigma_nu) / 4, indexed (mu, nu, i, j), with sigma_0 = I
-_PAULIS = (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z)
-_PAULI_PRODUCTS = np.array([[np.kron(s, t) / 4.0 for t in _PAULIS] for s in _PAULIS])
+def _pauli_terms() -> np.ndarray:
+    """The terms of (1/4) sum M_mu,nu sigma_mu (x) sigma_nu.  Each of its 16
+    entries has four nonzero terms +-M_mu,nu / 4, each real or imaginary.
+    Entry [k, e, p] indexes the k-th term of part p (real, imaginary) of
+    entry e, flat, in the row (M / 4, -M / 4, 0) of 33 values, M flat in
+    np.ndindex(4, 4) order: each part's terms in that order, then the 0 up
+    to four terms."""
+    paulis = (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z)
+    signs = np.array([[np.kron(s, t) for t in paulis] for s in paulis]).reshape(16, 16)
+    parts = np.stack((signs.real, signs.imag), axis=-1)  # (mu nu, entry, part)
+    order = np.argsort(parts == 0.0, axis=0, kind="stable")[:4]
+    sign = np.take_along_axis(parts, order, axis=0)
+    return np.where(sign > 0.0, order, np.where(sign < 0.0, order + 16, 32))
+
+
+_TERMS = _pauli_terms()
 
 
 def _assemble(dec: SphericalDecomposition, m: np.ndarray) -> np.ndarray:
-    """(1/4) sum m_mu,nu sigma_mu (x) sigma_nu, once dec's nodes are checked to be states."""
+    """(1/4) sum m_mu,nu sigma_mu (x) sigma_nu, once dec's nodes are checked
+    to be states.  The real and the imaginary part of each entry are the
+    in-order sums of their +-m_mu,nu / 4 terms, so an entry equals the sum
+    of all 16 terms, but for the sign of a zero."""
     validate_bloch_vector(dec.a)  # b = -a has the same norms
-    m = m[..., None, None]
-    # each entry adds four nonzero terms, +-M_mu,nu / 4 times 1 or i
-    return sum(m[..., mu, nu, :, :] * _PAULI_PRODUCTS[mu, nu] for mu, nu in np.ndindex(4, 4))
+    quarter = m.reshape(m.shape[:-2] + (16,)) * 0.25
+    row = np.concatenate((quarter, -quarter, np.zeros(quarter.shape[:-1] + (1,))), axis=-1)
+    t = row[..., _TERMS]
+    parts = t[..., 0, :, :] + t[..., 1, :, :] + t[..., 2, :, :] + t[..., 3, :, :]
+    return np.ascontiguousarray(parts).view(complex).reshape(m.shape)
 
 
 def reconstruct(dec) -> np.ndarray:

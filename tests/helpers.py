@@ -137,3 +137,32 @@ def reference_moments(weights, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     w, b = np.asarray(weights)[:, None], -a
     second = (w[:, :, None] * a[:, :, None] * b[:, None, :]).reshape(len(a), 9)
     return exact_sums(w * a), exact_sums(w * b), exact_sums(second).reshape(3, 3)
+
+
+def reference_pauli_sum(m) -> np.ndarray:
+    """(1/4) sum M_mu,nu sigma_mu (x) sigma_nu of a moment matrix or a stack
+    of them, shape (..., 4, 4), as the sum of all 16 complex broadcasts
+    M_mu,nu kron(sigma_mu, sigma_nu) / 4 in np.ndindex(4, 4) order."""
+    from wernerkit.linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
+
+    paulis = (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z)
+    m = np.asarray(m)[..., None, None]
+    return sum(
+        m[..., mu, nu, :, :] * (np.kron(paulis[mu], paulis[nu]) / 4.0)
+        for mu, nu in np.ndindex(4, 4)
+    )
+
+
+def reference_moment_matrix(weights, x, y) -> np.ndarray:
+    """M = sum_n w_n (1, x_n)(1, y_n)^T of node vectors of shape (..., n, 3),
+    each entry its own product w, w x_i, w y_j or (w x_i) y_j, formed anew
+    and summed along the node axis."""
+    u = [()] + [(x[..., i],) for i in range(3)]
+    v = [()] + [(y[..., j],) for j in range(3)]
+    m = np.empty(x.shape[:-2] + (4, 4))
+    for i, j in np.ndindex(4, 4):
+        product = weights
+        for factor in u[i] + v[j]:
+            product = product * factor
+        m[..., i, j] = product.sum(axis=-1)
+    return m

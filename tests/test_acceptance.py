@@ -18,11 +18,14 @@ from wernerkit.decomposition import (
     moment_check,
     phase_constraint_residual,
     reconstruct,
+    schmidt_determinant,
+    schmidt_rank_one_check,
     spherical_decomposition,
     wootters_decomposition,
 )
 from wernerkit.separability import ppt_test, werner_pt_eigenvalues_closed_form
 from wernerkit.states import werner
+from wernerkit.tolerances import SCHMIDT_TOL
 
 Q_THIRD = 1.0 / 3.0
 Q_GRID_101 = np.linspace(0.0, 1.0, 101)
@@ -130,31 +133,32 @@ def test_criterion_4_positivity_threshold():
 
 
 def test_criterion_5_wootters_decomposition():
+    # every z_i is judged by the one product-state rule,
+    # |det z_i| <= SCHMIDT_TOL <z_i|z_i>, that the CLI's checks share
     start = time.perf_counter()
     max_recon = 0.0
-    max_det = 0.0
+    max_ratio = 0.0
+    products = True
     max_residual = 0.0
     for q in (0.0, 0.05, 0.1, 0.2, 0.3, Q_THIRD):
         dec = wootters_decomposition(q)
         max_recon = max(max_recon, float(np.max(np.abs(reconstruct(dec) - werner(q)))))
-        max_det = max(max_det, *(abs(z[0] * z[3] - z[1] * z[2]) for z in dec.z))
+        products = products and all(schmidt_rank_one_check(z) for z in dec.z)
+        max_ratio = max(
+            max_ratio, *(abs(schmidt_determinant(z)) / np.vdot(z, z).real for z in dec.z)
+        )
         max_residual = max(max_residual, phase_constraint_residual(dec.thetas, q))
     elapsed = time.perf_counter() - start
-    ok = (
-        max_recon <= 1e-12
-        and max_det <= 1e-12
-        and max_residual <= 1e-13
-        and elapsed < 0.1
-    )
+    ok = max_recon <= 1e-12 and products and max_residual <= 1e-13 and elapsed < 0.1
     report_line(
         5,
         ok,
-        f"resummation max error {max_recon:.2e} (tol 1e-12), Schmidt |det| max "
-        f"{max_det:.2e} (tol 1e-12), phase residual max {max_residual:.2e} (tol 1e-13), "
-        f"{elapsed:.3f}s",
+        f"resummation max error {max_recon:.2e} (tol 1e-12), Schmidt |det|/<z|z> max "
+        f"{max_ratio:.2e} (tol {SCHMIDT_TOL:g}), phase residual max {max_residual:.2e} "
+        f"(tol 1e-13), {elapsed:.3f}s",
     )
     assert max_recon <= 1e-12
-    assert max_det <= 1e-12
+    assert products
     assert max_residual <= 1e-13
     assert elapsed < 0.1
 

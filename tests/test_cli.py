@@ -342,7 +342,8 @@ class TestCheckBuilderOracle:
             ):
                 assert abs(observed[name][k] - exact) <= EXACT_SUM_TOL
             assert max_abs(moments.second_moment[k] - second) <= EXACT_SUM_TOL
-            assert observed["anti_alignment"][k] == 0.0
+        # anti_alignment is decompose's check alone (TestDecomposeCommand)
+        assert "anti_alignment" not in observed
 
 
 class TestFineGrids:
@@ -596,6 +597,16 @@ class TestDecomposeCommand:
         names = {c["name"]: c["pass"] for c in report["checks"]}
         assert all(names.values())
         assert "second_moment_deviation" in names
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.floats(0.0, SEPARABLE_Q_EDGE))
+    def test_spherical_anti_alignment(self, q):
+        # b = -a node for node, reported after the moment checks
+        args = cli.build_parser().parse_args(["decompose", "--q", repr(q)])
+        checks = cli.cmd_decompose(args).checks
+        assert [c.name for c in checks] == list(cli._SPHERICAL_CHECKS)
+        (anti,) = [c for c in checks if c.name == "anti_alignment"]
+        assert (anti.passed, anti.observed, anti.expected, anti.tolerance) == (True, 0.0, 0.0, 0.0)
 
     def test_spherical_node_budget(self, capsys):
         _, report, _ = run_json(

@@ -10,8 +10,10 @@ from numpy.testing import assert_allclose
 from helpers import (
     EXACT_SUM_TOL,
     assert_bitwise_equal,
+    reference_moment_matrix,
     reference_moments,
     reference_node_sum,
+    reference_pauli_sum,
     reference_phase_residual,
     reference_schmidt_determinant,
     reference_wootters,
@@ -22,7 +24,9 @@ from wernerkit.decomposition import (
     DecompositionDomainError,
     SphericalDecomposition,
     WoottersDecomposition,
+    _assemble,
     _local_norm_squared,
+    _moment_matrix,
     _quadrature,
     local_bloch_norm,
     moment_check,
@@ -132,6 +136,54 @@ class TestSphericalArrayOracle:
             assert arr.flags.c_contiguous
         with pytest.raises(ValueError):
             dec.a[0, 0] = 1.0
+
+
+def extreme_moment_matrices(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n random 4x4 matrices whose entries span every magnitude a double
+    holds: 1e-300 to 1e300, subnormals, and zeros of both signs."""
+    m = rng.uniform(-2.0, 2.0, (n, 4, 4)) * 10.0 ** rng.integers(-300, 301, (n, 4, 4))
+    subnormal = rng.random(m.shape) < 0.1
+    m[subnormal] = rng.integers(-(2**40), 2**40, subnormal.sum()) * 5e-324
+    m[rng.random(m.shape) < 0.1] = 0.0
+    m[rng.random(m.shape) < 0.05] = -0.0
+    return m
+
+
+class TestMomentKernels:
+    """The spherical reconstruction's two kernels against the arithmetic
+    they replace: _assemble against the 16-term Pauli sum, entry for entry,
+    and _moment_matrix against one product per entry, bit for bit."""
+
+    def test_assemble_equals_the_sixteen_term_sum(self):
+        dec = spherical_decomposition(0.2)
+        m = extreme_moment_matrices(np.random.default_rng(28), 50_000)
+        assembled, reference = _assemble(dec, m), reference_pauli_sum(m)
+        assert assembled.shape == reference.shape and assembled.dtype == reference.dtype
+        assert np.array_equal(assembled, reference)
+        # only the sign of a zero may differ
+        floats, reference_floats = assembled.view(float), reference.view(float)
+        differ = floats.view(np.uint64) != reference_floats.view(np.uint64)
+        assert np.all(floats[differ] == 0.0)
+
+    @pytest.mark.parametrize("q", [0.0, 0.2, SEPARABLE_Q_EDGE])
+    def test_assemble_of_one_matrix(self, q):
+        dec = spherical_decomposition(q)
+        m = moment_check(dec).matrix
+        assert m.shape == (4, 4)
+        assert np.array_equal(_assemble(dec, m), reference_pauli_sum(m))
+
+    @pytest.mark.parametrize("shape", [(333, 32, 3), (1, 8192, 3), (7, 11, 3), (4096, 3)])
+    def test_moment_matrix_equals_one_product_per_entry(self, shape):
+        rng = np.random.default_rng(shape[-2])
+        w = rng.random(shape[-2])
+        x, y = rng.standard_normal(shape), rng.standard_normal(shape)
+        assert_bitwise_equal(_moment_matrix(w, x, y), reference_moment_matrix(w, x, y))
+
+    def test_moment_matrix_of_a_stacked_decomposition(self):
+        dec = spherical_decomposition(np.linspace(0.0, Q_THIRD, 334), 64, 128)
+        for x, y in ((dec.a, dec.b), (dec.directions, dec.directions)):
+            expected = reference_moment_matrix(dec.weights, x, y)
+            assert_bitwise_equal(_moment_matrix(dec.weights, x, y), expected)
 
 
 class TestSharedQuadrature:
