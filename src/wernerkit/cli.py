@@ -550,18 +550,18 @@ def _spherical_checks(dec, target: np.ndarray) -> tuple[np.ndarray, MomentReport
 
 def _wootters_checks(dec, target: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
     """The reconstructions of a four-vector decomposition of a stack of q, its
-    Schmidt determinants' magnitudes, and each check's observed value, each
-    with one entry per q.  target is the stack of Werner matrices.  The
-    Schmidt check takes each |det z_i| relative to <z_i|z_i>, the rule of
-    schmidt_rank_one_check."""
+    Schmidt determinants' magnitudes, shape (4, m) as dec.z's vector axis
+    leads, and each check's observed value, with one entry per q.  target is
+    the stack of Werner matrices.  The Schmidt check takes each |det z_i|
+    relative to <z_i|z_i>, the rule of schmidt_rank_one_check."""
     recon = reconstruct(dec)
-    dets, norms = _schmidt_terms(np.stack(dec.z, axis=-2))
+    dets, norms = _schmidt_terms(dec.z)
     residual = phase_constraint_residual(dec.thetas, dec.q)
     observed = {
         "reconstruction_error": _max_abs(recon - target, (-2, -1)),
-        "schmidt_determinant_max": np.max(dets / norms, axis=-1),
+        "schmidt_determinant_max": np.max(dets / norms, axis=0),
         "phase_constraint_residual": residual,
-        "norm_squared_sum": sum(norms.T),  # added in vector order
+        "norm_squared_sum": sum(norms),  # added in vector order
     }
     return recon, dets, observed
 
@@ -597,14 +597,14 @@ def _wootters_report(q: float) -> RunReport:
     dec = wootters_decomposition(np.array([q]))
     _, dets, observed = _wootters_checks(dec, werner(dec.q))
     thetas = np.array(dec.thetas)[:, 0]
-    z = matrix_payload(np.stack([v[0] for v in dec.z]))
+    z = matrix_payload(dec.z[:, 0])
     return RunReport(
         command="decompose",
         parameters={"q": q, "method": "wootters"},
         results={
             "q": q, "thetas": thetas, "z_vectors": z,
             "reconstruction_max_error": observed["reconstruction_error"][0],
-            "schmidt_abs_determinants": dets[0],
+            "schmidt_abs_determinants": dets[:, 0],
             "phase_constraint_residual": observed["phase_constraint_residual"][0],
             "norm_squared_sum": observed["norm_squared_sum"][0],
         },
@@ -616,9 +616,10 @@ def _wootters_report(q: float) -> RunReport:
 
 
 def cmd_decompose(args) -> RunReport:
-    n_theta, n_phi = (int(x) for x in args.nodes)
     if args.method == "spherical":
-        return _spherical_report(args.q, n_theta, n_phi)
+        return _spherical_report(args.q, *(args.nodes or (4, 8)))
+    if args.nodes is not None:
+        raise ValueError("--nodes applies only to --method spherical")
     return _wootters_report(args.q)
 
 
@@ -845,7 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=("spherical", "wootters"), default="spherical",
     )
     p_dec.add_argument(
-        "--nodes", nargs=2, type=int, default=(4, 8), metavar=("N_THETA", "N_PHI"),
+        "--nodes", nargs=2, type=int, default=None, metavar=("N_THETA", "N_PHI"),
         help="quadrature node counts for the spherical method (default: 4 8)",
     )
     add_common(p_dec)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
-from .states import bell_state, validate_bloch_vector, validate_mixing_parameter
+from .states import validate_bloch_vector, validate_mixing_parameter
 from .tolerances import SCHMIDT_TOL, SEPARABLE_Q_EDGE
 
 __all__ = [
@@ -147,12 +147,13 @@ class SphericalDecomposition:
 
 @dataclass(frozen=True)
 class WoottersDecomposition:
-    """Four unnormalized product vectors z with sum_i |z_i><z_i| = W(q),
-    plus the phase angles used to build them.  For a stack of q, shape (m,),
-    each z_i has shape (m, 4) and each angle shape (m,)."""
+    """Four unnormalized product vectors z with sum_i |z_i><z_i| = W(q), as
+    one read-only array of shape (4, 4), plus the phase angles used to build
+    them.  For a stack of q, shape (m,), z has shape (4, m, 4) and each angle
+    shape (m,)."""
 
     q: float | np.ndarray
-    z: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    z: np.ndarray
     thetas: tuple[float, float, float, float] | tuple[np.ndarray, ...]
 
 
@@ -244,55 +245,50 @@ def wootters_decomposition(q) -> WoottersDecomposition:
         x1 = -i sqrt(1+3q)/2 |psi_minus>,   x2 = sqrt(1-q)/2 |psi_plus>,
         x3 =    sqrt(1-q)/2 |phi_minus>,    x4 = -i sqrt(1-q)/2 |phi_plus>,
     combined as z_i = (1/2) sum_j S_ij e^{i theta_j} x_j with the four
-    orthogonal sign rows S = (++++, ++--, +-+-, +--+).  The phases are the
-    closed-form choice theta_1 = 0, theta_2 = pi/2,
-        cos theta_3 = sqrt((1-3q)/(2(1-q))),   sin theta_3 = sqrt((1+q)/(2(1-q))),
-    and theta_4 with the opposite cosine sign; this satisfies the constraint
+    orthogonal sign rows S = (++++, ++--, +-+-, +--+).  The phase factors
+    are 1, i, c + is and -c + is, with c = cos theta_3 = sqrt((1-3q)/(2(1-q)))
+    and s = sin theta_3 = sqrt(1 - c^2); they satisfy the constraint
     e^{-2i theta_1}(1+3q) + (e^{-2i theta_2}+e^{-2i theta_3}+e^{-2i theta_4})(1-q) = 0
-    and makes every z_i a product state.  For q > 1/3 the cosine formula turns
+    and make every z_i a product state.  For q > 1/3 the cosine formula turns
     imaginary, which is the same positivity obstruction as in the spherical
     construction.
+
+    Written out with h = sqrt((1-q)/32) and h' = sqrt((1+3q)/32), z_i is,
+    on |00>, |01>, |10>, |11>,
+        ((S_i3 c + S_i4 s) h + i (S_i3 s + S_i4 c) h,   i (S_i2 h - h'),
+         i (S_i2 h + h'),   (S_i4 s - S_i3 c) h + i (S_i4 c - S_i3 s) h),
+    so the |01> and |10> entries have real parts exactly 0.  z is one
+    read-only array, vector axis first: shape (4, 4), or (4, m, 4) for a
+    stack of q, shape (m,).
     """
     q = _require_separable_q(q)
     qs = np.asarray(q)
+    c = np.sqrt((1.0 - _local_norm_squared(qs)) / (2.0 * (1.0 - qs)))
+    # s from c keeps |c + is| = 1 in the window (1/3, SEPARABLE_Q_EDGE], where
+    # sqrt((1+q)/(2(1-q))) passes 1
+    s = np.sqrt(1.0 - c * c)
+    h = np.sqrt((1.0 - qs) / 32.0)
+    h_psi = np.sqrt((1.0 + 3.0 * qs) / 32.0)
+    signs = [[1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]  # S_i2, S_i3, S_i4 over i
+    s2, s3, s4 = np.reshape(signs, (3, 4) + (1,) * qs.ndim)
+    z = np.zeros((4,) + qs.shape + (4,), dtype=complex)
+    z.real[..., 0] = (s3 * c + s4 * s) * h
+    z.imag[..., 0] = (s3 * s + s4 * c) * h
+    z.imag[..., 1] = s2 * h - h_psi
+    z.imag[..., 2] = s2 * h + h_psi
+    z.real[..., 3] = (s4 * s - s3 * c) * h
+    z.imag[..., 3] = (s4 * c - s3 * s) * h
 
-    def column(x) -> np.ndarray:
-        return np.asarray(x)[..., None]
-
-    root_psi = np.sqrt(1.0 + 3.0 * qs) / 2.0
-    root = np.sqrt(1.0 - qs) / 2.0
-    x = np.stack([
-        column(-1j * root_psi) * bell_state("psi_minus"),
-        column(root) * bell_state("psi_plus"),
-        column(root) * bell_state("phi_minus"),
-        column(-1j * root) * bell_state("phi_plus"),
-    ])
-
-    def atan2(sin, cos) -> np.ndarray:
-        # math.atan2 per q: numpy's arctan2 rounds differently in the last ulp
-        pairs = zip(np.ravel(sin).tolist(), np.ravel(cos).tolist())
-        return np.array([math.atan2(a, b) for a, b in pairs]).reshape(qs.shape)
-
-    cos3 = np.sqrt((1.0 - _local_norm_squared(qs)) / (2.0 * (1.0 - qs)))
-    sin3 = np.sqrt((1.0 + qs) / (2.0 * (1.0 - qs)))
-    thetas = np.stack([
-        np.zeros(qs.shape),
-        np.full(qs.shape, math.pi / 2.0),
-        atan2(sin3, cos3),
-        atan2(sin3, -cos3),
-    ])
-
-    signs = np.array([
-        [1, 1, 1, 1],
-        [1, 1, -1, -1],
-        [1, -1, 1, -1],
-        [1, -1, -1, 1],
-    ]).reshape((4, 4) + (1,) * qs.ndim)
-    # S_ij e^{i theta_j} x_j, indexed (i, j, ..., component), summed over j
-    terms = column(signs * np.exp(1j * thetas)) * x
-    z_vectors = tuple(_frozen(0.5 * terms.sum(axis=1)))
+    # math.atan2 per q: numpy's arctan2 rounds differently in the last ulp
+    pairs = list(zip(s.ravel().tolist(), c.ravel().tolist()))
+    thetas = np.array([
+        [0.0] * len(pairs),
+        [math.pi / 2.0] * len(pairs),
+        [math.atan2(y, x) for y, x in pairs],
+        [math.atan2(y, -x) for y, x in pairs],
+    ]).reshape((4,) + qs.shape)
     thetas = tuple(thetas.tolist() if qs.ndim == 0 else _frozen(thetas))
-    return WoottersDecomposition(q=q, z=z_vectors, thetas=thetas)
+    return WoottersDecomposition(q=q, z=_frozen(z), thetas=thetas)
 
 
 def _moment_matrix(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

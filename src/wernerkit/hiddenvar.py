@@ -167,39 +167,19 @@ def _angles(u_cos: np.ndarray, u_phi: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return cos_t, u_phi * _TWO_PI
 
 
-def _threshold(
-    signed_radius: float,
-    axis: np.ndarray,
-    sin_t: np.ndarray,
-    cos_t: np.ndarray,
-    cos_p: np.ndarray,
-    sin_p: np.ndarray,
-) -> np.ndarray:
-    """One party's float64 thresholds (1 + signed_radius * axis.f)/2, with the
-    projection axis.f = sin(theta)(cos(phi) l_x + sin(phi) l_y) +
-    cos(theta) l_z built in place in two work arrays of the draws' length.
-    Every step is one elementwise float64 operation, so a subset of the draws
-    gets the thresholds the whole block gives at its indices, bit for bit."""
-    dot = np.multiply(cos_p, axis[0])
-    work = np.multiply(sin_p, axis[1])
-    dot += work
-    dot *= sin_t
-    np.multiply(cos_t, axis[2], out=work)
-    dot += work
-    dot *= signed_radius
-    dot += 1.0
-    dot *= 0.5
-    return dot
-
-
 def _plus(
     signed_radius: float, axis: np.ndarray, cos_t: np.ndarray, phi: np.ndarray, lam: np.ndarray
 ) -> np.ndarray:
     """Where one party answers +1 for draws at cos theta cos_t and angle phi:
-    each of its lambdas lam compared with its float64 threshold."""
+    each of its lambdas lam compared with its float64 threshold
+    (1 + signed_radius * axis.f)/2, with the projection axis.f =
+    sin(theta)(cos(phi) l_x + sin(phi) l_y) + cos(theta) l_z.  Every step is
+    one elementwise float64 operation, so a subset of the draws gets the
+    thresholds the whole block gives at its indices, bit for bit."""
     # |cos theta| <= 1, so 1 - cos^2 theta >= 0
     sin_t = np.sqrt(1.0 - cos_t * cos_t)
-    return lam <= _threshold(signed_radius, axis, sin_t, cos_t, np.cos(phi), np.sin(phi))
+    dot = (np.cos(phi) * axis[0] + np.sin(phi) * axis[1]) * sin_t + cos_t * axis[2]
+    return lam <= (dot * signed_radius + 1.0) * 0.5
 
 
 def _screen_weights(radius: float, axis_a: np.ndarray, axis_b: np.ndarray) -> np.ndarray:

@@ -54,17 +54,17 @@ TRACE_TOL = 1e-15
 EIGENVALUE_TOL = 1e-12
 # Both reconstructions: worst 1.83e-14, spherical on 1000 x 1000 nodes, 55x.
 RECONSTRUCTION_TOL = 1e-12
-# Wootters' norm_squared_sum: worst 2.22e-16 (1 eps), 4500x.
+# Wootters' norm_squared_sum: worst 4.44e-16 (2 eps) on verify's 20001-q grid, 2250x.
 NORM_SUM_TOL = 1e-12
-# phase_constraint_residual: worst 9.14e-16 on verify's grid, 109x.
+# phase_constraint_residual: worst 2.11e-14 = 6 (edge - 1/3) at SEPARABLE_Q_EDGE, 4.7x.
 PHASE_TOL = 1e-13
-# cross_decomposition_agreement, spherical against Wootters: worst 2.22e-16, 4.5e4x.
+# cross_decomposition_agreement, spherical against Wootters: worst 1.75e-15 in the window, 5700x.
 CROSS_DECOMPOSITION_TOL = 1e-11
 # weight_sum_deviation: 45 eps; worst 2.22e-16 (1 eps), 45x.
 WEIGHT_SUM_TOL = 1e-14
 # The tightest: second_moment_deviation, worst 7.30e-14 on 1000 x 1000 nodes, 1.37x.
 MOMENT_TOL = 1e-13
-# |det| / <v|v>, Wootters' vectors: worst 2.7e-15 at the edge, 368x; 1.95e-16 on verify's grid.
+# |det| / <v|v>, Wootters' vectors: worst 2.61e-15 at the edge, 383x; 1.39e-16 on verify's grid.
 SCHMIDT_TOL = 1e-12
 # hvsim's pass band in standard errors: a correct estimate leaves it with probability 5.7e-7.
 SIGMA_BAND = 5.0

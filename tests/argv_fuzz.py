@@ -141,6 +141,8 @@ def check(argv: list[str]) -> None:
 # A node count leggauss cannot take, with a valid --q, so that the count
 # reaches the quadrature's own check; the drawn counts never pair with one.
 @example(["decompose", "--q", "0.2", "--nodes", "18446744073709551616", "3"])
+# Node counts given to the four-vector method, which takes none.
+@example(["decompose", "--q", "0.2", "--method", "wootters", "--nodes", "4", "8"])
 @settings(
     max_examples=EXAMPLES, derandomize=True, database=None, deadline=None,
     suppress_health_check=list(HealthCheck),

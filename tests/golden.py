@@ -41,6 +41,8 @@ ARGVS = [
     ["decompose", "--q", "0.3333333333333333", "--nodes", "3", "5"],
     ["decompose", "--q", "0.2", "--method", "wootters"],
     ["decompose", "--q", "0", "--method", "wootters"],
+    # --nodes belongs to the spherical method: a usage error, exit 2
+    ["decompose", "--q", "0.2", "--method", "wootters", "--nodes", "4", "8"],
     # decompose: the seed-1 argv of the decompose_dense benchmark
     ["decompose", "--q", "0.044788081370800405", "--method", "spherical", "--nodes", "64", "128"],
     # ppt: one q on each side of the threshold, two sweeps, and the seed-1

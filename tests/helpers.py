@@ -61,9 +61,45 @@ def assert_bitwise_equal(actual, expected) -> None:
 _SIGN_ROWS = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
 
 
+def wootters_factors(q: float) -> tuple[float, float, float, float]:
+    """c = cos theta_3, s = sqrt(1 - c^2), h = sqrt((1-q)/32) and
+    h' = sqrt((1+3q)/32) of one q, in Python floats."""
+    c = math.sqrt(max(0.0, 1.0 - 3.0 * q) / (2.0 * (1.0 - q)))
+    h, h_psi = math.sqrt((1.0 - q) / 32.0), math.sqrt((1.0 + 3.0 * q) / 32.0)
+    return c, math.sqrt(1.0 - c * c), h, h_psi
+
+
+def wootters_closed_form(c, s, h, h_psi) -> list[list[tuple]]:
+    """The (real, imaginary) parts of each z_i's entries on |00>, |01>, |10>,
+    |11>, in the arithmetic of the arguments: rounded for floats, exact for
+    Fractions."""
+    zero = 0 * h
+    return [
+        [
+            ((s3 * c + s4 * s) * h, (s3 * s + s4 * c) * h),
+            (zero, s2 * h - h_psi),
+            (zero, s2 * h + h_psi),
+            ((s4 * s - s3 * c) * h, (s4 * c - s3 * s) * h),
+        ]
+        for _, s2, s3, s4 in _SIGN_ROWS
+    ]
+
+
 def reference_wootters(q: float) -> tuple[tuple, tuple]:
-    """The four vectors z and phase angles of one q, built with Python
-    scalar roots, math.atan2 and one array product per term."""
+    """The four vectors z and phase angles of one q: the closed form in
+    Python complex scalars, and math.atan2 of the (s, +-c) pairs."""
+    c, s, h, h_psi = wootters_factors(q)
+    z = tuple(
+        np.array([complex(re, im) for re, im in entries])
+        for entries in wootters_closed_form(c, s, h, h_psi)
+    )
+    return z, (0.0, math.pi / 2.0, math.atan2(s, c), math.atan2(s, -c))
+
+
+def reference_wootters_exp(q: float) -> tuple:
+    """The four vectors z of one q as Bell vectors with phases e^{i theta}
+    from np.exp of math.atan2 angles, sin theta_3 = sqrt((1+q)/(2(1-q))),
+    summed with one array product per term."""
     from wernerkit.states import bell_state
 
     x_vectors = (
@@ -76,10 +112,9 @@ def reference_wootters(q: float) -> tuple[tuple, tuple]:
     sin3 = math.sqrt((1.0 + q) / (2.0 * (1.0 - q)))
     thetas = (0.0, math.pi / 2.0, math.atan2(sin3, cos3), math.atan2(sin3, -cos3))
     phases = [np.exp(1j * t) for t in thetas]
-    z = tuple(
+    return tuple(
         0.5 * sum(s * ph * x for s, ph, x in zip(row, phases, x_vectors)) for row in _SIGN_ROWS
     )
-    return z, thetas
 
 
 def reference_wootters_sum(z) -> np.ndarray:

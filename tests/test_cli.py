@@ -318,7 +318,7 @@ class TestCheckBuilderOracle:
         for k, q in enumerate(qs.tolist()):
             z, thetas = reference_wootters(q)
             reference_dets = [float(abs(reference_schmidt_determinant(v))) for v in z]
-            assert dets[k].tolist() == reference_dets
+            assert dets[:, k].tolist() == reference_dets
             assert observed["schmidt_determinant_max"][k] == max(map(reference_schmidt_ratio, z))
             assert observed["phase_constraint_residual"][k] == reference_phase_residual(thetas, q)
             assert observed["norm_squared_sum"][k] == reference_norm_squared_sum(z)
@@ -645,6 +645,21 @@ class TestDecomposeCommand:
         check = {c["name"]: c for c in report["checks"]}["weight_sum_deviation"]
         assert check["pass"]
         assert check["observed"] <= 3.3e-16
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    @pytest.mark.parametrize("nodes", [("0", "0"), ("4", "8")])
+    def test_wootters_refuses_nodes(self, capsys, nodes, fmt):
+        # the spherical method's default grid is no reason to accept it here
+        argv = ("decompose", "--q", "0.2", "--method", "wootters", "--nodes", *nodes)
+        assert run(capsys, *argv, "--format", fmt) == (
+            EXIT_USAGE, "", "error: --nodes applies only to --method spherical\n"
+        )
+
+    def test_spherical_nodes_default_to_4_by_8(self):
+        args = cli.build_parser().parse_args(["decompose", "--q", "0.2"])
+        assert args.nodes is None
+        report = cli.cmd_decompose(args)
+        assert (report.parameters["n_theta"], report.parameters["n_phi"]) == (4, 8)
 
     def test_wootters_domain_error(self, capsys):
         code, _, _ = run(capsys, "decompose", "--q", "0.5", "--method", "wootters")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from helpers import (
     EXACT_SUM_TOL,
+    STACK_QS,
     assert_bitwise_equal,
     reference_moment_matrix,
     reference_moments,
@@ -17,8 +19,11 @@ from helpers import (
     reference_phase_residual,
     reference_schmidt_determinant,
     reference_wootters,
+    reference_wootters_exp,
     reference_wootters_sum,
     werner_matrix_closed_form,
+    wootters_closed_form,
+    wootters_factors,
 )
 from wernerkit.decomposition import (
     DecompositionDomainError,
@@ -348,6 +353,59 @@ class TestWootters:
             assert phase_constraint_residual(dec.thetas, q) <= 1e-14
 
 
+# The separable q of STACK_QS, then the 64 doubles of the window
+# (1/3, SEPARABLE_Q_EDGE].
+_THIRD_BITS = np.float64(Q_THIRD).view(np.int64)
+WINDOW_QS = np.arange(_THIRD_BITS + 1, _THIRD_BITS + 65).view(np.float64)
+CLOSED_FORM_QS = np.concatenate([STACK_QS[STACK_QS <= Q_THIRD], WINDOW_QS])
+
+
+class TestWoottersClosedForm:
+    """z built from the phase factors 1, i, c + is and -c + is, against
+    the same formula in exact rational arithmetic and against the
+    exp-of-atan2 construction it replaces."""
+
+    def test_window_ends_at_the_edge(self):
+        assert WINDOW_QS[0] == math.nextafter(Q_THIRD, 1.0)
+        assert WINDOW_QS[-1] == SEPARABLE_Q_EDGE and WINDOW_QS.size == 64
+
+    def test_z_is_one_read_only_array(self):
+        dec = wootters_decomposition(CLOSED_FORM_QS)
+        assert dec.z.shape == (4, CLOSED_FORM_QS.size, 4) and dec.z.dtype == complex
+        assert not dec.z.flags.writeable
+        assert wootters_decomposition(0.2).z.shape == (4, 4)
+
+    def test_cross_entries_have_exactly_zero_real_parts(self):
+        # the |01> and |10> entries are purely imaginary: +0.0, not a residue
+        for z in (wootters_decomposition(CLOSED_FORM_QS).z, wootters_decomposition(0.2).z):
+            assert_bitwise_equal(z.real[..., 1:3], np.zeros(z.shape[:-1] + (2,)))
+
+    def test_entries_within_2_ulps_of_the_exact_closed_form(self):
+        # exact from the same float64 c, s, h and h'; a decimal context of
+        # 40 digits would round the operands themselves, whose exact values
+        # take up to 55 digits, and miss the exact zero S_2 h - h' at q = 0
+        z = wootters_decomposition(CLOSED_FORM_QS).z
+        worst = 0.0
+        for k, q in enumerate(CLOSED_FORM_QS.tolist()):
+            exact = wootters_closed_form(*map(Fraction, wootters_factors(q)))
+            for i, j in np.ndindex(4, 4):
+                for value, part in zip((z[i, k, j].real, z[i, k, j].imag), exact[i][j]):
+                    worst = max(worst, float(abs(Fraction(value) - part)) / math.ulp(part))
+        assert worst <= 2.0
+
+    def test_phase_factor_has_unit_modulus(self):
+        # |c + is| within one ulp of 1, decided on the exact square
+        ulp = Fraction(math.ulp(1.0))
+        for q in CLOSED_FORM_QS.tolist():
+            c, s, _, _ = map(Fraction, wootters_factors(q))
+            assert (1 - ulp) ** 2 <= c * c + s * s <= (1 + ulp) ** 2
+
+    def test_matches_the_exp_of_atan2_construction(self):
+        z = wootters_decomposition(CLOSED_FORM_QS).z
+        for k, q in enumerate(CLOSED_FORM_QS.tolist()):
+            assert np.max(np.abs(z[:, k] - np.array(reference_wootters_exp(q)))) <= 4e-16
+
+
 class TestSchmidtCheck:
     def test_basis_product_state(self):
         v = np.zeros(4, dtype=complex)
@@ -473,14 +531,14 @@ class TestStackOracle:
     def check_wootters(qs: np.ndarray) -> None:
         dec = wootters_decomposition(qs)
         recon = reconstruct(dec)
-        dets = schmidt_determinant(np.stack(dec.z, axis=-2))
+        dets = schmidt_determinant(dec.z)
         residuals = phase_constraint_residual(dec.thetas, dec.q)
         for k, q in enumerate(qs.tolist()):
             z, thetas = reference_wootters(q)
             assert [t[k] for t in dec.thetas] == list(thetas)
             for i in range(4):
                 assert_bitwise_equal(dec.z[i][k], z[i])
-                assert_bitwise_equal(dets[k, i], reference_schmidt_determinant(z[i]))
+                assert_bitwise_equal(dets[i, k], reference_schmidt_determinant(z[i]))
             assert_bitwise_equal(recon[k], reference_wootters_sum(z))
             assert residuals[k] == reference_phase_residual(thetas, q)
 

@@ -686,15 +686,14 @@ class TestThresholdScreen:
     def test_a_million_draws_decide_some_again(self, monkeypatch):
         # the float64 fallback runs at this size, about 2 * _SCREEN of the
         # draws per party, and the counts still match the float64 reference
-        threshold = hiddenvar._threshold
+        plus = hiddenvar._plus
         again = []
 
-        def recording(signed_radius, axis, sin_t, cos_t, cos_p, sin_p):
-            if cos_p.dtype == np.float64:
-                again.append(cos_p.size)
-            return threshold(signed_radius, axis, sin_t, cos_t, cos_p, sin_p)
+        def recording(signed_radius, axis, cos_t, phi, lam):
+            again.append(phi.size)
+            return plus(signed_radius, axis, cos_t, phi, lam)
 
-        monkeypatch.setattr(hiddenvar, "_threshold", recording)
+        monkeypatch.setattr(hiddenvar, "_plus", recording)
         rng = np.random.default_rng(141)
         l, m = random_unit_axis(rng), random_unit_axis(rng)
         n = 10**6
