@@ -11,6 +11,7 @@ from .decomposition import (
     MomentReport,
     SphericalDecomposition,
     WoottersDecomposition,
+    direction_moment,
     moment_check,
     phase_constraint_residual,
     reconstruct,
@@ -19,6 +20,7 @@ from .decomposition import (
     spherical_decomposition,
     sphere_direction,
     wootters_decomposition,
+    wootters_phase_residual,
 )
 from .hiddenvar import (
     HvEstimate,
@@ -81,6 +83,7 @@ __all__ = [
     "bell_state",
     "bloch_state",
     "correlation",
+    "direction_moment",
     "estimate_all",
     "estimate_correlation",
     "estimate_local",
@@ -104,4 +107,5 @@ __all__ = [
     "werner",
     "werner_pt_eigenvalues_closed_form",
     "wootters_decomposition",
+    "wootters_phase_residual",
 ]

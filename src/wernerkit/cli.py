@@ -26,13 +26,14 @@ from .decomposition import (
     MomentReport,
     _assemble,
     _schmidt_terms,
+    direction_moment,
     local_bloch_norm,
     local_margin,
     moment_check,
-    phase_constraint_residual,
     reconstruct,
     spherical_decomposition,
     wootters_decomposition,
+    wootters_phase_residual,
 )
 from .hiddenvar import MAX_SAMPLES, HvEstimate, estimate_all
 from .linalg import _hermitian_deviation
@@ -556,11 +557,10 @@ def _wootters_checks(dec, target: np.ndarray) -> tuple[np.ndarray, np.ndarray, d
     relative to <z_i|z_i>, the rule of schmidt_rank_one_check."""
     recon = reconstruct(dec)
     dets, norms = _schmidt_terms(dec.z)
-    residual = phase_constraint_residual(dec.thetas, dec.q)
     observed = {
         "reconstruction_error": _max_abs(recon - target, (-2, -1)),
         "schmidt_determinant_max": np.max(dets / norms, axis=0),
-        "phase_constraint_residual": residual,
+        "phase_constraint_residual": wootters_phase_residual(dec),
         "norm_squared_sum": sum(norms),  # added in vector order
     }
     return recon, dets, observed
@@ -578,14 +578,18 @@ def _spherical_report(q: float, n_theta: int, n_phi: int) -> RunReport:
     nodes = Table(
         theta=dec.nodes[:, 0], phi=dec.nodes[:, 1], weight=dec.weights, a=dec.a[0], b=dec.b[0]
     )
-    fields = ("first_moment_a", "first_moment_b", "second_moment", "f_second_moment")
     return RunReport(
         command="decompose",
         parameters={"q": q, "method": "spherical", "n_theta": n_theta, "n_phi": n_phi},
         results={
             "q": q, "bloch_norm": local_bloch_norm(q), "nodes": nodes,
             "reconstruction_max_error": observed["reconstruction_error"][0],
-            "moments": {k: getattr(moments, k)[0] for k in fields},
+            "moments": {
+                "first_moment_a": moments.first_moment_a[0],
+                "first_moment_b": moments.first_moment_b[0],
+                "second_moment": moments.second_moment[0],
+                "f_second_moment": direction_moment(dec),
+            },
         },
         checks=_checks(observed, _SPHERICAL_CHECKS),
         csv_header=["theta", "phi", "weight", "a_x", "a_y", "a_z", "b_x", "b_y", "b_z"],

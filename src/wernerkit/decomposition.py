@@ -18,9 +18,9 @@ The four-vector decomposition writes W(q) = sum_i |z_i><z_i| where the z_i mix
 four sub-normalized Bell vectors with phases chosen so that every z_i is a
 product state.
 
-Both constructors, reconstruct, moment_check, schmidt_determinant and
-phase_constraint_residual also take a stack of q, shape (m,), and evaluate it
-in one call; each entry of a stacked result equals the result for its own q
+Both constructors, reconstruct, moment_check, schmidt_determinant and both
+phase residuals also take a stack of q, shape (m,), and evaluate it in one
+call; each entry of a stacked result equals the result for its own q
 bit for bit.  A scalar q gives the one-state types.
 """
 
@@ -46,9 +46,11 @@ __all__ = [
     "wootters_decomposition",
     "reconstruct",
     "moment_check",
+    "direction_moment",
     "schmidt_determinant",
     "schmidt_rank_one_check",
     "phase_constraint_residual",
+    "wootters_phase_residual",
     "local_bloch_norm",
     "local_margin",
 ]
@@ -148,27 +150,42 @@ class SphericalDecomposition:
 @dataclass(frozen=True)
 class WoottersDecomposition:
     """Four unnormalized product vectors z with sum_i |z_i><z_i| = W(q), as
-    one read-only array of shape (4, 4), plus the phase angles used to build
-    them.  For a stack of q, shape (m,), z has shape (4, m, 4) and each angle
-    shape (m,)."""
+    one read-only array of shape (4, 4), plus c = cos theta_3 and
+    s = sin theta_3 of the phase factors 1, i, c + is and -c + is that build
+    them; the angles are derived on access.  For a stack of q, shape (m,),
+    z has shape (4, m, 4), and c, s and each angle shape (m,)."""
 
     q: float | np.ndarray
     z: np.ndarray
-    thetas: tuple[float, float, float, float] | tuple[np.ndarray, ...]
+    c: float | np.ndarray
+    s: float | np.ndarray
+
+    @property
+    def thetas(self) -> tuple[float, float, float, float] | tuple[np.ndarray, ...]:
+        """The phase angles 0, pi/2, atan2(s, c) and atan2(s, -c)."""
+        c = np.asarray(self.c)
+        # math.atan2 per q: numpy's arctan2 rounds differently in the last ulp
+        pairs = list(zip(np.ravel(self.s).tolist(), c.ravel().tolist()))
+        thetas = np.array([
+            [0.0] * len(pairs),
+            [math.pi / 2.0] * len(pairs),
+            [math.atan2(y, x) for y, x in pairs],
+            [math.atan2(y, -x) for y, x in pairs],
+        ]).reshape((4,) + c.shape)
+        return tuple(thetas.tolist() if c.ndim == 0 else _frozen(thetas))
 
 
 @dataclass(frozen=True)
 class MomentReport:
     """First and second moments of the node ensemble, whose targets are
-    sum w*a_i = sum w*b_i = 0, sum w*a_i*b_j = -q delta_ij and
-    sum w*f_i*f_j = delta_ij / 3; matrix M = sum w (1, a)(1, b)^T holds the
-    first three.  A stack of q, shape (m,), gives each a leading axis m."""
+    sum w*a_i = sum w*b_i = 0 and sum w*a_i*b_j = -q delta_ij; matrix
+    M = sum w (1, a)(1, b)^T holds all three.  A stack of q, shape (m,),
+    gives each a leading axis m."""
 
     q: float | np.ndarray
     first_moment_a: np.ndarray
     first_moment_b: np.ndarray
     second_moment: np.ndarray
-    f_second_moment: np.ndarray
     matrix: np.ndarray
 
 
@@ -278,17 +295,9 @@ def wootters_decomposition(q) -> WoottersDecomposition:
     z.imag[..., 2] = s2 * h + h_psi
     z.real[..., 3] = (s4 * s - s3 * c) * h
     z.imag[..., 3] = (s4 * c - s3 * s) * h
-
-    # math.atan2 per q: numpy's arctan2 rounds differently in the last ulp
-    pairs = list(zip(s.ravel().tolist(), c.ravel().tolist()))
-    thetas = np.array([
-        [0.0] * len(pairs),
-        [math.pi / 2.0] * len(pairs),
-        [math.atan2(y, x) for y, x in pairs],
-        [math.atan2(y, -x) for y, x in pairs],
-    ]).reshape((4,) + qs.shape)
-    thetas = tuple(thetas.tolist() if qs.ndim == 0 else _frozen(thetas))
-    return WoottersDecomposition(q=q, z=_frozen(z), thetas=thetas)
+    return WoottersDecomposition(
+        q=q, z=_frozen(z), c=_scalar_or_array(_frozen(c)), s=_scalar_or_array(_frozen(s))
+    )
 
 
 def _moment_matrix(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -355,21 +364,26 @@ def reconstruct(dec) -> np.ndarray:
 def moment_check(dec: SphericalDecomposition) -> MomentReport:
     """The ensemble moments that force the reconstruction to equal W(q).
 
-    Reports sum w*a, sum w*b (targets 0), the 3x3 matrix sum w*a_i*b_j
-    (target -q delta_ij), and the direction second moment sum w*f_i*f_j
-    (target delta_ij / 3).  Never raises and judges nothing; the checks
+    Reports sum w*a, sum w*b (targets 0) and the 3x3 matrix sum w*a_i*b_j
+    (target -q delta_ij).  Never raises and judges nothing; the checks
     compare these with their targets.
     """
     m = _moment_matrix(dec.weights, dec.a, dec.b)
-    f = _moment_matrix(dec.weights, dec.directions, dec.directions)
     return MomentReport(
         q=dec.q,
         first_moment_a=m[..., 1:, 0],
         first_moment_b=m[..., 0, 1:],
         second_moment=m[..., 1:, 1:],
-        f_second_moment=np.broadcast_to(f[1:, 1:], m.shape[:-2] + (3, 3)),
         matrix=m,
     )
+
+
+def direction_moment(dec: SphericalDecomposition) -> np.ndarray:
+    """The direction second moment sum w*f_i*f_j (target delta_ij / 3) of
+    dec's nodes, shape (3, 3): it does not depend on q, so a stack of q has
+    the one matrix.  Only the decompose report prints it, so no check
+    builder forms it."""
+    return _moment_matrix(dec.weights, dec.directions, dec.directions)[1:, 1:]
 
 
 def schmidt_determinant(v) -> complex | np.ndarray:
@@ -409,20 +423,38 @@ def schmidt_rank_one_check(v) -> bool:
     return bool(det <= SCHMIDT_TOL * norm_sq)
 
 
+def _phase_residual(factors, q):
+    """|u1*^2 (1+3q) + (u2*^2 + u3*^2 + u4*^2)(1-q)| for four unit phase
+    factors u_k = e^{i theta_k}, each given as its (real, imaginary) parts:
+    u*^2 = e^{-2i theta}, so this is the residual of the phase constraint.
+    The complex sum is multiplied out in real arithmetic, rounded as complex
+    scalars round it, and its magnitude taken by np.hypot, as abs() of a
+    complex scalar."""
+    e = [(x * x - y * y, -2.0 * x * y) for x, y in factors]
+    q = np.asarray(q, dtype=float)
+    re = e[0][0] * (1.0 + 3.0 * q) + (e[1][0] + e[2][0] + e[3][0]) * (1.0 - q)
+    im = e[0][1] * (1.0 + 3.0 * q) + (e[1][1] + e[2][1] + e[3][1]) * (1.0 - q)
+    return _scalar_or_array(np.hypot(re, im))
+
+
 def phase_constraint_residual(thetas, q):
     """Magnitude of e^{-2i t1}(1+3q) + (e^{-2i t2}+e^{-2i t3}+e^{-2i t4})(1-q).
 
     Zero residual is the condition for the four-vector decomposition's phases
     to produce product states.  Four angle arrays of shape (m,) and a stack
-    of q of that shape give the residuals, shape (m,).
+    of q of that shape give the residuals, shape (m,).  Each angle enters
+    through its phase factor (cos t, sin t), by the rule of
+    wootters_phase_residual.
     """
     t = [np.asarray(x, dtype=float) for x in thetas]
     if len(t) != 4:
         raise ValueError(f"expected 4 phase angles, got {len(t)}")
-    q = np.asarray(q, dtype=float)
-    e = [np.exp(-2j * x) for x in t]
-    # the complex sum in real arithmetic, rounded as complex scalars round
-    # it, and its magnitude by np.hypot, as abs() of a complex scalar
-    re = e[0].real * (1.0 + 3.0 * q) + (e[1].real + e[2].real + e[3].real) * (1.0 - q)
-    im = e[0].imag * (1.0 + 3.0 * q) + (e[1].imag + e[2].imag + e[3].imag) * (1.0 - q)
-    return _scalar_or_array(np.hypot(re, im))
+    return _phase_residual([(np.cos(x), np.sin(x)) for x in t], q)
+
+
+def wootters_phase_residual(dec: WoottersDecomposition):
+    """The phase constraint residual of dec's own phase factors 1, i, c + is
+    and -c + is, with no angle.  The imaginary parts -2cs and 2cs of the
+    last two squares cancel exactly, so the sum it measures is real.  A float
+    for one q, shape (m,) for a stack."""
+    return _phase_residual(((1.0, 0.0), (0.0, 1.0), (dec.c, dec.s), (-dec.c, dec.s)), dec.q)

@@ -131,9 +131,32 @@ def reference_schmidt_determinant(v) -> complex:
     return v[0] * v[3] - v[1] * v[2]
 
 
-def reference_phase_residual(thetas, q: float) -> float:
+def wootters_phase_factors(q: float) -> tuple[tuple[float, float], ...]:
+    """The (real, imaginary) parts of Wootters' phase factors 1, i, c + is
+    and -c + is of one q, in Python floats."""
+    c, s, _, _ = wootters_factors(q)
+    return (1.0, 0.0), (0.0, 1.0), (c, s), (-c, s)
+
+
+def reference_phase_sum(factors, q: float) -> complex:
+    """u1*^2 (1+3q) + (u2*^2 + u3*^2 + u4*^2)(1-q) of four phase factors
+    u_k = (real, imaginary), u*^2 = e^{-2i theta}, multiplied out in real
+    Python scalar arithmetic."""
+    e = [(x * x - y * y, -2.0 * x * y) for x, y in factors]
+    return complex(
+        e[0][0] * (1.0 + 3.0 * q) + (e[1][0] + e[2][0] + e[3][0]) * (1.0 - q),
+        e[0][1] * (1.0 + 3.0 * q) + (e[1][1] + e[2][1] + e[3][1]) * (1.0 - q),
+    )
+
+
+def reference_phase_residual(factors, q: float) -> float:
+    """|reference_phase_sum|, by abs() of a complex scalar."""
+    return abs(reference_phase_sum(factors, q))
+
+
+def reference_phase_residual_exp(thetas, q: float) -> float:
     """|e^{-2i t1}(1+3q) + (e^{-2i t2}+e^{-2i t3}+e^{-2i t4})(1-q)| in complex
-    scalar arithmetic."""
+    scalar arithmetic, each e^{-2i t} by np.exp of the angle."""
     e = [np.exp(-2j * float(t)) for t in thetas]
     return float(abs(e[0] * (1.0 + 3.0 * q) + (e[1] + e[2] + e[3]) * (1.0 - q)))
 

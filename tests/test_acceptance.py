@@ -16,16 +16,16 @@ from wernerkit.cli import main
 from wernerkit.decomposition import (
     DecompositionDomainError,
     moment_check,
-    phase_constraint_residual,
     reconstruct,
     schmidt_determinant,
     schmidt_rank_one_check,
     spherical_decomposition,
     wootters_decomposition,
+    wootters_phase_residual,
 )
 from wernerkit.separability import ppt_test, werner_pt_eigenvalues_closed_form
 from wernerkit.states import werner
-from wernerkit.tolerances import SCHMIDT_TOL
+from wernerkit.tolerances import PHASE_TOL, SCHMIDT_TOL
 
 Q_THIRD = 1.0 / 3.0
 Q_GRID_101 = np.linspace(0.0, 1.0, 101)
@@ -134,7 +134,8 @@ def test_criterion_4_positivity_threshold():
 
 def test_criterion_5_wootters_decomposition():
     # every z_i is judged by the one product-state rule,
-    # |det z_i| <= SCHMIDT_TOL <z_i|z_i>, that the CLI's checks share
+    # |det z_i| <= SCHMIDT_TOL <z_i|z_i>, and the phases by the residual of
+    # the factors that build z, the rules the CLI's checks share
     start = time.perf_counter()
     max_recon = 0.0
     max_ratio = 0.0
@@ -147,19 +148,19 @@ def test_criterion_5_wootters_decomposition():
         max_ratio = max(
             max_ratio, *(abs(schmidt_determinant(z)) / np.vdot(z, z).real for z in dec.z)
         )
-        max_residual = max(max_residual, phase_constraint_residual(dec.thetas, q))
+        max_residual = max(max_residual, wootters_phase_residual(dec))
     elapsed = time.perf_counter() - start
-    ok = max_recon <= 1e-12 and products and max_residual <= 1e-13 and elapsed < 0.1
+    ok = max_recon <= 1e-12 and products and max_residual <= PHASE_TOL and elapsed < 0.1
     report_line(
         5,
         ok,
         f"resummation max error {max_recon:.2e} (tol 1e-12), Schmidt |det|/<z|z> max "
         f"{max_ratio:.2e} (tol {SCHMIDT_TOL:g}), phase residual max {max_residual:.2e} "
-        f"(tol 1e-13), {elapsed:.3f}s",
+        f"(tol {PHASE_TOL:g}), {elapsed:.3f}s",
     )
     assert max_recon <= 1e-12
     assert products
-    assert max_residual <= 1e-13
+    assert max_residual <= PHASE_TOL
     assert elapsed < 0.1
 
 

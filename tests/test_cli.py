@@ -25,6 +25,7 @@ from helpers import (
     reference_schmidt_determinant,
     reference_wootters,
     reference_wootters_sum,
+    wootters_phase_factors,
 )
 from wernerkit import cli, decomposition, hiddenvar
 from wernerkit.cli import (
@@ -124,7 +125,7 @@ def reference_verify_row(q: float) -> dict:
         row["skipped"] = "decomposition checks skipped: q > 1/3 (local_margin < 0)"
         return row
     target = werner(q)
-    z, thetas = reference_wootters(q)
+    z, _ = reference_wootters(q)
     recon_s = reference_node_sum(dec.weights, dec.a)
     recon_w = reference_wootters_sum(z)
     first_a, first_b, second = reference_moments(dec.weights, dec.a)
@@ -136,7 +137,7 @@ def reference_verify_row(q: float) -> dict:
             max_abs(first_a), max_abs(first_b), max_abs(second + q * np.eye(3))
         ),
         schmidt_max=max(reference_schmidt_ratio(v) for v in z),
-        phase_residual=reference_phase_residual(thetas, q),
+        phase_residual=reference_phase_residual(wootters_phase_factors(q), q),
         skipped=None,
     )
     return row
@@ -277,8 +278,9 @@ class TestDecompositionPassCount:
         assert code == EXIT_OK
         assert [type(args[0]) for args in calls["reconstruct"]] == [WoottersDecomposition]
         assert len(calls["moment_check"]) == 1
-        # M = sum w (1, a)(1, b)^T and the direction moments, once each
-        assert len(calls["_moment_matrix"]) == 2
+        # M = sum w (1, a)(1, b)^T once; the direction moments, which verify
+        # does not report, never
+        assert len(calls["_moment_matrix"]) == 1
         (spherical,), (wootters,) = calls["spherical_decomposition"], calls["wootters_decomposition"]
         assert len(report["results"]["skipped"]) == 1001 - 334
         assert spherical[0].shape == wootters[0].shape == (334,)
@@ -306,6 +308,20 @@ class TestDecompositionPassCount:
         assert len(calls["reconstruct"]) == (method == "wootters")
         assert len(calls["moment_check"]) == len(calls["_moment_matrix"]) // 2 == (method == "spherical")
 
+    def test_verify_builds_no_angle_and_no_direction_moment(self, monkeypatch):
+        # the phase angles and the direction moments are printed only by
+        # decompose, so the check builders verify shares never form them
+        def refuse(*args):
+            raise AssertionError("called by verify's check builders")
+
+        monkeypatch.setattr(decomposition.math, "atan2", refuse)
+        monkeypatch.setattr(decomposition, "direction_moment", refuse)
+        q = np.linspace(0.0, 1.0, 31)
+        _, skipped, checks = cli._verify_rows(q, werner(q))
+        assert len(skipped.columns["q"]) == 31 - 11
+        assert [c.name for c in checks][-1] == "phase_constraint_residuals"
+        assert all(c.passed for c in checks)
+
 
 class TestCheckBuilderOracle:
     """The stacked check builders' fields against the per-q oracles: bit for
@@ -316,11 +332,12 @@ class TestCheckBuilderOracle:
     def test_wootters_fields(self, qs):
         _, dets, observed = cli._wootters_checks(wootters_decomposition(qs), werner(qs))
         for k, q in enumerate(qs.tolist()):
-            z, thetas = reference_wootters(q)
+            z, _ = reference_wootters(q)
             reference_dets = [float(abs(reference_schmidt_determinant(v))) for v in z]
             assert dets[:, k].tolist() == reference_dets
             assert observed["schmidt_determinant_max"][k] == max(map(reference_schmidt_ratio, z))
-            assert observed["phase_constraint_residual"][k] == reference_phase_residual(thetas, q)
+            residual = reference_phase_residual(wootters_phase_factors(q), q)
+            assert observed["phase_constraint_residual"][k] == residual
             assert observed["norm_squared_sum"][k] == reference_norm_squared_sum(z)
             target = werner(q)
             assert observed["reconstruction_error"][k] == max_abs(reference_wootters_sum(z) - target)
@@ -1142,14 +1159,14 @@ class TestReportMachinery:
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
     def test_nan_entry_of_a_stacked_check_exits_2(self, capsys, monkeypatch, fmt):
-        residual = cli.phase_constraint_residual
+        residual = cli.wootters_phase_residual
 
-        def nan_at_one_q(thetas, q):
-            values = np.array(residual(thetas, q))
+        def nan_at_one_q(dec):
+            values = np.array(residual(dec))
             values[1] = math.nan
             return values
 
-        monkeypatch.setattr(cli, "phase_constraint_residual", nan_at_one_q)
+        monkeypatch.setattr(cli, "wootters_phase_residual", nan_at_one_q)
         args = cli.build_parser().parse_args(["verify", "--grid", "0", "0.3", "4"])
         checks = {c.name: c for c in cli.cmd_verify(args).checks}
         assert math.isnan(checks["phase_constraint_residuals"].observed)
@@ -1274,14 +1291,14 @@ class TestNonFiniteGate:
         else:
             # the phase residual of a tested row of a grid whose rows past
             # 1/3 are null: a present entry is never written as null
-            residual = cli.phase_constraint_residual
+            residual = cli.wootters_phase_residual
 
-            def one_bad(thetas, q):
-                values = np.array(residual(thetas, q))
+            def one_bad(dec):
+                values = np.array(residual(dec))
                 values[1] = bad
                 return values
 
-            monkeypatch.setattr(cli, "phase_constraint_residual", one_bad)
+            monkeypatch.setattr(cli, "wootters_phase_residual", one_bad)
             argv = ["verify", "--grid", "0", "1", "7"]
         code, out, err = run(capsys, *argv, "--format", fmt)
         assert (code, out, err) == (EXIT_USAGE, "", f"error: report value {bad} is not finite\n")

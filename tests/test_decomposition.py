@@ -17,6 +17,8 @@ from helpers import (
     reference_node_sum,
     reference_pauli_sum,
     reference_phase_residual,
+    reference_phase_residual_exp,
+    reference_phase_sum,
     reference_schmidt_determinant,
     reference_wootters,
     reference_wootters_exp,
@@ -24,6 +26,7 @@ from helpers import (
     werner_matrix_closed_form,
     wootters_closed_form,
     wootters_factors,
+    wootters_phase_factors,
 )
 from wernerkit.decomposition import (
     DecompositionDomainError,
@@ -33,6 +36,7 @@ from wernerkit.decomposition import (
     _local_norm_squared,
     _moment_matrix,
     _quadrature,
+    direction_moment,
     local_bloch_norm,
     moment_check,
     phase_constraint_residual,
@@ -42,6 +46,7 @@ from wernerkit.decomposition import (
     sphere_direction,
     spherical_decomposition,
     wootters_decomposition,
+    wootters_phase_residual,
 )
 from wernerkit.states import SEPARABLE_Q_EDGE, PositivityError, bell_state, werner
 
@@ -255,15 +260,17 @@ class TestMoments:
 
     def test_direction_second_moment_is_third_identity(self):
         for q in (0.0, 0.25):
-            report = moment_check(spherical_decomposition(q))
-            assert_allclose(report.f_second_moment, np.eye(3) / 3, atol=1e-13)
+            dec = spherical_decomposition(q)
+            assert_allclose(direction_moment(dec), np.eye(3) / 3, atol=1e-13)
+            expected = reference_moment_matrix(dec.weights, dec.directions, dec.directions)
+            assert_bitwise_equal(direction_moment(dec), expected[1:, 1:])
 
     def test_report_never_raises_and_holds_only_moments(self):
         # nodes that are not states still have moments; the checks judge them
         dec = spherical_decomposition(0.2)
         report = moment_check(dataclasses.replace(dec, a=1.5 * dec.directions))
         assert [f.name for f in dataclasses.fields(report)] == [
-            "q", "first_moment_a", "first_moment_b", "second_moment", "f_second_moment", "matrix",
+            "q", "first_moment_a", "first_moment_b", "second_moment", "matrix",
         ]
         assert_allclose(report.second_moment, -0.75 * np.eye(3), atol=1e-15)
         # the moment matrix M = sum w (1, a)(1, b)^T holds the first three
@@ -351,6 +358,7 @@ class TestWootters:
         for q in np.linspace(0.0, Q_THIRD, 12):
             dec = wootters_decomposition(q)
             assert phase_constraint_residual(dec.thetas, q) <= 1e-14
+            assert wootters_phase_residual(dec) <= 1e-14
 
 
 # The separable q of STACK_QS, then the 64 doubles of the window
@@ -404,6 +412,40 @@ class TestWoottersClosedForm:
         z = wootters_decomposition(CLOSED_FORM_QS).z
         for k, q in enumerate(CLOSED_FORM_QS.tolist()):
             assert np.max(np.abs(z[:, k] - np.array(reference_wootters_exp(q)))) <= 4e-16
+
+
+class TestWoottersPhaseResidual:
+    """The residual of Wootters' own phase factors, against the factor form
+    in Python scalars and the exp-of-angle form it replaces."""
+
+    def test_stack_equals_the_factor_form(self):
+        residuals = wootters_phase_residual(wootters_decomposition(CLOSED_FORM_QS))
+        for k, q in enumerate(CLOSED_FORM_QS.tolist()):
+            total = reference_phase_sum(wootters_phase_factors(q), q)
+            # -2cs and 2cs cancel exactly, so the sum is real
+            assert total.imag == 0.0
+            assert residuals[k] == abs(total)
+            assert residuals[k] == wootters_phase_residual(wootters_decomposition(q))
+
+    def test_within_1e_15_of_the_exp_form_outside_the_window(self):
+        qs = CLOSED_FORM_QS[CLOSED_FORM_QS <= Q_THIRD]
+        residuals = wootters_phase_residual(wootters_decomposition(qs))
+        for k, q in enumerate(qs.tolist()):
+            _, thetas = reference_wootters(q)
+            assert abs(residuals[k] - reference_phase_residual_exp(thetas, q)) <= 1e-15
+
+    def test_angles_take_the_same_rule(self):
+        # each angle enters as its factor (cos t, sin t); a stack of angles
+        # gives the one-q results
+        dec = wootters_decomposition(CLOSED_FORM_QS)
+        residuals = phase_constraint_residual(dec.thetas, dec.q)
+        for k, q in enumerate(CLOSED_FORM_QS.tolist()):
+            thetas = [t[k] for t in dec.thetas]
+            factors = [(math.cos(t), math.sin(t)) for t in thetas]
+            assert residuals[k] == phase_constraint_residual(thetas, q)
+            assert abs(residuals[k] - reference_phase_residual(factors, q)) <= 1e-15
+            if q <= Q_THIRD:
+                assert abs(residuals[k] - reference_phase_residual_exp(thetas, q)) <= 1e-15
 
 
 class TestSchmidtCheck:
@@ -525,14 +567,14 @@ class TestStackOracle:
                 stacked = getattr(moments, name)[k]
                 assert_bitwise_equal(stacked, getattr(report, name))
                 assert np.max(np.abs(stacked - exact)) <= EXACT_SUM_TOL
-            assert_bitwise_equal(moments.f_second_moment[k], report.f_second_moment)
+            assert_bitwise_equal(direction_moment(dec), direction_moment(one))
 
     @staticmethod
     def check_wootters(qs: np.ndarray) -> None:
         dec = wootters_decomposition(qs)
         recon = reconstruct(dec)
         dets = schmidt_determinant(dec.z)
-        residuals = phase_constraint_residual(dec.thetas, dec.q)
+        residuals = wootters_phase_residual(dec)
         for k, q in enumerate(qs.tolist()):
             z, thetas = reference_wootters(q)
             assert [t[k] for t in dec.thetas] == list(thetas)
@@ -540,7 +582,7 @@ class TestStackOracle:
                 assert_bitwise_equal(dec.z[i][k], z[i])
                 assert_bitwise_equal(dets[i, k], reference_schmidt_determinant(z[i]))
             assert_bitwise_equal(recon[k], reference_wootters_sum(z))
-            assert residuals[k] == reference_phase_residual(thetas, q)
+            assert residuals[k] == reference_phase_residual(wootters_phase_factors(q), q)
 
     @settings(max_examples=25, deadline=None)
     @given(q_stacks)
@@ -575,10 +617,12 @@ class TestStackOracle:
         assert report.first_moment_a.shape == (3,) and report.second_moment.shape == (3, 3)
         wootters = wootters_decomposition(q)
         assert type(wootters.q) is float
+        assert type(wootters.c) is type(wootters.s) is float
         assert all(type(t) is float for t in wootters.thetas)
         assert all(v.shape == (4,) for v in wootters.z)
         assert isinstance(schmidt_determinant(wootters.z[0]), np.complex128)
         assert type(phase_constraint_residual(wootters.thetas, q)) is float
+        assert type(wootters_phase_residual(wootters)) is float
         assert type(local_bloch_norm(q)) is float
 
 
@@ -607,6 +651,7 @@ class TestStackDomain:
         assert isinstance(wootters_decomposition(qs), WoottersDecomposition)
         assert reconstruct(wootters_decomposition(qs)).shape == (2, 4, 4)
         report = moment_check(spherical_decomposition(qs))
-        assert report.second_moment.shape == report.f_second_moment.shape == (2, 3, 3)
+        assert report.second_moment.shape == (2, 3, 3)
+        assert direction_moment(spherical_decomposition(qs)).shape == (3, 3)
         assert np.max(np.abs(report.second_moment + qs[:, None, None] * np.eye(3))) <= 1e-15
         assert reconstruct(spherical_decomposition(qs[:0])).shape == (0, 4, 4)
