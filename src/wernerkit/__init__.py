@@ -13,7 +13,6 @@ from .decomposition import (
     WoottersDecomposition,
     direction_moment,
     moment_check,
-    phase_constraint_residual,
     reconstruct,
     schmidt_determinant,
     schmidt_rank_one_check,
@@ -27,8 +26,6 @@ from .hiddenvar import (
     HvEstimates,
     HvSample,
     estimate_all,
-    estimate_correlation,
-    estimate_local,
     outcome_a,
     outcome_b,
 )
@@ -85,8 +82,6 @@ __all__ = [
     "correlation",
     "direction_moment",
     "estimate_all",
-    "estimate_correlation",
-    "estimate_local",
     "hermitian_eigenvalues",
     "is_hermitian",
     "kron",
@@ -96,7 +91,6 @@ __all__ = [
     "outcome_a",
     "outcome_b",
     "partial_transpose_b",
-    "phase_constraint_residual",
     "ppt_test",
     "product_state",
     "reconstruct",

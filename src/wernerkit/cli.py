@@ -35,7 +35,7 @@ from .decomposition import (
     wootters_decomposition,
     wootters_phase_residual,
 )
-from .hiddenvar import MAX_SAMPLES, HvEstimate, estimate_all
+from .hiddenvar import MAX_SAMPLES, estimate_all
 from .linalg import _hermitian_deviation
 from .separability import ppt_test, werner_pt_eigenvalues_closed_form
 from .states import PositivityError, _scaled_norm, werner
@@ -627,18 +627,17 @@ def cmd_decompose(args) -> RunReport:
     return _wootters_report(args.q)
 
 
-def _sigma_band(est: HvEstimate) -> float:
-    """The 5-sigma tolerance of a +/-1 estimate.  A run whose draws all gave
-    the same outcome has standard error 0; its band uses 1/sqrt(n - 1), the
-    largest standard error n +/-1 outcomes can show, so it never has zero
-    width."""
-    std_error = est.std_error or 1.0 / math.sqrt(est.n_samples - 1)
-    return SIGMA_BAND * std_error
+def _sigma_band(mu: float, n: int) -> float:
+    """The 5-sigma tolerance of the mean of n +/-1 outcomes whose model mean
+    is mu: SIGMA_BAND standard errors of the model, sqrt((1 - mu^2) / n),
+    never zero for |mu| <= 1/3.  Taken from the model, not the sample, the
+    band does not shrink with a run that happens to show little spread."""
+    return SIGMA_BAND * math.sqrt((1.0 - mu * mu) / n)
 
 
 def cmd_hvsim(args) -> RunReport:
-    # One draw has no sample standard deviation (n - 1 = 0), so the 5-sigma
-    # checks are undefined.
+    # One draw has no sample standard deviation (n - 1 = 0), so the reported
+    # standard errors would be undefined.
     if args.samples < 2:
         raise ValueError(f"--samples must be >= 2, got {args.samples}")
     if args.samples > MAX_SAMPLES:
@@ -648,6 +647,7 @@ def cmd_hvsim(args) -> RunReport:
     est = estimate_all(args.q, axis_a, axis_b, args.samples, args.seed)
     corr, marg_a, marg_b = est.correlation, est.marginal_a, est.marginal_b
     analytic = -args.q * float(np.dot(axis_a, axis_b))
+    marginal_band = _sigma_band(0.0, args.samples)
 
     return RunReport(
         command="hvsim",
@@ -665,9 +665,10 @@ def cmd_hvsim(args) -> RunReport:
             "n_samples": args.samples,
         },
         checks=[
-            check_value("correlation_within_5_sigma", corr.mean, analytic, _sigma_band(corr)),
-            check_value("marginal_a_within_5_sigma", marg_a.mean, 0.0, _sigma_band(marg_a)),
-            check_value("marginal_b_within_5_sigma", marg_b.mean, 0.0, _sigma_band(marg_b)),
+            check_value("correlation_within_5_sigma", corr.mean, analytic,
+                        _sigma_band(analytic, args.samples)),
+            check_value("marginal_a_within_5_sigma", marg_a.mean, 0.0, marginal_band),
+            check_value("marginal_b_within_5_sigma", marg_b.mean, 0.0, marginal_band),
         ],
         seed=args.seed,
         warnings=warnings_a + warnings_b,

@@ -18,8 +18,8 @@ The four-vector decomposition writes W(q) = sum_i |z_i><z_i| where the z_i mix
 four sub-normalized Bell vectors with phases chosen so that every z_i is a
 product state.
 
-Both constructors, reconstruct, moment_check, schmidt_determinant and both
-phase residuals also take a stack of q, shape (m,), and evaluate it in one
+Both constructors, reconstruct, moment_check, schmidt_determinant and the
+phase residual also take a stack of q, shape (m,), and evaluate it in one
 call; each entry of a stacked result equals the result for its own q
 bit for bit.  A scalar q gives the one-state types.
 """
@@ -49,7 +49,6 @@ __all__ = [
     "direction_moment",
     "schmidt_determinant",
     "schmidt_rank_one_check",
-    "phase_constraint_residual",
     "wootters_phase_residual",
     "local_bloch_norm",
     "local_margin",
@@ -423,38 +422,13 @@ def schmidt_rank_one_check(v) -> bool:
     return bool(det <= SCHMIDT_TOL * norm_sq)
 
 
-def _phase_residual(factors, q):
-    """|u1*^2 (1+3q) + (u2*^2 + u3*^2 + u4*^2)(1-q)| for four unit phase
-    factors u_k = e^{i theta_k}, each given as its (real, imaginary) parts:
-    u*^2 = e^{-2i theta}, so this is the residual of the phase constraint.
-    The complex sum is multiplied out in real arithmetic, rounded as complex
-    scalars round it, and its magnitude taken by np.hypot, as abs() of a
-    complex scalar."""
-    e = [(x * x - y * y, -2.0 * x * y) for x, y in factors]
-    q = np.asarray(q, dtype=float)
-    re = e[0][0] * (1.0 + 3.0 * q) + (e[1][0] + e[2][0] + e[3][0]) * (1.0 - q)
-    im = e[0][1] * (1.0 + 3.0 * q) + (e[1][1] + e[2][1] + e[3][1]) * (1.0 - q)
-    return _scalar_or_array(np.hypot(re, im))
-
-
-def phase_constraint_residual(thetas, q):
-    """Magnitude of e^{-2i t1}(1+3q) + (e^{-2i t2}+e^{-2i t3}+e^{-2i t4})(1-q).
-
-    Zero residual is the condition for the four-vector decomposition's phases
-    to produce product states.  Four angle arrays of shape (m,) and a stack
-    of q of that shape give the residuals, shape (m,).  Each angle enters
-    through its phase factor (cos t, sin t), by the rule of
-    wootters_phase_residual.
-    """
-    t = [np.asarray(x, dtype=float) for x in thetas]
-    if len(t) != 4:
-        raise ValueError(f"expected 4 phase angles, got {len(t)}")
-    return _phase_residual([(np.cos(x), np.sin(x)) for x in t], q)
-
-
 def wootters_phase_residual(dec: WoottersDecomposition):
-    """The phase constraint residual of dec's own phase factors 1, i, c + is
-    and -c + is, with no angle.  The imaginary parts -2cs and 2cs of the
-    last two squares cancel exactly, so the sum it measures is real.  A float
-    for one q, shape (m,) for a stack."""
-    return _phase_residual(((1.0, 0.0), (0.0, 1.0), (dec.c, dec.s), (-dec.c, dec.s)), dec.q)
+    """Magnitude of the phase constraint u1*^2 (1+3q) + (u2*^2 + u3*^2 +
+    u4*^2)(1-q) on dec's own phase factors u = 1, i, c + is and -c + is,
+    whose zero makes every z_i a product state.  With d = c^2 - s^2 the
+    squares are 1, -1, d - 2ics and d + 2ics: the imaginary parts cancel
+    exactly, so the sum is the real (1+3q) + ((d - 1) + d)(1-q).  A float for
+    one q, shape (m,) for a stack."""
+    d = dec.c * dec.c - dec.s * dec.s
+    q = np.asarray(dec.q, dtype=float)
+    return _scalar_or_array(np.abs((1.0 + 3.0 * q) + ((d - 1.0) + d) * (1.0 - q)))

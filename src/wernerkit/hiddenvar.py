@@ -47,8 +47,6 @@ __all__ = [
     "outcome_a",
     "outcome_b",
     "estimate_all",
-    "estimate_correlation",
-    "estimate_local",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -304,9 +302,7 @@ def estimate_all(q: float, axis_a, axis_b, n_samples: int, seed: int) -> HvEstim
 
     The draws come from one seeded stream, numpy's PCG64 default_rng([seed,
     0]), so identical arguments give bit-identical estimates; the seeded
-    reports pin that key.  Each estimate equals, bit for bit, the one
-    estimate_correlation or estimate_local gives for the same arguments.
-    More than MAX_SAMPLES draws raise ValueError.
+    reports pin that key.  More than MAX_SAMPLES draws raise ValueError.
     """
     q = _require_separable_q(q)
     la = _unit_axis(axis_a, "axis_a")
@@ -324,24 +320,3 @@ def estimate_all(q: float, axis_a, axis_b, n_samples: int, seed: int) -> HvEstim
         marginal_a=_estimate(plus_a, n_samples, seed),
         marginal_b=_estimate(plus_b, n_samples, seed),
     )
-
-
-def estimate_correlation(q: float, axis_a, axis_b, n_samples: int, seed: int) -> HvEstimate:
-    """Mean of outcome_a * outcome_b over n_samples hidden draws.
-
-    Converges to -q (axis_a . axis_b).  Identical (seed, q, axes, n_samples)
-    give a bit-identical estimate.
-    """
-    return estimate_all(q, axis_a, axis_b, n_samples, seed).correlation
-
-
-def estimate_local(q: float, axis, subsystem: str, n_samples: int, seed: int) -> HvEstimate:
-    """Mean of a single party's outcome; converges to 0 for every q <= 1/3
-    and every unit axis."""
-    q = _require_separable_q(q)
-    v = _unit_axis(axis, "axis")
-    if subsystem not in ("A", "B"):
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-
-    est = estimate_all(q, v, v, n_samples, seed)
-    return est.marginal_a if subsystem == "A" else est.marginal_b

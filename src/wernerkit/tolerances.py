@@ -66,5 +66,6 @@ WEIGHT_SUM_TOL = 1e-14
 MOMENT_TOL = 1e-13
 # |det| / <v|v>, Wootters' vectors: worst 2.61e-15 at the edge, 383x; 1.39e-16 on verify's grid.
 SCHMIDT_TOL = 1e-12
-# hvsim's pass band in standard errors: a correct estimate leaves it with probability 5.7e-7.
+# hvsim's pass band in model standard errors sqrt((1 - mu^2)/n): a correct run leaves it with
+# probability at most 1.67e-6 (exact binomial, n <= 3000, |mu| <= 1/3; n = 23), 5.7e-7 as n grows.
 SIGMA_BAND = 5.0

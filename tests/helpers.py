@@ -161,6 +161,18 @@ def reference_phase_residual_exp(thetas, q: float) -> float:
     return float(abs(e[0] * (1.0 + 3.0 * q) + (e[1] + e[2] + e[3]) * (1.0 - q)))
 
 
+def binomial_pmf(n: int, p) -> np.ndarray:
+    """P(K = k) for k = 0..n of K ~ Binomial(n, p), 0 < p < 1, from its
+    logarithm log n! - log k! - log (n - k)! + k log p + (n - k) log(1 - p),
+    each factorial a running sum of logs, so no term overflows.  An array p
+    gives one row per entry, shape p.shape + (n + 1,)."""
+    p = np.asarray(p, dtype=float)[..., None]
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
+    k = np.arange(n + 1)
+    log_pmf = log_fact[n] - log_fact[k] - log_fact[n - k] + k * np.log(p) + (n - k) * np.log1p(-p)
+    return np.exp(log_pmf)
+
+
 def reference_norm_squared_sum(z) -> float:
     """sum_i <z_i|z_i>, one np.vdot per vector."""
     return sum(float(np.real(np.vdot(v, v))) for v in z)

@@ -18,6 +18,7 @@ from helpers import (
     EXACT_SUM_TOL,
     THRESHOLD_QS,
     assert_bitwise_equal,
+    binomial_pmf,
     reference_moments,
     reference_node_sum,
     reference_norm_squared_sum,
@@ -806,7 +807,7 @@ class TestHvsimCommand:
         assert code == EXIT_DOMAIN
 
     def test_single_sample_exits_2(self, capsys):
-        # one draw has no standard error, so the 5-sigma checks are undefined
+        # one draw has no sample standard error to report
         code, out, err = run(capsys, "hvsim", "--q", "0.2", "--samples", "1")
         assert code == EXIT_USAGE
         assert out == ""
@@ -816,7 +817,8 @@ class TestHvsimCommand:
     @pytest.mark.parametrize("samples", [2, 3])
     def test_all_same_outcomes_keep_a_nonzero_band(self, capsys, samples):
         # seed 0 draws the same outcome every time on at least one estimate;
-        # its standard error is 0, and the band falls back to 1/sqrt(n - 1)
+        # its standard error is 0, but the band is the model's,
+        # 5 sqrt((1 - mu^2) / n), whatever the draws show
         code, report, _ = run_json(
             capsys, "hvsim", "--q", "0.2", "--samples", str(samples), "--seed", "0"
         )
@@ -827,10 +829,31 @@ class TestHvsimCommand:
         assert degenerate
         for key in degenerate:
             assert abs(results[key]["mean"]) == 1.0
-            assert bands[key]["tolerance"] == 5.0 / math.sqrt(samples - 1)
+        for key, check in bands.items():
+            mu = results["analytic"] if key == "correlation" else 0.0
+            assert check["expected"] == mu
+            assert check["tolerance"] == 5.0 * math.sqrt((1.0 - mu * mu) / samples) > 0.0
+
+    def test_band_false_failure_rate_is_exact_and_small(self):
+        # A correct run of n draws with model mean mu counts k outcomes +1
+        # with probability binomial_pmf(n, (1 + mu)/2)[k], and fails its
+        # check when its mean (2k - n)/n leaves the band around mu.  Summed
+        # over every k, the worst rate is 1.67e-6 (n = 23, mu = +/-1/3); a
+        # band from the sample standard error reaches 5.86e-3 (n = 12, mu = 0).
+        mus = np.arange(-20, 21) / 60
+        assert {0.0, 1.0 / 3.0, -1.0 / 3.0} <= set(mus.tolist())
+        worst = 0.0
+        for n in range(2, 501):
+            means = (2 * np.arange(n + 1) - n) / n
+            bands = np.array([cli._sigma_band(mu, n) for mu in mus.tolist()])
+            fails = np.abs(means - mus[:, None]) > bands[:, None]
+            rates = np.sum(binomial_pmf(n, (1.0 + mus) / 2.0) * fails, axis=1)
+            worst = max(worst, float(rates.max()))
+        assert 1e-6 < worst < 2e-6
 
     def test_four_samples_pass_at_the_boundary_for_every_seed(self, capsys):
-        # a 5/sqrt(n - 1) band covers any all-same run for n <= 15
+        # the band 5 sqrt((1 - mu^2) / n) is at least 1 + |mu| for |mu| <= 1/3
+        # and n <= 12, so it covers every run, all-same ones included
         for seed in range(200):
             code = main(["hvsim", "--q", repr(1.0 / 3.0), "--samples", "4", "--seed", str(seed)])
             assert code == EXIT_OK, seed

@@ -39,7 +39,6 @@ from wernerkit.decomposition import (
     direction_moment,
     local_bloch_norm,
     moment_check,
-    phase_constraint_residual,
     reconstruct,
     schmidt_determinant,
     schmidt_rank_one_check,
@@ -357,7 +356,7 @@ class TestWootters:
     def test_phase_constraint_satisfied(self):
         for q in np.linspace(0.0, Q_THIRD, 12):
             dec = wootters_decomposition(q)
-            assert phase_constraint_residual(dec.thetas, q) <= 1e-14
+            assert reference_phase_residual_exp(dec.thetas, q) <= 1e-14
             assert wootters_phase_residual(dec) <= 1e-14
 
 
@@ -434,19 +433,6 @@ class TestWoottersPhaseResidual:
             _, thetas = reference_wootters(q)
             assert abs(residuals[k] - reference_phase_residual_exp(thetas, q)) <= 1e-15
 
-    def test_angles_take_the_same_rule(self):
-        # each angle enters as its factor (cos t, sin t); a stack of angles
-        # gives the one-q results
-        dec = wootters_decomposition(CLOSED_FORM_QS)
-        residuals = phase_constraint_residual(dec.thetas, dec.q)
-        for k, q in enumerate(CLOSED_FORM_QS.tolist()):
-            thetas = [t[k] for t in dec.thetas]
-            factors = [(math.cos(t), math.sin(t)) for t in thetas]
-            assert residuals[k] == phase_constraint_residual(thetas, q)
-            assert abs(residuals[k] - reference_phase_residual(factors, q)) <= 1e-15
-            if q <= Q_THIRD:
-                assert abs(residuals[k] - reference_phase_residual_exp(thetas, q)) <= 1e-15
-
 
 class TestSchmidtCheck:
     def test_basis_product_state(self):
@@ -485,16 +471,14 @@ class TestSchmidtCheck:
 
 
 class TestPhaseResidual:
+    """Known values of the angle form the tests take as their reference."""
+
     def test_all_zero_phases(self):
-        assert phase_constraint_residual((0, 0, 0, 0), 0.0) == pytest.approx(4.0)
+        assert reference_phase_residual_exp((0, 0, 0, 0), 0.0) == pytest.approx(4.0)
 
     def test_hand_solution_at_critical_point(self):
-        res = phase_constraint_residual((0, math.pi / 2, math.pi / 2, math.pi / 2), Q_THIRD)
+        res = reference_phase_residual_exp((0, math.pi / 2, math.pi / 2, math.pi / 2), Q_THIRD)
         assert res <= 1e-15
-
-    def test_rejects_wrong_count(self):
-        with pytest.raises(ValueError):
-            phase_constraint_residual((0, 1, 2), 0.1)
 
 
 class TestCrossDecomposition:
@@ -621,7 +605,6 @@ class TestStackOracle:
         assert all(type(t) is float for t in wootters.thetas)
         assert all(v.shape == (4,) for v in wootters.z)
         assert isinstance(schmidt_determinant(wootters.z[0]), np.complex128)
-        assert type(phase_constraint_residual(wootters.thetas, q)) is float
         assert type(wootters_phase_residual(wootters)) is float
         assert type(local_bloch_norm(q)) is float
 

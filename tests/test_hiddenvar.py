@@ -23,8 +23,6 @@ from wernerkit.hiddenvar import (
     _screened_signs,
     _streams,
     estimate_all,
-    estimate_correlation,
-    estimate_local,
     outcome_a,
     outcome_b,
 )
@@ -176,22 +174,24 @@ class TestOutcomes:
 
 
 class TestEstimateCorrelation:
+    """The correlation estimate_all gives."""
+
     def test_determinism(self):
         kwargs = dict(n_samples=10_000, seed=314)
-        first = estimate_correlation(0.2, X_AXIS, X_AXIS, **kwargs)
-        second = estimate_correlation(0.2, X_AXIS, X_AXIS, **kwargs)
+        first = estimate_all(0.2, X_AXIS, X_AXIS, **kwargs)
+        second = estimate_all(0.2, X_AXIS, X_AXIS, **kwargs)
         assert first == second
 
     def test_q_zero_uncorrelated(self):
-        est = estimate_correlation(0.0, Z_AXIS, Z_AXIS, 1_000_000, seed=5)
+        est = estimate_all(0.0, Z_AXIS, Z_AXIS, 1_000_000, seed=5).correlation
         assert abs(est.mean) <= 5 * est.std_error
 
     def test_q_03_aligned(self):
-        est = estimate_correlation(0.3, Z_AXIS, Z_AXIS, 1_000_000, seed=6)
+        est = estimate_all(0.3, Z_AXIS, Z_AXIS, 1_000_000, seed=6).correlation
         assert abs(est.mean - (-0.3)) <= 5 * est.std_error
 
     def test_boundary_orthogonal(self):
-        est = estimate_correlation(1.0 / 3.0, X_AXIS, Y_AXIS, 1_000_000, seed=7)
+        est = estimate_all(1.0 / 3.0, X_AXIS, Y_AXIS, 1_000_000, seed=7).correlation
         assert abs(est.mean) <= 5 * est.std_error
 
     def test_agreement_with_quantum_prediction(self):
@@ -201,14 +201,14 @@ class TestEstimateCorrelation:
         for qi, q in enumerate([0.0, 0.1, 0.2, 0.3, 1.0 / 3.0]):
             rho = werner(q)
             for pi, (l, m) in enumerate(axis_pairs):
-                est = estimate_correlation(q, l, m, 200_000, seed=1000 + 10 * qi + pi)
+                est = estimate_all(q, l, m, 200_000, seed=1000 + 10 * qi + pi).correlation
                 target = correlation(rho, l, m)
                 band = 5 * max(est.std_error, 1e-12)
                 assert abs(est.mean - target) <= band, (q, l, m)
 
     def test_std_error_scales_as_inverse_sqrt_n(self):
         ses = {
-            n: estimate_correlation(0.2, Z_AXIS, Z_AXIS, n, seed=88).std_error
+            n: estimate_all(0.2, Z_AXIS, Z_AXIS, n, seed=88).correlation.std_error
             for n in (10_000, 100_000, 1_000_000)
         }
         for n_small, n_big in [(10_000, 100_000), (100_000, 1_000_000)]:
@@ -216,37 +216,37 @@ class TestEstimateCorrelation:
             assert math.sqrt(10) / 2 < ratio < 2 * math.sqrt(10)
 
     def test_mean_bounded_by_one(self):
-        est = estimate_correlation(1.0 / 3.0, Z_AXIS, Z_AXIS, 1000, seed=1)
+        est = estimate_all(1.0 / 3.0, Z_AXIS, Z_AXIS, 1000, seed=1).correlation
         assert abs(est.mean) <= 1.0
 
     def test_single_sample(self):
-        est = estimate_correlation(0.1, Z_AXIS, Z_AXIS, 1, seed=0)
+        est = estimate_all(0.1, Z_AXIS, Z_AXIS, 1, seed=0).correlation
         assert est.std_error == 0.0
         assert est.mean in (-1.0, 1.0)
 
     def test_validation(self):
         with pytest.raises(DecompositionDomainError):
-            estimate_correlation(0.5, Z_AXIS, Z_AXIS, 100, seed=0)
+            estimate_all(0.5, Z_AXIS, Z_AXIS, 100, seed=0)
         with pytest.raises(ValueError, match="n_samples"):
-            estimate_correlation(0.1, Z_AXIS, Z_AXIS, 0, seed=0)
+            estimate_all(0.1, Z_AXIS, Z_AXIS, 0, seed=0)
         with pytest.raises(ValueError, match="unit"):
-            estimate_correlation(0.1, 2 * Z_AXIS, Z_AXIS, 10, seed=0)
+            estimate_all(0.1, 2 * Z_AXIS, Z_AXIS, 10, seed=0)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
     def test_seed_outside_64_bits_is_rejected(self, seed):
         # a wider seed would otherwise alias the stream of another seed
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
-            estimate_correlation(0.1, Z_AXIS, Z_AXIS, 10, seed=seed)
-        with pytest.raises(ValueError, match="seed"):
-            estimate_local(0.1, Z_AXIS, "A", 10, seed=seed)
+            estimate_all(0.1, Z_AXIS, Z_AXIS, 10, seed=seed)
 
     def test_64_bit_seed_range_ends_are_distinct_streams(self):
-        low = estimate_correlation(0.1, Z_AXIS, X_AXIS, 1000, seed=0)
-        high = estimate_correlation(0.1, Z_AXIS, X_AXIS, 1000, seed=2**64 - 1)
-        assert low.mean != high.mean
+        low = estimate_all(0.1, Z_AXIS, X_AXIS, 1000, seed=0)
+        high = estimate_all(0.1, Z_AXIS, X_AXIS, 1000, seed=2**64 - 1)
+        assert low.correlation.mean != high.correlation.mean
 
 
 class TestEstimateLocal:
+    """The marginals estimate_all gives."""
+
     @pytest.mark.parametrize(
         "q,axis,side",
         [
@@ -256,53 +256,47 @@ class TestEstimateLocal:
         ],
     )
     def test_marginals_vanish(self, q, axis, side):
-        est = estimate_local(q, axis, side, 1_000_000, seed=11)
-        assert abs(est.mean) <= 5 * est.std_error
+        est = estimate_all(q, axis, axis, 1_000_000, seed=11)
+        marginal = est.marginal_a if side == "A" else est.marginal_b
+        assert abs(marginal.mean) <= 5 * marginal.std_error
 
     def test_determinism(self):
-        a = estimate_local(0.1, Y_AXIS, "B", 20_000, seed=2)
-        b = estimate_local(0.1, Y_AXIS, "B", 20_000, seed=2)
+        a = estimate_all(0.1, Y_AXIS, Y_AXIS, 20_000, seed=2).marginal_b
+        b = estimate_all(0.1, Y_AXIS, Y_AXIS, 20_000, seed=2).marginal_b
         assert a == b
 
     def test_a_and_b_differ_for_same_seed(self):
         # same hidden draws, opposite local vectors
-        a = estimate_local(0.3, Z_AXIS, "A", 50_000, seed=3)
-        b = estimate_local(0.3, Z_AXIS, "B", 50_000, seed=3)
-        assert a.mean != b.mean
+        est = estimate_all(0.3, Z_AXIS, Z_AXIS, 50_000, seed=3)
+        assert est.marginal_a.mean != est.marginal_b.mean
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="subsystem"):
-            estimate_local(0.1, Z_AXIS, "C", 100, seed=0)
         with pytest.raises(DecompositionDomainError):
-            estimate_local(0.4, Z_AXIS, "A", 100, seed=0)
+            estimate_all(0.4, Z_AXIS, Z_AXIS, 100, seed=0)
 
     @pytest.mark.parametrize(
-        "call, message",
+        "args, message",
         [
-            pytest.param(lambda: estimate_local(0.1, 2 * Z_AXIS, "A", 10, 0),
-                         "axis must be a finite unit vector, got norm 2.0", id="local-axis"),
-            pytest.param(lambda: estimate_correlation(0.1, 2 * Z_AXIS, Z_AXIS, 10, 0),
-                         "axis_a must be a finite unit vector, got norm 2.0",
-                         id="correlation-axis_a"),
-            pytest.param(lambda: estimate_correlation(0.1, Z_AXIS, (0, 0), 10, 0),
-                         "axis_b must be a real 3-vector, got shape (2,)",
-                         id="correlation-axis_b"),
-            pytest.param(lambda: estimate_local(0.1, Z_AXIS, "AB", 10, 0),
-                         "subsystem must be 'A' or 'B', got 'AB'", id="local-subsystem"),
-            pytest.param(lambda: estimate_local(0.1, Z_AXIS, "B", 10, -1),
-                         "seed must be in [0, 2**64), got -1", id="local-seed"),
-            pytest.param(lambda: estimate_correlation(0.1, Z_AXIS, Z_AXIS, 10, 2**64),
-                         f"seed must be in [0, 2**64), got {2**64}", id="correlation-seed"),
-            pytest.param(lambda: estimate_local(0.1, Z_AXIS, "A", 0, 0),
-                         "n_samples must be >= 1, got 0", id="local-count"),
-            pytest.param(lambda: estimate_correlation(0.1, Z_AXIS, Z_AXIS, -3, 0),
-                         "n_samples must be >= 1, got -3", id="correlation-count"),
+            pytest.param((0.1, 2 * Z_AXIS, Z_AXIS, 10, 0),
+                         "axis_a must be a finite unit vector, got norm 2.0", id="axis_a-norm"),
+            pytest.param((0.1, Z_AXIS, 2 * Z_AXIS, 10, 0),
+                         "axis_b must be a finite unit vector, got norm 2.0", id="axis_b-norm"),
+            pytest.param((0.1, Z_AXIS, (0, 0), 10, 0),
+                         "axis_b must be a real 3-vector, got shape (2,)", id="axis_b-shape"),
+            pytest.param((0.1, Z_AXIS, Z_AXIS, 10, -1),
+                         "seed must be in [0, 2**64), got -1", id="seed-negative"),
+            pytest.param((0.1, Z_AXIS, Z_AXIS, 10, 2**64),
+                         f"seed must be in [0, 2**64), got {2**64}", id="seed-wide"),
+            pytest.param((0.1, Z_AXIS, Z_AXIS, 0, 0),
+                         "n_samples must be >= 1, got 0", id="count-zero"),
+            pytest.param((0.1, Z_AXIS, Z_AXIS, -3, 0),
+                         "n_samples must be >= 1, got -3", id="count-negative"),
         ],
     )
-    def test_error_text(self, call, message):
-        # the single-estimate views name their own arguments in every error
+    def test_error_text(self, args, message):
+        # every error names the argument it refuses
         with pytest.raises(ValueError) as info:
-            call()
+            estimate_all(*args)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("huge, norm", [([1e200, 0.0, 0.0], "1e+200"),
@@ -368,10 +362,6 @@ class TestCountingKernel:
             _assert_matches(est.correlation, corr)
             _assert_matches(est.marginal_a, marg_a)
             _assert_matches(est.marginal_b, marg_b)
-            # the single-estimate views read the same counts
-            assert estimate_correlation(q, l, m, n_samples, seed) == est.correlation
-            assert estimate_local(q, l, "A", n_samples, seed) == est.marginal_a
-            assert estimate_local(q, m, "B", n_samples, seed) == est.marginal_b
 
     def test_outcome_functions_sum_to_the_counts_of_a_seeded_block(self):
         # outcome_a and outcome_b, applied draw by draw to one seeded block,
@@ -452,14 +442,8 @@ class TestCountingKernel:
 
         monkeypatch.setattr(hiddenvar, "_draw_block", counting)
         monkeypatch.setattr(hiddenvar, "_BLOCK", 400)
-        for estimate in (
-            lambda: estimate_all(0.2, Z_AXIS, X_AXIS, 1003, seed=1),
-            lambda: estimate_correlation(0.2, Z_AXIS, X_AXIS, 1003, seed=1),
-            lambda: estimate_local(0.2, Z_AXIS, "B", 1003, seed=1),
-        ):
-            sizes.clear()
-            estimate()
-            assert sizes == [400, 400, 203]
+        estimate_all(0.2, Z_AXIS, X_AXIS, 1003, seed=1)
+        assert sizes == [400, 400, 203]
 
     def test_blocks_do_not_change_the_counts(self, monkeypatch):
         # the draws are streamed and counted block by block; any block size
