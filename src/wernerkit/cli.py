@@ -1,8 +1,7 @@
 """Command-line surface with machine-readable reports.
 
-Every command emits a RunReport: {command, parameters, results, checks[],
-seed?, tool_version}.  Each check carries name, pass, observed, expected and
-tolerance.  Exit codes: 0 all checks pass, 1 a check failed, 2 invalid
+Every command emits a report.RunReport, written in the format that --format
+names.  Exit codes: 0 all checks pass, 1 a check failed, 2 invalid
 argument, 3 domain error (an inseparable q was requested for a
 separable-only operation).
 """
@@ -12,11 +11,9 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +34,7 @@ from .decomposition import (
 )
 from .hiddenvar import MAX_SAMPLES, estimate_all
 from .linalg import _hermitian_deviation
+from .report import _RENDERERS, Check, Nullable, RunReport, Table, check_equal, check_value
 from .separability import ppt_test, werner_pt_eigenvalues_closed_form
 from .states import PositivityError, _scaled_norm, werner
 from .tolerances import (
@@ -66,350 +64,14 @@ EXIT_DOMAIN = 3
 MAX_GRID_STEPS = 2**53
 
 
-@dataclass
-class Check:
-    name: str
-    passed: bool
-    observed: object
-    expected: object
-    tolerance: float
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "pass": self.passed,
-            "observed": self.observed,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-        }
-
-
-def check_equal(name: str, observed, expected) -> Check:
-    return Check(name, observed == expected, observed, expected, 0.0)
-
-
-def check_value(name: str, observed, expected: float, tol: float) -> Check:
-    """The one rule of a numeric check: observed within tol of expected.
-    observed is a value or a stack with one entry per q or row; a stack
-    reports its entry farthest from expected, and a NaN entry first."""
-    stack = np.asarray(observed, dtype=float)
-    worst = float(stack.flat[np.argmax(np.abs(stack - expected))])
-    expected = float(expected)
-    return Check(name, abs(worst - expected) <= tol, worst, expected, float(tol))
-
-
 def _max_abs(x, axis=None):
     """The largest magnitude in x, or along the given axes of a stack."""
     return np.max(np.abs(x), axis=axis)
 
 
-@dataclass
-class Nullable:
-    """A column that is null where present is clear.  Where it is set, the
-    column holds values: a float array with one entry per such row, in
-    order, or one fixed string for every such row."""
-
-    present: np.ndarray
-    values: np.ndarray | str
-
-
-class Table:
-    """Report rows held as named columns: each column an array with one
-    entry, shape (n,), or one vector, shape (n, k), per row, or a Nullable.
-    JSON writes a table as a list of row objects, each vector as a list."""
-
-    def __init__(self, **columns):
-        self.columns = columns
-
-
-@dataclass
-class RunReport:
-    command: str
-    parameters: dict
-    results: dict
-    checks: list[Check] = field(default_factory=list)
-    seed: int | None = None
-    # The CSV projection: a header name per CSV field, and the columns the
-    # fields come from, each an array (an (n, k) array gives k fields) or a
-    # Nullable.
-    csv_header: list[str] | None = None
-    csv_columns: list | None = None
-    # Lines for stderr, written only once the report is.
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        payload = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "results": self.results,
-            "checks": [c.to_dict() for c in self.checks],
-        }
-        if self.seed is not None:
-            payload["seed"] = self.seed
-        payload["tool_version"] = __version__
-        return payload
-
-
 def matrix_payload(m: np.ndarray) -> np.ndarray:
     """Complex entries as [re, im] pairs along a new last axis."""
     return np.stack((m.real, m.imag), axis=-1)
-
-
-# A string as JSON writes it, ASCII with escapes (json.dumps's default).
-_json_str = json.encoder.encode_basestring_ascii
-
-# Every renderer writes each float from its report's one pool of float
-# strings, and judges them by the pool's one np.isfinite.  A report never
-# shows a NaN or an infinity; it fails with ValueError (exit 2) instead.
-
-def _not_finite(value) -> ValueError:
-    return ValueError(f"report value {value} is not finite")
-
-
-def _fmt_scalar(value) -> str:
-    """A bool, an int or None as JSON writes it; floats come from the pool."""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if value is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(value).__name__} into a report")
-
-
-def _json_scalar(value) -> str:
-    """A text as JSON writes it, and None as null."""
-    return "null" if value is None else _json_str(value)
-
-
-def _csv_scalar(value) -> str:
-    """A text as one CSV field: unquoted, with its commas written as
-    semicolons, and None as an empty field."""
-    return "" if value is None else value.replace(",", ";")
-
-
-def _width(column) -> int:
-    """The number of scalar columns of a column: k for an (n, k) array."""
-    return column.shape[1] if isinstance(column, np.ndarray) and column.ndim == 2 else 1
-
-
-def _scalar_columns(columns, text) -> list[np.ndarray]:
-    """Columns as their scalar columns, an (n, k) array giving k, each a 1-D
-    object array of n strings as the format writes them.  The floats of all
-    the columns take one float.__repr__ per distinct magnitude, as repr(x) ==
-    "-" + repr(-x) for finite x < 0, -0.0 included, in one pool whose last
-    entry is the format's null text.  Each float column is one gather from
-    that pool, a Nullable's by one index array that points at the null entry
-    on its absent rows.  A Nullable's fixed string is gathered as a bool
-    column is, from its null text and its text."""
-    scalars, floats, placed = [], [], []
-    for column in columns:
-        present = None
-        if isinstance(column, Nullable):
-            present, column = column.present, column.values
-            if isinstance(column, str):
-                choices = np.array([text(None), text(column)], dtype=object)
-                scalars.append(choices[present.view(np.uint8)])
-                continue
-            column = np.asarray(column, dtype=float)
-        elif not isinstance(column, np.ndarray):
-            raise TypeError(f"cannot serialize a {type(column).__name__} column into a report")
-        if column.ndim > 2 or column.dtype.kind not in "biuf":
-            raise TypeError(f"cannot serialize a {column.dtype} column into a report")
-        subs = column.T if column.ndim == 2 else column[None]
-        if column.dtype == bool:
-            scalars += list(np.array(["false", "true"], dtype=object)[subs.view(np.uint8)])
-        elif column.dtype.kind != "f":
-            scalars += list(subs.astype(str).astype(object))
-        else:
-            placed.append((len(scalars), present))
-            floats.append(subs)
-            scalars += [None] * len(subs)
-    if not floats:
-        return scalars
-    values = np.concatenate([v.ravel() for v in floats])
-    finite = np.isfinite(values)
-    if not finite.all():
-        raise _not_finite(values[~finite][0])
-    magnitudes, inverse = np.unique(np.abs(values), return_inverse=True)
-    texts = [repr(m) for m in magnitudes.tolist()]
-    # every entry of one magnitude and sign, in any column, shares one string
-    inverse += np.signbit(values) * len(texts)
-    pool = np.array(texts + ["-" + t for t in texts] + [text(None)], dtype=object)
-    end = 0
-    for (at, present), v in zip(placed, floats):
-        index = inverse[end : end + v.size].reshape(v.shape)
-        end += v.size
-        if present is not None:
-            # spread over the rows, the null entry on the absent ones
-            spread = np.full((1,) + present.shape, len(pool) - 1)
-            spread[0, present] = index[0]
-            index = spread
-        subs = list(pool[index])
-        scalars[at : at + len(subs)] = subs
-    return scalars
-
-
-_SLOT = "\0"  # a value's mark in a row template: _json_str escapes it in names
-
-
-def _enclose(open_: str, parts: list[str], close: str, nl: str | None) -> str:
-    """Members joined as json.dumps(indent=2) writes a container whose own
-    line break and indentation is nl (None: unindented)."""
-    if not parts:
-        return open_ + close
-    inner = nl and nl + "  "
-    return open_ + (inner or "") + ("," + (inner or " ")).join(parts) + (nl or "") + close
-
-
-def _rows(template: str, values: list[np.ndarray]) -> list[str]:
-    """The fragments of one row per entry of the scalar columns values, each
-    the template with its _SLOT marks filled in order, from one (n, 2k + 1)
-    object array of the template's pieces and the columns, flattened once."""
-    pieces = template.split(_SLOT)
-    cells = np.empty((len(values[0]), len(pieces) + len(values)), dtype=object)
-    cells[:, ::2] = np.array(pieces, dtype=object)
-    for j, column in enumerate(values):
-        cells[:, 2 * j + 1] = column
-    return cells.ravel().tolist()
-
-
-def _table_fragments(table: Table, values: list[np.ndarray], nl: str | None) -> list[str]:
-    """A table as the fragments of a JSON list of row objects, from its
-    scalar columns values, every row from one template built for its depth."""
-    if not values or not len(values[0]):
-        return ["[]"]
-    row_nl = nl and nl + "  "
-    field_nl = row_nl and row_nl + "  "
-    fields = []
-    for name, column in table.columns.items():
-        slot = _SLOT
-        if isinstance(column, np.ndarray) and column.ndim == 2:
-            slot = _enclose("[", [_SLOT] * column.shape[1], "]", field_nl)
-        fields.append(_json_str(name) + ": " + slot)
-    # each row ends in the separator of a list's members; the last row's is
-    # its list's closing text instead
-    sep = "," + (row_nl or " ")
-    rows = _rows(_enclose("{", fields, "}", row_nl) + sep, values)
-    rows[0] = "[" + (row_nl or "") + rows[0]
-    rows[-1] = rows[-1][: -len(sep)] + (nl or "") + "]"
-    return rows
-
-
-class _Fragments:
-    """A report's JSON text as a list of fragments, joined once.  Every float
-    it writes, in a table or not, comes from one pool: a float or a table
-    holds its place in the list until `text` writes them all, and every
-    table column, with one _scalar_columns call, so each distinct magnitude
-    is formatted once per report."""
-
-    def __init__(self):
-        self.out = []
-        self.floats = []  # the places of the floats
-        self.tables = []  # (place, table, nl) of each table
-
-    def scalar(self, value) -> None:
-        """Append a scalar: a float holds its place until the pool writes
-        it, any other scalar is written by _fmt_scalar."""
-        if isinstance(value, (float, np.floating)):
-            self.floats.append(len(self.out))
-            self.out.append(value)
-        else:
-            self.out.append(_fmt_scalar(value))
-
-    def write(self, value, nl: str | None) -> None:
-        """Append value as json.dumps(value, indent=2) writes it, placed on a
-        line whose line break and indentation is nl (None: unindented)."""
-        out = self.out
-        if isinstance(value, str):
-            out.append(_json_str(value))
-        elif isinstance(value, Table):
-            self.tables.append((len(out), value, nl))
-            out.append(None)
-        elif isinstance(value, np.ndarray):
-            self.write(value.tolist(), nl)
-        elif not isinstance(value, (dict, list, tuple)):
-            self.scalar(value)
-        elif not value:
-            out.append("{}" if isinstance(value, dict) else "[]")
-        else:
-            keyed = isinstance(value, dict)
-            inner = nl and nl + "  "
-            sep = ("{" if keyed else "[") + (inner or "")
-            for member in value.items() if keyed else value:
-                if keyed:
-                    sep, member = sep + _json_str(member[0]) + ": ", member[1]
-                out.append(sep)
-                self.write(member, inner)
-                sep = "," + (inner or " ")
-            out.append((nl or "") + ("}" if keyed else "]"))
-
-    def text(self) -> str:
-        out = self.out
-        loose = np.array([out[i] for i in self.floats], dtype=float)
-        columns = [c for _, table, _ in self.tables for c in table.columns.values()]
-        values = _scalar_columns(columns + [loose], _json_scalar)
-        for i, string in zip(self.floats, values.pop()):
-            out[i] = string
-        # each table replaces its place, the last first so that the places
-        # before it stay put.  Copying the fragments into a second list
-        # instead made a 64 x 128 decompose op map about 1700 fresh pages,
-        # not 25, beside another program's ops in one process
-        end = len(values)
-        for at, table, nl in reversed(self.tables):
-            start = end - sum(map(_width, table.columns.values()))
-            out[at : at + 1] = _table_fragments(table, values[start:end], nl)
-            end = start
-        return "".join(out)
-
-
-def emit_json(report: RunReport) -> str:
-    fragments = _Fragments()
-    fragments.write(report.to_dict(), "\n")
-    fragments.out.append("\n")
-    return fragments.text()
-
-
-def emit_csv(report: RunReport) -> str:
-    if report.csv_header is None or report.csv_columns is None:
-        raise ValueError(f"command {report.command!r} has no CSV projection")
-    values = _scalar_columns(report.csv_columns, _csv_scalar)
-    out = [",".join(report.csv_header) + "\n"]
-    if values and len(values[0]):
-        out += _rows(",".join([_SLOT] * len(values)) + "\n", values)
-    return "".join(out)
-
-
-def emit_pretty(report: RunReport) -> str:
-    fragments = _Fragments()
-    out = fragments.out
-    out.append(f"command: {report.command}\n")
-    if report.seed is not None:
-        out.append(f"seed: {report.seed}\n")
-    out.append("parameters: ")
-    fragments.write(report.parameters, None)
-    out.append("\nresults:\n  ")
-    fragments.write(report.results, "\n  ")
-    out.append("\n")
-    if report.checks:
-        out.append("checks:\n")
-        for c in report.checks:
-            out.append(f"  [{'PASS' if c.passed else 'FAIL'}] {c.name}: observed=")
-            fragments.scalar(c.observed)
-            out.append(" expected=")
-            fragments.scalar(c.expected)
-            out.append(" tolerance=")
-            fragments.scalar(c.tolerance)
-            out.append("\n")
-    out.append(f"tool_version: {__version__}\n")
-    return fragments.text()
-
-
-_RENDERERS = {"json": emit_json, "csv": emit_csv, "pretty": emit_pretty}
 
 
 def _normalized_axis(values, flag: str) -> tuple[np.ndarray, list[str]]:
@@ -448,21 +110,35 @@ def cmd_matrix(args) -> RunReport:
     )
 
 
-def _ppt_table(q: np.ndarray, rho: np.ndarray) -> Table:
-    """The ppt report rows of a q grid, from the stack rho = werner(q): one
-    PT test and one closed form over the whole grid."""
+def _ppt_columns(q: np.ndarray, rho: np.ndarray) -> dict[str, np.ndarray]:
+    """The ppt report columns of a q grid, from the stack rho = werner(q):
+    one PT test and one closed form over the whole grid."""
     verdict = ppt_test(rho)
     closed = werner_pt_eigenvalues_closed_form(q)
-    return Table(
-        q=q,
-        eigenvalues=verdict.eigenvalues,
-        closed_form=closed,
-        min_eigenvalue=verdict.min_eigenvalue,
-        separable=verdict.separable,
-        closed_form_deviation=np.max(np.abs(verdict.eigenvalues - closed), axis=-1),
-        expected_separable=q <= SEPARABLE_Q_EDGE,
-        tol=np.full(q.shape, verdict.tol),
-    )
+    return {
+        "q": q,
+        "eigenvalues": verdict.eigenvalues,
+        "closed_form": closed,
+        "min_eigenvalue": verdict.min_eigenvalue,
+        "separable": verdict.separable,
+        "closed_form_deviation": np.max(np.abs(verdict.eigenvalues - closed), axis=-1),
+        "expected_separable": q <= SEPARABLE_Q_EDGE,
+        "tol": np.full(q.shape, verdict.tol),
+    }
+
+
+# A q grid is evaluated this many q at a time, so that its stacked
+# intermediates (matrices, node vectors, reconstructions) never outgrow one
+# block and only the rows' columns are kept.  Each stacked entry equals its
+# own q's result bit for bit, so no row depends on the block size.
+_EVAL_ROWS = 2**12
+
+
+def _by_blocks(build, q: np.ndarray) -> dict[str, np.ndarray]:
+    """The columns build gives for a q grid, built from _EVAL_ROWS q at a
+    time and joined in order, each block's part freed once joined."""
+    parts = [build(q[at : at + _EVAL_ROWS]) for at in range(0, len(q), _EVAL_ROWS)]
+    return {name: np.concatenate([part.pop(name) for part in parts]) for name in list(parts[0])}
 
 
 def _ppt_checks(ppt: dict, prefix: str = "") -> list[Check]:
@@ -501,12 +177,11 @@ def cmd_ppt(args) -> RunReport:
         q = np.array([args.q])
         parameters = {"q": args.q}
 
-    table = _ppt_table(q, werner(q))
-    c = table.columns
+    c = _by_blocks(lambda q: _ppt_columns(q, werner(q)), q)
     return RunReport(
         command="ppt",
         parameters=parameters,
-        results={"rows": table} if args.sweep is not None else {k: v[0] for k, v in c.items()},
+        results={"rows": Table(**c)} if args.sweep is not None else {k: v[0] for k, v in c.items()},
         checks=_ppt_checks(c),
         csv_header=["q", "lambda_1", "lambda_2", "lambda_3", "lambda_4", "separable"],
         csv_columns=[q, c["eigenvalues"], c["separable"]],
@@ -700,21 +375,16 @@ _VERIFY_CHECKS = {
 SKIP_REASON = "decomposition checks skipped: q > 1/3 (local_margin < 0)"
 
 
-def _verify_rows(q: np.ndarray, rho: np.ndarray) -> tuple[Table, Table, list[Check]]:
-    """The verify report rows of a q grid, from the stack rho = werner(q),
-    the skipped rows' q and local margins, and the checks over the grid.
-
-    Each row holds its ppt row's PT fields, the smallest eigenvalue of the
-    local states (local_margin), then the deviations of both decompositions
-    of W(q).  The tested q, those <= SEPARABLE_Q_EDGE, are decomposed and
-    checked in one pass; on the other rows the deviations are null and
-    skipped is SKIP_REASON.  The local states' positivity, margin >=
-    -PPT_TOL, must give the PT verdict on every row.  No q tested gives only
-    the PT and local checks."""
-    ppt = _ppt_table(q, rho).columns
+def _verify_block(q: np.ndarray) -> dict[str, np.ndarray]:
+    """The columns of the verify rows of a block of q: its ppt rows' PT
+    fields, the smallest eigenvalue of the local states (local_margin), and
+    the deviations of both decompositions of W(q), one entry per tested q,
+    those <= SEPARABLE_Q_EDGE, which are decomposed and checked in one
+    pass."""
+    rho = werner(q)
+    ppt = _ppt_columns(q, rho)
     tested = ppt["expected_separable"]
-    margin = local_margin(q)
-    deviations = {}
+    deviations = dict.fromkeys(_VERIFY_CHECKS, np.empty(0))
     if tested.any():
         recon_s, _, s = _spherical_checks(spherical_decomposition(q[tested]), rho[tested])
         recon_w, _, w = _wootters_checks(wootters_decomposition(q[tested]), rho[tested])
@@ -729,21 +399,35 @@ def _verify_rows(q: np.ndarray, rho: np.ndarray) -> tuple[Table, Table, list[Che
             "schmidt_max": w["schmidt_determinant_max"],
             "phase_residual": w["phase_constraint_residual"],
         }
+    keep = ("closed_form_deviation", "separable", "expected_separable")
+    return {"local_margin": local_margin(q), **{k: ppt[k] for k in keep}, **deviations}
+
+
+def _verify_rows(q: np.ndarray) -> tuple[Table, Table, list[Check]]:
+    """The verify report rows of a q grid, evaluated by _verify_block, the
+    skipped rows' q and local margins, and the checks over the grid.
+
+    On the rows past SEPARABLE_Q_EDGE the deviations are null and skipped
+    is SKIP_REASON.  The local states' positivity, margin >= -PPT_TOL, must
+    give the PT verdict on every row.  No q tested gives only the PT and
+    local checks."""
+    c = _by_blocks(_verify_block, q)
+    tested, margin = c["expected_separable"], c["local_margin"]
     rows = Table(
         q=q,
-        ppt_deviation=ppt["closed_form_deviation"],
-        separable=ppt["separable"],
-        verdict_matches=ppt["separable"] == ppt["expected_separable"],
+        ppt_deviation=c["closed_form_deviation"],
+        separable=c["separable"],
+        verdict_matches=c["separable"] == tested,
         local_margin=margin,
-        **{key: Nullable(tested, deviations.get(key, ())) for key in _VERIFY_CHECKS},
+        **{key: Nullable(tested, c[key]) for key in _VERIFY_CHECKS},
         skipped=Nullable(~tested, SKIP_REASON),
     )
-    local_matches = (margin >= -PPT_TOL) == ppt["separable"]
+    local_matches = (margin >= -PPT_TOL) == c["separable"]
     local = check_equal("local_positivity_matches_ppt", bool(np.all(local_matches)), True)
-    checks = _ppt_checks(ppt, "ppt_") + [local] + [
-        check_value(name, deviations[key], 0.0, tol)
+    checks = _ppt_checks(c, "ppt_") + [local] + [
+        check_value(name, c[key], 0.0, tol)
         for key, (name, tol) in _VERIFY_CHECKS.items()
-        if deviations
+        if tested.any()
     ]
     return rows, Table(q=q[~tested], local_margin=margin[~tested]), checks
 
@@ -756,7 +440,7 @@ def cmd_verify(args) -> RunReport:
         q_min, q_max, steps = 0.0, SEPARABLE_Q_MAX, 21
         default_grid = True
     q, steps = _q_grid(q_min, q_max, steps, "grid")
-    rows, skipped, checks = _verify_rows(q, werner(q))
+    rows, skipped, checks = _verify_rows(q)
 
     parameters = {
         "grid": {"q_min": q_min, "q_max": q_max, "steps": steps},
@@ -885,6 +569,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    no_memory = f"the {args.command} report needs more memory than can be allocated"
     try:
         report = args.handler(args)
         text = _RENDERERS[args.format](report)
@@ -895,30 +580,35 @@ def main(argv=None) -> int:
         _error(err)
         return EXIT_USAGE
     except MemoryError:
-        _error(f"the {args.command} report needs more memory than can be allocated")
+        _error(no_memory)
         return EXIT_USAGE
 
-    if args.out is not None:
-        try:
+    # every gate has passed: the report is written chunk by chunk
+    try:
+        if args.out is not None:
             # the path as given: a trailing slash names a directory
             with open(args.out, "w") as out:
-                out.write(text)
-        except OSError as err:
-            _error(f"cannot write report to {args.out}: {err.strerror}")
-            return EXIT_USAGE
-    for line in report.warnings:
-        _stderr(line)
-    if args.out is None:
-        # a failed flush drops its bytes, so the interpreter's own flush at
-        # exit adds no second message
-        try:
+                for chunk in text:
+                    out.write(chunk)
+        else:
+            for line in report.warnings:
+                _stderr(line)
+            # a failed flush drops its bytes, so the interpreter's own flush
+            # at exit adds no second message
             if sys.stdout is None:  # fd 1 was closed at start
                 raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-            sys.stdout.write(text)
+            for chunk in text:
+                sys.stdout.write(chunk)
             sys.stdout.flush()
-        except OSError as err:
-            _error(f"cannot write report to stdout: {err.strerror}")
-            return EXIT_USAGE
+    except OSError as err:
+        _error(f"cannot write report to {'stdout' if args.out is None else args.out}: {err.strerror}")
+        return EXIT_USAGE
+    except MemoryError:
+        _error(no_memory)
+        return EXIT_USAGE
+    if args.out is not None:
+        for line in report.warnings:
+            _stderr(line)
     return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
 
 

@@ -1,5 +1,7 @@
 import dataclasses
+import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -29,16 +31,12 @@ from helpers import (
     wootters_phase_factors,
 )
 from wernerkit import cli, decomposition, hiddenvar
+from wernerkit import report as render
 from wernerkit.cli import (
-    Check,
     EXIT_CHECK_FAILED,
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_USAGE,
-    RunReport,
-    check_value,
-    emit_csv,
-    emit_json,
     main,
 )
 from wernerkit.decomposition import (
@@ -51,6 +49,7 @@ from wernerkit.decomposition import (
 )
 from wernerkit.hiddenvar import MAX_SAMPLES
 from wernerkit.linalg import partial_transpose_b
+from wernerkit.report import Check, RunReport, check_value, emit_csv, emit_json
 from wernerkit.separability import ppt_test, werner_pt_eigenvalues_closed_form
 from wernerkit.states import SEPARABLE_Q_EDGE, werner
 
@@ -215,9 +214,10 @@ class TestGridOracle:
 
 
 class TestGridPassCount:
-    """A grid is evaluated in one pass: one Werner stack, one eigensolve, of
-    its partial transpose, and one quadrature build.  The gate certifies
-    every Werner state from its Gershgorin discs, so it takes no spectrum."""
+    """A grid of up to cli._EVAL_ROWS q is evaluated in one pass: one Werner
+    stack, one eigensolve, of its partial transpose, and one quadrature
+    build.  The gate certifies every Werner state from its Gershgorin discs,
+    so it takes no spectrum."""
 
     @staticmethod
     def assert_one_pt_stack(eigvalsh, werner_calls):
@@ -257,9 +257,18 @@ class TestGridPassCount:
         assert (stack.shape, stack.dtype) == ((21, 4, 4), np.float64)
         assert len(leggauss) == 1
 
+    @pytest.mark.parametrize("command", ["ppt --sweep", "verify --grid"])
+    def test_a_larger_grid_takes_one_pass_per_block(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "_EVAL_ROWS", 7)
+        eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        werner_calls = count_calls(monkeypatch, cli, "werner")
+        assert run(capsys, *command.split(), "0", "1", "30", "--format", "csv")[0] == EXIT_OK
+        assert [len(q) for (q,) in werner_calls] == [7, 7, 7, 7, 2]
+        assert [len(args[0]) for args in eigvalsh if np.ndim(args[0]) == 3] == [7, 7, 7, 7, 2]
+
 
 class TestDecompositionPassCount:
-    """verify decomposes its tested q in one pass: one call of each
+    """verify decomposes the tested q of a block in one pass: one call of each
     constructor, of the moment check and of the four-vector reconstruction
     for the grid, and none when no q is tested.  The spherical
     reconstruction is assembled from the moment check's matrix, so each
@@ -318,10 +327,111 @@ class TestDecompositionPassCount:
         monkeypatch.setattr(decomposition.math, "atan2", refuse)
         monkeypatch.setattr(decomposition, "direction_moment", refuse)
         q = np.linspace(0.0, 1.0, 31)
-        _, skipped, checks = cli._verify_rows(q, werner(q))
+        _, skipped, checks = cli._verify_rows(q)
         assert len(skipped.columns["q"]) == 31 - 11
         assert [c.name for c in checks][-1] == "phase_constraint_residuals"
         assert all(c.passed for c in checks)
+
+
+def assert_same_columns(actual: dict, expected: dict) -> None:
+    """Table columns equal name by name, bit for bit, a Nullable's mask and
+    values each."""
+    assert list(actual) == list(expected)
+    for name, column in expected.items():
+        other = actual[name]
+        if isinstance(column, cli.Nullable):
+            assert_bitwise_equal(other.present, column.present)
+            other, column = other.values, column.values
+            if isinstance(column, str):
+                assert other == column
+                continue
+        assert_bitwise_equal(other, column)
+
+
+def assert_same_checks(actual: list[Check], expected: list[Check]) -> None:
+    """Checks equal field by field, each observed value bit for bit."""
+    fields = [(c.name, c.passed, c.expected, c.tolerance, type(c.observed)) for c in expected]
+    assert [(c.name, c.passed, c.expected, c.tolerance, type(c.observed)) for c in actual] == fields
+    assert_bitwise_equal([c.observed for c in actual], [c.observed for c in expected])
+
+
+# q on consecutive doubles across 1/3 and the window (1/3, SEPARABLE_Q_EDGE],
+# 64 ulps wide, and beyond it
+_WINDOW_GRID = 1.0 / 3.0 + np.spacing(1.0 / 3.0) * np.arange(-10.0, 80.0, 3.0)
+
+
+class TestBlockedEvaluation:
+    """A grid evaluated _EVAL_ROWS q at a time gives the rows and checks of
+    one whole-grid pass bit for bit: here in blocks of 7 q, against one
+    block.  check_value then reduces the joined columns, so a NaN in any
+    block is reported first, and of tied worst entries the first in grid
+    order wins."""
+
+    GRIDS = [np.linspace(0.0, 1.0, 50), _WINDOW_GRID]
+    GRIDS += [grid[::-1].copy() for grid in GRIDS]
+    # two tested q of the 0 to 1 grid, in different blocks of 7 either way
+    EARLY, LATE = GRIDS[0][2], GRIDS[0][15]
+
+    @staticmethod
+    def both_ways(monkeypatch, evaluate):
+        whole = evaluate()
+        monkeypatch.setattr(cli, "_EVAL_ROWS", 7)
+        return evaluate(), whole
+
+    @staticmethod
+    def mark_residuals(monkeypatch, marks: dict) -> None:
+        """Set the phase residual of each q in marks to its value."""
+        residual = cli.wootters_phase_residual
+
+        def marked(dec):
+            values = np.array(residual(dec))
+            for q, value in marks.items():
+                values[dec.q == q] = value
+            return values
+
+        monkeypatch.setattr(cli, "wootters_phase_residual", marked)
+
+    def verify(self, monkeypatch, q):
+        blocked, whole = self.both_ways(monkeypatch, lambda: cli._verify_rows(q))
+        for b, w in zip(blocked[:2], whole[:2]):
+            assert_same_columns(b.columns, w.columns)
+        assert_same_checks(blocked[2], whole[2])
+        return {c.name: c for c in blocked[2]}
+
+    @pytest.mark.parametrize("grid", range(len(GRIDS)))
+    def test_verify_rows_and_checks(self, monkeypatch, grid):
+        q = self.GRIDS[grid]
+        assert len(q) > 7 * 3
+        checks = self.verify(monkeypatch, q)
+        assert all(c.passed for c in checks.values())
+        assert len(checks) == 9
+
+    @pytest.mark.parametrize("grid", range(len(GRIDS)))
+    def test_ppt_rows_and_checks(self, monkeypatch, grid):
+        q = self.GRIDS[grid]
+        args = cli.build_parser().parse_args(["ppt", "--q", "0.2"])
+        monkeypatch.setattr(cli, "_q_grid", lambda *_: (q, len(q)))
+        args.sweep = (0.0, 1.0, float(len(q)))
+        blocked, whole = self.both_ways(monkeypatch, lambda: cli.cmd_ppt(args))
+        assert_same_columns(blocked.results["rows"].columns, whole.results["rows"].columns)
+        assert_same_checks(blocked.checks, whole.checks)
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_a_nan_in_one_block_is_reported_first(self, monkeypatch, descending):
+        # a finite worst entry in another block does not hide it
+        self.mark_residuals(monkeypatch, {self.EARLY: 0.5, self.LATE: math.nan})
+        q = self.GRIDS[2 if descending else 0]
+        checks = self.verify(monkeypatch, q)
+        assert math.isnan(checks["phase_constraint_residuals"].observed)
+        assert not checks["phase_constraint_residuals"].passed
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_of_tied_worst_entries_the_first_wins(self, monkeypatch, descending):
+        self.mark_residuals(monkeypatch, {self.EARLY: -0.5, self.LATE: 0.5})
+        q = self.GRIDS[2 if descending else 0]
+        checks = self.verify(monkeypatch, q)
+        first = 0.5 if descending else -0.5
+        assert checks["phase_constraint_residuals"].observed == first
 
 
 class TestCheckBuilderOracle:
@@ -1405,8 +1515,8 @@ class TestRendererOracle:
                    "nested": [{"rows": table}]}
         report = RunReport(command="t", parameters={"p": [scalar, text], "rows": table},
                            results=results)
-        assert cli.emit_json(report) == as_json(report.to_dict(), indent=2) + "\n"
-        pretty = cli.emit_pretty(report).splitlines()
+        assert render.emit_json(report) == as_json(report.to_dict(), indent=2) + "\n"
+        pretty = render.emit_pretty(report).splitlines()
         assert pretty[1] == "parameters: " + as_json(report.parameters)
         body = as_json(results, indent=2).splitlines()
         assert pretty[3 : 3 + len(body)] == ["  " + line for line in body]
@@ -1438,7 +1548,7 @@ class TestRendererOracle:
         header = [f"f{i}" for i in range(n_fields)]
         report = RunReport(command="t", parameters={}, results={}, csv_header=header,
                            csv_columns=list(table.columns.values()))
-        assert cli.emit_csv(report) == self.csv_text(header, report.csv_columns)
+        assert render.emit_csv(report) == self.csv_text(header, report.csv_columns)
 
     @example(table=_NO_ROWS)
     @example(table=_ONE_ROW)
@@ -1446,9 +1556,9 @@ class TestRendererOracle:
     @given(table=_tables())
     def test_every_scalar_column_is_an_object_array_of_strings(self, table):
         n = len(table_rows(table))
-        for text in (cli._json_scalar, cli._csv_scalar):
-            written = cli._scalar_columns(list(table.columns.values()), text)
-            assert len(written) == sum(map(cli._width, table.columns.values()))
+        for text in (render._json_scalar, render._csv_scalar):
+            written = render._scalar_columns(list(table.columns.values()), text)
+            assert len(written) == sum(map(render._width, table.columns.values()))
             for column in written:
                 _strings(column, n)
 
@@ -1469,8 +1579,8 @@ class TestRendererOracle:
     def test_command_reports_match_the_oracles(self, argv):
         args = cli.build_parser().parse_args(argv)
         report = args.handler(args)
-        assert cli.emit_json(report) == as_json(report.to_dict(), indent=2) + "\n"
-        assert cli.emit_csv(report) == self.csv_text(report.csv_header, report.csv_columns)
+        assert render.emit_json(report) == as_json(report.to_dict(), indent=2) + "\n"
+        assert render.emit_csv(report) == self.csv_text(report.csv_header, report.csv_columns)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize(
@@ -1546,16 +1656,16 @@ class TestFloatColumnOracle:
         subs = column.T if column.ndim == 2 else column[None]
         expected = [[repr(v) for v in sub] for sub in subs.tolist()]
         magnitudes = len(np.unique(np.abs(column)))
-        for text in (cli._json_scalar, cli._csv_scalar):
-            written = [_strings(c, len(column)) for c in cli._scalar_columns([column], text)]
+        for text in (render._json_scalar, render._csv_scalar):
+            written = [_strings(c, len(column)) for c in render._scalar_columns([column], text)]
             assert written == expected
             # entries of one magnitude and sign share one string
             assert len({id(x) for sub in written for x in sub}) <= 2 * magnitudes
 
     def test_nullable_column(self):
         column = cli.Nullable(np.array([True, False, True, False]), np.array([-0.0, 2.5]))
-        (json_column,) = cli._scalar_columns([column], cli._json_scalar)
-        (csv_column,) = cli._scalar_columns([column], cli._csv_scalar)
+        (json_column,) = render._scalar_columns([column], render._json_scalar)
+        (csv_column,) = render._scalar_columns([column], render._csv_scalar)
         assert _strings(json_column, 4) == ["-0.0", "null", "2.5", "null"]
         assert _strings(csv_column, 4) == ["-0.0", "", "2.5", ""]
 
@@ -1564,8 +1674,8 @@ class TestFloatColumnOracle:
         # JSON writes the string escaped as json.dumps does, CSV with its
         # commas as semicolons, and both write null rows as null
         column = cli.Nullable(np.array([False, True, True]), text)
-        (json_column,) = cli._scalar_columns([column], cli._json_scalar)
-        (csv_column,) = cli._scalar_columns([column], cli._csv_scalar)
+        (json_column,) = render._scalar_columns([column], render._json_scalar)
+        (csv_column,) = render._scalar_columns([column], render._csv_scalar)
         assert _strings(json_column, 3) == ["null", json.dumps(text), json.dumps(text)]
         assert _strings(csv_column, 3) == ["", text.replace(",", ";"), text.replace(",", ";")]
 
@@ -1586,10 +1696,10 @@ class TestFloatColumnOracle:
             for c in columns
             for sub in (c.T if c.ndim == 2 else c[None]).tolist()
         ]
-        from_floats = [c.dtype == float for c in columns for _ in range(cli._width(c))]
+        from_floats = [c.dtype == float for c in columns for _ in range(render._width(c))]
         magnitudes = np.unique(np.abs(np.concatenate([c.ravel() for c in columns if c.dtype == float])))
-        for text in (cli._json_scalar, cli._csv_scalar):
-            written = [_strings(c, n) for c in cli._scalar_columns(columns, text)]
+        for text in (render._json_scalar, render._csv_scalar):
+            written = [_strings(c, n) for c in render._scalar_columns(columns, text)]
             assert written == expected
             floats = [x for sub, f in zip(written, from_floats) if f for x in sub]
             assert len({id(x) for x in floats}) <= 2 * len(magnitudes)
@@ -1598,7 +1708,7 @@ class TestFloatColumnOracle:
         dec = spherical_decomposition(np.array([0.2]), 64, 128)
         columns = [dec.nodes[:, 0], dec.nodes[:, 1], dec.weights, dec.a[0], dec.b[0]]
         n = len(dec.weights)
-        written = [_strings(c, n) for c in cli._scalar_columns(columns, cli._json_scalar)]
+        written = [_strings(c, n) for c in render._scalar_columns(columns, render._json_scalar)]
         magnitudes = np.unique(np.abs(np.concatenate([c.ravel() for c in columns])))
         assert len({id(x) for sub in written for x in sub}) <= 2 * len(magnitudes)
         # each b entry is a's string with its sign flipped
@@ -1617,7 +1727,7 @@ def test_verify_grid_json_formats_each_distinct_magnitude_once(monkeypatch, caps
             formatted.append(value)
         return repr(value)
 
-    monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+    monkeypatch.setattr(render, "repr", counting_repr, raising=False)
     code, out, _ = run(capsys, "verify", "--grid", "0.0026872848822480245", "0.9969486747387446", "1001")
     assert code == EXIT_OK
     written = []
@@ -1637,7 +1747,7 @@ def test_decompose_dense_json_formats_each_distinct_magnitude_once(monkeypatch, 
             formatted.append(value)
         return repr(value)
 
-    monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+    monkeypatch.setattr(render, "repr", counting_repr, raising=False)
     code, out, _ = run(capsys, "decompose", "--q", "0.044788081370800405", "--method", "spherical",
                        "--nodes", "64", "128")
     assert code == EXIT_OK
@@ -1702,6 +1812,90 @@ class TestOutOfMemory:
             argv, 384 << 20, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE
         )
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+
+    def test_large_grid_renders_within_a_limit_one_pass_exceeds(self):
+        # 100,000 tested verify rows, about 51 MB of JSON, under a 256 MiB
+        # limit.  Evaluated as one stack and written as one string, the
+        # report took about 342 MB of RSS and exited 2 under this limit
+        argv = ["verify", "--grid", "0", "0.3333333333333333", "100000"]
+        proc = self._run_limited(argv, 256 << 20, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+
+
+class TestStreamedWrite:
+    """A report is written chunk by chunk once every gate has passed: blocks
+    of report._POOL_ROWS table rows, each formatted from one pool of float
+    strings, written report._CHUNK_ROWS rows at a time, give the bytes of one
+    whole-report pass, and a report that exits 2 has written nothing."""
+
+    ARGVS = [
+        # a rows table of 23 and a skipped table of 15 that share blocks
+        ["verify", "--grid", "0", "1", "23"],
+        # an empty skipped table after the rows
+        ["verify", "--grid", "0", "0.3", "5"],
+        ["ppt", "--sweep", "0", "1", "11"],
+        ["decompose", "--q", "0.2", "--nodes", "3", "5"],
+    ]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    @pytest.mark.parametrize("argv", ARGVS)
+    # a block of 23 rows ends where the verify rows table does
+    @pytest.mark.parametrize("pool, chunk", [(1, 1), (5, 3), (23, 2)])
+    def test_blocks_and_chunks_write_the_same_bytes(self, capsys, monkeypatch, argv, fmt, pool, chunk):
+        expected = run(capsys, *argv, "--format", fmt)
+        monkeypatch.setattr(render, "_POOL_ROWS", pool)
+        monkeypatch.setattr(render, "_CHUNK_ROWS", chunk)
+        assert run(capsys, *argv, "--format", fmt) == expected
+
+    def test_a_table_is_written_in_chunks(self, monkeypatch):
+        # 11 rows 3 at a time: the header goes with the first chunk
+        monkeypatch.setattr(render, "_CHUNK_ROWS", 3)
+        args = cli.build_parser().parse_args(["ppt", "--sweep", "0", "1", "11"])
+        text = cli._RENDERERS["csv"](args.handler(args))
+        chunks = list(text)
+        assert [chunk.count("\n") for chunk in chunks] == [4, 3, 3, 2]
+        assert "".join(chunks) == str(text) == emit_csv(args.handler(args))
+        assert text.encode() == str(text).encode()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_a_non_finite_last_row_writes_nothing(self, capsys, monkeypatch, tmp_path, fmt):
+        monkeypatch.setattr(render, "_POOL_ROWS", 1)
+        monkeypatch.setattr(render, "_CHUNK_ROWS", 1)
+        ppt_test = cli.ppt_test
+
+        def last_row_bad(rho):
+            verdict = ppt_test(rho)
+            eigenvalues = verdict.eigenvalues.copy()
+            eigenvalues[-1, -1] = math.inf
+            return dataclasses.replace(verdict, eigenvalues=eigenvalues)
+
+        monkeypatch.setattr(cli, "ppt_test", last_row_bad)
+        argv = ["ppt", "--sweep", "0", "1", "11", "--format", fmt]
+        failed = (EXIT_USAGE, "", "error: report value inf is not finite\n")
+        assert run(capsys, *argv) == failed
+        target = tmp_path / "report.out"
+        assert run(capsys, *argv, "--out", str(target)) == failed
+        assert not target.exists()
+
+    def test_a_failed_second_write_exits_2_with_one_line(self, capsys, monkeypatch):
+        class SecondWriteFails(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 2:
+                    raise OSError(errno.EPIPE, os.strerror(errno.EPIPE))
+                return super().write(text)
+
+        argv = ["ppt", "--sweep", "0", "1", "11", "--format", "csv"]
+        _, expected, _ = run(capsys, *argv)
+        monkeypatch.setattr(render, "_CHUNK_ROWS", 2)
+        stdout = SecondWriteFails()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: cannot write report to stdout: Broken pipe\n"
+        # the first chunk, the header and two rows, was written
+        assert stdout.getvalue() == "".join(expected.splitlines(True)[:3])
 
 
 class TestArgvFuzz:

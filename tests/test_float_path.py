@@ -1,14 +1,18 @@
-"""Every float a report writes comes from its report's one pool of float
-strings in cli._scalar_columns, which the pool's one np.isfinite judges.
-The guard parses cli.py: repr is called only by that pool and by the axis
-warning of _normalized_axis, and _fmt_scalar takes no float."""
+"""Every float a report writes comes from a pool of float strings in
+report._scalar_columns, one per block of rows, after report._gate has judged
+every float of the report by np.isfinite.  The guard parses report.py and
+cli.py: repr is called only by the pools and by the axis warning of
+cli._normalized_axis, and _fmt_scalar takes no float."""
 
 import ast
 from pathlib import Path
 
-from wernerkit import cli
+from wernerkit import cli, report
 
-TREE = ast.parse(Path(cli.__file__).read_text())
+TREE = ast.Module(
+    body=[node for module in (report, cli) for node in ast.parse(Path(module.__file__).read_text()).body],
+    type_ignores=[],
+)
 
 
 def repr_callers(tree: ast.AST) -> set[str]:
