@@ -378,27 +378,25 @@ SKIP_REASON = "decomposition checks skipped: q > 1/3 (local_margin < 0)"
 def _verify_block(q: np.ndarray) -> dict[str, np.ndarray]:
     """The columns of the verify rows of a block of q: its ppt rows' PT
     fields, the smallest eigenvalue of the local states (local_margin), and
-    the deviations of both decompositions of W(q), one entry per tested q,
-    those <= SEPARABLE_Q_EDGE, which are decomposed and checked in one
-    pass."""
+    the deviations of both decompositions of W(q).  The tested q, those
+    <= SEPARABLE_Q_EDGE, are decomposed and checked in one pass; the
+    deviations are 0.0 on the other rows."""
     rho = werner(q)
     ppt = _ppt_columns(q, rho)
     tested = ppt["expected_separable"]
-    deviations = dict.fromkeys(_VERIFY_CHECKS, np.empty(0))
+    deviations = {key: np.zeros(len(q)) for key in _VERIFY_CHECKS}
     if tested.any():
         recon_s, _, s = _spherical_checks(spherical_decomposition(q[tested]), rho[tested])
         recon_w, _, w = _wootters_checks(wootters_decomposition(q[tested]), rho[tested])
-        deviations = {
-            "spherical_error": s["reconstruction_error"],
-            "wootters_error": w["reconstruction_error"],
-            "cross_error": _max_abs(recon_s - recon_w, (-2, -1)),
-            "moment_deviation": np.maximum(
-                np.maximum(s["first_moment_a"], s["first_moment_b"]),
-                s["second_moment_deviation"],
-            ),
-            "schmidt_max": w["schmidt_determinant_max"],
-            "phase_residual": w["phase_constraint_residual"],
-        }
+        deviations["spherical_error"][tested] = s["reconstruction_error"]
+        deviations["wootters_error"][tested] = w["reconstruction_error"]
+        deviations["cross_error"][tested] = _max_abs(recon_s - recon_w, (-2, -1))
+        deviations["moment_deviation"][tested] = np.maximum(
+            np.maximum(s["first_moment_a"], s["first_moment_b"]),
+            s["second_moment_deviation"],
+        )
+        deviations["schmidt_max"][tested] = w["schmidt_determinant_max"]
+        deviations["phase_residual"][tested] = w["phase_constraint_residual"]
     keep = ("closed_form_deviation", "separable", "expected_separable")
     return {"local_margin": local_margin(q), **{k: ppt[k] for k in keep}, **deviations}
 
@@ -425,7 +423,7 @@ def _verify_rows(q: np.ndarray) -> tuple[Table, Table, list[Check]]:
     local_matches = (margin >= -PPT_TOL) == c["separable"]
     local = check_equal("local_positivity_matches_ppt", bool(np.all(local_matches)), True)
     checks = _ppt_checks(c, "ppt_") + [local] + [
-        check_value(name, c[key], 0.0, tol)
+        check_value(name, c[key][tested], 0.0, tol)
         for key, (name, tol) in _VERIFY_CHECKS.items()
         if tested.any()
     ]
@@ -591,8 +589,6 @@ def main(argv=None) -> int:
                 for chunk in text:
                     out.write(chunk)
         else:
-            for line in report.warnings:
-                _stderr(line)
             # a failed flush drops its bytes, so the interpreter's own flush
             # at exit adds no second message
             if sys.stdout is None:  # fd 1 was closed at start
@@ -606,9 +602,8 @@ def main(argv=None) -> int:
     except MemoryError:
         _error(no_memory)
         return EXIT_USAGE
-    if args.out is not None:
-        for line in report.warnings:
-            _stderr(line)
+    for line in report.warnings:
+        _stderr(line)
     return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "PAULI_Z",
     "IDENTITY_2",
     "IDENTITY_4",
-    "HERMITIAN_TOL",
     "kron",
     "is_hermitian",
     "partial_transpose_b",

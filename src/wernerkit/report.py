@@ -50,12 +50,19 @@ def check_value(name: str, observed, expected: float, tol: float) -> Check:
 
 @dataclass
 class Nullable:
-    """A column that is null where present is clear.  Where it is set, the
-    column holds values: a float array with one entry per such row, in
-    order, or one fixed string for every such row."""
+    """A column that is null where present is clear.  It holds values with
+    one entry per row, a float array, or one fixed string for every row;
+    the entries of the null rows are never judged or written."""
 
     present: np.ndarray
     values: np.ndarray | str
+
+    def __len__(self) -> int:
+        return len(self.present)
+
+    def __getitem__(self, rows: slice) -> Nullable:
+        values = self.values if isinstance(self.values, str) else self.values[rows]
+        return Nullable(self.present[rows], values)
 
 
 class Table:
@@ -154,21 +161,22 @@ def _gate(columns) -> None:
     that is neither an array of bools, ints or floats nor a Nullable raises
     TypeError, then a float that is not finite raises ValueError, the first
     in the order the columns write their floats, an (n, k) array's
-    column by column."""
+    column by column; a Nullable's entries on its null rows are skipped."""
     floats = []
     for column in columns:
+        present = True
         if isinstance(column, Nullable):
             if isinstance(column.values, str):
                 continue
-            column = np.asarray(column.values, dtype=float)
+            present, column = column.present, np.asarray(column.values, dtype=float)
         elif not isinstance(column, np.ndarray):
             raise TypeError(f"cannot serialize a {type(column).__name__} column into a report")
         if column.ndim > 2 or column.dtype.kind not in "biuf":
             raise TypeError(f"cannot serialize a {column.dtype} column into a report")
         if column.dtype.kind == "f":
-            floats.append(column.T)
-    for values in floats:
-        bad = ~np.isfinite(values)
+            floats.append((column.T, present))
+    for values, present in floats:
+        bad = ~np.isfinite(values) & present
         if bad.any():
             raise _not_finite(values[bad][0])
 
@@ -179,8 +187,8 @@ def _scalar_columns(columns, text) -> list[np.ndarray]:
     of all the columns take one float.__repr__ per distinct magnitude, as
     repr(x) == "-" + repr(-x) for finite x < 0, -0.0 included, in one pool
     whose last entry is the format's null text.  Each float column is one
-    gather from that pool, a Nullable's by one index array that points at
-    the null entry on its absent rows.  A Nullable's fixed string is
+    gather from that pool, a Nullable's, of its present entries, by one
+    index array that points at the null entry on its absent rows.  A Nullable's fixed string is
     gathered as a bool column is, from its null text and its text."""
     scalars, floats, placed = [], [], []
     for column in columns:
@@ -191,28 +199,29 @@ def _scalar_columns(columns, text) -> list[np.ndarray]:
                 choices = np.array([text(None), text(column)], dtype=object)
                 scalars.append(choices[present.view(np.uint8)])
                 continue
-            column = np.asarray(column, dtype=float)
+            column = np.asarray(column, dtype=float)[present]
         subs = column.T if column.ndim == 2 else column[None]
         if column.dtype == bool:
             scalars += list(np.array(["false", "true"], dtype=object)[subs.view(np.uint8)])
         elif column.dtype.kind != "f":
             scalars += list(subs.astype(str).astype(object))
         else:
-            placed.append((len(scalars), present))
+            placed.append((len(scalars), present, subs.shape))
             floats.append(subs)
             scalars += [None] * len(subs)
     if not floats:
         return scalars
     values = np.concatenate([v.ravel() for v in floats])
+    del floats  # a Nullable's present entries are a copy: free it before np.unique
     magnitudes, inverse = np.unique(np.abs(values), return_inverse=True)
     texts = [repr(m) for m in magnitudes.tolist()]
     # every entry of one magnitude and sign, in any column, shares one string
     inverse += np.signbit(values) * len(texts)
     pool = np.array(texts + ["-" + t for t in texts] + [text(None)], dtype=object)
     end = 0
-    for (at, present), v in zip(placed, floats):
-        index = inverse[end : end + v.size].reshape(v.shape)
-        end += v.size
+    for at, present, shape in placed:
+        index = inverse[end : end + shape[0] * shape[1]].reshape(shape)
+        end += index.size
         if present is not None:
             # spread over the rows, the null entry on the absent ones
             spread = np.full((1,) + present.shape, len(pool) - 1)
@@ -226,60 +235,29 @@ def _scalar_columns(columns, text) -> list[np.ndarray]:
 _SLOT = "\0"  # a value's mark in a row template: _json_str escapes it in names
 
 
-def _enclose(open_: str, parts: list[str], close: str, nl: str | None) -> str:
-    """Members joined as json.dumps(indent=2) writes a container whose own
-    line break and indentation is nl (None: unindented)."""
-    if not parts:
-        return open_ + close
-    inner = nl and nl + "  "
-    return open_ + (inner or "") + ("," + (inner or " ")).join(parts) + (nl or "") + close
-
-
 @dataclass
 class _Rows:
-    """A table's place in a report's layout: its columns, and the template
-    of its rows split at their _SLOT marks into pieces.  The last piece of
-    each row ends in the separator of the rows, but the last row's, which
-    is last instead; open comes before the first row, and a table of no
-    rows is written as empty."""
+    """A table's rows in a report's layout, between the layout's text
+    before and after them: their columns, and their template split at its
+    _SLOT marks into pieces.  The last piece of each row ends in the
+    separator of the rows, but the last row's, which is last instead.  A
+    table of no rows writes nothing; its columns are gated all the same."""
 
     columns: list
     pieces: list[str]
     last: str
-    open: str = ""
-    empty: str = ""
 
     @property
     def n(self) -> int:
-        """The number of rows, from the first column; no columns, no rows."""
-        if not self.columns:
-            return 0
-        first = self.columns[0]
-        return len(first.present if isinstance(first, Nullable) else first)
-
-    def sliced(self, start: int, stop: int) -> list:
-        """The columns of rows start to stop."""
-        columns = []
-        for column in self.columns:
-            if isinstance(column, Nullable):
-                values = column.values
-                if not isinstance(values, str):
-                    before = np.count_nonzero(column.present[:start])
-                    count = np.count_nonzero(column.present[start:stop])
-                    values = np.asarray(values, dtype=float)[before : before + count]
-                column = Nullable(column.present[start:stop], values)
-            else:
-                column = column[start:stop]
-            columns.append(column)
-        return columns
+        """The number of rows, from the first column; no columns, or a first
+        column with no length, which the gate refuses, no rows."""
+        first = self.columns[0] if self.columns else ()
+        return len(first) if hasattr(first, "__len__") else 0
 
     def fragments(self, values: list[np.ndarray], start: int, stop: int):
         """The fragments of rows start to stop, _CHUNK_ROWS rows at a time,
         from their scalar columns values: each chunk one (rows, 2k + 1)
         object array of the pieces and the values, flattened once."""
-        if not self.n:
-            yield [self.empty]
-            return
         cells = np.empty((min(_CHUNK_ROWS, stop - start), len(self.pieces) + len(values)), dtype=object)
         cells[:, ::2] = np.array(self.pieces, dtype=object)
         for at in range(0, stop - start, _CHUNK_ROWS):
@@ -288,27 +266,21 @@ class _Rows:
                 chunk[:, 2 * j + 1] = column[at : at + len(chunk)]
             if start + at + len(chunk) == self.n:
                 chunk[-1, -1] = self.last
-            fragments = chunk.ravel().tolist()
-            if start + at == 0:
-                fragments[0] = self.open + fragments[0]
-            yield fragments
+            yield chunk.ravel().tolist()
 
 
-def _json_rows(table: Table, nl: str | None) -> _Rows:
-    """A table as a JSON list of row objects, every row from one template
-    built for its depth."""
+def _json_rows(table: Table, nl: str | None) -> list:
+    """A table as the layout parts of a JSON list of row objects: its
+    brackets as text around one _Rows, or "[]" before a _Rows of no rows.
+    Every row is from one template, a row laid out by _Layout.write at its
+    depth with a float in each value's place, each float then a _SLOT."""
     row_nl = nl and nl + "  "
-    field_nl = row_nl and row_nl + "  "
-    fields = []
-    for name, column in table.columns.items():
-        slot = _SLOT
-        if isinstance(column, np.ndarray) and column.ndim == 2:
-            slot = _enclose("[", [_SLOT] * column.shape[1], "]", field_nl)
-        fields.append(_json_str(name) + ": " + slot)
-    sep = "," + (row_nl or " ")
-    pieces = (_enclose("{", fields, "}", row_nl) + sep).split(_SLOT)
-    last = pieces[-1][: -len(sep)] + (nl or "") + "]"
-    return _Rows(list(table.columns.values()), pieces, last, "[" + (row_nl or ""), "[]")
+    template = _Layout()
+    template.write({name: [0.0] * c.shape[1] if isinstance(c, np.ndarray) and c.ndim == 2 else 0.0
+                    for name, c in table.columns.items()}, row_nl)
+    *pieces, last = "".join(_SLOT if isinstance(p, float) else p for p in template.out).split(_SLOT)
+    rows = _Rows(list(table.columns.values()), pieces + [last + "," + (row_nl or " ")], last)
+    return ["[" + (row_nl or ""), rows, (nl or "") + "]"] if rows.n else ["[]", rows]
 
 
 def _blocks(parts: list):
@@ -358,7 +330,7 @@ class _Chunks:
         floats go out with the next chunk of table rows, or in a chunk of
         their own after the block's last table."""
         tables = [part for part in block if isinstance(part, tuple)]
-        columns = [c for rows, start, stop in tables for c in rows.sliced(start, stop)]
+        columns = [c[start:stop] for rows, start, stop in tables for c in rows.columns]
         values = _scalar_columns(columns + [self._floats(block)], self.text)
         floats = iter(values.pop())
         pending, at = [], 0
@@ -404,7 +376,7 @@ class _Layout:
         if isinstance(value, str):
             out.append(_json_str(value))
         elif isinstance(value, Table):
-            out.append(_json_rows(value, nl))
+            out += _json_rows(value, nl)
         elif isinstance(value, np.ndarray):
             self.write(value.tolist(), nl)
         elif not isinstance(value, (dict, list, tuple)):

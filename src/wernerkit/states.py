@@ -15,10 +15,6 @@ from .tolerances import UNIT_AXIS_TOL, UNIT_TRACE_TOL
 
 __all__ = [
     "PositivityError",
-    "SEPARABLE_Q_MAX",
-    "SEPARABLE_Q_EDGE",
-    "PPT_TOL",
-    "BLOCH_NORM_MAX",
     "bell_state",
     "werner",
     "bloch_state",

@@ -29,7 +29,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wernerkit.cli import main
-from wernerkit.states import SEPARABLE_Q_EDGE
+from wernerkit.tolerances import SEPARABLE_Q_EDGE
 
 EXAMPLES = 400
 OUT_FILE = "report.out"

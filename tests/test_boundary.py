@@ -19,14 +19,8 @@ from wernerkit.decomposition import (
     wootters_decomposition,
 )
 from wernerkit.separability import ppt_test
-from wernerkit.states import (
-    BLOCH_NORM_MAX,
-    PPT_TOL,
-    SEPARABLE_Q_EDGE,
-    SEPARABLE_Q_MAX,
-    product_state,
-    werner,
-)
+from wernerkit.states import product_state, werner
+from wernerkit.tolerances import BLOCH_NORM_MAX, PPT_TOL, SEPARABLE_Q_EDGE, SEPARABLE_Q_MAX
 
 # 1/3 -+ offsets well past rounding, on both sides of the threshold.
 OFFSET_QS = [SEPARABLE_Q_MAX + s * d for d in (1e-13, 1e-12, 1e-11, 1e-10, 1.4e-10) for s in (-1, 1)]

@@ -51,7 +51,8 @@ from wernerkit.hiddenvar import MAX_SAMPLES
 from wernerkit.linalg import partial_transpose_b
 from wernerkit.report import Check, RunReport, check_value, emit_csv, emit_json
 from wernerkit.separability import ppt_test, werner_pt_eigenvalues_closed_form
-from wernerkit.states import SEPARABLE_Q_EDGE, werner
+from wernerkit.states import werner
+from wernerkit.tolerances import SEPARABLE_Q_EDGE
 
 
 def run(capsys, *argv):
@@ -151,10 +152,9 @@ NODE_SUM_FIELDS = ("spherical_error", "cross_error", "moment_deviation")
 def column_values(column) -> list:
     """A table column as a list of Python values, null as None."""
     if isinstance(column, cli.Nullable):
-        if isinstance(column.values, str):
-            return [column.values if p else None for p in column.present.tolist()]
-        values = iter(column_values(column.values))
-        return [next(values) if p else None for p in column.present.tolist()]
+        values = column.values
+        values = [values] * len(column) if isinstance(values, str) else column_values(values)
+        return [v if p else None for p, v in zip(column.present.tolist(), values)]
     return np.asarray(column).tolist()
 
 
@@ -1336,7 +1336,7 @@ class TestReportMachinery:
 
 def _finite_report() -> RunReport:
     column = np.array([0.5, 2.0])
-    nullable = cli.Nullable(np.array([False, True]), np.array([0.75]))
+    nullable = cli.Nullable(np.array([False, True]), np.array([0.0, 0.75]))
     return RunReport(
         command="x",
         parameters={"q": 0.5},
@@ -1374,11 +1374,27 @@ class TestNonFiniteGate:
         elif where == "table":
             report.results["rows"].columns["v"][1] = bad
         elif where == "nullable":
-            report.results["rows"].columns["n"].values[0] = bad
+            report.results["rows"].columns["n"].values[1] = bad
         else:
             report.checks[0].observed = bad
         with pytest.raises(ValueError, match="is not finite"):
             cli._RENDERERS[fmt](report)
+
+    def test_null_rows_are_never_judged_or_written(self):
+        # a Nullable holds one entry per row; those of its null rows may be
+        # anything, a NaN or an infinity included
+        column = cli.Nullable(np.array([False, True, False]), np.array([math.nan, 0.5, math.inf]))
+        report = RunReport(command="x", parameters={}, results={"rows": cli.Table(n=column)},
+                           csv_header=["n"], csv_columns=[column])
+        rows = [{"n": None}, {"n": 0.5}, {"n": None}]
+        assert json.loads(emit_json(report))["results"]["rows"] == rows
+        assert emit_csv(report) == "n\n\n0.5\n\n"
+        pretty = render.emit_pretty(report).splitlines()
+        assert pretty[3:-1] == ["  " + line for line in as_json({"rows": rows}, indent=2).splitlines()]
+        column.values[1] = math.inf
+        for emit in cli._RENDERERS.values():
+            with pytest.raises(ValueError, match="report value inf is not finite"):
+                emit(report)
 
     def test_every_format_refuses_a_list_column(self):
         # a column is an array or a Nullable, so every float a report writes
@@ -1389,6 +1405,15 @@ class TestNonFiniteGate:
         report.csv_columns.append([0.5, 1.5])
         for emit in cli._RENDERERS.values():
             with pytest.raises(TypeError, match="cannot serialize a list column"):
+                emit(report)
+
+    @pytest.mark.parametrize("column, kind", [([], "list"), (0.5, "float"), (None, "NoneType")])
+    def test_a_table_of_no_rows_is_gated_too(self, column, kind):
+        # it writes nothing, yet its columns pass the same gate
+        report = RunReport(command="x", parameters={}, results={"rows": cli.Table(w=column)},
+                           csv_header=["w"], csv_columns=[column])
+        for emit in cli._RENDERERS.values():
+            with pytest.raises(TypeError, match=f"cannot serialize a {kind} column"):
                 emit(report)
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
@@ -1465,7 +1490,7 @@ def _tables(draw):
         name = draw(st.sampled_from(["c", "%", "%s", "50%s%%", "\0"])) + str(i)
         if kind == "masked":
             present = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-            values = draw(st.lists(_FLOATS, min_size=sum(present), max_size=sum(present)))
+            values = draw(st.lists(_FLOATS, min_size=n, max_size=n))
             columns[name] = cli.Nullable(np.array(present, dtype=bool), np.array(values))
         elif kind == "fixed text":
             # one string on the present rows, which may need JSON's escapes
@@ -1491,7 +1516,7 @@ _ONE_ROW = cli.Table(**{
     "%": np.array([[1e16, -5e-324, 0.5]]),
     "n%%s": np.array([-7]),
     "b": np.array([True]),
-    "m": cli.Nullable(np.array([False]), np.empty(0)),
+    "m": cli.Nullable(np.array([False]), np.array([np.nan])),
     "mt": cli.Nullable(np.array([True]), 'q = "%s, \0'),
     "nt": cli.Nullable(np.array([False]), ","),
 })
@@ -1663,7 +1688,7 @@ class TestFloatColumnOracle:
             assert len({id(x) for sub in written for x in sub}) <= 2 * magnitudes
 
     def test_nullable_column(self):
-        column = cli.Nullable(np.array([True, False, True, False]), np.array([-0.0, 2.5]))
+        column = cli.Nullable(np.array([True, False, True, False]), np.array([-0.0, 0.0, 2.5, 0.0]))
         (json_column,) = render._scalar_columns([column], render._json_scalar)
         (csv_column,) = render._scalar_columns([column], render._csv_scalar)
         assert _strings(json_column, 4) == ["-0.0", "null", "2.5", "null"]
@@ -1835,6 +1860,10 @@ class TestStreamedWrite:
         ["verify", "--grid", "0", "0.3", "5"],
         ["ppt", "--sweep", "0", "1", "11"],
         ["decompose", "--q", "0.2", "--nodes", "3", "5"],
+        # reports whose JSON floats all sit outside tables
+        ["hvsim", "--q", "0.2", "--samples", "100", "--seed", "1"],
+        ["decompose", "--q", "0.2", "--method", "wootters"],
+        ["matrix", "--q", "0.3"],
     ]
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
@@ -1896,6 +1925,17 @@ class TestStreamedWrite:
         assert capsys.readouterr().err == "error: cannot write report to stdout: Broken pipe\n"
         # the first chunk, the header and two rows, was written
         assert stdout.getvalue() == "".join(expected.splitlines(True)[:3])
+
+    def test_a_failed_write_to_stdout_writes_no_axis_warning(self, capsys, monkeypatch):
+        # hvsim's axis warnings follow a written report, on stdout as with
+        # --out, so a run that exits 2 writes the error line alone
+        class WriteFails(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdout", WriteFails())
+        assert main(["hvsim", "--q", "0.2", "--samples", "10", "--l", "2", "0", "0"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: cannot write report to stdout: No space left on device\n"
 
 
 class TestArgvFuzz:

@@ -47,7 +47,8 @@ from wernerkit.decomposition import (
     wootters_decomposition,
     wootters_phase_residual,
 )
-from wernerkit.states import SEPARABLE_Q_EDGE, PositivityError, bell_state, werner
+from wernerkit.states import PositivityError, bell_state, werner
+from wernerkit.tolerances import SEPARABLE_Q_EDGE
 
 Q_THIRD = 1.0 / 3.0
 SEPARABLE_QS = [0.0, 0.1, 0.2, Q_THIRD, SEPARABLE_Q_EDGE]

@@ -23,14 +23,13 @@ from wernerkit.separability import (
     werner_pt_eigenvalues_closed_form,
 )
 from wernerkit.states import (
-    BLOCH_NORM_MAX,
-    SEPARABLE_Q_EDGE,
     PositivityError,
     bloch_state,
     marginal,
     product_state,
     werner,
 )
+from wernerkit.tolerances import BLOCH_NORM_MAX, SEPARABLE_Q_EDGE
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])

@@ -15,7 +15,6 @@ from helpers import (
     werner_matrix_closed_form,
 )
 from wernerkit.linalg import (
-    HERMITIAN_TOL,
     _first_failure,
     hermitian_eigenvalues,
     kron,
@@ -23,9 +22,6 @@ from wernerkit.linalg import (
 )
 from wernerkit.separability import ppt_test
 from wernerkit.states import (
-    BLOCH_NORM_MAX,
-    PPT_TOL,
-    UNIT_TRACE_TOL,
     PositivityError,
     _largest_norm,
     _unit_axis,
@@ -37,6 +33,7 @@ from wernerkit.states import (
     validate_density_matrix,
     werner,
 )
+from wernerkit.tolerances import BLOCH_NORM_MAX, HERMITIAN_TOL, PPT_TOL, UNIT_TRACE_TOL
 
 Q_GRID = np.linspace(0.0, 1.0, 21)
 
