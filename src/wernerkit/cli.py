@@ -9,6 +9,7 @@ separable-only operation).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
 import math
@@ -583,19 +584,14 @@ def main(argv=None) -> int:
 
     # every gate has passed: the report is written chunk by chunk
     try:
-        if args.out is not None:
-            # the path as given: a trailing slash names a directory
-            with open(args.out, "w") as out:
-                for chunk in text:
-                    out.write(chunk)
-        else:
+        if args.out is None and sys.stdout is None:  # fd 1 was closed at start
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        # the path as given: a trailing slash names a directory
+        with open(args.out, "w") if args.out is not None else contextlib.nullcontext(sys.stdout) as out:
+            out.writelines(text)
             # a failed flush drops its bytes, so the interpreter's own flush
             # at exit adds no second message
-            if sys.stdout is None:  # fd 1 was closed at start
-                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-            for chunk in text:
-                sys.stdout.write(chunk)
-            sys.stdout.flush()
+            out.flush()
     except OSError as err:
         _error(f"cannot write report to {'stdout' if args.out is None else args.out}: {err.strerror}")
         return EXIT_USAGE

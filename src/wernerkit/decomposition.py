@@ -41,7 +41,6 @@ __all__ = [
     "SphericalDecomposition",
     "WoottersDecomposition",
     "MomentReport",
-    "sphere_direction",
     "spherical_decomposition",
     "wootters_decomposition",
     "reconstruct",
@@ -134,8 +133,6 @@ class SphericalDecomposition:
     (m, n, 3); the node arrays are shared by every q."""
 
     q: float | np.ndarray
-    n_theta: int
-    n_phi: int
     nodes: np.ndarray
     weights: np.ndarray
     directions: np.ndarray
@@ -188,12 +185,6 @@ class MomentReport:
     matrix: np.ndarray
 
 
-def sphere_direction(theta: float, phi: float) -> np.ndarray:
-    """Unit vector (sin t cos p, sin t sin p, cos t)."""
-    st = math.sin(theta)
-    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
-
-
 def spherical_decomposition(q, n_theta: int = 4, n_phi: int = 8) -> SphericalDecomposition:
     """Quadrature realization of the continuous decomposition of W(q), or of
     every W(q) of a stack of q.
@@ -220,8 +211,6 @@ def spherical_decomposition(q, n_theta: int = 4, n_phi: int = 8) -> SphericalDec
     nodes, weights, directions = _quadrature(n_theta, n_phi)
     return SphericalDecomposition(
         q=q,
-        n_theta=n_theta,
-        n_phi=n_phi,
         nodes=nodes,
         weights=weights,
         directions=directions,
@@ -237,7 +226,8 @@ def _quadrature(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.nd
     weights and directions."""
     cos_nodes, gl_weights = np.polynomial.legendre.leggauss(n_theta)
     # Angles, sines and cosines come from math on the axis values, so each
-    # row of directions equals sphere_direction(theta, phi) bit for bit.
+    # row of directions equals the oracle sphere_direction(theta, phi) of
+    # tests/helpers.py bit for bit.
     thetas = [math.acos(float(c)) for c in cos_nodes]
     phis = [2.0 * math.pi * k / n_phi for k in range(n_phi)]
     sin_t = [math.sin(t) for t in thetas]

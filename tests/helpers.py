@@ -36,6 +36,13 @@ def random_unit_axis(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def sphere_direction(theta: float, phi: float) -> np.ndarray:
+    """Unit vector (sin t cos p, sin t sin p, cos t), from math's scalar
+    functions: the spherical decomposition's directions equal it bit for bit."""
+    st = math.sin(theta)
+    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+
+
 def random_bloch_vector(rng: np.random.Generator) -> np.ndarray:
     """Uniform direction with radius scaled into the open unit ball."""
     return random_unit_axis(rng) * rng.uniform(0.0, 0.999)

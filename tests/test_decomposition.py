@@ -23,6 +23,7 @@ from helpers import (
     reference_wootters,
     reference_wootters_exp,
     reference_wootters_sum,
+    sphere_direction,
     werner_matrix_closed_form,
     wootters_closed_form,
     wootters_factors,
@@ -42,7 +43,6 @@ from wernerkit.decomposition import (
     reconstruct,
     schmidt_determinant,
     schmidt_rank_one_check,
-    sphere_direction,
     spherical_decomposition,
     wootters_decomposition,
     wootters_phase_residual,

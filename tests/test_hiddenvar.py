@@ -6,9 +6,9 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from helpers import random_unit_axis
+from helpers import random_unit_axis, sphere_direction
 from wernerkit import hiddenvar
-from wernerkit.decomposition import DecompositionDomainError, local_bloch_norm, sphere_direction
+from wernerkit.decomposition import DecompositionDomainError, local_bloch_norm
 from wernerkit.hiddenvar import (
     _BLOCK,
     _SCREEN,
